@@ -243,8 +243,9 @@ class Nearfield:
         self.generator = self._find_generator()
         self._build_log_tables()
         self._build_coset_table()
-
         self._qpow = tuple(q ** j for j in range(n))
+        self._build_inverse_table()
+
         self._negt = tuple(
             _code_of([(-c) % p for c in _digits_of(a, p, self.d)], p)
             for a in range(self.order)
@@ -258,6 +259,7 @@ class Nearfield:
             self._addt = None
         self._mul_table = None
         self._add_table_full = None
+        self._rmul = None
         self._witness = _UNSET
 
     # -- construction ------------------------------------------------------
@@ -314,6 +316,20 @@ class Nearfield:
             acc += q ** j
         self.coset_table = tuple(table)
 
+    def _build_inverse_table(self):
+        # a = g^k has inverse g^(-k q^(n - j(a))); each entry is checked
+        # against mul once here, so inv itself is a lookup
+        o1, n = self.order - 1, self.n
+        exp, log, qpow, coset, mul = self._exp, self._log, self._qpow, self.coset_table, self.mul
+        invt = [0] * self.order     # entry 0 is never read: inv(0) raises
+        for a in range(1, self.order):
+            ka = log[a]
+            b = exp[((-ka % o1) * qpow[(n - coset[ka % n]) % n]) % o1]
+            if mul(a, b) != 1 or mul(b, a) != 1:
+                raise RuntimeError(f"inverse of {a} is not two-sided")
+            invt[a] = b
+        self._invt = tuple(invt)
+
     # -- additive structure --------------------------------------------------
 
     def _add_digits(self, a, b):
@@ -367,12 +383,7 @@ class Nearfield:
         """Two-sided inverse for o."""
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        o1 = self.order - 1
-        ka = self._log[a]
-        j = self.coset_table[ka % self.n]
-        b = self._exp[((-ka % o1) * self._qpow[(self.n - j) % self.n]) % o1]
-        assert self.mul(a, b) == 1 and self.mul(b, a) == 1
-        return b
+        return self._invt[a]
 
     def coset_index(self, a: int) -> int:
         """The automorphism exponent j(a); for n = 2 it is 0 iff a is a square."""
@@ -398,23 +409,26 @@ class Nearfield:
 
     def find_witness(self) -> Witness | None:
         """First (alpha, beta, lam) in lexicographic code order violating
-        right distributivity, or None for a field (n = 1).  Cached."""
+        right distributivity, or None for a field (n = 1).  Cached.
+
+        Only alpha = 1 is scanned.  alpha = 0 is never a witness, and
+        (alpha, beta, lam) is one iff (1, alpha^-1 o beta, lam) is: left-
+        multiplying by alpha^-1 is a bijection that respects + (left
+        distributivity) and o (associativity).  So the first witness in
+        lexicographic order has alpha = 1.
+        """
         if self._witness is not _UNSET:
             return self._witness
         w = None
         if self.n > 1:  # fields are two-sided distributive, nothing to scan
             order, add, mul = self.order, self.add, self.mul
-            for alpha in range(order):
-                for beta in range(order):
-                    s = add(alpha, beta)
-                    for lam in range(order):
-                        if mul(s, lam) != add(mul(alpha, lam), mul(beta, lam)):
-                            w = Witness(alpha, beta, lam)
-                            break
-                    if w:
-                        break
-                if w:
-                    break
+            w = next(
+                (Witness(1, beta, lam)
+                 for beta in range(order)
+                 for lam in range(order)
+                 if mul(add(1, beta), lam) != add(lam, mul(beta, lam))),
+                None,
+            )
         self._witness = w
         return w
 
@@ -434,6 +448,29 @@ class Nearfield:
             add = self.add
             self._add_table_full = [[add(a, b) for b in range(self.order)] for a in range(self.order)]
         return self._add_table_full
+
+    def row_axpy(self, row, c: int, acc=None) -> tuple[int, ...]:
+        """acc + row o c componentwise, or row o c when acc is None.
+
+        The row kernel of elimination.  Up to _ADD_TABLE_LIMIT, where the
+        eager addition table exists, each entry is one or two lookups
+        through a right-multiplication table t[c][a] = a o c built on
+        first use; above it each entry is computed, so no order^2 table
+        is allocated.
+        """
+        addt = self._addt
+        if addt is None:
+            mul, add = self.mul, self.add
+            if acc is None:
+                return tuple([mul(a, c) for a in row])
+            return tuple([add(x, mul(a, c)) for x, a in zip(acc, row)])
+        if self._rmul is None:
+            mul, elems = self.mul, range(self.order)
+            self._rmul = [tuple([mul(a, r) for a in elems]) for r in elems]
+        tc = self._rmul[c]
+        if acc is None:
+            return tuple([tc[a] for a in row])
+        return tuple([addt[x][tc[a]] for x, a in zip(acc, row)])
 
     # -- text codec -------------------------------------------------------------
 

@@ -95,6 +95,27 @@ class TestEge:
         assert doc["result"]["dimension"] == 3
         assert doc["trace"] == ["ELIM 1 2 1", "TRICK 3 1 x x"]
 
+    @pytest.mark.parametrize("trace,message", [
+        ("SWAP a 1\n", "malformed trace line 'SWAP a 1'"),
+        ("SWAP 0 1\n", "trace step 1: row 0 out of range"),
+        ("SWAP 1 5\n", "trace step 1: row 5 out of range"),
+        ("ELIM 1 9 1\n", "trace step 1: row 9 out of range"),
+        ("TRICK 0 1 x x\n", "trace step 1: column index out of range"),
+        ("TRICK 3 0 0 0\n", "two nonzero entries before the trick column"),
+        ("ELIM 1 2 1\nTRICK 2 1 x x\n", "trace step 2: the trick column is not a conflict column"),
+        ("TRICK 1 1 1 1\n", "witness does not violate right distributivity"),
+    ])
+    def test_replay_rejects_bad_trace(self, capsys, tmp_path, trace, message):
+        f = tmp_path / "v3.mat"
+        f.write_text(V3)
+        t = tmp_path / "bad.trace"
+        t.write_text(trace)
+        code, out, err = run(capsys, "replay", str(f), str(t))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "ege", "/nonexistent/file.mat")
         assert code == 1

@@ -1,9 +1,12 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearvec import (
     NfMatrix,
+    Step,
     VectorSet,
     Witness,
     build_nearfield,
@@ -11,7 +14,9 @@ from nearvec import (
     distributivity_trick,
     ege,
     gen_closure,
+    build_seed,
     is_one_column_independent,
+    matrix_format,
     replay,
     replay_states,
     rref,
@@ -252,3 +257,131 @@ class TestWitnessChoiceIndependence:
                 Mw = NfMatrix(nf, M.rows, M.width)
                 results.add(ege(Mw).basis.rows)
             assert len(results) == 1
+
+
+# -- EGE as it ran before it resumed at the trick column: a full re-reduction
+# from column 0 after every trick, with per-entry arithmetic.  Kept as the
+# reference that ege() must match step for step.
+
+def _ref_rref(nf, rows, width):
+    steps = []
+    pr = 0
+    k = len(rows)
+    for col in range(width):
+        pivot = next((i for i in range(pr, k) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != pr:
+            rows[pr], rows[pivot] = rows[pivot], rows[pr]
+            steps.append(Step("swap", r=pr, s=pivot))
+        lead = rows[pr][col]
+        if lead != 1:
+            c = nf.inv(lead)
+            rows[pr] = tuple(nf.mul(a, c) for a in rows[pr])
+            steps.append(Step("scale", r=pr, c=c))
+        for i in range(k):
+            if i != pr and rows[i][col]:
+                a = rows[i][col]
+                rows[i] = tuple(nf.sub(t, nf.mul(w, a)) for t, w in zip(rows[i], rows[pr]))
+                steps.append(Step("eliminate", r=pr, s=i, c=a))
+        pr += 1
+    return steps
+
+
+def _ref_first_conflict(rows, width):
+    for col in range(width):
+        if sum(1 for row in rows if row[col]) >= 2:
+            return col
+    return None
+
+
+def _ref_trick(nf, rows, col, w):
+    def scale(v, c):
+        return tuple(nf.mul(a, c) for a in v)
+
+    def add(u, v):
+        return tuple(nf.add(a, b) for a, b in zip(u, v))
+
+    def sub(u, v):
+        return tuple(nf.sub(a, b) for a, b in zip(u, v))
+
+    hits = [i for i in range(len(rows)) if rows[i][col]]
+    r, s = hits[0], hits[1]
+    wr, ws = rows[r], rows[s]
+    a1 = nf.mul(nf.inv(wr[col]), w.alpha)
+    b1 = nf.mul(nf.inv(ws[col]), w.beta)
+    mixed = add(scale(wr, a1), scale(ws, b1))
+    theta = sub(sub(scale(mixed, w.lam), scale(wr, nf.mul(a1, w.lam))), scale(ws, nf.mul(b1, w.lam)))
+    phi = scale(theta, nf.inv(theta[col]))
+    rows[r] = sub(wr, scale(phi, wr[col]))
+    rows[s] = sub(ws, scale(phi, ws[col]))
+    rows.append(phi)
+    return Step("trick", col=col, witness=(w.alpha, w.beta, w.lam), theta=theta, phi=phi)
+
+
+def _reference_ege(M):
+    nf = M.nf
+    rows = list(M.rows)
+    steps = _ref_rref(nf, rows, M.width)
+    while True:
+        col = _ref_first_conflict(rows, M.width)
+        if col is None:
+            canonical = True
+            break
+        w = nf.find_witness()
+        if w is None:
+            canonical = False
+            break
+        steps.append(_ref_trick(nf, rows, col, w))
+        steps.extend(_ref_rref(nf, rows, M.width))
+    return tuple(steps), tuple(row for row in rows if any(row)), canonical
+
+
+@st.composite
+def _small_matrices(draw):
+    # DN(3,2) and DN(5,2) take the table row kernel, DN(7,3) (order 343)
+    # the per-entry one; zeros and ones are drawn often so that swaps,
+    # trivial scales and columns with several nonzero entries all occur
+    q, n = draw(st.sampled_from([(3, 2), (5, 2), (7, 3)]))
+    nf = build_nearfield(q, n)
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, nf.order - 1))
+    rows = draw(st.lists(st.tuples(*[entry] * m), min_size=k, max_size=k))
+    return NfMatrix(nf, tuple(rows), m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_matrices())
+def test_ege_matches_full_rereduction(M):
+    D = ege(M)
+    steps, basis, canonical = _reference_ege(M)
+    assert D.trace == steps
+    assert D.basis.rows == basis
+    assert D.canonical == canonical
+
+
+# sha256 over trace_to_text + matrix_format of the EGE result for each seed
+# width below, each seed followed by the seed without its first row and the
+# seed without its last row (when it has more than one row)
+GOLDEN_WIDTHS = (*range(1, 61), 97, 150, 211, 300)
+GOLDEN = {
+    (3, 2): "bb1c70be796ccfe355c39f048dc15e454946836d96ff608874ff62d7301bbe57",
+    (5, 2): "9fbc5dd664ed0c7152042330b5720d9753d1346bf79a0319306f34ebc08315e9",
+    (7, 2): "c4a2183a9355d84b2bace938d410fe9e6b6661ced925a29977c36bae82c235d7",
+}
+
+
+@pytest.mark.parametrize("q,n", sorted(GOLDEN))
+def test_golden_seed_traces(q, n):
+    nf = build_nearfield(q, n)
+    h = hashlib.sha256()
+    for m in GOLDEN_WIDTHS:
+        V = build_seed(m, nf).matrix
+        cases = [V]
+        if V.n_rows > 1:
+            cases += [NfMatrix(nf, V.rows[1:], m), NfMatrix(nf, V.rows[:-1], m)]
+        for M in cases:
+            D = ege(M)
+            h.update((trace_to_text(nf, D.trace) + matrix_format(D.basis)).encode())
+    assert h.hexdigest() == GOLDEN[(q, n)]

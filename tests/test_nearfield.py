@@ -238,20 +238,25 @@ class TestWitness:
         assert build_nearfield(2, 1).find_witness() is None
 
     def test_witness_is_lexicographically_first(self, dn32):
-        order = dn32.order
-        first = None
-        for a in range(order):
-            for b in range(order):
-                for lam in range(order):
-                    if dn32.mul(dn32.add(a, b), lam) != dn32.add(dn32.mul(a, lam), dn32.mul(b, lam)):
-                        first = (a, b, lam)
-                        break
-                if first:
-                    break
-            if first:
-                break
         w = dn32.find_witness()
-        assert (w.alpha, w.beta, w.lam) == first
+        assert (w.alpha, w.beta, w.lam) == _first_witness_full_scan(dn32)
+
+    @pytest.mark.parametrize("q,n", [(5, 1), (5, 2), (7, 2), (4, 3), (9, 2), (13, 2), (7, 3)])
+    def test_alpha_one_scan_matches_full_scan(self, q, n):
+        nf = build_nearfield(q, n)
+        w = nf.find_witness()
+        assert (None if w is None else (w.alpha, w.beta, w.lam)) == _first_witness_full_scan(nf)
+
+
+def _first_witness_full_scan(nf):
+    """Reference: scan every (alpha, beta, lam) in lexicographic order."""
+    order, add, mul = nf.order, nf.add, nf.mul
+    for a in range(order):
+        for b in range(order):
+            for lam in range(order):
+                if mul(add(a, b), lam) != add(mul(a, lam), mul(b, lam)):
+                    return (a, b, lam)
+    return None
 
 
 class TestElementCodec:
