@@ -3,14 +3,20 @@
 Vector sets are stored as sorted packed codes.  Packing is mixed-radix
 with radix q^n = p^d, so a packed vector code is simply the base-p digit
 string of all its coordinates laid end to end; componentwise addition of
-vectors is digitwise base-p addition of packed codes.
+vectors is digitwise base-p addition of packed codes.  Codes are added
+one chunk of h base-p digits at a time, p^h <= 256, through one cached
+table per prime p of chunk sums (at most 2^16 entries); no table grows
+with the size of the space.
 
 The linear-combination step LC -> LC' seeds the products {w o lam} and
 closes them under addition.  Because the additive group of R^m is
 elementary abelian, the additive closure of the products equals their
-GF(p)-span, so the step reduces the products to an independent spanning
-subset and enumerates the span breadth-first; the result is identical to
-pairwise accumulation over the membership bitmap, in linear work.
+GF(p)-span.  The step grows that span as a subgroup H, held as a list
+and as a membership bitmap over the space, starting from {0}.  A product
+already in H is skipped; any other product c extends H to H + <c>, the
+disjoint union of the cosets H + k c for k = 0..p-1.  Each element of
+the span is produced exactly once, so the step is linear in the size of
+the span, with no elimination over GF(p).
 
 Everything is budget-guarded: the enumerated space R^m may not exceed
 the configured element budget (NEARVEC_BUDGET, default 10^6).
@@ -18,7 +24,9 @@ the configured element budget (NEARVEC_BUDGET, default 10^6).
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -28,7 +36,6 @@ from .vectors import vec_scale_right
 DEFAULT_BUDGET = 10 ** 6
 BUDGET_ENV = "NEARVEC_BUDGET"
 
-_VADD_TABLE_CAP = 1024      # full vector-addition table below this space size
 _VSCALE_TABLE_CAP = 10 ** 6  # space * order cap for the scaling table
 
 
@@ -37,15 +44,29 @@ class BudgetExceededError(RuntimeError):
 
 
 def current_budget() -> int:
-    return int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
+    """The element budget: NEARVEC_BUDGET, an integer >= 1, else the default."""
+    raw = os.environ.get(BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{BUDGET_ENV} must be an integer >= 1, got {raw!r}")
+    return limit
+
+
+def require_budget(what: str, size: int, budget: int | None) -> int:
+    """size, or BudgetExceededError when it exceeds the budget (default: current_budget())."""
+    limit = current_budget() if budget is None else budget
+    if size > limit:
+        raise BudgetExceededError(f"{what} = {size} exceeds the element budget {limit} ({BUDGET_ENV})")
+    return size
 
 
 def _check_budget(nf: Nearfield, m: int, budget: int | None) -> int:
-    limit = current_budget() if budget is None else budget
-    space = nf.order ** m
-    if space > limit:
-        raise BudgetExceededError(f"|R|^m = {space} exceeds the element budget {limit}")
-    return space
+    return require_budget("|R|^m", nf.order ** m, budget)
 
 
 def pack_vector(nf: Nearfield, v) -> int:
@@ -63,33 +84,51 @@ def unpack_vector(nf: Nearfield, m: int, code: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _padd(p: int, a: int, b: int) -> int:
-    # digitwise base-p addition == componentwise vector addition on packed codes
-    out, mult = 0, 1
-    while a or b:
-        out += ((a + b) % p) * mult
-        a //= p
-        b //= p
-        mult *= p
+def _chunk_base(p: int) -> int:
+    """p^h for the largest h >= 1 with p^h <= 256 (p itself above 256)."""
+    base = p
+    while base * p <= 256:
+        base *= p
+    return base
+
+
+_CHUNK_TABLES: dict[int, list[list[int]]] = {}  # per prime p, built on first use
+
+
+def _chunk_table(nf: Nearfield) -> list[list[int]]:
+    """delta[b][a] = (a + b) - a, with + digitwise base p on chunks a, b < _chunk_base(p) <= 256."""
+    table = _CHUNK_TABLES.get(nf.p)
+    if table is None:
+        base = range(_chunk_base(nf.p))
+        table = _CHUNK_TABLES[nf.p] = [[nf._add_digits(a, b) - a for a in base] for b in base]
+    return table
+
+
+def _chunk_deltas(nf: Nearfield, c: int) -> list[tuple[int, list[int]]]:
+    """(scale, delta) per nonzero chunk b of c, so x + c = x + sum scale * delta[x // scale % base]."""
+    base = _chunk_base(nf.p)
+    out, scale = [], 1
+    while c:
+        c, b = divmod(c, base)
+        if b:
+            # above p = 256 a chunk is one digit, and its row is built on the spot
+            out.append((scale, _chunk_table(nf)[b] if base <= 256
+                        else [nf._add_digits(a, b) - a for a in range(base)]))
+        scale *= base
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _space_tables(nf: Nearfield, m: int):
-    """(vadd, vscale) lookup tables for small spaces, None entries when too big."""
+def _scale_table(nf: Nearfield, m: int):
+    """vscale[c][r] = packed (c o r) for spaces with space * order under the cap, else None."""
     space = nf.order ** m
-    p = nf.p
-    vadd = None
-    if space <= _VADD_TABLE_CAP:
-        vadd = [[_padd(p, a, b) for b in range(space)] for a in range(space)]
-    vscale = None
-    if space * nf.order <= _VSCALE_TABLE_CAP:
-        vscale = [
-            [pack_vector(nf, vec_scale_right(nf, unpack_vector(nf, m, c), r))
-             for r in range(nf.order)]
-            for c in range(space)
-        ]
-    return vadd, vscale
+    if space * nf.order > _VSCALE_TABLE_CAP:
+        return None
+    return [
+        [pack_vector(nf, vec_scale_right(nf, unpack_vector(nf, m, c), r))
+         for r in range(nf.order)]
+        for c in range(space)
+    ]
 
 
 @dataclass(frozen=True)
@@ -116,22 +155,9 @@ class VectorSet:
         return len(self.codes)
 
     def __contains__(self, v) -> bool:
-        return pack_vector(self.nf, v) in set(self.codes)
-
-
-def _gfp_reduce(basis: list[list[int]], pivots: list[int], digits: list[int], p: int):
-    """Reduce digits against the echelon basis; append if independent."""
-    for row, piv in zip(basis, pivots):
-        c = digits[piv]
-        if c:
-            for i, ri in enumerate(row):
-                digits[i] = (digits[i] - c * ri) % p
-    piv = next((i for i, c in enumerate(digits) if c), None)
-    if piv is None:
-        return
-    inv = pow(digits[piv], -1, p)
-    basis.append([(c * inv) % p for c in digits])
-    pivots.append(piv)
+        code = pack_vector(self.nf, v)
+        i = bisect.bisect_left(self.codes, code)
+        return i < len(self.codes) and self.codes[i] == code
 
 
 def lc_step(S: VectorSet, budget: int | None = None) -> VectorSet:
@@ -139,61 +165,32 @@ def lc_step(S: VectorSet, budget: int | None = None) -> VectorSet:
     nf, m = S.nf, S.m
     space = _check_budget(nf, m, budget)
     p = nf.p
-    ndig = m * nf.d
-    vadd, vscale = _space_tables(nf, m)
+    base = _chunk_base(p)
+    vscale = _scale_table(nf, m)
+    if vscale is not None:
+        prods = itertools.chain.from_iterable(vscale[w] for w in S.codes)
+    else:
+        prods = (pack_vector(nf, vec_scale_right(nf, v, r))
+                 for v in S.vectors() for r in range(nf.order))
 
-    # seed products, deduplicated
-    seen = bytearray(space)
-    seen[0] = 1  # the empty sum
-    prods = []
-    for w in S.codes:
-        if vscale is not None:
-            row = vscale[w]
-            for r in range(nf.order):
-                c = row[r]
-                if not seen[c]:
-                    seen[c] = 1
-                    prods.append(c)
-        else:
-            wv = unpack_vector(nf, m, w)
-            for r in range(nf.order):
-                c = pack_vector(nf, vec_scale_right(nf, wv, r))
-                if not seen[c]:
-                    seen[c] = 1
-                    prods.append(c)
-
-    # independent spanning subset over GF(p)
-    basis: list[list[int]] = []
-    pivots: list[int] = []
+    span = bytearray(space)  # membership bitmap of out
+    span[0] = 1
+    out = [0]                # the subgroup grown so far, from the empty sum
     for c in prods:
-        digits = [0] * ndig
-        x, i = c, 0
-        while x:
-            x, digits[i] = divmod(x, p)[0], x % p
-            i += 1
-        _gfp_reduce(basis, pivots, digits, p)
-
-    # enumerate the span breadth-first
-    out = [0]
-    for row in basis:
-        b = 0
-        for c in reversed(row):
-            b = b * p + c
-        multiples = []
-        cur = b
+        if span[c]:
+            continue
+        # out + <c> is out and the cosets out + k c, 0 < k < p, all disjoint
+        deltas = _chunk_deltas(nf, c)
+        coset = out
         for _ in range(p - 1):
-            multiples.append(cur)
-            cur = _padd(p, cur, b)
-        grown = list(out)
-        if vadd is not None:
-            for mb in multiples:
-                arow = vadd[mb]
-                grown.extend(arow[x] for x in out)
-        else:
-            for mb in multiples:
-                grown.extend(_padd(p, x, mb) for x in out)
-        out = grown
-    return VectorSet(nf, m, tuple(sorted(out)))
+            for scale, delta in deltas:
+                coset = [x + delta[x // scale % base] * scale for x in coset]
+            for x in coset:
+                span[x] = 1
+            out += coset
+        if len(out) == space:
+            break
+    return VectorSet(nf, m, tuple(itertools.compress(range(space), span)))
 
 
 def gen_closure(S: VectorSet, budget: int | None = None) -> VectorSet:
@@ -247,7 +244,7 @@ def is_gamma_dependent(nf: Nearfield, vectors, gamma: int,
             if nxt.codes == cur.codes:
                 break
             cur = nxt
-        if pack_vector(nf, v) in set(cur.codes):
+        if v in cur:
             return True, i
     return False, None
 

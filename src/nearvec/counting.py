@@ -16,24 +16,34 @@ quotient at small m for comparison.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
-from .closure import BudgetExceededError, pack_vector
+from .closure import BudgetExceededError, pack_vector, require_budget
 from .nearfield import Nearfield
 from .vectors import NfMatrix, vec_add, vec_scale_right
 
 
-@functools.cache
+def _partition_counts(m: int, k: int) -> list[int]:
+    """[p_k(t) for t in 0..m], p_k(t) the partitions of t into exactly k parts.
+
+    Iterates p_j(t) = p_{j-1}(t-1) + p_j(t-j) over parts j <= k and t <= m,
+    one row of the (m+1)(k+1) table at a time.
+    """
+    require_budget("partition table (m+1)(k+1)", (m + 1) * (k + 1), None)
+    row = [1] + [0] * m  # j = 0
+    for j in range(1, k + 1):
+        nxt = [0] * (m + 1)
+        for t in range(j, m + 1):
+            nxt[t] = row[t - 1] + nxt[t - j]
+        row = nxt
+    return row
+
+
 def partitions_into_parts(t: int, k: int) -> int:
     """Number of partitions of t into exactly k positive parts."""
     if t < 0 or k < 0:
         raise ValueError("t and k must be nonnegative")
-    if k == 0:
-        return 1 if t == 0 else 0
-    if t < k:
-        return 0
-    return partitions_into_parts(t - 1, k - 1) + partitions_into_parts(t - k, k)
+    return _partition_counts(t, k)[t] if k <= t else 0
 
 
 def count_subgroups(m: int, k: int, nf_order: int) -> int:
@@ -42,10 +52,8 @@ def count_subgroups(m: int, k: int, nf_order: int) -> int:
         raise ValueError("nearfield order must be at least 2")
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    return sum(
-        partitions_into_parts(t, k) * (nf_order - 1) ** (t - k)
-        for t in range(k, m + 1)
-    )
+    counts = _partition_counts(m, k)
+    return sum(counts[t] * (nf_order - 1) ** (t - k) for t in range(k, m + 1))
 
 
 def _partitions_desc(t: int, k: int, maxpart: int | None = None):

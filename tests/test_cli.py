@@ -144,6 +144,16 @@ class TestClosureCommands:
         assert code == 1
         assert "index undefined" in err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_budget_variable(self, capsys, tmp_path, monkeypatch, value):
+        f = tmp_path / "v3.mat"
+        f.write_text(V3)
+        monkeypatch.setenv("NEARVEC_BUDGET", value)
+        code, out, err = run(capsys, "gen", str(f))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: NEARVEC_BUDGET must be an integer >= 1, got {value!r}\n"
+
 
 class TestMapCommands:
     def test_classify_counterexample(self, capsys, tmp_path):
@@ -186,6 +196,20 @@ class TestSubgroupAndSeedCommands:
         code, out, _ = run(capsys, "count-subgroups", "3", "2", "3", "2")
         assert code == 0
         assert out == "9\n"
+
+    def test_count_subgroups_deep(self, capsys):
+        # deeper than the recursion limit of the memoized p_k(t) it replaced
+        code, out, err = run(capsys, "count-subgroups", "3", "2", "1000", "500")
+        assert code == 0 and err == ""
+        assert int(out) % 8 == 1  # only the t = k term has no factor |R| - 1
+
+    def test_count_subgroups_over_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("NEARVEC_BUDGET", "100")
+        code, out, err = run(capsys, "count-subgroups", "3", "2", "20", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "126 exceeds the element budget 100" in err and "NEARVEC_BUDGET" in err
 
     @pytest.mark.parametrize("m,k", [(1, 1), (9, 2), (10, 3), (24, 3)])
     def test_seed_roundtrip(self, capsys, tmp_path, m, k):

@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearvec import (
     BudgetExceededError,
     VectorSet,
+    build_nearfield,
     check_lc1_cardinality,
     gen_closure,
     is_gamma_dependent,
@@ -74,9 +76,16 @@ class TestLcStep:
     def test_budget_env(self, dn32, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV, "100")
         S = VectorSet.from_vectors(dn32, 3, [(1, 0, 1)])
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=BUDGET_ENV):
             lc_step(S)
         assert len(lc_step(S, budget=10 ** 6)) == 9
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
+    def test_bad_budget_env(self, dn32, monkeypatch, value):
+        monkeypatch.setenv(BUDGET_ENV, value)
+        S = VectorSet.from_vectors(dn32, 2, [(1, 0)])
+        with pytest.raises(ValueError, match=f"{BUDGET_ENV} must be an integer >= 1, got {value!r}"):
+            lc_step(S)
 
 
 class TestGenClosure:
@@ -170,3 +179,94 @@ class TestLc1Cardinality:
             assert rep.within_bound
             if rep.two_independent:
                 assert rep.equality and rep.k_le_m
+
+
+# -- oracle: the elimination-based step that coset growth replaced -----------
+
+def _padd(p, a, b):
+    out, mult = 0, 1
+    while a or b:
+        out += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def _elimination_lc_step(S):
+    """LC -> LC' by reducing the products to a GF(p)-basis, then enumerating its span."""
+    nf, m = S.nf, S.m
+    p, ndig = nf.p, m * nf.d
+    basis, pivots = [], []
+    for v in S.vectors():
+        for r in range(nf.order):
+            c = pack_vector(nf, vec_scale_right(nf, v, r))
+            digits = [c // p ** i % p for i in range(ndig)]
+            for row, piv in zip(basis, pivots):
+                f = digits[piv]
+                if f:
+                    digits = [(x - f * y) % p for x, y in zip(digits, row)]
+            piv = next((i for i, x in enumerate(digits) if x), None)
+            if piv is not None:
+                inv = pow(digits[piv], -1, p)
+                basis.append([x * inv % p for x in digits])
+                pivots.append(piv)
+    out = [0]
+    for row in basis:
+        b = sum(x * p ** i for i, x in enumerate(row))
+        grown, kb = list(out), b
+        for _ in range(p - 1):
+            grown.extend(_padd(p, x, kb) for x in out)
+            kb = _padd(p, kb, b)
+        out = grown
+    return VectorSet(nf, m, tuple(sorted(out)))
+
+
+# DN(3,2)^4 is a 6561-element space (above the old 1024-element addition
+# table), GF(2)^12 spans two 8-digit chunks, and DN(5,2)^2, GF(7)^3 and
+# DN(7,2)^2 cover the other primes
+ORACLE_SHAPES = [(3, 2, 1), (3, 2, 2), (3, 2, 3), (3, 2, 4), (5, 2, 1), (5, 2, 2),
+                 (2, 1, 12), (7, 1, 3), (7, 2, 2)]
+
+
+@st.composite
+def _oracle_cases(draw):
+    q, n, m = draw(st.sampled_from(ORACLE_SHAPES))
+    nf = build_nearfield(q, n)
+    space = nf.order ** m
+    codes = draw(st.lists(st.integers(0, space - 1), max_size=3))
+    return nf, m, [unpack_vector(nf, m, c) for c in codes], draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_cases())
+def test_lc_step_matches_elimination_oracle(case):
+    nf, m, vectors, steps = case
+    space = nf.order ** m
+    S = VectorSet.from_vectors(nf, m, vectors)
+    cur = ref = S
+    for _ in range(steps):
+        cur, ref = lc_step(cur), _elimination_lc_step(ref)
+        assert cur == ref
+
+    # continue the oracle to the fixpoint for gen and the index
+    strata = [S, _elimination_lc_step(S)]
+    while strata[-1].codes != strata[-2].codes and len(strata[-1]) < space:
+        strata.append(_elimination_lc_step(strata[-1]))
+    assert gen_closure(S) == strata[-1]
+    if not vectors:
+        return
+    if len(strata[-1]) == space:
+        assert lc_index(nf, vectors) == next(i for i, T in enumerate(strata) if len(T) == space)
+    else:
+        with pytest.raises(ValueError, match="index undefined"):
+            lc_index(nf, vectors)
+
+
+@pytest.mark.parametrize("q,m,vectors", [(257, 2, [(3, 5), (7, 0)]), (1009, 1, [(4,)])])
+def test_lc_step_prime_above_chunk_table(q, m, vectors):
+    # one digit per chunk and no cached chunk table; both spaces are also
+    # above the scaling-table cap, so products are computed one by one
+    nf = build_nearfield(q, 1)
+    S = VectorSet.from_vectors(nf, m, vectors)
+    assert lc_step(S) == _elimination_lc_step(S)

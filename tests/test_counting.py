@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from nearvec import (
@@ -66,6 +68,29 @@ class TestCountSubgroups:
             count_subgroups(2, 0, 9)
         with pytest.raises(ValueError):
             count_subgroups(2, 1, 1)
+
+    def test_matches_recursive_reference(self):
+        # the memoized recursion the iterative table replaced
+        @functools.cache
+        def p_k(t, k):
+            if k == 0:
+                return 1 if t == 0 else 0
+            if t < k:
+                return 0
+            return p_k(t - 1, k - 1) + p_k(t - k, k)
+
+        for m in range(1, 13):
+            for k in range(1, m + 1):
+                for order in (2, 9, 25, 49):
+                    expected = sum(p_k(t, k) * (order - 1) ** (t - k) for t in range(k, m + 1))
+                    assert count_subgroups(m, k, order) == expected
+
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("NEARVEC_BUDGET", "125")
+        with pytest.raises(BudgetExceededError, match="NEARVEC_BUDGET"):
+            count_subgroups(20, 5, 9)  # a 21 x 6 partition table
+        monkeypatch.setenv("NEARVEC_BUDGET", "126")
+        assert count_subgroups(20, 5, 9) > 0
 
 
 class TestEnumerateCanonical:
