@@ -278,11 +278,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # counts are bounded by the element budget, not by Python's int-to-str
+    # digit limit (which exists from Python 3.10.7 on)
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, BudgetExceededError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

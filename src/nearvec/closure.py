@@ -1,12 +1,21 @@
 """Brute-force ground truth for gen, the LC_p strata, and related notions.
 
-Vector sets are stored as sorted packed codes.  Packing is mixed-radix
-with radix q^n = p^d, so a packed vector code is simply the base-p digit
-string of all its coordinates laid end to end; componentwise addition of
-vectors is digitwise base-p addition of packed codes.  Codes are added
-one chunk of h base-p digits at a time, p^h <= 256, through one cached
-table per prime p of chunk sums (at most 2^16 entries); no table grows
-with the size of the space.
+This module is the only one that knows how vectors are packed.  Packing
+is mixed-radix with radix q^n = p^d, first coordinate lowest, so a packed
+vector code is simply the base-p digit string of all its coordinates laid
+end to end.  Two helpers serve every caller that works on packed codes:
+
+- scale_rows(nf, m)[c][r] is the code of c o r.  The right action works
+  on each coordinate alone, so the rows for R^(j+1) are built from those
+  for R^j and the field's multiplication table, one coordinate at a time
+  and with no unpacking.  While space * order is under a cap the rows
+  are one cached table; above it each row is computed when looked up.
+- translate(nf, codes, c) is [x + c for x in codes].  Componentwise
+  addition of vectors is digitwise base-p addition of packed codes, done
+  one chunk of h base-p digits of c at a time, p^h <= 256, through one
+  cached table per prime p of chunk sums (at most 2^16 entries).
+
+No structure grows with the square of the space.
 
 The linear-combination step LC -> LC' seeds the products {w o lam} and
 closes them under addition.  Because the additive group of R^m is
@@ -14,12 +23,14 @@ elementary abelian, the additive closure of the products equals their
 GF(p)-span.  The step grows that span as a subgroup H, held as a list
 and as a membership bitmap over the space, starting from {0}.  A product
 already in H is skipped; any other product c extends H to H + <c>, the
-disjoint union of the cosets H + k c for k = 0..p-1.  Each element of
-the span is produced exactly once, so the step is linear in the size of
-the span, with no elimination over GF(p).
+disjoint union of the cosets H + k c for k = 0..p-1, each translated
+from the one before.  Each element of the span is produced exactly once,
+so the step is linear in the size of the span, with no elimination over
+GF(p).
 
-Everything is budget-guarded: the enumerated space R^m may not exceed
-the configured element budget (NEARVEC_BUDGET, default 10^6).
+Everything is budget-guarded through require_budget: the enumerated
+space R^m may not exceed the configured element budget (NEARVEC_BUDGET,
+default 10^6).
 """
 
 from __future__ import annotations
@@ -84,6 +95,7 @@ def unpack_vector(nf: Nearfield, m: int, code: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
 def _chunk_base(p: int) -> int:
     """p^h for the largest h >= 1 with p^h <= 256 (p itself above 256)."""
     base = p
@@ -104,31 +116,45 @@ def _chunk_table(nf: Nearfield) -> list[list[int]]:
     return table
 
 
-def _chunk_deltas(nf: Nearfield, c: int) -> list[tuple[int, list[int]]]:
-    """(scale, delta) per nonzero chunk b of c, so x + c = x + sum scale * delta[x // scale % base]."""
+def translate(nf: Nearfield, codes: list[int], c: int) -> list[int]:
+    """[x + c for x in codes] with + componentwise, one chunk of c at a time (codes itself for c = 0)."""
     base = _chunk_base(nf.p)
-    out, scale = [], 1
+    scale = 1
     while c:
         c, b = divmod(c, base)
         if b:
-            # above p = 256 a chunk is one digit, and its row is built on the spot
-            out.append((scale, _chunk_table(nf)[b] if base <= 256
-                        else [nf._add_digits(a, b) - a for a in range(base)]))
+            # x + b on the chunk at scale is x + delta[chunk of x] * scale; above
+            # p = 256 a chunk is one digit, and its row is built on the spot
+            delta = (_chunk_table(nf)[b] if base <= 256
+                     else [(a + b) % base - a for a in range(base)])
+            codes = [x + delta[x // scale % base] * scale for x in codes]
         scale *= base
-    return out
+    return codes
+
+
+class _ScaleRowsOnDemand:
+    """scale_rows above the cap: each lookup computes one row."""
+
+    def __init__(self, nf: Nearfield, m: int):
+        self.nf, self.m = nf, m
+
+    def __getitem__(self, c: int) -> list[int]:
+        nf = self.nf
+        v = unpack_vector(nf, self.m, c)
+        return [pack_vector(nf, vec_scale_right(nf, v, r)) for r in range(nf.order)]
 
 
 @functools.lru_cache(maxsize=None)
-def _scale_table(nf: Nearfield, m: int):
-    """vscale[c][r] = packed (c o r) for spaces with space * order under the cap, else None."""
-    space = nf.order ** m
-    if space * nf.order > _VSCALE_TABLE_CAP:
-        return None
-    return [
-        [pack_vector(nf, vec_scale_right(nf, unpack_vector(nf, m, c), r))
-         for r in range(nf.order)]
-        for c in range(space)
-    ]
+def scale_rows(nf: Nearfield, m: int):
+    """rows[c][r] = packed (c o r): a table while space * order is under the cap."""
+    order = nf.order
+    if order ** (m + 1) > _VSCALE_TABLE_CAP:
+        return _ScaleRowsOnDemand(nf, m)
+    base, rows = nf.mul_table(), [[0] * order]
+    for _ in range(m):
+        # code a + order * b: the new coordinate a lowest, the old ones b above it
+        rows = [[a + order * b for a, b in zip(row, hrow)] for hrow in rows for row in base]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -164,27 +190,17 @@ def lc_step(S: VectorSet, budget: int | None = None) -> VectorSet:
     """One stratum up: the additive subgroup generated by {w o lam}."""
     nf, m = S.nf, S.m
     space = _check_budget(nf, m, budget)
-    p = nf.p
-    base = _chunk_base(p)
-    vscale = _scale_table(nf, m)
-    if vscale is not None:
-        prods = itertools.chain.from_iterable(vscale[w] for w in S.codes)
-    else:
-        prods = (pack_vector(nf, vec_scale_right(nf, v, r))
-                 for v in S.vectors() for r in range(nf.order))
-
+    rows = scale_rows(nf, m)
     span = bytearray(space)  # membership bitmap of out
     span[0] = 1
     out = [0]                # the subgroup grown so far, from the empty sum
-    for c in prods:
+    for c in itertools.chain.from_iterable(rows[w] for w in S.codes):
         if span[c]:
             continue
         # out + <c> is out and the cosets out + k c, 0 < k < p, all disjoint
-        deltas = _chunk_deltas(nf, c)
         coset = out
-        for _ in range(p - 1):
-            for scale, delta in deltas:
-                coset = [x + delta[x // scale % base] * scale for x in coset]
+        for _ in range(nf.p - 1):
+            coset = translate(nf, coset, c)
             for x in coset:
                 span[x] = 1
             out += coset

@@ -17,10 +17,11 @@ quotient at small m for comparison.
 from __future__ import annotations
 
 import itertools
+from math import factorial
 
-from .closure import BudgetExceededError, pack_vector, require_budget
+from .closure import pack_vector, require_budget, scale_rows, translate, unpack_vector
 from .nearfield import Nearfield
-from .vectors import NfMatrix, vec_add, vec_scale_right
+from .vectors import NfMatrix
 
 
 def _partition_counts(m: int, k: int) -> list[int]:
@@ -52,6 +53,9 @@ def count_subgroups(m: int, k: int, nf_order: int) -> int:
         raise ValueError("nearfield order must be at least 2")
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    # the count is below m 2^m (|R|-1)^(m-k), and x < 2^b has at most b // 3 + 1 digits
+    bits = m.bit_length() + m + (m - k) * (nf_order - 1).bit_length()
+    require_budget("digits of the count, bounded", bits // 3 + 1, None)
     counts = _partition_counts(m, k)
     return sum(counts[t] * (nf_order - 1) ** (t - k) for t in range(k, m + 1))
 
@@ -70,16 +74,14 @@ def _partitions_desc(t: int, k: int, maxpart: int | None = None):
             yield (first,) + rest
 
 
-def enumerate_canonical(m: int, k: int, nf: Nearfield, budget: int = 10 ** 6) -> list[NfMatrix]:
+def enumerate_canonical(m: int, k: int, nf: Nearfield, budget: int | None = None) -> list[NfMatrix]:
     """The canonical matrices the counting formula counts, in order.
 
     Row i has its leading 1 at the first column of the i-th block and
     arbitrary nonzero entries in the remaining part_i - 1 block columns;
     blocks are consecutive, parts descending, spare columns zero.
     """
-    total = count_subgroups(m, k, nf.order)
-    if total > budget:
-        raise BudgetExceededError(f"{total} canonical matrices exceed the listing budget {budget}")
+    total = require_budget("canonical matrices", count_subgroups(m, k, nf.order), budget)
     out = []
     for t in range(k, m + 1):
         for parts in _partitions_desc(t, k):
@@ -102,19 +104,19 @@ def enumerate_canonical(m: int, k: int, nf: Nearfield, budget: int = 10 ** 6) ->
     return out
 
 
-def count_subgroup_orbits(m: int, k: int, nf: Nearfield, budget: int = 10 ** 6) -> int:
+def count_subgroup_orbits(m: int, k: int, nf: Nearfield, budget: int | None = None) -> int:
     """True orbit count of dimension-k R-subgroups of R^m under coordinate
     permutations, by explicit quotient.  Small m only; provided for
     comparison with count_subgroups, which it is generally below
     (e.g. the subgroups generated by (1,a) and (1,a^-1) merge under a
     column swap)."""
     order = nf.order
-    if order ** k > budget or order ** m > budget:
-        raise BudgetExceededError("orbit quotient out of budget")
+    require_budget("|R|^max(k, m)", order ** max(k, m), budget)
+    # the quotient does m! |R|^k work, allowed up to ten times the budget
+    require_budget("m! |R|^k / 10", -(-factorial(m) * order ** k // 10), budget)
     columns = range(m)
     perms = list(itertools.permutations(columns))
-    if len(perms) * order ** k > 10 ** 7:
-        raise BudgetExceededError("orbit quotient out of budget")
+    scale = scale_rows(nf, m)
 
     # every dimension-k subgroup is generated by k rows with pairwise
     # disjoint supports and unit leading entries; enumerate all of them
@@ -137,18 +139,14 @@ def count_subgroup_orbits(m: int, k: int, nf: Nearfield, budget: int = 10 ** 6) 
                     pos += 1
                 rows.append(tuple(row))
             # disjoint supports: the subgroup is the direct sum of the row modules
-            elems = [(0,) * m]
+            elems = [0]
             for row in rows:
-                elems = [
-                    vec_add(nf, e, vec_scale_right(nf, row, r))
-                    for e in elems
-                    for r in range(order)
-                ]
-            subgroups.add(frozenset(pack_vector(nf, e) for e in elems))
+                elems = [y for s in scale[pack_vector(nf, row)] for y in translate(nf, elems, s)]
+            subgroups.add(frozenset(elems))
 
     orbits = set()
     for sg in subgroups:
-        vecs = [tuple((c // order ** i) % order for i in range(m)) for c in sg]
+        vecs = [unpack_vector(nf, m, c) for c in sg]
         key = min(
             tuple(sorted(pack_vector(nf, tuple(v[p] for p in perm)) for v in vecs))
             for perm in perms

@@ -7,6 +7,15 @@ the right scalar action) holds exactly when every matrix row has at
 most one nonzero entry, and the image is a submodule exactly when the
 same holds per column as well; both criteria are checked against brute
 force semantics in the tests.
+
+The semantic checks are those brute-force oracles: they consult no
+criterion and run over all of R^n, on packed codes through closure's
+scale_rows and translate.  The images are built one coordinate at a
+time, T(low + order^j r) = T(low) + column_j o r.  Normality is checked
+by coset labels: each x is labelled with the least element of x + H,
+H the image, so two vectors lie in one coset exactly when their labels
+agree.  That costs O(space * order), where the definition read
+literally costs O(space * |H| * order); is_normal gives the argument.
 """
 
 from __future__ import annotations
@@ -18,8 +27,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .nearfield import Nearfield
-from .closure import BudgetExceededError, current_budget, pack_vector, unpack_vector
-from .vectors import vec_add, vec_scale_right
+from .closure import pack_vector, require_budget, scale_rows, translate, unpack_vector
 
 
 class MapClass(enum.Enum):
@@ -79,75 +87,25 @@ def apply_map(T: MapRep, v) -> tuple[int, ...]:
     return tuple(out)
 
 
-# -- packed helper tables for the brute-force semantics ----------------------
-
-@functools.lru_cache(maxsize=None)
-def _sem_tables(nf: Nearfield, n: int):
-    """(vscale, vadd, vneg) on packed codes; None when the space is too big."""
-    space = nf.order ** n
-    if space > 1024:
-        return None
-    vscale = [
-        [pack_vector(nf, vec_scale_right(nf, unpack_vector(nf, n, c), r))
-         for r in range(nf.order)]
-        for c in range(space)
-    ]
-    vadd = [
-        [pack_vector(nf, vec_add(nf, unpack_vector(nf, n, a), unpack_vector(nf, n, b)))
-         for b in range(space)]
-        for a in range(space)
-    ]
-    vneg = [pack_vector(nf, tuple(nf.neg(x) for x in unpack_vector(nf, n, c)))
-            for c in range(space)]
-    return vscale, vadd, vneg
-
-
-def _check_sem_budget(nf, n, budget):
-    limit = current_budget() if budget is None else budget
-    space = nf.order ** n
-    if space > limit:
-        raise BudgetExceededError(f"|R|^n = {space} exceeds the element budget {limit}")
-    return space
-
-
-def _images_packed(T: MapRep, space):
-    nf, n = T.nf, T.n
-    tabs = _sem_tables(nf, n)
-    if tabs is not None:
-        vscale, vadd, _ = tabs
-        colp = [pack_vector(nf, T.column(j)) for j in range(n)]
-        out = []
-        for c in range(space):
-            v = unpack_vector(nf, n, c)
-            acc = 0
-            for j in range(n):
-                acc = vadd[acc][vscale[colp[j]][v[j]]]
-            out.append(acc)
-        return out
-    return [pack_vector(nf, apply_map(T, unpack_vector(nf, n, c))) for c in range(space)]
+def _images_packed(T: MapRep, budget: int | None) -> list[int]:
+    """T(x) for every packed x in R^n, in code order."""
+    nf = T.nf
+    require_budget("|R|^n", nf.order ** T.n, budget)
+    rows = scale_rows(nf, T.n)
+    img = [0]
+    for j in range(T.n):
+        img = [y for s in rows[pack_vector(nf, T.column(j))] for y in translate(nf, img, s)]
+    return img
 
 
 def linear_violation(T: MapRep, budget: int | None = None):
     """First (v, r) with T(v o r) != T(v) o r in lexicographic packed order, or None."""
-    nf, n = T.nf, T.n
-    space = _check_sem_budget(nf, n, budget)
-    img = _images_packed(T, space)
-    tabs = _sem_tables(nf, n)
-    if tabs is not None:
-        vscale, _, _ = tabs
-        for c in range(space):
-            ic = img[c]
-            row = vscale[c]
-            for r in range(nf.order):
-                if img[row[r]] != vscale[ic][r]:
-                    return unpack_vector(nf, n, c), r
-        return None
-    for c in range(space):
-        v = unpack_vector(nf, n, c)
-        for r in range(nf.order):
-            if img[pack_vector(nf, vec_scale_right(nf, v, r))] != pack_vector(
-                    nf, vec_scale_right(nf, unpack_vector(nf, n, img[c]), r)):
-                return v, r
+    img = _images_packed(T, budget)
+    rows = scale_rows(T.nf, T.n)
+    for c, ic in enumerate(img):
+        for r, (x, y) in enumerate(zip(rows[c], rows[ic])):
+            if img[x] != y:
+                return unpack_vector(T.nf, T.n, c), r
     return None
 
 
@@ -160,40 +118,32 @@ def is_linear(T: MapRep, mode: str = "criterion", budget: int | None = None) -> 
 
 
 def is_normal(T: MapRep, mode: str = "criterion", budget: int | None = None) -> bool:
-    """Linear maps only: is the image a submodule of R^n?"""
+    """Linear maps only: is the image H a submodule of R^n?
+
+    The semantic mode labels each x with the least element of x + H and
+    checks label[x o r] == label[rep o r] for every x, every r and
+    rep = label[x].  That is the definition, (m + a) o r - m o r in H,
+    with m taken as the least element of its coset.  For any other m in
+    that coset, label[(m + a) o r] and label[m o r] both equal
+    label[rep o r], and equality of labels is transitive, so every pair
+    is covered.  The criterion is never consulted.
+    """
     if not is_linear(T, "criterion"):
         raise ValueError("normality is defined for linear maps only")
     if mode == "criterion":
         return all(sum(1 for i in range(T.n) if T.matrix[i][j]) <= 1 for j in range(T.n))
     if mode != "semantic":
         raise ValueError("mode must be 'criterion' or 'semantic'")
-    nf, n = T.nf, T.n
-    space = _check_sem_budget(nf, n, budget)
-    img = _images_packed(T, space)
-    img_set = set(img)
-    tabs = _sem_tables(nf, n)
-    order = nf.order
-    if tabs is not None:
-        vscale, vadd, vneg = tabs
-        for mcode in range(space):
-            mrow = vadd[mcode]
-            for a in img_set:
-                ma = mrow[a]
-                for r in range(order):
-                    if vadd[vscale[ma][r]][vneg[vscale[mcode][r]]] not in img_set:
-                        return False
-        return True
-    from .vectors import vec_sub
-    for mcode in range(space):
-        mv = unpack_vector(nf, n, mcode)
-        for a in img_set:
-            av = unpack_vector(nf, n, a)
-            s = vec_add(nf, mv, av)
-            for r in range(order):
-                d = vec_sub(nf, vec_scale_right(nf, s, r), vec_scale_right(nf, mv, r))
-                if pack_vector(nf, d) not in img_set:
-                    return False
-    return True
+    img = _images_packed(T, budget)
+    rows = scale_rows(T.nf, T.n)
+    image = list(set(img))
+    label = [-1] * len(img)
+    for x in range(len(label)):
+        if label[x] < 0:  # x is the least element of its coset x + H
+            for y in translate(T.nf, image, x):
+                label[y] = x
+    return all(label[a] == label[b]
+               for x, rep in enumerate(label) for a, b in zip(rows[x], rows[rep]))
 
 
 def _is_scaled_permutation(T: MapRep) -> bool:
@@ -217,8 +167,8 @@ def is_bijective(T: MapRep, budget: int | None = None) -> bool:
     """Structural for normal linear maps (scaled permutation); image count otherwise."""
     if is_linear(T, "criterion") and is_normal(T, "criterion"):
         return _is_scaled_permutation(T)
-    space = _check_sem_budget(T.nf, T.n, budget)
-    return len(set(_images_packed(T, space))) == space
+    img = _images_packed(T, budget)
+    return len(set(img)) == len(img)
 
 
 def compose(T1: MapRep, T2: MapRep) -> MapRep:
@@ -268,10 +218,7 @@ def scale_family(T: MapRep, scalars) -> MapRep:
 
 def enumerate_maps(nf: Nearfield, n: int, budget: int | None = None):
     """All |R|^(n^2) maps, row-major lexicographic on entry codes."""
-    limit = current_budget() if budget is None else budget
-    total = nf.order ** (n * n)
-    if total > limit:
-        raise BudgetExceededError(f"|R|^(n^2) = {total} exceeds the element budget {limit}")
+    require_budget("|R|^(n^2)", nf.order ** (n * n), budget)
     rows = list(itertools.product(range(nf.order), repeat=n))
     for mat in itertools.product(rows, repeat=n):
         yield MapRep(nf, n, mat)
@@ -284,6 +231,8 @@ def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form",
     if kind not in ("all", "linear", "normal"):
         raise ValueError("kind must be 'all', 'linear' or 'normal'")
     if method == "closed_form":
+        # every count is at most |R|^(n^2), which has at most n^2 len(str(|R|)) digits
+        require_budget("digits of |R|^(n^2), bounded", n * n * len(str(order)), budget)
         if kind == "all":
             return order ** (n * n)
         if kind == "linear":
@@ -293,10 +242,7 @@ def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form",
         return sum(comb(n, j) ** 2 * factorial(j) * (order - 1) ** j for j in range(n + 1))
     if method != "enumeration":
         raise ValueError("method must be 'closed_form' or 'enumeration'")
-    limit = current_budget() if budget is None else budget
-    total = order ** (n * n)
-    if total > limit:
-        raise BudgetExceededError(f"|R|^(n^2) = {total} exceeds the element budget {limit}")
+    require_budget("|R|^(n^2)", order ** (n * n), budget)
     if kind == "all":
         return sum(1 for _ in itertools.product(range(order), repeat=n * n))
     rows = list(itertools.product(range(order), repeat=n))

@@ -1,9 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from nearvec import build_nearfield, count_subgroups
 from nearvec.cli import main
 
 V3 = "DN 3 2\n2 3\n1 0 1\n1 1 0\n"
@@ -211,6 +215,30 @@ class TestSubgroupAndSeedCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "126 exceeds the element budget 100" in err and "NEARVEC_BUDGET" in err
 
+    @pytest.mark.parametrize("argv,count", [
+        (["count-subgroups", "3", "2", "6000", "2"], count_subgroups(6000, 2, 9)),
+        (["count-maps", "3", "2", "200", "all"], 9 ** 40000),
+    ], ids=["count-subgroups", "count-maps"])
+    @pytest.mark.parametrize("flag", [[], ["--json"]])
+    def test_counts_past_the_str_digit_limit(self, capsys, argv, count, flag):
+        # 5421 and 38170 digits, past Python's default 4300-digit int-to-str limit
+        code, out, err = run(capsys, *argv, *flag)
+        assert code == 0 and err == ""
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert (json.loads(out)["result"]["count"] if flag else int(out)) == count
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_count_maps_refused_before_computing(self, capsys):
+        # 9^(10^8) would take hours to compute and print; the digit bound refuses it at once
+        code, out, err = run(capsys, "count-maps", "3", "2", "10000", "all")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "NEARVEC_BUDGET" in err
+
     @pytest.mark.parametrize("m,k", [(1, 1), (9, 2), (10, 3), (24, 3)])
     def test_seed_roundtrip(self, capsys, tmp_path, m, k):
         code, out, _ = run(capsys, "seed", "3", "2", str(m))
@@ -273,6 +301,74 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["table", "3"])
         assert exc.value.code == 2
+
+
+# -- the CLI contract on malformed files --------------------------------------
+
+# valid headers and shapes are drawn often enough that many files parse
+_HEADERS = ["DN 3 2", "DN 3 2", "DN 5 2", "DN 2 1", "DN 7 1", "DN 3 4", "DN 4 2", "DN 1 1",
+            "DN 3", "XX 3 2", "DN a b"]
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_token = st.one_of(st.integers(0, 1).map(str), st.integers(0, 9).map(str),
+                   st.sampled_from(["24", "-1", "x", "2x", "1+x", "2+2x", "x^2", "x^9", "abc", "+"]),
+                   _text)
+_size = st.one_of(st.integers(1, 4), st.integers(1, 4), st.sampled_from([-1, 0]))
+
+
+@st.composite
+def _matrix_texts(draw):
+    """A matrix file that is well formed or close to it, then maybe corrupted."""
+    k, m = draw(_size), draw(_size)
+    lines = [draw(st.sampled_from(_HEADERS)), f"{k} {m}"]
+    lines += [" ".join(draw(st.lists(_token, min_size=max(m, 0), max_size=max(m, 0))))
+              for _ in range(max(k, 0))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if action == "insert" or i == len(lines):
+            lines.insert(i, draw(_text))
+        elif action == "delete":
+            del lines[i]
+        else:
+            lines[i] = draw(_text)
+    return "\n".join(lines) + "\n"
+
+
+_trace_texts = st.lists(
+    st.builds(lambda op, args: " ".join([op] + args),
+              st.sampled_from(["SWAP", "SCALE", "ELIM", "TRICK", "swap", "NOPE", "#"]),
+              st.lists(st.one_of(st.integers(-1, 6).map(str), _token), max_size=5)),
+    max_size=5).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from([["ege"], ["ege", "--trace"], ["replay"], ["gen"], ["lc-index"],
+                                ["classify-map"], ["verify-seed"]]),
+       matrix=_matrix_texts(), trace=_trace_texts, as_json=st.booleans())
+def test_file_commands_keep_the_cli_contract(tmp_path, monkeypatch, command, matrix, trace,
+                                             as_json):
+    """Exit 0, 1 or 2; on exit 1 exactly one error: line; never a traceback."""
+    monkeypatch.setenv("NEARVEC_BUDGET", "1000")
+    mat, tr = tmp_path / "in.mat", tmp_path / "in.trace"
+    mat.write_text(matrix)
+    tr.write_text(trace)
+    argv = [command[0], str(mat)] + command[1:]
+    if command[0] == "replay":
+        argv.append(str(tr))
+    if as_json:
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_console_script_installed():

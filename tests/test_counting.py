@@ -5,6 +5,7 @@ import pytest
 from nearvec import (
     BudgetExceededError,
     VectorSet,
+    build_nearfield,
     count_subgroup_orbits,
     count_subgroups,
     ege,
@@ -92,6 +93,14 @@ class TestCountSubgroups:
         monkeypatch.setenv("NEARVEC_BUDGET", "126")
         assert count_subgroups(20, 5, 9) > 0
 
+    def test_digit_bound(self, monkeypatch):
+        # a 41 x 2 table, but a count of about 235 digits, bounded by 276
+        monkeypatch.setenv("NEARVEC_BUDGET", "275")
+        with pytest.raises(BudgetExceededError, match="digits of the count, bounded = 276"):
+            count_subgroups(40, 1, 2 ** 20)
+        monkeypatch.setenv("NEARVEC_BUDGET", "276")
+        assert len(str(count_subgroups(40, 1, 2 ** 20))) <= 276
+
 
 class TestEnumerateCanonical:
     def test_m2_k1(self, dn32):
@@ -131,9 +140,14 @@ class TestEnumerateCanonical:
                     closures.add(G.codes)
                 assert len(closures) == count_subgroups(m, k, 9)
 
-    def test_budget(self, dn32):
+    def test_budget(self, dn32, monkeypatch):
         with pytest.raises(BudgetExceededError):
             enumerate_canonical(4, 1, dn32, budget=10)
+        monkeypatch.setenv("NEARVEC_BUDGET", "584")  # 585 canonical matrices
+        with pytest.raises(BudgetExceededError, match="NEARVEC_BUDGET"):
+            enumerate_canonical(4, 1, dn32)
+        monkeypatch.setenv("NEARVEC_BUDGET", "585")
+        assert len(enumerate_canonical(4, 1, dn32)) == 585
 
 
 class TestOrbitReport:
@@ -144,6 +158,18 @@ class TestOrbitReport:
 
     def test_full_space_single_orbit(self, dn32):
         assert count_subgroup_orbits(2, 2, dn32) == 1
+
+    def test_budget(self, dn32, monkeypatch):
+        monkeypatch.setenv("NEARVEC_BUDGET", "80")
+        with pytest.raises(BudgetExceededError, match="NEARVEC_BUDGET"):
+            count_subgroup_orbits(2, 1, dn32)  # |R|^2 = 81
+        monkeypatch.setenv("NEARVEC_BUDGET", "81")
+        assert count_subgroup_orbits(2, 1, dn32) == 6
+
+    def test_work_bound_before_listing_permutations(self):
+        # 12! |R| / 10 is about 10^8; the 479001600 permutations are never listed
+        with pytest.raises(BudgetExceededError, match="m! \\|R\\|\\^k / 10"):
+            count_subgroup_orbits(12, 1, build_nearfield(2, 1))
 
     def test_swap_merge_witness(self, dn32):
         # swap(gen((1, x))) = gen((1, inv(x)))

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nearvec import (
     BudgetExceededError,
@@ -17,10 +19,15 @@ from nearvec import (
     is_normal,
     linear_violation,
     map_sum,
+    build_nearfield,
+    pack_vector,
     scale_family,
+    unpack_vector,
     vec_add,
+    vec_neg,
     vec_scale_right,
 )
+from nearvec import closure
 
 X = 3
 
@@ -212,6 +219,14 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_maps(dn32, 2, "all", "guess")
 
+    def test_closed_form_digit_bound(self, dn32):
+        # |R|^(n^2) has at most n^2 len(str(|R|)) digits: 9 for n = 3 over DN(3,2)
+        with pytest.raises(BudgetExceededError, match="NEARVEC_BUDGET"):
+            count_maps(dn32, 3, "all", budget=8)
+        assert count_maps(dn32, 3, "all", budget=9) == 9 ** 9
+        with pytest.raises(BudgetExceededError):
+            count_maps(dn32, 1001, "linear")  # 1002001 digits over the default budget
+
     def test_enumeration_budget(self, dn32):
         with pytest.raises(BudgetExceededError):
             count_maps(dn32, 3, "linear", "enumeration", budget=1000)
@@ -288,3 +303,97 @@ class TestSumAndScale:
     def test_rejects_non_linear(self, counterexample):
         with pytest.raises(ValueError, match="linear"):
             scale_family(counterexample, (1, 1))
+
+
+# -- oracle: the per-entry semantics the packed helpers replaced -------------
+
+@functools.lru_cache(maxsize=None)
+def _entry_tables(nf, n):
+    """(vscale, vadd, vneg) on packed codes, each entry through unpack/vec_*/pack."""
+    space = nf.order ** n
+    vecs = [unpack_vector(nf, n, c) for c in range(space)]
+    vscale = [[pack_vector(nf, vec_scale_right(nf, v, r)) for r in range(nf.order)] for v in vecs]
+    vadd = [[pack_vector(nf, vec_add(nf, u, v)) for v in vecs] for u in vecs]
+    vneg = [pack_vector(nf, vec_neg(nf, v)) for v in vecs]
+    return vscale, vadd, vneg
+
+
+def _entry_images(T):
+    return [pack_vector(T.nf, apply_map(T, unpack_vector(T.nf, T.n, c)))
+            for c in range(T.nf.order ** T.n)]
+
+
+def _entry_linear_violation(T):
+    vscale, _, _ = _entry_tables(T.nf, T.n)
+    img = _entry_images(T)
+    for c, ic in enumerate(img):
+        for r in range(T.nf.order):
+            if img[vscale[c][r]] != vscale[ic][r]:
+                return unpack_vector(T.nf, T.n, c), r
+    return None
+
+
+def _entry_is_normal(T):
+    """(m + a) o r - m o r in H for every m, every a in H and every r."""
+    vscale, vadd, vneg = _entry_tables(T.nf, T.n)
+    image = set(_entry_images(T))
+    return all(vadd[vscale[vadd[m][a]][r]][vneg[vscale[m][r]]] in image
+               for m in range(len(vscale)) for a in image for r in range(T.nf.order))
+
+
+# DN(3,2)^1..3, DN(5,2)^2 and GF(7)^2
+ORACLE_SPACES = [(3, 2, 1), (3, 2, 2), (3, 2, 3), (5, 2, 2), (7, 1, 2)]
+
+
+@st.composite
+def _maps(draw):
+    """Maps of every class: each row is zero, one entry, or drawn at random."""
+    q, k, n = draw(st.sampled_from(ORACLE_SPACES))
+    nf = build_nearfield(q, k)
+    entry = st.integers(1, nf.order - 1)
+    rows = []
+    for _ in range(n):
+        shape = draw(st.sampled_from(("zero", "single", "single", "dense")))
+        if shape == "dense":
+            row = [draw(st.integers(0, nf.order - 1)) for _ in range(n)]
+        else:
+            row = [0] * n
+            if shape == "single":
+                row[draw(st.integers(0, n - 1))] = draw(entry)
+        rows.append(tuple(row))
+    return MapRep(nf, n, tuple(rows))
+
+
+@pytest.fixture(params=["cap", "no_table"])
+def scale_cap(request, monkeypatch):
+    """The real scaling-table cap, or 0 so that every row is computed on lookup."""
+    if request.param == "no_table":
+        monkeypatch.setattr(closure, "_VSCALE_TABLE_CAP", 0)
+    closure.scale_rows.cache_clear()
+    yield request.param
+    closure.scale_rows.cache_clear()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_maps())
+def test_semantic_checks_match_per_entry_oracle(scale_cap, T):
+    violation = linear_violation(T)
+    assert violation == _entry_linear_violation(T)
+    images = _entry_images(T)
+    assert is_bijective(T) == (len(set(images)) == len(images))
+    if violation is None and is_linear(T):  # over a field every map is linear
+        # the oracle costs space * |H| * order; the full-image maps of the
+        # two largest spaces would take seconds each
+        if len(images) * len(set(images)) * T.nf.order <= 10 ** 6:
+            assert is_normal(T, "semantic") == _entry_is_normal(T)
+
+
+@pytest.mark.parametrize("q,k,m", ORACLE_SPACES + [(3, 2, 4)])
+def test_scale_rows_match_vec_scale_right(scale_cap, q, k, m):
+    nf = build_nearfield(q, k)
+    rows = closure.scale_rows(nf, m)
+    assert isinstance(rows, list) == (scale_cap == "cap")
+    for c in range(nf.order ** m):
+        v = unpack_vector(nf, m, c)
+        assert rows[c] == [pack_vector(nf, vec_scale_right(nf, v, r)) for r in range(nf.order)]
