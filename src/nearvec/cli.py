@@ -35,6 +35,23 @@ def _emit(args, nf, input_doc, result, text_lines, trace=None):
     return 0
 
 
+def _emit_count(args, nf, input_doc, result):
+    """_emit for a count, which the element budget bounds in decimal digits.
+
+    Python's int-to-str digit limit (from 3.10.7 on) is lifted only while
+    the count is printed; parsing input keeps it.
+    """
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return _emit(args, nf, input_doc, result, [str(result["count"])])
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(saved)
+
+
 def _read_matrix(path: str) -> NfMatrix:
     return matrix_parse(Path(path).read_text())
 
@@ -130,14 +147,14 @@ def _cmd_count_maps(args):
     nf = build_nearfield(args.q, args.n)
     method = "closed_form" if args.method == "closed" else "enumeration"
     c = count_maps(nf, args.dim, args.kind, method)
-    return _emit(args, nf, {"dim": args.dim, "kind": args.kind},
-                 {"count": c, "method": method}, [str(c)])
+    return _emit_count(args, nf, {"dim": args.dim, "kind": args.kind},
+                       {"count": c, "method": method})
 
 
 def _cmd_count_subgroups(args):
     nf = build_nearfield(args.q, args.n)
     c = count_subgroups(args.m, args.k, nf.order)
-    return _emit(args, nf, {"m": args.m, "k": args.k}, {"count": c}, [str(c)])
+    return _emit_count(args, nf, {"m": args.m, "k": args.k}, {"count": c})
 
 
 def _cmd_seed(args):
@@ -278,20 +295,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # counts are bounded by the element budget, not by Python's int-to-str
-    # digit limit (which exists from Python 3.10.7 on)
-    lift = hasattr(sys, "set_int_max_str_digits")
-    if lift:
-        digits = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, BudgetExceededError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    finally:
-        if lift:
-            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ end to end.  Two helpers serve every caller that works on packed codes:
 - translate(nf, codes, c) is [x + c for x in codes].  Componentwise
   addition of vectors is digitwise base-p addition of packed codes, done
   one chunk of h base-p digits of c at a time, p^h <= 256, through one
-  cached table per prime p of chunk sums (at most 2^16 entries).
+  cached table per prime p of chunk sums (at most 2^16 entries).  Above
+  p = 256 a chunk is one digit, added inline less p where it carries,
+  so a translate costs O(len(codes)) for every p.
 
 No structure grows with the square of the space.
 
@@ -122,12 +124,14 @@ def translate(nf: Nearfield, codes: list[int], c: int) -> list[int]:
     scale = 1
     while c:
         c, b = divmod(c, base)
-        if b:
-            # x + b on the chunk at scale is x + delta[chunk of x] * scale; above
-            # p = 256 a chunk is one digit, and its row is built on the spot
-            delta = (_chunk_table(nf)[b] if base <= 256
-                     else [(a + b) % base - a for a in range(base)])
+        if b and base <= 256:
+            # x + b on the chunk at scale is x + delta[chunk of x] * scale
+            delta = _chunk_table(nf)[b]
             codes = [x + delta[x // scale % base] * scale for x in codes]
+        elif b:
+            # above p = 256 a chunk is one digit: add b, less p where it carries
+            add, wrap, keep = b * scale, (b - base) * scale, base - b
+            codes = [x + add if x // scale % base < keep else x + wrap for x in codes]
         scale *= base
     return codes
 

@@ -231,12 +231,14 @@ def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form",
     if kind not in ("all", "linear", "normal"):
         raise ValueError("kind must be 'all', 'linear' or 'normal'")
     if method == "closed_form":
-        # every count is at most |R|^(n^2), which has at most n^2 len(str(|R|)) digits
-        require_budget("digits of |R|^(n^2), bounded", n * n * len(str(order)), budget)
+        # a count of matrices whose rows take x values is x^n, at most n len(str(x))
+        # digits; a row of a linear map is all-zero or one of |R|-1 values in one
+        # of n positions, and normal maps are linear, so that bounds both
+        row_digits = n * len(str(order)) if kind == "all" else len(str(1 + n * (order - 1)))
+        require_budget("digits of the count, bounded", n * row_digits, budget)
         if kind == "all":
             return order ** (n * n)
         if kind == "linear":
-            # per row: all-zero, or one of n positions holding one of |R|-1 values
             return (1 + n * (order - 1)) ** n
         # place j nonzero cells like non-attacking rooks, values from R*
         return sum(comb(n, j) ** 2 * factorial(j) * (order - 1) ** j for j in range(n + 1))

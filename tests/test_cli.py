@@ -2,7 +2,7 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,6 +12,20 @@ from nearvec.cli import main
 
 V3 = "DN 3 2\n2 3\n1 0 1\n1 1 0\n"
 CMAP = "DN 3 2\n2 2\n1 1\n2 1\n"
+
+
+@contextmanager
+def _no_str_digit_limit():
+    """Lift Python's int-to-str digit limit (from 3.10.7 on) inside the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def run(capsys, *argv):
@@ -224,12 +238,22 @@ class TestSubgroupAndSeedCommands:
         # 5421 and 38170 digits, past Python's default 4300-digit int-to-str limit
         code, out, err = run(capsys, *argv, *flag)
         assert code == 0 and err == ""
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
+        with _no_str_digit_limit():
             assert (json.loads(out)["result"]["count"] if flag else int(out)) == count
-        finally:
-            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit before Python 3.10.7")
+    def test_input_keeps_the_str_digit_limit(self, capsys, tmp_path):
+        # the limit is lifted only while a count prints: a huge token in a
+        # matrix file is refused by int() as it would be outside the CLI
+        saved = sys.get_int_max_str_digits()
+        f = tmp_path / "huge.mat"
+        f.write_text("DN 3 2\n1 1\n" + "1" * (saved + 1) + "\n")
+        code, out, err = run(capsys, "gen", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        run(capsys, "count-subgroups", "3", "2", "6000", "2")
+        assert sys.get_int_max_str_digits() == saved
 
     def test_count_maps_refused_before_computing(self, capsys):
         # 9^(10^8) would take hours to compute and print; the digit bound refuses it at once

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,3 +271,16 @@ def test_lc_step_prime_above_chunk_table(q, m, vectors):
     nf = build_nearfield(q, 1)
     S = VectorSet.from_vectors(nf, m, vectors)
     assert lc_step(S) == _elimination_lc_step(S)
+
+
+def test_lc_step_large_prime_is_linear_in_the_space():
+    # GF(30011)^1: one generator spans the space through p - 1 translates of
+    # one element each, so the step is O(p); a translate that did O(p) work
+    # per call (building a row of digit sums) made it O(p^2), about 90 s
+    nf = build_nearfield(30011, 1)
+    S = VectorSet.from_vectors(nf, 1, [(5,)])
+    start = time.perf_counter()
+    out = lc_step(S)
+    assert time.perf_counter() - start < 5
+    assert len(out) == 30011
+    assert lc_index(nf, [(5,)]) == 1

@@ -225,7 +225,10 @@ class TestCounts:
             count_maps(dn32, 3, "all", budget=8)
         assert count_maps(dn32, 3, "all", budget=9) == 9 ** 9
         with pytest.raises(BudgetExceededError):
-            count_maps(dn32, 1001, "linear")  # 1002001 digits over the default budget
+            count_maps(dn32, 1001, "all")  # 1002001 digits over the default budget
+        # linear and normal counts are bounded by (1 + n (|R|-1))^n: 4004 digits
+        assert count_maps(dn32, 1001, "linear") == 8009 ** 1001
+        assert count_maps(dn32, 1001, "normal") < 8009 ** 1001
 
     def test_enumeration_budget(self, dn32):
         with pytest.raises(BudgetExceededError):
