@@ -56,8 +56,17 @@ def count_subgroups(m: int, k: int, nf_order: int) -> int:
     # the count is below m 2^m (|R|-1)^(m-k), and x < 2^b has at most b // 3 + 1 digits
     bits = m.bit_length() + m + (m - k) * (nf_order - 1).bit_length()
     require_budget("digits of the count, bounded", bits // 3 + 1, None)
-    counts = _partition_counts(m, k)
-    return sum(counts[t] * (nf_order - 1) ** (t - k) for t in range(k, m + 1))
+    return _poly_at(_partition_counts(m, k)[k:], nf_order - 1)
+
+
+def _poly_at(coeffs: list[int], x: int) -> int:
+    """sum(coeffs[i] * x**i) by binary splitting: each round pairs
+    neighbours as c_2i + c_2i+1 x and squares x, so the big products are
+    few and balanced and Python's Karatsuba makes the whole subquadratic."""
+    while len(coeffs) > 1:
+        coeffs = [a + b * x for a, b in itertools.zip_longest(coeffs[::2], coeffs[1::2], fillvalue=0)]
+        x *= x
+    return coeffs[0] if coeffs else 0
 
 
 def _partitions_desc(t: int, k: int, maxpart: int | None = None):

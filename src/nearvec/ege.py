@@ -137,6 +137,8 @@ def _trick_inplace(nf: Nearfield, rows: list, col: int, w: Witness) -> Step:
     """Apply the distributivity trick at `col`; mutates rows, returns the Step.
 
     The caller guarantees the preconditions that _check_trick tests.
+    RuntimeError means theta is not a pivot row for `col`, which only a
+    faulty row kernel can cause.
     """
     hits = [i for i in range(len(rows)) if rows[i][col]]
     r, s = hits[0], hits[1]
@@ -148,7 +150,8 @@ def _trick_inplace(nf: Nearfield, rows: list, col: int, w: Witness) -> Step:
     # theta = mixed o lam - wr o (a1 o lam) - ws o (b1 o lam), using
     # -(v o c) = v o (-c) (left distributivity)
     theta = axpy(ws, neg(mul(b1, w.lam)), axpy(wr, neg(mul(a1, w.lam)), axpy(mixed, w.lam)))
-    assert theta[col] != 0 and not any(theta[:col])
+    if not theta[col] or any(theta[:col]):
+        raise RuntimeError(f"the row kernel produced no pivot row at column {col + 1}")
     phi = axpy(theta, nf.inv(theta[col]))
     rows[r] = axpy(phi, neg(wr[col]), wr)
     rows[s] = axpy(phi, neg(ws[col]), ws)
@@ -187,7 +190,9 @@ def ege(M: NfMatrix) -> GenDecomposition:
     column has at most one nonzero entry.  Over a field with a conflict
     column no witness exists; the plain RREF is returned with
     canonical=False.  After each trick, reduction and the conflict scan
-    resume at the trick column (see the module docstring).
+    resume at the trick column (see the module docstring); RuntimeError
+    means a conflict column did not strictly increase, which only a faulty
+    trick or row kernel can cause.
     """
     nf = M.nf
     rows, steps, pivots = list(M.rows), [], []
@@ -202,7 +207,8 @@ def ege(M: NfMatrix) -> GenDecomposition:
         if w is None:
             canonical = False
             break
-        assert col > last, "conflict column must strictly increase"
+        if col <= last:
+            raise RuntimeError(f"conflict column {col + 1} does not follow the last trick column {last + 1}")
         last = col
         steps.append(_trick_inplace(nf, rows, col, w))
         del pivots[bisect_left(pivots, col):]

@@ -25,6 +25,23 @@ monic irreducible polynomial of degree d = l*n (where q = p^l).  The
 modulus is the lexicographically smallest irreducible candidate with
 coefficients compared low-degree-first, and the generator is the
 smallest primitive code, so every table is reproducible.
+
+Arithmetic is table lookup.  Every field has log and exp tables (exp[k]
+is the code of g^k) and negation and inverse tables.  Up to order 256
+add reads an eager order x order table and row_axpy a right-
+multiplication table built on first use.  Above 256 no order^2 table is
+built; three O(order) log-domain tables serve add and row_axpy instead:
+
+- exp, doubled and followed by order-1 zeros;
+- the coset index j(a) of every element;
+- the Zech logarithms Z[k] = log(1 + g^k), doubled.  Z is built from exp:
+  1 + g^k is g^k with 1 added to its lowest base-p digit.  Where
+  1 + g^k = 0 (g^k = -1), Z holds the sentinel 2(order-1), which sends
+  the exp index into the zeros.
+
+Then a o c = exp[log a + log c * q^j(a)] and
+x + y = exp[log x + Z[log y - log x]]; the doubling absorbs the index
+ranges without a modulo, and zero operands are branches, not entries.
 """
 
 from __future__ import annotations
@@ -246,10 +263,10 @@ class Nearfield:
         self._qpow = tuple(q ** j for j in range(n))
         self._build_inverse_table()
 
-        self._negt = tuple(
-            _code_of([(-c) % p for c in _digits_of(a, p, self.d)], p)
-            for a in range(self.order)
-        )
+        # -1 = g^((order-1)/2) for odd p, and -1 = 1 for p = 2
+        o, exp, log = self.order - 1, self._exp, self._log
+        half = o // 2 if p != 2 else 0
+        self._negt = (0,) + tuple(exp[(log[a] + half) % o] for a in range(1, self.order))
         if self.order <= _ADD_TABLE_LIMIT:
             self._addt = [
                 [self._add_digits(a, b) for b in range(self.order)]
@@ -257,6 +274,8 @@ class Nearfield:
             ]
         else:
             self._addt = None
+            self._build_zech_tables()
+        self._build_term_tables()
         self._mul_table = None
         self._add_table_full = None
         self._rmul = None
@@ -330,6 +349,31 @@ class Nearfield:
             invt[a] = b
         self._invt = tuple(invt)
 
+    def _build_zech_tables(self):
+        # the log-domain tables of add and row_axpy above _ADD_TABLE_LIMIT
+        # (see the module docstring)
+        p, o, n = self.p, self.order - 1, self.n
+        exp, log, coset = self._exp, self._log, self.coset_table
+        succ = [e + 1 if e % p != p - 1 else e - p + 1 for e in exp]
+        zech = [log[s] if s else 2 * o for s in succ]
+        self._zech = tuple(zech + zech)
+        self._exp = exp + exp + (0,) * o
+        self._cosets = (0,) + tuple(coset[log[a] % n] for a in range(1, self.order))
+
+    def _build_term_tables(self):
+        # the printed text of each term c x^i (0 < c < p), indexed [i][c] for
+        # format_element and keyed by text for parse_element: p * d entries,
+        # and none for a prime field, whose elements print as their codes
+        p, d = self.p, self.d
+        texts = []
+        if d > 1:
+            texts.append([""] + [str(c) for c in range(1, p)])
+            for i in range(1, d):
+                xi = "x" if i == 1 else f"x^{i}"
+                texts.append([""] + [("" if c == 1 else str(c)) + xi for c in range(1, p)])
+        self._term_text = texts
+        self._term_code = {t: (i, c * p ** i) for i, row in enumerate(texts) for c, t in enumerate(row) if c}
+
     # -- additive structure --------------------------------------------------
 
     def _add_digits(self, a, b):
@@ -343,10 +387,22 @@ class Nearfield:
         return out
 
     def add(self, a: int, b: int) -> int:
-        """Coefficientwise sum mod p."""
+        """Coefficientwise sum mod p.
+
+        A lookup in the eager table up to _ADD_TABLE_LIMIT.  Above it, a
+        Zech logarithm: g^i + g^k = g^(i + Z[k - i]), with Z[k] = log(1 + g^k);
+        a zero operand returns the other one, and where g^k = -g^i the
+        sentinel in Z indexes the zeros past the doubled exp table.
+        """
         if self._addt is not None:
             return self._addt[a][b]
-        return self._add_digits(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        lg = self._log
+        la = lg[a]
+        return self._exp[la + self._zech[lg[b] - la]]
 
     def neg(self, a: int) -> int:
         return self._negt[a]
@@ -455,15 +511,26 @@ class Nearfield:
         The row kernel of elimination.  Up to _ADD_TABLE_LIMIT, where the
         eager addition table exists, each entry is one or two lookups
         through a right-multiplication table t[c][a] = a o c built on
-        first use; above it each entry is computed, so no order^2 table
-        is allocated.
+        first use.  Above it each entry stays in the log domain: with
+        off[j] = log c * q^j, a o c = exp[log a + off[j(a)]], and adding x
+        is the Zech step exp[log x + Z[log(a o c) - log x]] (see add).
+        c = 0, a = 0 and x = 0 are branches, not table entries; the tables
+        are O(order), so no order^2 table is allocated.
         """
         addt = self._addt
         if addt is None:
-            mul, add = self.mul, self.add
+            if not c:
+                return (0,) * len(row) if acc is None else tuple(acc)
+            ex, lg, cosets, z = self._exp, self._log, self._cosets, self._zech
+            o, lc = self.order - 1, lg[c]
+            off = [lc * qj % o for qj in self._qpow]
             if acc is None:
-                return tuple([mul(a, c) for a in row])
-            return tuple([add(x, mul(a, c)) for x, a in zip(acc, row)])
+                return tuple([ex[lg[a] + off[cosets[a]]] if a else 0 for a in row])
+            return tuple([
+                (ex[lg[x] + z[lg[a] + off[cosets[a]] - lg[x]]] if x else ex[lg[a] + off[cosets[a]]])
+                if a else x
+                for x, a in zip(acc, row)
+            ])
         if self._rmul is None:
             mul, elems = self.mul, range(self.order)
             self._rmul = [tuple([mul(a, r) for a in elems]) for r in elems]
@@ -475,7 +542,11 @@ class Nearfield:
     # -- text codec -------------------------------------------------------------
 
     def parse_element(self, text: str) -> int:
-        """Parse either style: bare decimal code, or polynomial like '2+2x', '1+x^2'."""
+        """Parse either style: bare decimal code, or polynomial like '2+2x', '1+x^2'.
+
+        Terms spelled as format_element prints them are looked up; any
+        other spelling, and every malformed one, goes through _parse_terms.
+        """
         t = text.strip()
         if not t:
             raise ValueError("empty element token")
@@ -484,6 +555,17 @@ class Nearfield:
             if code >= self.order:
                 raise ValueError(f"code {code} out of range for order {self.order}")
             return code
+        term_code = self._term_code
+        code, last_pow = 0, -1
+        for term in t.split("+"):
+            hit = term_code.get(term)
+            if hit is None or hit[0] <= last_pow:
+                return self._parse_terms(t, text)
+            last_pow = hit[0]
+            code += hit[1]
+        return code
+
+    def _parse_terms(self, t: str, text: str) -> int:
         code = 0
         last_pow = -1
         for term in t.split("+"):
@@ -516,15 +598,16 @@ class Nearfield:
             return str(a)
         if style != "poly":
             raise ValueError("style must be 'poly' or 'code'")
-        terms = []
-        for i, c in enumerate(_digits_of(a, self.p, self.d)):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                terms.append(("" if c == 1 else str(c)) + ("x" if i == 1 else f"x^{i}"))
-        return "+".join(terms) if terms else "0"
+        if self.d == 1:
+            return str(a)
+        p, terms = self.p, []
+        for texts in self._term_text:
+            if not a:
+                break
+            a, c = divmod(a, p)
+            if c:
+                terms.append(texts[c])
+        return "+".join(terms) or "0"
 
     def __repr__(self):
         return f"DN({self.q},{self.n})"

@@ -31,12 +31,9 @@ def u_max(k: int, nf_order: int) -> int:
         raise ValueError("u_k is defined for |R| >= 3")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    u = 0
-    for i in range(1, k + 1):
-        u += (nf_order - 2) * (i - 1) + 1
-    closed = ((nf_order - 2) * (k - 1) + 2) * k // 2 if k else 0
-    assert u == closed
-    return u
+    # the sum of the stage widths (|R|-2)(i-1) + 1 over i = 1..k; the tests
+    # check it against that recurrence
+    return ((nf_order - 2) * (k - 1) + 2) * k // 2
 
 
 def seed_number(m: int, nf_order: int) -> int:
@@ -55,7 +52,8 @@ def seed_number(m: int, nf_order: int) -> int:
         k += 1
     while k > 1 and (k - 1) * b - a >= 0 and ((k - 1) * b - a) ** 2 >= disc:
         k -= 1
-    assert u_max(k - 1, nf_order) < m <= u_max(k, nf_order)
+    if not u_max(k - 1, nf_order) < m <= u_max(k, nf_order):
+        raise RuntimeError(f"seed number {k} for m = {m}, |R| = {nf_order} misses its u_k bracket")
     return k
 
 

@@ -1,0 +1,131 @@
+"""Reference scalar arithmetic and golden EGE digests above order 256.
+
+Stdlib only, so it runs under any interpreter without pytest:
+
+    PYTHONPATH=src python tests/kernel_oracle.py
+
+checks Nearfield.row_axpy, add and sub against the per-entry reference
+below on seeded random rows, and recomputes the golden digests.  The
+reference uses none of the nearfield's tables: products come from
+polynomial arithmetic modulo the field's modulus, sums digit by digit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+
+from nearvec import NfMatrix, build_nearfield, ege, matrix_format, trace_to_text
+from nearvec.nearfield import _code_of, _digits_of, _pmod, _pmul, _ppowmod
+
+# fields of the kernel oracle: one table-path field and four Zech-path
+# ones, among them a prime field and a prime base above 256
+ORACLE_FIELDS = ((3, 2), (7, 3), (5, 4), (257, 1), (257, 2))
+
+# sha256 over the text of golden_matrices' EGE results, computed with the
+# per-entry arithmetic that preceded the Zech tables
+GOLDEN_DENSE = {
+    (7, 3): "810e0639b6b6f50c67c3a0f18987e2140c1f4027ccb4e4b59d5e622df4339a29",
+    (5, 4): "decbf4ada1bc92451e895c564ff8b06a8a803ca108c336dd554144c60f3edb71",
+    (31, 2): "67e887072cab9fce8ff73295865614d61dde9fd415a80b79c9a7459983649589",
+    (257, 1): "5edc3d09e3844639dc2c0d72a171135f0611880488adaf77bd28b1fcf1328c4e",
+}
+GOLDEN_WIDTHS = (1, 2, 3, 4, 6, 9, 13, 18, 24)
+
+
+def ref_add(nf, a, b):
+    """Digitwise base-p sum."""
+    p = nf.p
+    return _code_of([(x + y) % p for x, y in zip(_digits_of(a, p, nf.d), _digits_of(b, p, nf.d))], p)
+
+
+def ref_neg(nf, a):
+    p = nf.p
+    return _code_of([-x % p for x in _digits_of(a, p, nf.d)], p)
+
+
+def ref_mul(nf, a, c):
+    """a o c = a * c^(q^j(a)), with j(a) read off a^((order-1)/n)."""
+    if a == 0 or c == 0:
+        return 0
+    p, d, n, f = nf.p, nf.d, nf.n, list(nf.modulus)
+    e = (nf.order - 1) // n
+    # a = g^k gives a^e = zeta^(k mod n) for the primitive n-th root zeta = g^e
+    ae = _ppowmod(_digits_of(a, p, d), e, f, p)
+    zeta = _ppowmod(_digits_of(nf.generator, p, d), e, f, p)
+    power = [1]
+    for r in range(n):
+        if power == ae:
+            break
+        power = _pmod(_pmul(power, zeta, p), f, p)
+    else:
+        raise AssertionError(f"{a} is not a power of the generator")
+    cq = _ppowmod(_digits_of(c, p, d), nf.q ** nf.coset_table[r], f, p)
+    prod = _pmod(_pmul(_digits_of(a, p, d), cq, p), f, p)
+    return _code_of(prod + [0] * (d - len(prod)), p)
+
+
+def ref_row_axpy(nf, row, c, acc=None):
+    prod = [ref_mul(nf, a, c) for a in row]
+    if acc is None:
+        return tuple(prod)
+    return tuple(ref_add(nf, x, y) for x, y in zip(acc, prod))
+
+
+def golden_matrices(nf):
+    """Seeded tall, square and wide matrices, four entries in five uniform
+    and the rest 0 or 1, so that swaps and sparse columns occur too."""
+    rng = random.Random(f"golden:{nf.q},{nf.n}")
+
+    def entry():
+        return rng.randrange(nf.order) if rng.random() < 0.8 else rng.choice((0, 1))
+
+    for m in GOLDEN_WIDTHS:
+        for k in (m + 3, m, max(1, m // 3)):
+            yield NfMatrix(nf, tuple(tuple(entry() for _ in range(m)) for _ in range(k)), m)
+
+
+def golden_digest(q, n):
+    nf = build_nearfield(q, n)
+    h = hashlib.sha256()
+    for M in golden_matrices(nf):
+        D = ege(M)
+        h.update((f"{D.canonical}\n" + trace_to_text(nf, D.trace) + matrix_format(D.basis)).encode())
+    return h.hexdigest()
+
+
+def check_kernel(nf, rng, trials):
+    """Compare row_axpy (with and without acc), add and sub with the
+    reference on random rows that hold zeros; c = 0 is drawn too."""
+    def entry():
+        return rng.choice((0, 0, 1)) if rng.random() < 0.3 else rng.randrange(nf.order)
+
+    for _ in range(trials):
+        m = rng.randint(1, 8)
+        row = tuple(entry() for _ in range(m))
+        acc = tuple(entry() for _ in range(m))
+        c = entry()
+        assert nf.row_axpy(row, c) == ref_row_axpy(nf, row, c), (nf, row, c)
+        assert nf.row_axpy(row, c, acc) == ref_row_axpy(nf, row, c, acc), (nf, row, c, acc)
+        for a, b in zip(row, acc):
+            assert nf.add(a, b) == ref_add(nf, a, b), (nf, a, b)
+            assert nf.sub(a, b) == ref_add(nf, a, ref_neg(nf, b)), (nf, a, b)
+
+
+def main():
+    rng = random.Random(2024)
+    for q, n in ORACLE_FIELDS:
+        check_kernel(build_nearfield(q, n), rng, 200)
+        print(f"kernel oracle DN({q},{n}): ok")
+    bad = 0
+    for (q, n), want in GOLDEN_DENSE.items():
+        got = golden_digest(q, n)
+        ok = got == want
+        bad += not ok
+        print(f"golden DN({q},{n}): {got} {'ok' if ok else 'MISMATCH'}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -180,7 +180,7 @@ def test_criterion_08_u_sequence():
     for order in (5, 9, 25):
         prev = 0
         for k in range(1, 51):
-            u = u_max(k, order)  # closed form asserted inside
+            u = u_max(k, order)  # the closed form, checked against the recurrence
             assert u == prev + (order - 2) * (k - 1) + 1
             prev = u
     assert [u_max(k, 9) for k in (1, 2, 3, 4)] == [1, 9, 24, 46]

@@ -13,7 +13,7 @@ from nearvec import (
     gen_closure,
     partitions_into_parts,
 )
-from nearvec.counting import _partitions_desc
+from nearvec.counting import _partition_counts, _partitions_desc, _poly_at
 
 X = 3
 
@@ -85,6 +85,21 @@ class TestCountSubgroups:
                 for order in (2, 9, 25, 49):
                     expected = sum(p_k(t, k) * (order - 1) ** (t - k) for t in range(k, m + 1))
                     assert count_subgroups(m, k, order) == expected
+
+    def test_large_m_matches_termwise_sum(self):
+        # the binary-splitting evaluation against the sum it replaced, on
+        # term counts of both parities and with |R| - 1 = 1
+        for m, k in [(1001, 1), (1000, 7), (777, 250)]:
+            counts = _partition_counts(m, k)
+            for order in (2, 9, 625):
+                expected = sum(counts[t] * (order - 1) ** (t - k) for t in range(k, m + 1))
+                assert count_subgroups(m, k, order) == expected
+
+    def test_poly_at_small_cases(self):
+        assert _poly_at([], 5) == 0
+        assert _poly_at([7], 5) == 7
+        assert _poly_at([1, 2, 3], 10) == 321
+        assert _poly_at([0, 0, 0, 1], 3) == 27
 
     def test_budget(self, monkeypatch):
         monkeypatch.setenv("NEARVEC_BUDGET", "125")

@@ -1,9 +1,11 @@
 import hashlib
+import importlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernel_oracle import GOLDEN_DENSE, golden_digest
 from nearvec import (
     NfMatrix,
     Step,
@@ -24,6 +26,9 @@ from nearvec import (
     trace_to_text,
 )
 from nearvec.nearfield import Nearfield
+
+# the module, which the package's ege function shadows as an attribute
+ege_module = importlib.import_module("nearvec.ege")
 
 X = 3
 W32 = Witness(1, X, X)
@@ -340,9 +345,10 @@ def _reference_ege(M):
 @st.composite
 def _small_matrices(draw):
     # DN(3,2) and DN(5,2) take the table row kernel, DN(7,3) (order 343)
-    # the per-entry one; zeros and ones are drawn often so that swaps,
-    # trivial scales and columns with several nonzero entries all occur
-    q, n = draw(st.sampled_from([(3, 2), (5, 2), (7, 3)]))
+    # and DN(5,4) (order 625) the Zech one; zeros and ones are drawn often
+    # so that swaps, trivial scales and columns with several nonzero
+    # entries all occur
+    q, n = draw(st.sampled_from([(3, 2), (5, 2), (7, 3), (5, 4)]))
     nf = build_nearfield(q, n)
     k = draw(st.integers(1, 5))
     m = draw(st.integers(1, 6))
@@ -385,3 +391,28 @@ def test_golden_seed_traces(q, n):
             D = ege(M)
             h.update((trace_to_text(nf, D.trace) + matrix_format(D.basis)).encode())
     assert h.hexdigest() == GOLDEN[(q, n)]
+
+
+@pytest.mark.parametrize("q,n", sorted(GOLDEN_DENSE))
+def test_golden_dense_traces(q, n):
+    """Seeded dense tall, square and wide matrices above order 256, GF(257)
+    among them with its canonical=False results; digests taken with the
+    per-entry arithmetic that preceded the Zech tables."""
+    assert golden_digest(q, n) == GOLDEN_DENSE[(q, n)]
+
+
+class TestInternalChecks:
+    """The kernel checks that survive python -O."""
+
+    def test_trick_without_pivot_row(self, monkeypatch):
+        nf = Nearfield(3, 2)    # a private instance, so the corrupt kernel stays here
+        monkeypatch.setattr(nf, "row_axpy", lambda row, c, acc=None: tuple(acc) if acc else (0,) * len(row))
+        M = NfMatrix(nf, ((1, 0, 1), (0, 1, 2)), 3)   # reduced already: the trick comes first
+        with pytest.raises(RuntimeError, match="no pivot row at column 3"):
+            ege(M)
+
+    def test_conflict_column_must_increase(self, dn32, monkeypatch):
+        # a trick that leaves the rows as they were keeps the same conflict column
+        monkeypatch.setattr(ege_module, "_trick_inplace", lambda nf, rows, col, w: Step("trick", col=col))
+        with pytest.raises(RuntimeError, match="conflict column 3 does not follow"):
+            ege(NfMatrix(dn32, ((1, 0, 1), (0, 1, 2)), 3))

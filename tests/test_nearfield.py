@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernel_oracle import ORACLE_FIELDS, ref_add, ref_neg, ref_row_axpy
 from nearvec import Witness, build_nearfield, validate_dickson_pair
-from nearvec.nearfield import TABLE_LIMIT
+from nearvec.nearfield import _ADD_TABLE_LIMIT, TABLE_LIMIT, _digits_of
 
 # The classical 9x9 table of the twisted product on the order-9 nearfield,
 # as usually printed: entry [a][b] there is b o a under the rule implemented
@@ -281,6 +282,24 @@ class TestElementCodec:
         nf = build_nearfield(7, 3)
         assert nf.parse_element(nf.format_element(a)) == a
 
+    def test_format_matches_digit_reference(self):
+        # every spelling the term tables print, against the digit-by-digit rule
+        for q, n in [(3, 2), (5, 4), (257, 1), (257, 2)]:
+            nf = build_nearfield(q, n)
+            for a in range(0, nf.order, max(1, nf.order // 3000)):
+                terms = [
+                    (str(c) if i == 0 else ("" if c == 1 else str(c)) + ("x" if i == 1 else f"x^{i}"))
+                    for i, c in enumerate(_digits_of(a, nf.p, nf.d)) if c
+                ]
+                text = "+".join(terms) or "0"
+                assert nf.format_element(a) == text
+                assert nf.parse_element(text) == a
+
+    def test_other_spellings_still_parse(self):
+        nf = build_nearfield(7, 3)
+        for text, code in [("1x", 7), ("x^1", 7), ("01+x", 8), ("1 + x", 8), ("2x^2", 98), ("6", 6)]:
+            assert nf.parse_element(text) == code
+
     def test_errors(self, dn32):
         for bad in ["", "3x", "x^2", "x+1", "2+", "1x^0", "y", "99"]:
             with pytest.raises(ValueError):
@@ -289,3 +308,62 @@ class TestElementCodec:
             dn32.format_element(9)
         with pytest.raises(ValueError):
             dn32.format_element(3, style="hex")
+
+
+# -- the Zech-logarithm kernel above _ADD_TABLE_LIMIT ----------------------------
+# ORACLE_FIELDS holds DN(3,2) (table path) and DN(7,3), DN(5,4), GF(257) and
+# DN(257,2) (Zech path); kernel_oracle's reference reads none of the tables
+
+@st.composite
+def _kernel_case(draw):
+    nf = build_nearfield(*draw(st.sampled_from(ORACLE_FIELDS)))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, nf.order - 1))
+    m = draw(st.integers(1, 8))
+    row = draw(st.lists(entry, min_size=m, max_size=m))
+    acc = draw(st.one_of(st.none(), st.lists(entry, min_size=m, max_size=m)))
+    return nf, tuple(row), draw(entry), acc if acc is None else tuple(acc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_case())
+def test_row_axpy_matches_reference(case):
+    nf, row, c, acc = case
+    assert nf.row_axpy(row, c, acc) == ref_row_axpy(nf, row, c, acc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_case())
+def test_add_sub_match_reference(case):
+    nf, row, _, acc = case
+    for a, b in zip(row, acc or row):
+        assert nf.add(a, b) == ref_add(nf, a, b)
+        assert nf.sub(a, b) == ref_add(nf, a, ref_neg(nf, b))
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (4, 3), (3, 2), (7, 3), (257, 1)])
+def test_neg_matches_digitwise(q, n):
+    # neg is read off exp: -1 = g^((order-1)/2) for odd p, and 1 for p = 2
+    nf = build_nearfield(q, n)
+    assert [nf.neg(a) for a in nf.elements] == [ref_neg(nf, a) for a in nf.elements]
+
+
+@pytest.mark.parametrize("q,n", [(7, 3), (257, 2)])
+def test_zech_edge_cases(q, n):
+    """x + (-x) hits the sentinel, zeros pass through, c = 0 clears."""
+    nf = build_nearfield(q, n)
+    for a in range(1, nf.order, max(1, nf.order // 500)):
+        assert nf.add(a, nf.neg(a)) == 0
+        assert nf.add(a, 0) == nf.add(0, a) == a
+        assert nf.row_axpy((a, 0), nf.neg(1), (a, a)) == (0, a)
+        assert nf.row_axpy((a, 0), 0, (5, a)) == (5, a)
+        assert nf.row_axpy((a, 0), 0) == (0, 0)
+
+
+@pytest.mark.parametrize("q,n", [(7, 3), (5, 4), (257, 2)])
+def test_zech_tables_are_linear_in_the_order(q, n):
+    nf = build_nearfield(q, n)
+    assert nf.order > _ADD_TABLE_LIMIT
+    nf.row_axpy((1, 2, 0), 3, (0, 4, 5))
+    assert nf._addt is None and nf._rmul is None
+    o = nf.order - 1
+    assert len(nf._zech) == 2 * o and len(nf._exp) == 3 * o and len(nf._cosets) == nf.order

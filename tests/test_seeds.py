@@ -20,7 +20,7 @@ class TestUMax:
         assert [u_max(k, 9) for k in range(5)] == [0, 1, 9, 24, 46]
 
     def test_recurrence_matches_closed_form(self):
-        # the closed form is asserted inside u_max on every call
+        # u_max is the closed form; the stage-width recurrence is checked here
         for order in (5, 9, 25):
             prev = 0
             for k in range(1, 51):
@@ -45,6 +45,12 @@ class TestSeedNumber:
             for m in range(1, u_max(6, order) + 1):
                 k = seed_number(m, order)
                 assert u_max(k - 1, order) < m <= u_max(k, order)
+
+    def test_bracket_check_survives_optimization(self, monkeypatch):
+        # an explicit check, not an assert: a wrong u_max is reported
+        monkeypatch.setattr("nearvec.seeds.u_max", lambda k, order: 0)
+        with pytest.raises(RuntimeError, match="misses its u_k bracket"):
+            seed_number(10, 9)
 
     def test_rejects(self):
         with pytest.raises(ValueError):
