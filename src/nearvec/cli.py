@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
-from .closure import BudgetExceededError, VectorSet, gen_closure, lc_index, unpack_vector
+from .closure import (BudgetExceededError, VectorSet, current_budget, gen_closure, lc_index,
+                      require_budget, unpack_vector)
 from .counting import count_subgroups
 from .ege import ege, replay, trace_from_text, trace_to_text
 from .linmaps import MapRep, classify, is_bijective, linear_violation, count_maps
@@ -177,8 +179,17 @@ def _cmd_verify_seed(args):
 
 
 def _cmd_search_index(args):
+    if args.m < 1 or args.k < 1:
+        raise ValueError("need m >= 1 and k >= 1")
     nf = build_nearfield(args.q, args.n)
     space = nf.order ** args.m
+    budget = current_budget()
+    # C(N, k) >= 2^min(k, N - k): past the budget's bit length it is not computed
+    j = min(args.k, space - 1 - args.k)
+    subsets = budget + 1 if j >= budget.bit_length() else min(math.comb(space - 1, args.k), budget + 1)
+    if args.limit is not None:
+        subsets = min(args.limit, subsets)
+    require_budget("k-subsets to scan, min(--limit, C(|R|^m - 1, k), budget + 1)", subsets, budget)
     nonzero = range(1, space)
     searched = spanning = 0
     max_index = 0

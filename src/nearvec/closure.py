@@ -7,9 +7,10 @@ end to end.  Two helpers serve every caller that works on packed codes:
 
 - scale_rows(nf, m)[c][r] is the code of c o r.  The right action works
   on each coordinate alone, so the rows for R^(j+1) are built from those
-  for R^j and the field's multiplication table, one coordinate at a time
+  for R^j and the field's row kernel row_axpy, one coordinate at a time
   and with no unpacking.  While space * order is under a cap the rows
-  are one cached table; above it each row is computed when looked up.
+  are one cached table; above it each row is computed when looked up,
+  one row_axpy per scalar.
 - translate(nf, codes, c) is [x + c for x in codes].  Componentwise
   addition of vectors is digitwise base-p addition of packed codes, done
   one chunk of h base-p digits of c at a time, p^h <= 256, through one
@@ -44,7 +45,6 @@ import os
 from dataclasses import dataclass
 
 from .nearfield import Nearfield
-from .vectors import vec_scale_right
 
 DEFAULT_BUDGET = 10 ** 6
 BUDGET_ENV = "NEARVEC_BUDGET"
@@ -111,10 +111,14 @@ _CHUNK_TABLES: dict[int, list[list[int]]] = {}  # per prime p, built on first us
 
 def _chunk_table(nf: Nearfield) -> list[list[int]]:
     """delta[b][a] = (a + b) - a, with + digitwise base p on chunks a, b < _chunk_base(p) <= 256."""
-    table = _CHUNK_TABLES.get(nf.p)
+    p, table = nf.p, _CHUNK_TABLES.get(nf.p)
     if table is None:
-        base = range(_chunk_base(nf.p))
-        table = _CHUNK_TABLES[nf.p] = [[nf._add_digits(a, b) - a for a in base] for b in base]
+        table = [[0]]
+        while len(table) < _chunk_base(p):
+            # one more base-p digit, the lowest: a = a0 + p a1 and b = b0 + p b1
+            table = [[(a0 + b0) % p - a0 + p * d for d in row for a0 in range(p)]
+                     for row in table for b0 in range(p)]
+        _CHUNK_TABLES[p] = table
     return table
 
 
@@ -145,7 +149,7 @@ class _ScaleRowsOnDemand:
     def __getitem__(self, c: int) -> list[int]:
         nf = self.nf
         v = unpack_vector(nf, self.m, c)
-        return [pack_vector(nf, vec_scale_right(nf, v, r)) for r in range(nf.order)]
+        return [pack_vector(nf, nf.row_axpy(v, r)) for r in range(nf.order)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,7 +158,9 @@ def scale_rows(nf: Nearfield, m: int):
     order = nf.order
     if order ** (m + 1) > _VSCALE_TABLE_CAP:
         return _ScaleRowsOnDemand(nf, m)
-    base, rows = nf.mul_table(), [[0] * order]
+    # base[c][r] = c o r, the transpose of the kernel's rows [a o r for a]
+    base = list(zip(*[nf.row_axpy(range(order), r) for r in range(order)]))
+    rows = [[0] * order]
     for _ in range(m):
         # code a + order * b: the new coordinate a lowest, the old ones b above it
         rows = [[a + order * b for a, b in zip(row, hrow)] for hrow in rows for row in base]

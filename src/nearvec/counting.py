@@ -109,7 +109,8 @@ def enumerate_canonical(m: int, k: int, nf: Nearfield, budget: int | None = None
                         pos += 1
                     rows.append(tuple(row))
                 out.append(NfMatrix(nf, tuple(rows), m))
-    assert len(out) == total
+    if len(out) != total:
+        raise RuntimeError(f"listed {len(out)} canonical matrices, the formula counts {total}")
     return out
 
 

@@ -73,18 +73,13 @@ class MapRep:
 
 
 def apply_map(T: MapRep, v) -> tuple[int, ...]:
-    """sum_j column_j o v_j."""
+    """sum_j column_j o v_j, one row-kernel step per column."""
     if len(v) != T.n:
         raise ValueError("dimension mismatch")
-    nf = T.nf
-    add, mul = nf.add, nf.mul
-    out = [0] * T.n
-    for i, row in enumerate(T.matrix):
-        acc = 0
-        for a, r in zip(row, v):
-            acc = add(acc, mul(a, r))
-        out[i] = acc
-    return tuple(out)
+    out = (0,) * T.n
+    for col, r in zip(T.columns, v):
+        out = T.nf.row_axpy(col, r, out)
+    return out
 
 
 def _images_packed(T: MapRep, budget: int | None) -> list[int]:
@@ -230,6 +225,8 @@ def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form",
     order = nf.order
     if kind not in ("all", "linear", "normal"):
         raise ValueError("kind must be 'all', 'linear' or 'normal'")
+    if n < 0:
+        raise ValueError(f"dimension must be >= 0, got {n}")
     if method == "closed_form":
         # a count of matrices whose rows take x values is x^n, at most n len(str(x))
         # digits; a row of a linear map is all-zero or one of |R|-1 values in one

@@ -26,13 +26,11 @@ modulus is the lexicographically smallest irreducible candidate with
 coefficients compared low-degree-first, and the generator is the
 smallest primitive code, so every table is reproducible.
 
-Arithmetic is table lookup.  Every field has log and exp tables (exp[k]
-is the code of g^k) and negation and inverse tables.  Up to order 256
-add reads an eager order x order table and row_axpy a right-
-multiplication table built on first use.  Above 256 no order^2 table is
-built; three O(order) log-domain tables serve add and row_axpy instead:
+Arithmetic is table lookup, and every table is derived from the log
+tables.  Every field carries these O(order) tables:
 
-- exp, doubled and followed by order-1 zeros;
+- exp (exp[k] is the code of g^k), doubled and followed by order-1
+  zeros, and log;
 - the coset index j(a) of every element;
 - the Zech logarithms Z[k] = log(1 + g^k), doubled.  Z is built from exp:
   1 + g^k is g^k with 1 added to its lowest base-p digit.  Where
@@ -42,6 +40,10 @@ built; three O(order) log-domain tables serve add and row_axpy instead:
 Then a o c = exp[log a + log c * q^j(a)] and
 x + y = exp[log x + Z[log y - log x]]; the doubling absorbs the index
 ranges without a modulo, and zero operands are branches, not entries.
+add is this formula at every order.  The row kernel row_axpy uses it
+above order 256; up to 256 it reads two order x order tables instead,
+t[c][a] = a o c and x + y, built once from the log-domain kernel and add
+because a table lookup costs about half a Zech step per entry.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 TABLE_LIMIT = 1 << 12   # largest order for which full operation tables are materialized
 ORDER_LIMIT = 1 << 20   # largest order for which log/exp tables are built at all
 
-_ADD_TABLE_LIMIT = 256  # eager addition table below this order
+_ADD_TABLE_LIMIT = 256  # largest order whose row kernel reads order x order tables
 
 _TERM_RE = re.compile(r"^(\d*)x(?:\^(\d+))?$")
 
@@ -210,16 +212,34 @@ class Witness:
     lam: int
 
 
+def _check_pair_args(q, n):
+    if isinstance(q, bool) or isinstance(n, bool) or not isinstance(q, int) or not isinstance(n, int):
+        raise TypeError("q and n must be integers")
+    if q < 2 or n < 1:
+        raise ValueError("need q >= 2 and n >= 1")
+
+
+def _bounded_order(q, n, limit: int, what: str) -> int:
+    """q**n, or ValueError naming `what` above limit, before any factoring.
+
+    As q >= 2, q > limit or n >= limit.bit_length() puts q**n above limit
+    without computing it."""
+    _check_pair_args(q, n)
+    if q > limit or n >= limit.bit_length():
+        raise ValueError(f"order {q}^{n} exceeds {what}")
+    order = q ** n
+    if order > limit:
+        raise ValueError(f"order {order} exceeds {what}")
+    return order
+
+
 def validate_dickson_pair(q: int, n: int) -> PairVerdict:
     """Check the three Dickson pair conditions for (q, n).
 
     Returns a verdict carrying the failed condition; raises on
     non-integer or out-of-range inputs.
     """
-    if isinstance(q, bool) or isinstance(n, bool) or not isinstance(q, int) or not isinstance(n, int):
-        raise TypeError("q and n must be integers")
-    if q < 2 or n < 1:
-        raise ValueError("need q >= 2 and n >= 1")
+    _check_pair_args(q, n)
     if _prime_power(q) is None:
         return PairVerdict(False, f"q = {q} is not a prime power")
     for r in _prime_factors(n):
@@ -242,6 +262,7 @@ class Nearfield:
     """
 
     def __init__(self, q: int, n: int):
+        self.order = _bounded_order(q, n, ORDER_LIMIT, f"the hard limit {ORDER_LIMIT}")
         verdict = validate_dickson_pair(q, n)
         if not verdict:
             raise ValueError(f"({q},{n}) is not a Dickson pair: {verdict.reason}")
@@ -251,15 +272,12 @@ class Nearfield:
         self.p = p
         self.l = l
         self.d = l * n
-        self.order = q ** n
         self.pair = DicksonPair(q, n, p, l)
-        if self.order > ORDER_LIMIT:
-            raise ValueError(f"order {self.order} exceeds the hard limit {ORDER_LIMIT}")
 
         self.modulus = self._find_modulus()
         self.generator = self._find_generator()
-        self._build_log_tables()
         self._build_coset_table()
+        self._build_log_tables()
         self._qpow = tuple(q ** j for j in range(n))
         self._build_inverse_table()
 
@@ -267,26 +285,24 @@ class Nearfield:
         o, exp, log = self.order - 1, self._exp, self._log
         half = o // 2 if p != 2 else 0
         self._negt = (0,) + tuple(exp[(log[a] + half) % o] for a in range(1, self.order))
+        # the row kernel's order^2 tables; row_axpy computes the rows of
+        # t[c][a] = a o c in the log domain while _addt is still None
+        self._addt = self._rmul = None
         if self.order <= _ADD_TABLE_LIMIT:
-            self._addt = [
-                [self._add_digits(a, b) for b in range(self.order)]
-                for a in range(self.order)
-            ]
-        else:
-            self._addt = None
-            self._build_zech_tables()
+            elems = range(self.order)
+            self._rmul = [self.row_axpy(elems, c) for c in elems]
+            self._addt = [[self.add(a, b) for b in elems] for a in elems]
         self._build_term_tables()
-        self._mul_table = None
-        self._add_table_full = None
-        self._rmul = None
         self._witness = _UNSET
 
     # -- construction ------------------------------------------------------
 
     def _find_modulus(self):
         p, d = self.p, self.d
-        # candidates in lexicographic order, constant coefficient compared first
-        for tail in itertools.product(range(p), repeat=d):
+        # candidates in lexicographic order, constant coefficient compared
+        # first; for d >= 2 a zero constant term means x divides the candidate
+        consts = range(1 if d > 1 else 0, p)
+        for tail in itertools.product(consts, *[range(p)] * (d - 1)):
             f = list(tail) + [1]
             if _is_irreducible(f, p):
                 return tuple(f)
@@ -303,12 +319,14 @@ class Nearfield:
         raise RuntimeError("no primitive element found")
 
     def _build_log_tables(self):
-        p, order = self.p, self.order
+        # exp and log, then the log-domain tables of add and row_axpy (see
+        # the module docstring)
+        p, order, o = self.p, self.order, self.order - 1
         f = list(self.modulus)
         g = _digits_of(self.generator, p, self.d)
-        exp = [0] * (order - 1)
+        exp = [0] * o
         cur = [1]
-        for k in range(order - 1):
+        for k in range(o):
             exp[k] = _code_of(cur + [0] * (self.d - len(cur)), p)
             cur = _pmod(_pmul(cur, g, p), f, p)
         if _ptrim(cur) != [1]:
@@ -320,8 +338,12 @@ class Nearfield:
             log[a] = k
         if log.count(-1) != 1:
             raise RuntimeError("log table does not cover all nonzero elements")
-        self._exp = tuple(exp)
         self._log = tuple(log)
+        succ = [e + 1 if e % p != p - 1 else e - p + 1 for e in exp]
+        zech = [log[s] if s else 2 * o for s in succ]
+        self._zech = tuple(zech + zech)
+        self._exp = tuple(exp + exp) + (0,) * o
+        self._cosets = (0,) + tuple(self.coset_table[log[a] % self.n] for a in range(1, order))
 
     def _build_coset_table(self):
         q, n = self.q, self.n
@@ -339,26 +361,14 @@ class Nearfield:
         # a = g^k has inverse g^(-k q^(n - j(a))); each entry is checked
         # against mul once here, so inv itself is a lookup
         o1, n = self.order - 1, self.n
-        exp, log, qpow, coset, mul = self._exp, self._log, self._qpow, self.coset_table, self.mul
+        exp, log, qpow, cosets, mul = self._exp, self._log, self._qpow, self._cosets, self.mul
         invt = [0] * self.order     # entry 0 is never read: inv(0) raises
         for a in range(1, self.order):
-            ka = log[a]
-            b = exp[((-ka % o1) * qpow[(n - coset[ka % n]) % n]) % o1]
+            b = exp[((-log[a] % o1) * qpow[(n - cosets[a]) % n]) % o1]
             if mul(a, b) != 1 or mul(b, a) != 1:
                 raise RuntimeError(f"inverse of {a} is not two-sided")
             invt[a] = b
         self._invt = tuple(invt)
-
-    def _build_zech_tables(self):
-        # the log-domain tables of add and row_axpy above _ADD_TABLE_LIMIT
-        # (see the module docstring)
-        p, o, n = self.p, self.order - 1, self.n
-        exp, log, coset = self._exp, self._log, self.coset_table
-        succ = [e + 1 if e % p != p - 1 else e - p + 1 for e in exp]
-        zech = [log[s] if s else 2 * o for s in succ]
-        self._zech = tuple(zech + zech)
-        self._exp = exp + exp + (0,) * o
-        self._cosets = (0,) + tuple(coset[log[a] % n] for a in range(1, self.order))
 
     def _build_term_tables(self):
         # the printed text of each term c x^i (0 < c < p), indexed [i][c] for
@@ -376,26 +386,13 @@ class Nearfield:
 
     # -- additive structure --------------------------------------------------
 
-    def _add_digits(self, a, b):
-        p = self.p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
     def add(self, a: int, b: int) -> int:
-        """Coefficientwise sum mod p.
+        """Coefficientwise sum mod p, through a Zech logarithm at every order.
 
-        A lookup in the eager table up to _ADD_TABLE_LIMIT.  Above it, a
-        Zech logarithm: g^i + g^k = g^(i + Z[k - i]), with Z[k] = log(1 + g^k);
-        a zero operand returns the other one, and where g^k = -g^i the
-        sentinel in Z indexes the zeros past the doubled exp table.
+        g^i + g^k = g^(i + Z[k - i]), with Z[k] = log(1 + g^k); a zero
+        operand returns the other one, and where g^k = -g^i the sentinel in
+        Z indexes the zeros past the doubled exp table.
         """
-        if self._addt is not None:
-            return self._addt[a][b]
         if not a:
             return b
         if not b:
@@ -431,9 +428,7 @@ class Nearfield:
         if a == 0 or b == 0:
             return 0
         lg = self._log
-        ka = lg[a]
-        j = self.coset_table[ka % self.n]
-        return self._exp[(ka + lg[b] * self._qpow[j]) % (self.order - 1)]
+        return self._exp[(lg[a] + lg[b] * self._qpow[self._cosets[a]]) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
         """Two-sided inverse for o."""
@@ -472,16 +467,25 @@ class Nearfield:
         multiplying by alpha^-1 is a bijection that respects + (left
         distributivity) and o (associativity).  So the first witness in
         lexicographic order has alpha = 1.
+
+        For each beta only lam in {1, p, ..., p^(d-1)} is probed:
+        L(lam) = (1 + beta) o lam - lam - beta o lam is additive in lam, as
+        a o lam = a * lam^(q^j(a)) and Frobenius and the field product are,
+        so the lam with L(lam) = 0 form a GF(p)-subspace.  The codes below
+        p^i are the GF(p)-combinations of 1, p, ..., p^(i-1), so the least
+        code outside it is p^i for the least i with L(p^i) != 0.  That is
+        O(beta* d) probes, not O(beta* order), for the same witness.
         """
         if self._witness is not _UNSET:
             return self._witness
         w = None
         if self.n > 1:  # fields are two-sided distributive, nothing to scan
-            order, add, mul = self.order, self.add, self.mul
+            add, mul = self.add, self.mul
+            probes = [self.p ** i for i in range(self.d)]
             w = next(
                 (Witness(1, beta, lam)
-                 for beta in range(order)
-                 for lam in range(order)
+                 for beta in range(self.order)
+                 for lam in probes
                  if mul(add(1, beta), lam) != add(lam, mul(beta, lam))),
                 None,
             )
@@ -489,33 +493,31 @@ class Nearfield:
         return w
 
     def mul_table(self) -> list[list[int]]:
-        """Full o table, row index = left operand.  Order-limited."""
-        if self.order > TABLE_LIMIT:
-            raise ValueError(f"order {self.order} too large for a full table (limit {TABLE_LIMIT})")
-        if self._mul_table is None:
-            mul = self.mul
-            self._mul_table = [[mul(a, b) for b in range(self.order)] for a in range(self.order)]
-        return self._mul_table
+        """Full o table, row index = left operand, built on each call up to
+        TABLE_LIMIT; the row kernel keeps its own rows (see row_axpy)."""
+        return self._table(self.mul)
 
     def add_table(self) -> list[list[int]]:
+        """Full + table, built on each call up to TABLE_LIMIT."""
+        return self._table(self.add)
+
+    def _table(self, op) -> list[list[int]]:
         if self.order > TABLE_LIMIT:
             raise ValueError(f"order {self.order} too large for a full table (limit {TABLE_LIMIT})")
-        if self._add_table_full is None:
-            add = self.add
-            self._add_table_full = [[add(a, b) for b in range(self.order)] for a in range(self.order)]
-        return self._add_table_full
+        elems = range(self.order)
+        return [[op(a, b) for b in elems] for a in elems]
 
     def row_axpy(self, row, c: int, acc=None) -> tuple[int, ...]:
         """acc + row o c componentwise, or row o c when acc is None.
 
-        The row kernel of elimination.  Up to _ADD_TABLE_LIMIT, where the
-        eager addition table exists, each entry is one or two lookups
-        through a right-multiplication table t[c][a] = a o c built on
-        first use.  Above it each entry stays in the log domain: with
+        The row kernel of elimination, and of the scaling rows of closure.
+        Above _ADD_TABLE_LIMIT each entry stays in the log domain: with
         off[j] = log c * q^j, a o c = exp[log a + off[j(a)]], and adding x
-        is the Zech step exp[log x + Z[log(a o c) - log x]] (see add).
-        c = 0, a = 0 and x = 0 are branches, not table entries; the tables
-        are O(order), so no order^2 table is allocated.
+        is the Zech step exp[log x + Z[log(a o c) - log x]] (see add);
+        c = 0, a = 0 and x = 0 are branches, not table entries, and no
+        order^2 table is allocated.  Up to the limit each entry is one or
+        two lookups in the order^2 tables t[c][a] = a o c and x + y, which
+        the constructor derives from this log-domain path and add.
         """
         addt = self._addt
         if addt is None:
@@ -531,9 +533,6 @@ class Nearfield:
                 if a else x
                 for x, a in zip(acc, row)
             ])
-        if self._rmul is None:
-            mul, elems = self.mul, range(self.order)
-            self._rmul = [tuple([mul(a, r) for a in elems]) for r in elems]
         tc = self._rmul[c]
         if acc is None:
             return tuple([tc[a] for a in row])
@@ -544,8 +543,8 @@ class Nearfield:
     def parse_element(self, text: str) -> int:
         """Parse either style: bare decimal code, or polynomial like '2+2x', '1+x^2'.
 
-        Terms spelled as format_element prints them are looked up; any
-        other spelling, and every malformed one, goes through _parse_terms.
+        A term spelled as format_element prints it is looked up; any other
+        spelling is parsed with the term pattern.
         """
         t = text.strip()
         if not t:
@@ -559,36 +558,28 @@ class Nearfield:
         code, last_pow = 0, -1
         for term in t.split("+"):
             hit = term_code.get(term)
-            if hit is None or hit[0] <= last_pow:
-                return self._parse_terms(t, text)
+            if hit is None:
+                term = term.strip()
+                if term.isdigit():
+                    c, i = int(term), 0
+                else:
+                    mt = _TERM_RE.match(term)
+                    if not mt:
+                        raise ValueError(f"malformed element term {term!r}")
+                    cs, ks = mt.groups()
+                    c = int(cs) if cs else 1
+                    i = int(ks) if ks else 1
+                    if ks is not None and i < 1:
+                        raise ValueError(f"malformed element term {term!r}")
+                if not 0 < c < self.p:
+                    raise ValueError(f"coefficient {c} out of range for GF({self.p})")
+                if i >= self.d:
+                    raise ValueError(f"power {i} out of range for degree {self.d}")
+                hit = (i, c * self.p ** i)
+            if hit[0] <= last_pow:
+                raise ValueError(f"powers not ascending in {text!r}")
             last_pow = hit[0]
             code += hit[1]
-        return code
-
-    def _parse_terms(self, t: str, text: str) -> int:
-        code = 0
-        last_pow = -1
-        for term in t.split("+"):
-            term = term.strip()
-            if term.isdigit():
-                c, i = int(term), 0
-            else:
-                mt = _TERM_RE.match(term)
-                if not mt:
-                    raise ValueError(f"malformed element term {term!r}")
-                cs, ks = mt.groups()
-                c = int(cs) if cs else 1
-                i = int(ks) if ks else 1
-                if ks is not None and i < 1:
-                    raise ValueError(f"malformed element term {term!r}")
-            if not 0 < c < self.p:
-                raise ValueError(f"coefficient {c} out of range for GF({self.p})")
-            if i >= self.d:
-                raise ValueError(f"power {i} out of range for degree {self.d}")
-            if i <= last_pow:
-                raise ValueError(f"powers not ascending in {text!r}")
-            last_pow = i
-            code += c * self.p ** i
         return code
 
     def format_element(self, a: int, style: str = "poly") -> str:
@@ -621,14 +612,8 @@ def _cached_nearfield(q: int, n: int) -> Nearfield:
 def build_nearfield(q: int, n: int, max_order: int = ORDER_LIMIT) -> Nearfield:
     """Construct (or fetch the cached) DN(q, n).
 
-    Raises ValueError for invalid pairs or when q^n exceeds max_order.
+    Raises ValueError for invalid pairs or when q^n exceeds max_order;
+    the order is checked first, so a huge q or n costs no factoring.
     """
-    verdict = validate_dickson_pair(q, n)
-    if not verdict:
-        raise ValueError(f"({q},{n}) is not a Dickson pair: {verdict.reason}")
-    order = q ** n
-    if order > max_order:
-        raise ValueError(f"order {order} exceeds max_order {max_order}")
-    if order > ORDER_LIMIT:
-        raise ValueError(f"order {order} exceeds the hard limit {ORDER_LIMIT}")
+    _bounded_order(q, n, max_order, f"max_order {max_order}")
     return _cached_nearfield(q, n)

@@ -32,9 +32,8 @@ def vec_sub(nf: Nearfield, u, v):
 
 
 def vec_scale_right(nf: Nearfield, v, r: int):
-    """Componentwise right action (v o r)_i = v_i o r."""
-    mul = nf.mul
-    return tuple(mul(a, r) for a in v)
+    """Componentwise right action (v o r)_i = v_i o r, through the row kernel."""
+    return nf.row_axpy(v, r)
 
 
 def vec_scale_left(nf: Nearfield, r: int, v):

@@ -19,9 +19,10 @@ import sys
 from nearvec import NfMatrix, build_nearfield, ege, matrix_format, trace_to_text
 from nearvec.nearfield import _code_of, _digits_of, _pmod, _pmul, _ppowmod
 
-# fields of the kernel oracle: one table-path field and four Zech-path
-# ones, among them a prime field and a prime base above 256
-ORACLE_FIELDS = ((3, 2), (7, 3), (5, 4), (257, 1), (257, 2))
+# fields of the kernel oracle: four whose row kernel reads order^2 tables,
+# among them p = 2 fields up to order 256, and four whose row kernel is
+# the Zech one, among them a prime field and a prime base above 256
+ORACLE_FIELDS = ((2, 1), (3, 2), (4, 3), (256, 1), (7, 3), (5, 4), (257, 1), (257, 2))
 
 # sha256 over the text of golden_matrices' EGE results, computed with the
 # per-entry arithmetic that preceded the Zech tables

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
@@ -208,6 +209,36 @@ class TestMapCommands:
         assert code == 0
         assert out == "161\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["count-maps", "3", "2", "-1", "all"], "dimension must be >= 0, got -1"),
+        (["count-maps", "3", "2", "-1", "linear"], "dimension must be >= 0, got -1"),
+        (["count-maps", "3", "2", "-2", "normal"], "dimension must be >= 0, got -2"),
+        (["count-maps", "3", "2", "-1", "all", "--method", "enum"], "dimension must be >= 0, got -1"),
+        (["search-index", "3", "2", "-1", "1", "1"], "need m >= 1 and k >= 1"),
+        (["search-index", "3", "2", "2", "0", "1"], "need m >= 1 and k >= 1"),
+        # C(6560, 3), about 4.7e10 subsets, is refused before the scan starts
+        (["search-index", "3", "2", "4", "3", "2"], "min(--limit, C(|R|^m - 1, k), budget + 1) = 1000001"),
+        (["search-index", "3", "2", "6", "300000", "1"], "budget + 1) = 1000001 exceeds"),
+    ])
+    def test_out_of_range_arguments_refused(self, capsys, argv, message):
+        # these once printed 9, -0.142..., 0, or ended in a TypeError traceback
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [["witness", "3", "2305843009213693951"],
+                                      ["witness", "2305843009213693951", "2"]])
+    def test_huge_field_refused_before_factoring(self, argv):
+        # trial division of the Mersenne prime 2^61 - 1 would run for minutes
+        t0 = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "nearvec.cli", *argv],
+                             capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - t0 < 5
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("error: order ") and out.stderr.count("\n") == 1
+        assert "exceeds max_order 1048576" in out.stderr
+
 
 class TestSubgroupAndSeedCommands:
     def test_count_subgroups(self, capsys):
@@ -304,6 +335,14 @@ class TestSearchIndex:
         assert lines["searched"] == "200"
         assert lines["max_index"] == "1"
         assert lines["exceeding_bound"] == "0"
+
+    def test_limit_is_budgeted(self, capsys, monkeypatch):
+        monkeypatch.setenv("NEARVEC_BUDGET", "100")
+        code, out, err = run(capsys, "search-index", "3", "2", "2", "2", "1", "--limit", "101")
+        assert code == 1 and out == ""
+        assert "= 101 exceeds the element budget 100" in err and "--limit" in err
+        code, out, _ = run(capsys, "search-index", "3", "2", "2", "2", "1", "--limit", "100")
+        assert code == 0 and out.startswith("searched 100\n")
 
     def test_finds_index_two(self, capsys):
         # without a limit the R^3 pair scan would be long; bound=1 over R^2

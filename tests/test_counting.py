@@ -13,6 +13,7 @@ from nearvec import (
     gen_closure,
     partitions_into_parts,
 )
+from nearvec import counting
 from nearvec.counting import _partition_counts, _partitions_desc, _poly_at
 
 X = 3
@@ -163,6 +164,11 @@ class TestEnumerateCanonical:
             enumerate_canonical(4, 1, dn32)
         monkeypatch.setenv("NEARVEC_BUDGET", "585")
         assert len(enumerate_canonical(4, 1, dn32)) == 585
+
+    def test_listing_checked_against_formula(self, dn32, monkeypatch):
+        monkeypatch.setattr(counting, "count_subgroups", lambda m, k, order: 584)
+        with pytest.raises(RuntimeError, match="listed 585 canonical matrices, the formula counts 584"):
+            enumerate_canonical(4, 1, dn32)
 
 
 class TestOrbitReport:

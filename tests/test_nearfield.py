@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kernel_oracle import ORACLE_FIELDS, ref_add, ref_neg, ref_row_axpy
 from nearvec import Witness, build_nearfield, validate_dickson_pair
-from nearvec.nearfield import _ADD_TABLE_LIMIT, TABLE_LIMIT, _digits_of
+from nearvec.nearfield import _ADD_TABLE_LIMIT, TABLE_LIMIT, _digits_of, _is_irreducible
 
 # The classical 9x9 table of the twisted product on the order-9 nearfield,
 # as usually printed: entry [a][b] there is b o a under the rule implemented
@@ -90,6 +91,15 @@ class TestConstruction:
             build_nearfield(3, 2, max_order=5)
         with pytest.raises(ValueError):
             build_nearfield(9, 8)  # 9^8 > 2^20, rejected before construction
+
+    @pytest.mark.parametrize("q,n", [(2, 1), (5, 1), (3, 2), (9, 2), (4, 3), (7, 3), (5, 4)])
+    def test_modulus_is_first_irreducible(self, q, n):
+        # the reference scans every candidate, zero constant terms included
+        nf = build_nearfield(q, n)
+        first = next(tail + (1,) for tail in itertools.product(range(nf.p), repeat=nf.d)
+                     if _is_irreducible(list(tail) + [1], nf.p))
+        assert nf.modulus == first
+        assert nf.d > 1 or nf.modulus == (0, 1)
 
     def test_coset_residues_complete(self):
         for q, n in [(3, 2), (5, 2), (7, 2), (9, 2), (4, 3), (7, 3), (5, 4)]:
@@ -249,6 +259,24 @@ class TestWitness:
         assert (None if w is None else (w.alpha, w.beta, w.lam)) == _first_witness_full_scan(nf)
 
 
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (7, 2), (4, 3), (7, 3), (5, 4), (13, 3), (25, 2)])
+def test_witness_probes_match_lambda_scan(q, n):
+    """find_witness probes lam in {1, p, ..., p^(d-1)}; the oracle scans every lam."""
+    nf = build_nearfield(q, n)
+    w = nf.find_witness()
+    assert (w.alpha, w.beta, w.lam) == _first_witness_alpha_one_scan(nf)
+
+
+def _first_witness_alpha_one_scan(nf):
+    """Reference: alpha = 1 (see find_witness) and every (beta, lam) in order."""
+    order, add, mul = nf.order, nf.add, nf.mul
+    for b in range(order):
+        for lam in range(order):
+            if mul(add(1, b), lam) != add(lam, mul(b, lam)):
+                return (1, b, lam)
+    return None
+
+
 def _first_witness_full_scan(nf):
     """Reference: scan every (alpha, beta, lam) in lexicographic order."""
     order, add, mul = nf.order, nf.add, nf.mul
@@ -300,6 +328,30 @@ class TestElementCodec:
         for text, code in [("1x", 7), ("x^1", 7), ("01+x", 8), ("1 + x", 8), ("2x^2", 98), ("6", 6)]:
             assert nf.parse_element(text) == code
 
+    @pytest.mark.parametrize("q,n,text,message", [
+        (3, 2, "", "empty element token"),
+        (3, 2, "3x", "coefficient 3 out of range for GF(3)"),
+        (3, 2, "0x", "coefficient 0 out of range for GF(3)"),
+        (3, 2, "x^2", "power 2 out of range for degree 2"),
+        (3, 2, "x+1", "powers not ascending in 'x+1'"),
+        (3, 2, "2x+x", "powers not ascending in '2x+x'"),
+        (3, 2, "1 + x + 2", "powers not ascending in '1 + x + 2'"),
+        (3, 2, "2+", "malformed element term ''"),
+        (3, 2, "1++x", "malformed element term ''"),
+        (3, 2, "1x^0", "malformed element term '1x^0'"),
+        (3, 2, "y", "malformed element term 'y'"),
+        (3, 2, "99", "code 99 out of range for order 9"),
+        (7, 3, "1+x^2+x", "powers not ascending in '1+x^2+x'"),
+        (7, 3, "x^1+x", "powers not ascending in 'x^1+x'"),
+        (7, 3, " 2x^2 + 3 ", "powers not ascending in ' 2x^2 + 3 '"),
+        (5, 1, "x", "power 1 out of range for degree 1"),
+        (5, 1, "1+2", "powers not ascending in '1+2'"),
+    ])
+    def test_parse_error_messages(self, q, n, text, message):
+        with pytest.raises(ValueError) as exc:
+            build_nearfield(q, n).parse_element(text)
+        assert str(exc.value) == message
+
     def test_errors(self, dn32):
         for bad in ["", "3x", "x^2", "x+1", "2+", "1x^0", "y", "99"]:
             with pytest.raises(ValueError):
@@ -310,9 +362,10 @@ class TestElementCodec:
             dn32.format_element(3, style="hex")
 
 
-# -- the Zech-logarithm kernel above _ADD_TABLE_LIMIT ----------------------------
-# ORACLE_FIELDS holds DN(3,2) (table path) and DN(7,3), DN(5,4), GF(257) and
-# DN(257,2) (Zech path); kernel_oracle's reference reads none of the tables
+# -- the Zech-logarithm tables and the row kernel ---------------------------------
+# ORACLE_FIELDS holds GF(2), DN(3,2), DN(4,3) and GF(256) (table kernel) and
+# DN(7,3), DN(5,4), GF(257) and DN(257,2) (Zech kernel); add is the Zech
+# formula on all of them, and kernel_oracle's reference reads none of the tables
 
 @st.composite
 def _kernel_case(draw):
@@ -357,6 +410,23 @@ def test_zech_edge_cases(q, n):
         assert nf.row_axpy((a, 0), nf.neg(1), (a, a)) == (0, a)
         assert nf.row_axpy((a, 0), 0, (5, a)) == (5, a)
         assert nf.row_axpy((a, 0), 0) == (0, 0)
+
+
+def test_add_table_matches_digitwise_on_every_small_pair():
+    """add_table, and so the Zech tables behind add, against digitwise sums
+    on every Dickson pair of order <= _ADD_TABLE_LIMIT."""
+    pairs = [(q, n) for q in range(2, _ADD_TABLE_LIMIT + 1) for n in range(1, 9)
+             if q ** n <= _ADD_TABLE_LIMIT and validate_dickson_pair(q, n)]
+    assert len(pairs) > 60
+    for q, n in pairs:
+        nf = build_nearfield(q, n)
+        o, p, elems = nf.order - 1, nf.p, range(nf.order)
+        assert len(nf._zech) == 2 * o and len(nf._exp) == 3 * o
+        digits = [_digits_of(a, p, nf.d) for a in elems]
+        weights = [p ** i for i in range(nf.d)]
+        ref = [[sum(w * ((x + y) % p) for w, x, y in zip(weights, da, db)) for db in digits]
+               for da in digits]
+        assert nf.add_table() == ref, (q, n)
 
 
 @pytest.mark.parametrize("q,n", [(7, 3), (5, 4), (257, 2)])
