@@ -167,23 +167,29 @@ def _cmd_seed(args):
         f"s_order={','.join(str(s) for s in sm.s_order)}"
     )
     text = matrix_format(sm.matrix, comments=(header,))
-    result = {"m": args.m, "k": sm.k, "rows": _matrix_tokens(sm.matrix)}
+    # the JSON tokens cost a format call per entry, so only --json builds them
+    result = {"m": args.m, "k": sm.k, "rows": _matrix_tokens(sm.matrix)} if args.json else None
     return _emit(args, nf, {"m": args.m}, result, text.splitlines())
 
 
 def _cmd_verify_seed(args):
     M = _read_matrix(args.file)
     ok = verify_seed(M)
-    return _emit(args, M.nf, {"rows": _matrix_tokens(M)}, {"seed": ok},
+    return _emit(args, M.nf, {"rows": _matrix_tokens(M)} if args.json else None, {"seed": ok},
                  ["true" if ok else "false"])
 
 
 def _cmd_search_index(args):
     if args.m < 1 or args.k < 1:
         raise ValueError("need m >= 1 and k >= 1")
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     nf = build_nearfield(args.q, args.n)
-    space = nf.order ** args.m
     budget = current_budget()
+    # every subset's lc_index enumerates R^m; |R|^m >= 2^m, so past the
+    # budget's bit length the power is not computed
+    space = budget + 1 if args.m >= budget.bit_length() else min(nf.order ** args.m, budget + 1)
+    require_budget("vectors of R^m, min(|R|^m, budget + 1)", space, budget)
     # C(N, k) >= 2^min(k, N - k): past the budget's bit length it is not computed
     j = min(args.k, space - 1 - args.k)
     subsets = budget + 1 if j >= budget.bit_length() else min(math.comb(space - 1, args.k), budget + 1)

@@ -28,7 +28,23 @@ emit nothing for the columns left of j and reach j with as many pivot
 rows as there are pivot columns left of j; it also leaves those columns
 as they are, so the next conflict column lies right of j.  So each
 round resumes reduction at j with that pivot count, and the conflict
-scan at j, and records the trace that a full pass would.
+scan at j, and records the trace that a full pass would.  A pass stops
+as soon as every row is a pivot row, since no later column can then
+yield a pivot.
+
+Work follows the rows' support, not the width.  theta vanishes wherever
+w_r or w_s does: where w_s is zero its entry is
+(x o a' + 0) o lam - x o (a' o lam) - 0 o (b' o lam) = 0 by associativity,
+and likewise where w_r is zero.  So theta is computed on the common
+support S of the two rows, which starts at j, as rows of |S| entries;
+phi and the updates of rows r and s touch only supp(theta), and the
+trace keeps theta and phi by support.  Every row op passes the support
+of its operand row to the kernel (the cols of Nearfield.row_axpy), which
+updates only those entries of the dense result.  The working rows carry
+a column index, the nonzero rows of each column and the support of each
+row, kept current from the entries each op touches; so the pivot search,
+the rows to eliminate, the conflict scan and the two trick rows are set
+lookups, not scans over every row.
 
 The end result is a basis whose columns have pairwise disjoint supports,
 exhibiting the generated subgroup as a direct sum of cyclic modules u_i R.
@@ -39,24 +55,86 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import itemgetter
 
 from .nearfield import Nearfield, Witness
 from .vectors import NfMatrix, left_multiple_of
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(tuple):
     """One traced operation.  Row/column indices are 0-based here; the
-    textual trace format is 1-based."""
+    textual trace format is 1-based.
 
-    kind: str                                   # swap | scale | eliminate | trick
-    r: int = -1                                 # pivot row / first swap row
-    s: int = -1                                 # second swap row / eliminated row
-    c: int = -1                                 # scalar code (scale factor or multiplier)
-    col: int = -1                               # trick conflict column
-    witness: tuple[int, int, int] | None = None
-    theta: tuple[int, ...] | None = None
-    phi: tuple[int, ...] | None = None
+    Fields: kind (swap | scale | eliminate | trick), r (pivot row / first
+    swap row), s (second swap row / eliminated row), c (scalar code: scale
+    factor or multiplier), col (trick conflict column), witness, theta and
+    phi.  A trick keeps theta and phi by support, as (width, columns,
+    values): they vanish off the common support of the two conflicting
+    rows (see the module docstring), and .theta and .phi rebuild the
+    dense tuples.  Steps are immutable and compare and hash by value,
+    equal only to Steps.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind, r=-1, s=-1, c=-1, col=-1, witness=None, theta=None, phi=None):
+        if theta is not None:
+            theta = _by_support(theta)
+        if phi is not None:
+            phi = _by_support(phi)
+        return tuple.__new__(cls, (kind, r, s, c, col, witness, theta, phi))
+
+    @classmethod
+    def _trick(cls, col, witness, width, cols, theta, phi):
+        """A trick step from the values of theta and phi on their support cols."""
+        return tuple.__new__(cls, ("trick", -1, -1, -1, col, witness, (width, cols, theta), (width, cols, phi)))
+
+    kind = property(itemgetter(0))
+    r = property(itemgetter(1))
+    s = property(itemgetter(2))
+    c = property(itemgetter(3))
+    col = property(itemgetter(4))
+    witness = property(itemgetter(5))
+
+    @property
+    def theta(self) -> tuple[int, ...] | None:
+        return _dense(self[6])
+
+    @property
+    def phi(self) -> tuple[int, ...] | None:
+        return _dense(self[7])
+
+    def __eq__(self, other):
+        return type(other) is Step and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self):
+        return (*self[:6], self.theta, self.phi)
+
+    def __repr__(self):
+        return ("Step(kind={!r}, r={!r}, s={!r}, c={!r}, col={!r}, witness={!r}, theta={!r}, phi={!r})"
+                .format(*self[:6], self.theta, self.phi))
+
+
+def _by_support(v):
+    """(width, columns, values) of a dense row: its nonzero entries."""
+    v = tuple(v)
+    return len(v), tuple(compress(range(len(v)), v)), tuple(filter(None, v))
+
+
+def _dense(sparse):
+    if sparse is None:
+        return None
+    width, cols, vals = sparse
+    out = [0] * width
+    for j, a in zip(cols, vals):
+        out[j] = a
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -73,56 +151,114 @@ class GenDecomposition:
     canonical: bool
 
 
-def _rref_inplace(nf: Nearfield, rows: list[tuple[int, ...]], width: int,
-                  steps: list, pivots: list[int], start: int = 0) -> None:
+class _Rows:
+    """The working rows of EGE and replay, with a column index.
+
+    rows[i] is a dense tuple, sup[i] the set of its nonzero columns and
+    at[j] the set of rows nonzero in column j.  Each row op runs the
+    kernel on the operand row's support and updates both sets from the
+    entries that the kernel touched, so a row op costs that support, and
+    the column scans of reduction, the conflict search and the trick are
+    set lookups.
+    """
+
+    def __init__(self, nf: Nearfield, rows, width: int):
+        self.kernel = nf.row_axpy
+        self.width = width
+        self.rows, self.sup = [], []
+        self.at = [set() for _ in range(width)]
+        for row in rows:
+            self.append(row)
+
+    def append(self, row, cols=None) -> None:
+        """Append a row; cols, when given, is its support."""
+        i, at = len(self.rows), self.at
+        sup = set(compress(range(self.width), row) if cols is None else cols)
+        for j in sup:
+            at[j].add(i)
+        self.rows.append(row)
+        self.sup.append(sup)
+
+    def cols(self, i: int) -> list[int]:
+        """The ascending support of row i."""
+        return sorted(self.sup[i])
+
+    def swap(self, i: int, k: int) -> None:
+        rows, sup, at = self.rows, self.sup, self.at
+        for j in sup[i] - sup[k]:
+            at[j].discard(i)
+            at[j].add(k)
+        for j in sup[k] - sup[i]:
+            at[j].discard(k)
+            at[j].add(i)
+        rows[i], rows[k] = rows[k], rows[i]
+        sup[i], sup[k] = sup[k], sup[i]
+
+    def axpy(self, i: int, row, c: int, cols, acc: bool = True) -> None:
+        """rows[i] = rows[i] + row o c, or row o c without acc, where cols
+        holds the support of row and, without acc, that of rows[i]."""
+        old = self.rows[i]
+        new = self.rows[i] = self.kernel(row, c, old if acc else None, cols)
+        sup, at = self.sup[i], self.at
+        size = len(sup)
+        for j in cols:
+            if new[j]:
+                if not old[j]:
+                    sup.add(j)
+                    at[j].add(i)
+            elif old[j]:
+                sup.discard(j)
+                at[j].discard(i)
+        if 2 * len(sup) < size:     # a set keeps its table when it shrinks
+            self.sup[i] = set(sup)
+
+    def first_conflict(self, start: int, stop: int) -> int | None:
+        """First column in start..stop - 1 with two nonzero entries."""
+        many = map((1).__lt__, map(len, islice(self.at, start, stop)))   # 1 < len(at[j])
+        return next(compress(range(start, stop), many), None)
+
+
+def _rref_inplace(nf: Nearfield, work: _Rows, steps: list, pivots: list[int], start: int = 0) -> None:
     """Reduce columns start.. to reduced row echelon form, recording steps.
 
     `pivots` holds the pivot columns left of `start`, one per leading
     row, and gets the new ones appended.  Zero rows sink to the bottom
-    and are kept in place (traces stay replayable).
+    and are kept in place (traces stay replayable).  Once every row is a
+    pivot row no column can yield another pivot, so the pass stops.
     """
     pr = len(pivots)
-    k = len(rows)
-    for col in range(start, width):
-        pivot = next((i for i in range(pr, k) if rows[i][col]), None)
+    rows, at = work.rows, work.at
+    for col in range(start, work.width):
+        if pr == len(rows):
+            break
+        pivot = min((i for i in at[col] if i >= pr), default=None)   # first row from pr on
         if pivot is None:
             continue
         if pivot != pr:
-            rows[pr], rows[pivot] = rows[pivot], rows[pr]
+            work.swap(pr, pivot)
             steps.append(Step("swap", r=pr, s=pivot))
+        cols = work.cols(pr)
         lead = rows[pr][col]
         if lead != 1:
             c = nf.inv(lead)
-            rows[pr] = nf.row_axpy(rows[pr], c)
+            work.axpy(pr, rows[pr], c, cols, acc=False)
             steps.append(Step("scale", r=pr, c=c))
         prow = rows[pr]
-        for i in range(k):
-            a = rows[i][col]
-            if a and i != pr:    # rows[i] - prow o a = rows[i] + prow o (-a)
-                rows[i] = nf.row_axpy(prow, nf.neg(a), rows[i])
+        for i in sorted(at[col]):
+            if i != pr:    # rows[i] - prow o a = rows[i] + prow o (-a)
+                a = rows[i][col]
+                work.axpy(i, prow, nf.neg(a), cols)
                 steps.append(Step("eliminate", r=pr, s=i, c=a))
         pivots.append(col)
         pr += 1
 
 
-def _first_conflict(rows, width, start=0) -> int | None:
-    """First column from `start` on with two nonzero entries."""
-    for col in range(start, width):
-        seen = 0
-        for row in rows:
-            if row[col]:
-                seen += 1
-                if seen == 2:
-                    return col
-    return None
-
-
-def _check_trick(nf: Nearfield, rows, width: int, col: int, w: Witness) -> None:
+def _check_trick(nf: Nearfield, work: _Rows, col: int, w: Witness) -> None:
     """Raise ValueError unless `col` is the first conflict column and `w`
     violates right distributivity: the preconditions of the trick."""
-    if not 0 <= col < width:
+    if not 0 <= col < work.width:
         raise ValueError("column index out of range")
-    first = _first_conflict(rows, col + 1)
+    first = work.first_conflict(0, col + 1)
     if first is None:
         raise ValueError("the trick column is not a conflict column")
     if first < col:
@@ -133,37 +269,44 @@ def _check_trick(nf: Nearfield, rows, width: int, col: int, w: Witness) -> None:
         raise ValueError("witness does not violate right distributivity")
 
 
-def _trick_inplace(nf: Nearfield, rows: list, col: int, w: Witness) -> Step:
-    """Apply the distributivity trick at `col`; mutates rows, returns the Step.
+def _trick_inplace(nf: Nearfield, work: _Rows, col: int, w: Witness) -> Step:
+    """Apply the distributivity trick at `col`; mutates the rows, returns
+    the Step.
 
-    The caller guarantees the preconditions that _check_trick tests.
-    RuntimeError means theta is not a pivot row for `col`, which only a
-    faulty row kernel can cause.
+    The caller guarantees the preconditions that _check_trick tests, so
+    the common support S of the two rows starts at `col`.  theta is
+    computed on S, as rows of |S| entries; phi and the updates of the two
+    rows touch only supp(theta).  RuntimeError means theta is not a pivot
+    row for `col`, which only a faulty row kernel can cause.
     """
-    hits = [i for i in range(len(rows)) if rows[i][col]]
-    r, s = hits[0], hits[1]
-    wr, ws = rows[r], rows[s]
+    r, s = sorted(work.at[col])[:2]
+    wr, ws = work.rows[r], work.rows[s]
+    common = sorted(work.sup[r] & work.sup[s])
+    cr, cs = [wr[j] for j in common], [ws[j] for j in common]
     mul, neg, axpy = nf.mul, nf.neg, nf.row_axpy
     a1 = mul(nf.inv(wr[col]), w.alpha)
     b1 = mul(nf.inv(ws[col]), w.beta)
-    mixed = axpy(ws, b1, axpy(wr, a1))
+    mixed = axpy(cs, b1, axpy(cr, a1))
     # theta = mixed o lam - wr o (a1 o lam) - ws o (b1 o lam), using
     # -(v o c) = v o (-c) (left distributivity)
-    theta = axpy(ws, neg(mul(b1, w.lam)), axpy(wr, neg(mul(a1, w.lam)), axpy(mixed, w.lam)))
-    if not theta[col] or any(theta[:col]):
+    theta = axpy(cs, neg(mul(b1, w.lam)), axpy(cr, neg(mul(a1, w.lam)), axpy(mixed, w.lam)))
+    if not theta[0]:
         raise RuntimeError(f"the row kernel produced no pivot row at column {col + 1}")
-    phi = axpy(theta, nf.inv(theta[col]))
-    rows[r] = axpy(phi, neg(wr[col]), wr)
-    rows[s] = axpy(phi, neg(ws[col]), ws)
-    rows.append(phi)
-    return Step("trick", col=col, witness=(w.alpha, w.beta, w.lam), theta=theta, phi=phi)
+    cols = tuple(compress(common, theta))
+    theta = tuple(filter(None, theta))
+    phi = axpy(theta, nf.inv(theta[0]))
+    dense = _dense((work.width, cols, phi))
+    work.axpy(r, dense, neg(wr[col]), cols)
+    work.axpy(s, dense, neg(ws[col]), cols)
+    work.append(dense, cols)
+    return Step._trick(col, (w.alpha, w.beta, w.lam), work.width, cols, theta, phi)
 
 
 def rref(M: NfMatrix) -> tuple[NfMatrix, tuple[Step, ...]]:
     """Reduced row echelon form over the nearfield; zero rows dropped."""
-    rows, steps = list(M.rows), []
-    _rref_inplace(M.nf, rows, M.width, steps, [])
-    kept = tuple(row for row in rows if any(row))
+    work, steps = _Rows(M.nf, M.rows, M.width), []
+    _rref_inplace(M.nf, work, steps, [])
+    kept = tuple(row for row in work.rows if any(row))
     return NfMatrix(M.nf, kept, M.width), tuple(steps)
 
 
@@ -177,10 +320,10 @@ def distributivity_trick(M: NfMatrix, col: int, w: Witness) -> NfMatrix:
     column `col`; with more, the following rref pass clears the rest
     against it.
     """
-    rows = list(M.rows)
-    _check_trick(M.nf, rows, M.width, col, w)
-    _trick_inplace(M.nf, rows, col, w)
-    return NfMatrix(M.nf, tuple(rows), M.width)
+    work = _Rows(M.nf, M.rows, M.width)
+    _check_trick(M.nf, work, col, w)
+    _trick_inplace(M.nf, work, col, w)
+    return NfMatrix(M.nf, tuple(work.rows), M.width)
 
 
 def ege(M: NfMatrix) -> GenDecomposition:
@@ -195,11 +338,11 @@ def ege(M: NfMatrix) -> GenDecomposition:
     trick or row kernel can cause.
     """
     nf = M.nf
-    rows, steps, pivots = list(M.rows), [], []
-    _rref_inplace(nf, rows, M.width, steps, pivots)
+    work, steps, pivots = _Rows(nf, M.rows, M.width), [], []
+    _rref_inplace(nf, work, steps, pivots)
     last = -1
     while True:
-        col = _first_conflict(rows, M.width, max(last, 0))
+        col = work.first_conflict(max(last, 0), M.width)
         if col is None:
             canonical = True
             break
@@ -210,10 +353,10 @@ def ege(M: NfMatrix) -> GenDecomposition:
         if col <= last:
             raise RuntimeError(f"conflict column {col + 1} does not follow the last trick column {last + 1}")
         last = col
-        steps.append(_trick_inplace(nf, rows, col, w))
+        steps.append(_trick_inplace(nf, work, col, w))
         del pivots[bisect_left(pivots, col):]
-        _rref_inplace(nf, rows, M.width, steps, pivots, col)
-    basis = NfMatrix(nf, tuple(row for row in rows if any(row)), M.width)
+        _rref_inplace(nf, work, steps, pivots, col)
+    basis = NfMatrix(nf, tuple(row for row in work.rows if any(row)), M.width)
     return GenDecomposition(basis, basis.n_rows, tuple(steps), canonical)
 
 
@@ -222,18 +365,18 @@ def replay(M: NfMatrix, steps) -> NfMatrix:
 
     Raises ValueError naming the first step that does not apply.
     """
-    rows = list(M.rows)
+    work = _Rows(M.nf, M.rows, M.width)
     for i, st in enumerate(steps):
-        _apply_step(M, rows, st, i)
-    return NfMatrix(M.nf, tuple(row for row in rows if any(row)), M.width)
+        _apply_step(M.nf, work, st, i)
+    return NfMatrix(M.nf, tuple(row for row in work.rows if any(row)), M.width)
 
 
 def replay_states(M: NfMatrix, steps):
     """Yield the working matrix after every step (zero rows kept)."""
-    rows = list(M.rows)
+    work = _Rows(M.nf, M.rows, M.width)
     for i, st in enumerate(steps):
-        _apply_step(M, rows, st, i)
-        yield NfMatrix(M.nf, tuple(rows), M.width)
+        _apply_step(M.nf, work, st, i)
+        yield NfMatrix(M.nf, tuple(work.rows), M.width)
 
 
 def _row_index(rows, idx: int) -> int:
@@ -242,24 +385,23 @@ def _row_index(rows, idx: int) -> int:
     return idx
 
 
-def _apply_step(M: NfMatrix, rows, st: Step, i: int):
+def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int):
     """Apply step i (0-based) of a trace, which may come from an untrusted
     file: row indices, the trick column and the witness are checked first."""
-    nf = M.nf
+    rows = work.rows
     try:
         if st.kind == "swap":
-            r, s = _row_index(rows, st.r), _row_index(rows, st.s)
-            rows[r], rows[s] = rows[s], rows[r]
+            work.swap(_row_index(rows, st.r), _row_index(rows, st.s))
         elif st.kind == "scale":
             r = _row_index(rows, st.r)
-            rows[r] = nf.row_axpy(rows[r], st.c)
+            work.axpy(r, rows[r], st.c, work.cols(r), acc=False)
         elif st.kind == "eliminate":
             r, s = _row_index(rows, st.r), _row_index(rows, st.s)
-            rows[s] = nf.row_axpy(rows[r], nf.neg(st.c), rows[s])
+            work.axpy(s, rows[r], nf.neg(st.c), work.cols(r))
         elif st.kind == "trick":
             w = Witness(*st.witness)
-            _check_trick(nf, rows, M.width, st.col, w)
-            _trick_inplace(nf, rows, st.col, w)
+            _check_trick(nf, work, st.col, w)
+            _trick_inplace(nf, work, st.col, w)
         else:
             raise ValueError(f"unknown step kind {st.kind!r}")
     except ValueError as e:

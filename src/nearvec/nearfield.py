@@ -55,6 +55,7 @@ from dataclasses import dataclass
 
 TABLE_LIMIT = 1 << 12   # largest order for which full operation tables are materialized
 ORDER_LIMIT = 1 << 20   # largest order for which log/exp tables are built at all
+PAIR_LIMIT = 1 << 32    # largest q and n that the Dickson pair test factors
 
 _ADD_TABLE_LIMIT = 256  # largest order whose row kernel reads order x order tables
 
@@ -237,9 +238,13 @@ def validate_dickson_pair(q: int, n: int) -> PairVerdict:
     """Check the three Dickson pair conditions for (q, n).
 
     Returns a verdict carrying the failed condition; raises on
-    non-integer or out-of-range inputs.
+    non-integer or out-of-range inputs.  q and n are factored by trial
+    division, so either above PAIR_LIMIT is refused before any factoring.
     """
     _check_pair_args(q, n)
+    for name, v in (("q", q), ("n", n)):
+        if v > PAIR_LIMIT:
+            raise ValueError(f"{name} = {v} exceeds the pair test's limit {PAIR_LIMIT}")
     if _prime_power(q) is None:
         return PairVerdict(False, f"q = {q} is not a prime power")
     for r in _prime_factors(n):
@@ -507,7 +512,7 @@ class Nearfield:
         elems = range(self.order)
         return [[op(a, b) for b in elems] for a in elems]
 
-    def row_axpy(self, row, c: int, acc=None) -> tuple[int, ...]:
+    def row_axpy(self, row, c: int, acc=None, cols=None) -> tuple[int, ...]:
         """acc + row o c componentwise, or row o c when acc is None.
 
         The row kernel of elimination, and of the scaling rows of closure.
@@ -518,14 +523,35 @@ class Nearfield:
         order^2 table is allocated.  Up to the limit each entry is one or
         two lookups in the order^2 tables t[c][a] = a o c and x + y, which
         the constructor derives from this log-domain path and add.
+
+        cols, an ascending sequence of column indices that holds the
+        support of row, restricts the work to those entries: the result
+        is a copy of acc (of zeros when acc is None) with only the entries
+        at cols updated, through the same tables, so a row op costs the
+        support of row rather than its width.
         """
         addt = self._addt
-        if addt is None:
-            if not c:
-                return (0,) * len(row) if acc is None else tuple(acc)
+        if addt is None and c:
             ex, lg, cosets, z = self._exp, self._log, self._cosets, self._zech
             o, lc = self.order - 1, lg[c]
             off = [lc * qj % o for qj in self._qpow]
+        if cols is not None:
+            out = [0] * len(row) if acc is None else list(acc)
+            if addt is not None:
+                tc = self._rmul[c]
+                for j in cols:
+                    out[j] = addt[out[j]][tc[row[j]]]
+            elif c:
+                for j in cols:
+                    a = row[j]
+                    if a:
+                        x = out[j]
+                        la = lg[a] + off[cosets[a]]
+                        out[j] = ex[lg[x] + z[la - lg[x]]] if x else ex[la]
+            return tuple(out)
+        if addt is None:
+            if not c:
+                return (0,) * len(row) if acc is None else tuple(acc)
             if acc is None:
                 return tuple([ex[lg[a] + off[cosets[a]]] if a else 0 for a in row])
             return tuple([

@@ -71,13 +71,15 @@ class NfMatrix:
     width: int
 
     def __post_init__(self):
+        # a row at a time through min and max; the entries are walked only
+        # to name the first code out of range
         order = self.nf.order
         for row in self.rows:
             if len(row) != self.width:
                 raise ValueError("ragged rows")
-            for a in row:
-                if not 0 <= a < order:
-                    raise ValueError(f"element code {a} out of range for order {order}")
+            if row and not (0 <= min(row) and max(row) < order):
+                a = next(a for a in row if not 0 <= a < order)
+                raise ValueError(f"element code {a} out of range for order {order}")
 
     @classmethod
     def from_rows(cls, nf: Nearfield, rows, width: int | None = None) -> "NfMatrix":

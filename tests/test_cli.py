@@ -219,6 +219,10 @@ class TestMapCommands:
         # C(6560, 3), about 4.7e10 subsets, is refused before the scan starts
         (["search-index", "3", "2", "4", "3", "2"], "min(--limit, C(|R|^m - 1, k), budget + 1) = 1000001"),
         (["search-index", "3", "2", "6", "300000", "1"], "budget + 1) = 1000001 exceeds"),
+        # 9^(10^8) is not computed: m is past the budget's bit length
+        (["search-index", "3", "2", "100000000", "1", "1"], "min(|R|^m, budget + 1) = 1000001 exceeds"),
+        (["search-index", "3", "2", "7", "1", "1"], "min(|R|^m, budget + 1) = 1000001 exceeds"),
+        (["search-index", "3", "2", "2", "2", "1", "--limit", "-1"], "--limit must be >= 0, got -1"),
     ])
     def test_out_of_range_arguments_refused(self, capsys, argv, message):
         # these once printed 9, -0.142..., 0, or ended in a TypeError traceback

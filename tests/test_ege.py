@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import pickle
 import random
 
 import pytest
@@ -212,6 +213,31 @@ class TestEgeRandom:
                     assert column_pair_dependent(state, *p) == status[p]
 
 
+class TestStep:
+    def test_trick_fields_by_support(self):
+        st = Step("trick", col=1, witness=(1, 3, 3), theta=(0, 2, 0, 5), phi=(0, 1, 0, 7))
+        assert (st.kind, st.r, st.s, st.c, st.col, st.witness) == ("trick", -1, -1, -1, 1, (1, 3, 3))
+        assert st.theta == (0, 2, 0, 5) and st.phi == (0, 1, 0, 7)
+        assert Step("swap", r=0, s=2).theta is None
+
+    def test_value_semantics(self):
+        st = Step("eliminate", r=0, s=2, c=4)
+        assert st == Step("eliminate", r=0, s=2, c=4) and hash(st) == hash(Step("eliminate", r=0, s=2, c=4))
+        assert st != Step("eliminate", r=0, s=2, c=5)
+        assert st != tuple(st)
+        assert repr(st) == "Step(kind='eliminate', r=0, s=2, c=4, col=-1, witness=None, theta=None, phi=None)"
+        with pytest.raises(AttributeError):
+            st.c = 5
+        trick = Step("trick", col=0, witness=(1, 3, 3), theta=(2, 0), phi=(1, 0))
+        assert pickle.loads(pickle.dumps(trick)) == trick
+
+    def test_ege_tricks_store_theta_by_support(self, dn32):
+        D = ege(NfMatrix(dn32, ((1, 0, 0, 0, 1), (0, 1, 0, 0, 2)), 5))
+        trick = next(st for st in D.trace if st.kind == "trick")
+        assert trick == Step("trick", col=trick.col, witness=trick.witness, theta=trick.theta, phi=trick.phi)
+        assert len(trick.theta) == 5 and trick.theta[:trick.col] == (0,) * trick.col
+
+
 class TestTraceCodec:
     def test_text_roundtrip(self, dn32):
         M = NfMatrix.from_rows(dn32, [(1, 0, 1), (1, 1, 0)])
@@ -224,6 +250,14 @@ class TestTraceCodec:
     def test_malformed(self, dn32):
         with pytest.raises(ValueError, match="malformed trace"):
             trace_from_text(dn32, "NUDGE 1 2\n")
+
+    def test_replay_sees_a_row_scaled_to_zero(self, dn32):
+        # an untrusted trace may scale by 0: the conflict check must then
+        # see column 3 with one nonzero entry left
+        M = NfMatrix.from_rows(dn32, [(1, 0, 1), (0, 1, 2)])
+        steps = trace_from_text(dn32, "SCALE 1 0\nTRICK 3 1 x x\n")
+        with pytest.raises(ValueError, match="trace step 2: the trick column is not a conflict column"):
+            replay(M, steps)
 
 
 class TestOneColumnIndependence:
@@ -367,6 +401,19 @@ def test_ege_matches_full_rereduction(M):
     assert D.canonical == canonical
 
 
+@pytest.mark.parametrize("q,n", [(3, 2), (7, 2)])
+def test_wide_seed_matches_full_rereduction(q, n):
+    # wide seeds have sparse rows and hundreds of tricks, far past the
+    # hypothesis shapes: the support-restricted row ops, the column index
+    # and the early stop of a reduction pass all run here
+    M = build_seed(500, build_nearfield(q, n)).matrix
+    D = ege(M)
+    steps, basis, canonical = _reference_ege(M)
+    assert D.trace == steps
+    assert D.basis.rows == basis
+    assert D.canonical and canonical and D.dimension == 500
+
+
 # sha256 over trace_to_text + matrix_format of the EGE result for each seed
 # width below, each seed followed by the seed without its first row and the
 # seed without its last row (when it has more than one row)
@@ -406,7 +453,8 @@ class TestInternalChecks:
 
     def test_trick_without_pivot_row(self, monkeypatch):
         nf = Nearfield(3, 2)    # a private instance, so the corrupt kernel stays here
-        monkeypatch.setattr(nf, "row_axpy", lambda row, c, acc=None: tuple(acc) if acc else (0,) * len(row))
+        monkeypatch.setattr(nf, "row_axpy",
+                            lambda row, c, acc=None, cols=None: tuple(acc) if acc else (0,) * len(row))
         M = NfMatrix(nf, ((1, 0, 1), (0, 1, 2)), 3)   # reduced already: the trick comes first
         with pytest.raises(RuntimeError, match="no pivot row at column 3"):
             ege(M)

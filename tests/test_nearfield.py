@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernel_oracle import ORACLE_FIELDS, ref_add, ref_neg, ref_row_axpy
+from kernel_oracle import ORACLE_FIELDS, ref_add, ref_mul, ref_neg, ref_row_axpy
 from nearvec import Witness, build_nearfield, validate_dickson_pair
-from nearvec.nearfield import _ADD_TABLE_LIMIT, TABLE_LIMIT, _digits_of, _is_irreducible
+from nearvec.nearfield import _ADD_TABLE_LIMIT, PAIR_LIMIT, TABLE_LIMIT, _digits_of, _is_irreducible
 
 # The classical 9x9 table of the twisted product on the order-9 nearfield,
 # as usually printed: entry [a][b] there is b o a under the rule implemented
@@ -56,6 +56,16 @@ class TestPairValidation:
             validate_dickson_pair(3.0, 2)
         with pytest.raises(TypeError):
             validate_dickson_pair(True, 1)
+
+    def test_bounded_before_factoring(self):
+        # trial division of the Mersenne prime 2^61 - 1 would run for minutes
+        for q, n in [(3, 2**61 - 1), (2**61 - 1, 2), (PAIR_LIMIT + 1, 1)]:
+            with pytest.raises(ValueError, match=f"exceeds the pair test's limit {PAIR_LIMIT}"):
+                validate_dickson_pair(q, n)
+        # pairs at the limit keep their verdicts (2^32 - 5 is prime)
+        assert validate_dickson_pair(PAIR_LIMIT, 1).valid
+        assert validate_dickson_pair(PAIR_LIMIT - 5, 2).valid
+        assert validate_dickson_pair(3, PAIR_LIMIT).reason == "q = 3 (mod 4) and 4 divides n"
 
 
 class TestConstruction:
@@ -382,6 +392,25 @@ def _kernel_case(draw):
 def test_row_axpy_matches_reference(case):
     nf, row, c, acc = case
     assert nf.row_axpy(row, c, acc) == ref_row_axpy(nf, row, c, acc)
+
+
+@st.composite
+def _kernel_cols_case(draw):
+    # cols holds the support of row and may list zero entries of row too;
+    # some entries of acc are -(row o c), so that they cancel to 0
+    nf, row, c, acc = draw(_kernel_case())
+    if acc is not None:
+        cancel = draw(st.lists(st.booleans(), min_size=len(row), max_size=len(row)))
+        acc = tuple(ref_neg(nf, ref_mul(nf, a, c)) if k else x for x, a, k in zip(acc, row, cancel))
+    extra = draw(st.sets(st.integers(0, len(row) - 1)))
+    return nf, row, c, acc, sorted({j for j, a in enumerate(row) if a} | extra)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_cols_case())
+def test_row_axpy_on_a_support_matches_reference(case):
+    nf, row, c, acc, cols = case
+    assert nf.row_axpy(row, c, acc, cols) == ref_row_axpy(nf, row, c, acc)
 
 
 @settings(max_examples=400, deadline=None)
