@@ -9,6 +9,7 @@ machine-parsable line on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -62,6 +63,11 @@ def _matrix_tokens(M: NfMatrix, style: str = "poly"):
     return [[M.nf.format_element(a, style) for a in row] for row in M.rows]
 
 
+def _rows_doc(args, M: NfMatrix):
+    """The "input" document of a matrix file; only --json formats it."""
+    return {"rows": _matrix_tokens(M)} if args.json else None
+
+
 def _cmd_table(args):
     nf = build_nearfield(args.q, args.n)
     table = nf.mul_table() if args.op == "mul" else nf.add_table()
@@ -89,27 +95,21 @@ def _cmd_witness(args):
 def _cmd_ege(args):
     M = _read_matrix(args.file)
     D = ege(M)
+    basis = _matrix_tokens(D.basis)
     lines = [f"dimension {D.dimension}", f"canonical {'true' if D.canonical else 'false'}"]
-    lines += [" ".join(tok) for tok in _matrix_tokens(D.basis)]
-    trace_text = trace_to_text(M.nf, D.trace)
-    trace_lines = trace_text.splitlines()
+    lines += [" ".join(tok) for tok in basis]
+    trace_lines = trace_to_text(M.nf, D.trace).splitlines() if args.trace else None
     if args.trace:
         lines += ["trace:"] + trace_lines
-    result = {
-        "dimension": D.dimension,
-        "canonical": D.canonical,
-        "basis": _matrix_tokens(D.basis),
-    }
-    return _emit(args, M.nf, {"rows": _matrix_tokens(M)}, result, lines,
-                 trace=trace_lines if args.trace else None)
+    result = {"dimension": D.dimension, "canonical": D.canonical, "basis": basis}
+    return _emit(args, M.nf, _rows_doc(args, M), result, lines, trace=trace_lines)
 
 
 def _cmd_replay(args):
     M = _read_matrix(args.file)
     steps = trace_from_text(M.nf, Path(args.tracefile).read_text())
-    R = replay(M, steps)
-    lines = [" ".join(tok) for tok in _matrix_tokens(R)]
-    return _emit(args, M.nf, {"rows": _matrix_tokens(M)}, {"rows": _matrix_tokens(R)}, lines)
+    rows = _matrix_tokens(replay(M, steps))
+    return _emit(args, M.nf, _rows_doc(args, M), {"rows": rows}, [" ".join(tok) for tok in rows])
 
 
 def _cmd_gen(args):
@@ -118,14 +118,13 @@ def _cmd_gen(args):
     size = len(closure)
     spans = size == M.nf.order ** M.width
     lines = [f"size {size}", f"spans_space {'true' if spans else 'false'}"]
-    return _emit(args, M.nf, {"rows": _matrix_tokens(M)},
-                 {"size": size, "spans_space": spans}, lines)
+    return _emit(args, M.nf, _rows_doc(args, M), {"size": size, "spans_space": spans}, lines)
 
 
 def _cmd_lc_index(args):
     M = _read_matrix(args.file)
     idx = lc_index(M.nf, M.rows)
-    return _emit(args, M.nf, {"rows": _matrix_tokens(M)}, {"index": idx}, [f"index {idx}"])
+    return _emit(args, M.nf, _rows_doc(args, M), {"index": idx}, [f"index {idx}"])
 
 
 def _cmd_classify_map(args):
@@ -142,7 +141,7 @@ def _cmd_classify_map(args):
         pair = {"v": [M.nf.format_element(a) for a in v], "r": M.nf.format_element(r)}
         result["violating_pair"] = pair
         lines.append(f"violating_pair ({','.join(pair['v'])}) {pair['r']}")
-    return _emit(args, M.nf, {"rows": _matrix_tokens(M)}, result, lines)
+    return _emit(args, M.nf, _rows_doc(args, M), result, lines)
 
 
 def _cmd_count_maps(args):
@@ -175,8 +174,7 @@ def _cmd_seed(args):
 def _cmd_verify_seed(args):
     M = _read_matrix(args.file)
     ok = verify_seed(M)
-    return _emit(args, M.nf, {"rows": _matrix_tokens(M)} if args.json else None, {"seed": ok},
-                 ["true" if ok else "false"])
+    return _emit(args, M.nf, _rows_doc(args, M), {"seed": ok}, ["true" if ok else "false"])
 
 
 def _cmd_search_index(args):
@@ -189,13 +187,13 @@ def _cmd_search_index(args):
     # every subset's lc_index enumerates R^m; |R|^m >= 2^m, so past the
     # budget's bit length the power is not computed
     space = budget + 1 if args.m >= budget.bit_length() else min(nf.order ** args.m, budget + 1)
-    require_budget("vectors of R^m, min(|R|^m, budget + 1)", space, budget)
+    require_budget("vectors of R^m, min(|R|^m, budget + 1)", space)
     # C(N, k) >= 2^min(k, N - k): past the budget's bit length it is not computed
     j = min(args.k, space - 1 - args.k)
     subsets = budget + 1 if j >= budget.bit_length() else min(math.comb(space - 1, args.k), budget + 1)
     if args.limit is not None:
         subsets = min(args.limit, subsets)
-    require_budget("k-subsets to scan, min(--limit, C(|R|^m - 1, k), budget + 1)", subsets, budget)
+    require_budget("k-subsets to scan, min(--limit, C(|R|^m - 1, k), budget + 1)", subsets)
     nonzero = range(1, space)
     searched = spanning = 0
     max_index = 0
@@ -236,7 +234,9 @@ def _cmd_search_index(args):
     return _emit(args, nf, {"m": args.m, "k": args.k, "bound": args.bound}, result, lines)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: main() may run many times in one process."""
     ap = argparse.ArgumentParser(
         prog="nearvec",
         description="Exact computation in finite Dickson nearfields and the near-vector spaces R^m.",

@@ -31,9 +31,13 @@ from the one before.  Each element of the span is produced exactly once,
 so the step is linear in the size of the span, with no elimination over
 GF(p).
 
-Everything is budget-guarded through require_budget: the enumerated
-space R^m may not exceed the configured element budget (NEARVEC_BUDGET,
-default 10^6).
+Every size the package enumerates, lists or prints goes through
+require_budget, the one guard, against the element budget.  The budget
+is set only by the environment variable NEARVEC_BUDGET (an integer >= 1,
+default 10^6); no function takes it as an argument.  The other limits
+are fixed: order 2^20 (nearfield.ORDER_LIMIT), full operation tables
+2^12 (TABLE_LIMIT), seed width 2^12 (seeds.MAX_SEED_WIDTH) and q, n up
+to 2^32 in the Dickson pair test (PAIR_LIMIT).
 """
 
 from __future__ import annotations
@@ -70,16 +74,19 @@ def current_budget() -> int:
     return limit
 
 
-def require_budget(what: str, size: int, budget: int | None) -> int:
-    """size, or BudgetExceededError when it exceeds the budget (default: current_budget())."""
-    limit = current_budget() if budget is None else budget
-    if size > limit:
-        raise BudgetExceededError(f"{what} = {size} exceeds the element budget {limit} ({BUDGET_ENV})")
-    return size
-
-
-def _check_budget(nf: Nearfield, m: int, budget: int | None) -> int:
-    return require_budget("|R|^m", nf.order ** m, budget)
+def require_budget(what: str, base: int, exp: int = 1) -> int:
+    """base ** exp, or BudgetExceededError when it exceeds current_budget(): the
+    one size guard.  A power of base >= 2 is at least 2^exp, so from exp >= the
+    budget's bit length on it is refused uncomputed and named as a power; a
+    refused size over 64 bits is named by its bit length, never by its digits."""
+    limit = current_budget()
+    if base < 2 or exp < limit.bit_length():
+        size = base ** exp
+        if size <= limit:
+            return size
+    bits = base.bit_length()
+    shown = f"{base}^{exp}" if exp != 1 else str(base) if bits <= 64 else f"a {bits}-bit number"
+    raise BudgetExceededError(f"{what} = {shown} exceeds the element budget {limit} ({BUDGET_ENV})")
 
 
 def pack_vector(nf: Nearfield, v) -> int:
@@ -196,10 +203,10 @@ class VectorSet:
         return i < len(self.codes) and self.codes[i] == code
 
 
-def lc_step(S: VectorSet, budget: int | None = None) -> VectorSet:
+def lc_step(S: VectorSet) -> VectorSet:
     """One stratum up: the additive subgroup generated by {w o lam}."""
     nf, m = S.nf, S.m
-    space = _check_budget(nf, m, budget)
+    space = require_budget("|R|^m", nf.order, m)
     rows = scale_rows(nf, m)
     span = bytearray(space)  # membership bitmap of out
     span[0] = 1
@@ -219,38 +226,37 @@ def lc_step(S: VectorSet, budget: int | None = None) -> VectorSet:
     return VectorSet(nf, m, tuple(itertools.compress(range(space), span)))
 
 
-def gen_closure(S: VectorSet, budget: int | None = None) -> VectorSet:
+def gen_closure(S: VectorSet) -> VectorSet:
     """Least fixpoint of lc_step containing S: the smallest R-subgroup."""
-    space = _check_budget(S.nf, S.m, budget)
+    space = require_budget("|R|^m", S.nf.order, S.m)
     cur = S
     while True:
-        nxt = lc_step(cur, budget)
+        nxt = lc_step(cur)
         if nxt.codes == cur.codes or len(nxt) == space:
             return nxt
         cur = nxt
 
 
-def lc_index(nf: Nearfield, vectors, budget: int | None = None) -> int:
+def lc_index(nf: Nearfield, vectors) -> int:
     """Least p with LC_p(V) = R^m; error when gen(V) falls short."""
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         raise ValueError("need at least one vector")
     m = len(vectors[0])
-    space = _check_budget(nf, m, budget)
+    space = require_budget("|R|^m", nf.order, m)
     cur = VectorSet.from_vectors(nf, m, vectors)
     p = 0
     while True:
         if len(cur) == space:
             return p
-        nxt = lc_step(cur, budget)
+        nxt = lc_step(cur)
         if nxt.codes == cur.codes:
             raise ValueError("index undefined: gen != R^m")
         cur = nxt
         p += 1
 
 
-def is_gamma_dependent(nf: Nearfield, vectors, gamma: int,
-                       budget: int | None = None) -> tuple[bool, int | None]:
+def is_gamma_dependent(nf: Nearfield, vectors, gamma: int) -> tuple[bool, int | None]:
     """Does some v_i lie in LC_gamma of the remaining vectors?
 
     Returns (True, i) for the first such i (0-based), else (False, None).
@@ -261,12 +267,11 @@ def is_gamma_dependent(nf: Nearfield, vectors, gamma: int,
     if not vectors:
         return False, None
     m = len(vectors[0])
-    _check_budget(nf, m, budget)
     for i, v in enumerate(vectors):
         others = vectors[:i] + vectors[i + 1:]
         cur = VectorSet.from_vectors(nf, m, others)
         for _ in range(gamma):
-            nxt = lc_step(cur, budget)
+            nxt = lc_step(cur)
             if nxt.codes == cur.codes:
                 break
             cur = nxt
@@ -289,17 +294,16 @@ class Lc1Report:
     k_le_m: bool
 
 
-def check_lc1_cardinality(nf: Nearfield, vectors, budget: int | None = None) -> Lc1Report:
+def check_lc1_cardinality(nf: Nearfield, vectors) -> Lc1Report:
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         raise ValueError("need at least one vector")
     m = len(vectors[0])
-    _check_budget(nf, m, budget)
     k = len(vectors)
-    lc1 = lc_step(VectorSet.from_vectors(nf, m, vectors), budget)
+    lc1 = lc_step(VectorSet.from_vectors(nf, m, vectors))
     size = len(lc1)
     bound = nf.order ** k
-    two_indep, _ = is_gamma_dependent(nf, vectors, 2, budget)
+    two_indep, _ = is_gamma_dependent(nf, vectors, 2)
     two_indep = not two_indep
     return Lc1Report(
         k=k, m=m, size=size, bound=bound,

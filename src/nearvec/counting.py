@@ -30,7 +30,7 @@ def _partition_counts(m: int, k: int) -> list[int]:
     Iterates p_j(t) = p_{j-1}(t-1) + p_j(t-j) over parts j <= k and t <= m,
     one row of the (m+1)(k+1) table at a time.
     """
-    require_budget("partition table (m+1)(k+1)", (m + 1) * (k + 1), None)
+    require_budget("partition table (m+1)(k+1)", (m + 1) * (k + 1))
     row = [1] + [0] * m  # j = 0
     for j in range(1, k + 1):
         nxt = [0] * (m + 1)
@@ -55,7 +55,7 @@ def count_subgroups(m: int, k: int, nf_order: int) -> int:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     # the count is below m 2^m (|R|-1)^(m-k), and x < 2^b has at most b // 3 + 1 digits
     bits = m.bit_length() + m + (m - k) * (nf_order - 1).bit_length()
-    require_budget("digits of the count, bounded", bits // 3 + 1, None)
+    require_budget("digits of the count, bounded", bits // 3 + 1)
     return _poly_at(_partition_counts(m, k)[k:], nf_order - 1)
 
 
@@ -83,14 +83,14 @@ def _partitions_desc(t: int, k: int, maxpart: int | None = None):
             yield (first,) + rest
 
 
-def enumerate_canonical(m: int, k: int, nf: Nearfield, budget: int | None = None) -> list[NfMatrix]:
+def enumerate_canonical(m: int, k: int, nf: Nearfield) -> list[NfMatrix]:
     """The canonical matrices the counting formula counts, in order.
 
     Row i has its leading 1 at the first column of the i-th block and
     arbitrary nonzero entries in the remaining part_i - 1 block columns;
     blocks are consecutive, parts descending, spare columns zero.
     """
-    total = require_budget("canonical matrices", count_subgroups(m, k, nf.order), budget)
+    total = require_budget("canonical matrices", count_subgroups(m, k, nf.order))
     out = []
     for t in range(k, m + 1):
         for parts in _partitions_desc(t, k):
@@ -114,16 +114,16 @@ def enumerate_canonical(m: int, k: int, nf: Nearfield, budget: int | None = None
     return out
 
 
-def count_subgroup_orbits(m: int, k: int, nf: Nearfield, budget: int | None = None) -> int:
+def count_subgroup_orbits(m: int, k: int, nf: Nearfield) -> int:
     """True orbit count of dimension-k R-subgroups of R^m under coordinate
     permutations, by explicit quotient.  Small m only; provided for
     comparison with count_subgroups, which it is generally below
     (e.g. the subgroups generated by (1,a) and (1,a^-1) merge under a
     column swap)."""
     order = nf.order
-    require_budget("|R|^max(k, m)", order ** max(k, m), budget)
+    require_budget("|R|^max(k, m)", order, max(k, m))
     # the quotient does m! |R|^k work, allowed up to ten times the budget
-    require_budget("m! |R|^k / 10", -(-factorial(m) * order ** k // 10), budget)
+    require_budget("m! |R|^k / 10", -(-factorial(m) * order ** k // 10))
     columns = range(m)
     perms = list(itertools.permutations(columns))
     scale = scale_rows(nf, m)

@@ -253,12 +253,14 @@ def _rref_inplace(nf: Nearfield, work: _Rows, steps: list, pivots: list[int], st
         pr += 1
 
 
-def _check_trick(nf: Nearfield, work: _Rows, col: int, w: Witness) -> None:
+def _check_trick(nf: Nearfield, work: _Rows, col: int, w: Witness, clean: int = 0) -> None:
     """Raise ValueError unless `col` is the first conflict column and `w`
-    violates right distributivity: the preconditions of the trick."""
+    violates right distributivity: the preconditions of the trick.  No
+    column left of `clean` may have two nonzero entries; the scan starts
+    there."""
     if not 0 <= col < work.width:
         raise ValueError("column index out of range")
-    first = work.first_conflict(0, col + 1)
+    first = work.first_conflict(min(clean, col), col + 1)
     if first is None:
         raise ValueError("the trick column is not a conflict column")
     if first < col:
@@ -365,17 +367,17 @@ def replay(M: NfMatrix, steps) -> NfMatrix:
 
     Raises ValueError naming the first step that does not apply.
     """
-    work = _Rows(M.nf, M.rows, M.width)
+    work, clean = _Rows(M.nf, M.rows, M.width), 0
     for i, st in enumerate(steps):
-        _apply_step(M.nf, work, st, i)
+        clean = _apply_step(M.nf, work, st, i, clean)
     return NfMatrix(M.nf, tuple(row for row in work.rows if any(row)), M.width)
 
 
 def replay_states(M: NfMatrix, steps):
     """Yield the working matrix after every step (zero rows kept)."""
-    work = _Rows(M.nf, M.rows, M.width)
+    work, clean = _Rows(M.nf, M.rows, M.width), 0
     for i, st in enumerate(steps):
-        _apply_step(M.nf, work, st, i)
+        clean = _apply_step(M.nf, work, st, i, clean)
         yield NfMatrix(M.nf, tuple(work.rows), M.width)
 
 
@@ -385,9 +387,17 @@ def _row_index(rows, idx: int) -> int:
     return idx
 
 
-def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int):
+def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int, clean: int) -> int:
     """Apply step i (0-based) of a trace, which may come from an untrusted
-    file: row indices, the trick column and the witness are checked first."""
+    file: row indices, the trick column and the witness are checked first.
+
+    Returns the new clean prefix: no column left of `clean` has two
+    nonzero entries.  A checked trick at col sets it to col, since the
+    trick changes rows only at or right of col.  An eliminate can add
+    nonzeros only on the operand row's support, so it lowers clean to
+    that support's first column.  A swap or scale adds no nonzero entry
+    (a o c = 0 only for a = 0 or c = 0), so clean stays.
+    """
     rows = work.rows
     try:
         if st.kind == "swap":
@@ -397,15 +407,20 @@ def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int):
             work.axpy(r, rows[r], st.c, work.cols(r), acc=False)
         elif st.kind == "eliminate":
             r, s = _row_index(rows, st.r), _row_index(rows, st.s)
-            work.axpy(s, rows[r], nf.neg(st.c), work.cols(r))
+            cols = work.cols(r)
+            work.axpy(s, rows[r], nf.neg(st.c), cols)
+            if cols:
+                clean = min(clean, cols[0])
         elif st.kind == "trick":
             w = Witness(*st.witness)
-            _check_trick(nf, work, st.col, w)
+            _check_trick(nf, work, st.col, w, clean)
             _trick_inplace(nf, work, st.col, w)
+            clean = st.col
         else:
             raise ValueError(f"unknown step kind {st.kind!r}")
     except ValueError as e:
         raise ValueError(f"trace step {i + 1}: {e}") from None
+    return clean
 
 
 def is_one_column_independent(M: NfMatrix) -> bool:

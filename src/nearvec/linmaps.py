@@ -82,10 +82,10 @@ def apply_map(T: MapRep, v) -> tuple[int, ...]:
     return out
 
 
-def _images_packed(T: MapRep, budget: int | None) -> list[int]:
+def _images_packed(T: MapRep) -> list[int]:
     """T(x) for every packed x in R^n, in code order."""
     nf = T.nf
-    require_budget("|R|^n", nf.order ** T.n, budget)
+    require_budget("|R|^n", nf.order, T.n)
     rows = scale_rows(nf, T.n)
     img = [0]
     for j in range(T.n):
@@ -93,9 +93,9 @@ def _images_packed(T: MapRep, budget: int | None) -> list[int]:
     return img
 
 
-def linear_violation(T: MapRep, budget: int | None = None):
+def linear_violation(T: MapRep):
     """First (v, r) with T(v o r) != T(v) o r in lexicographic packed order, or None."""
-    img = _images_packed(T, budget)
+    img = _images_packed(T)
     rows = scale_rows(T.nf, T.n)
     for c, ic in enumerate(img):
         for r, (x, y) in enumerate(zip(rows[c], rows[ic])):
@@ -104,15 +104,15 @@ def linear_violation(T: MapRep, budget: int | None = None):
     return None
 
 
-def is_linear(T: MapRep, mode: str = "criterion", budget: int | None = None) -> bool:
+def is_linear(T: MapRep, mode: str = "criterion") -> bool:
     if mode == "criterion":
         return all(sum(1 for a in row if a) <= 1 for row in T.matrix)
     if mode == "semantic":
-        return linear_violation(T, budget) is None
+        return linear_violation(T) is None
     raise ValueError("mode must be 'criterion' or 'semantic'")
 
 
-def is_normal(T: MapRep, mode: str = "criterion", budget: int | None = None) -> bool:
+def is_normal(T: MapRep, mode: str = "criterion") -> bool:
     """Linear maps only: is the image H a submodule of R^n?
 
     The semantic mode labels each x with the least element of x + H and
@@ -129,7 +129,7 @@ def is_normal(T: MapRep, mode: str = "criterion", budget: int | None = None) -> 
         return all(sum(1 for i in range(T.n) if T.matrix[i][j]) <= 1 for j in range(T.n))
     if mode != "semantic":
         raise ValueError("mode must be 'criterion' or 'semantic'")
-    img = _images_packed(T, budget)
+    img = _images_packed(T)
     rows = scale_rows(T.nf, T.n)
     image = list(set(img))
     label = [-1] * len(img)
@@ -158,11 +158,11 @@ def classify(T: MapRep) -> MapClass:
     return MapClass.NORMAL_LINEAR
 
 
-def is_bijective(T: MapRep, budget: int | None = None) -> bool:
+def is_bijective(T: MapRep) -> bool:
     """Structural for normal linear maps (scaled permutation); image count otherwise."""
     if is_linear(T, "criterion") and is_normal(T, "criterion"):
         return _is_scaled_permutation(T)
-    img = _images_packed(T, budget)
+    img = _images_packed(T)
     return len(set(img)) == len(img)
 
 
@@ -211,16 +211,15 @@ def scale_family(T: MapRep, scalars) -> MapRep:
                         for row in T.matrix))
 
 
-def enumerate_maps(nf: Nearfield, n: int, budget: int | None = None):
+def enumerate_maps(nf: Nearfield, n: int):
     """All |R|^(n^2) maps, row-major lexicographic on entry codes."""
-    require_budget("|R|^(n^2)", nf.order ** (n * n), budget)
+    require_budget("|R|^(n^2)", nf.order, n * n)
     rows = list(itertools.product(range(nf.order), repeat=n))
     for mat in itertools.product(rows, repeat=n):
         yield MapRep(nf, n, mat)
 
 
-def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form",
-               budget: int | None = None) -> int:
+def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form") -> int:
     """Counts for kind in {all, linear, normal}."""
     order = nf.order
     if kind not in ("all", "linear", "normal"):
@@ -232,7 +231,7 @@ def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form",
         # digits; a row of a linear map is all-zero or one of |R|-1 values in one
         # of n positions, and normal maps are linear, so that bounds both
         row_digits = n * len(str(order)) if kind == "all" else len(str(1 + n * (order - 1)))
-        require_budget("digits of the count, bounded", n * row_digits, budget)
+        require_budget("digits of the count, bounded", n * row_digits)
         if kind == "all":
             return order ** (n * n)
         if kind == "linear":
@@ -241,7 +240,7 @@ def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form",
         return sum(comb(n, j) ** 2 * factorial(j) * (order - 1) ** j for j in range(n + 1))
     if method != "enumeration":
         raise ValueError("method must be 'closed_form' or 'enumeration'")
-    require_budget("|R|^(n^2)", order ** (n * n), budget)
+    require_budget("|R|^(n^2)", order, n * n)
     if kind == "all":
         return sum(1 for _ in itertools.product(range(order), repeat=n * n))
     rows = list(itertools.product(range(order), repeat=n))

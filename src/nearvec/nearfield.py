@@ -635,11 +635,16 @@ def _cached_nearfield(q: int, n: int) -> Nearfield:
     return Nearfield(q, n)
 
 
-def build_nearfield(q: int, n: int, max_order: int = ORDER_LIMIT) -> Nearfield:
+def build_nearfield(q: int, n: int) -> Nearfield:
     """Construct (or fetch the cached) DN(q, n).
 
-    Raises ValueError for invalid pairs or when q^n exceeds max_order;
-    the order is checked first, so a huge q or n costs no factoring.
+    Raises TypeError for non-integers, and ValueError for invalid pairs
+    or when q^n exceeds ORDER_LIMIT (2^20).  The type, range and order
+    checks run ahead of the cache, which would return DN(3,2) for (3.0, 2)
+    as 3.0 hashes like 3, and a huge q or n costs no factoring.  The
+    limits are fixed: besides ORDER_LIMIT, full operation tables stop at
+    TABLE_LIMIT (2^12) and the pair test at PAIR_LIMIT (2^32).  The one
+    settable size limit is the element budget (closure, NEARVEC_BUDGET).
     """
-    _bounded_order(q, n, max_order, f"max_order {max_order}")
+    _bounded_order(q, n, ORDER_LIMIT, f"the hard limit {ORDER_LIMIT}")
     return _cached_nearfield(q, n)

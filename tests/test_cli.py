@@ -241,7 +241,7 @@ class TestMapCommands:
         assert time.perf_counter() - t0 < 5
         assert out.returncode == 1 and out.stdout == ""
         assert out.stderr.startswith("error: order ") and out.stderr.count("\n") == 1
-        assert "exceeds max_order 1048576" in out.stderr
+        assert "exceeds the hard limit 1048576" in out.stderr
 
 
 class TestSubgroupAndSeedCommands:
@@ -297,6 +297,18 @@ class TestSubgroupAndSeedCommands:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "NEARVEC_BUDGET" in err
+
+    @pytest.mark.parametrize("argv,size", [
+        (["count-maps", "3", "2", "10000", "all", "--method", "enum"], "9^100000000"),
+        (["count-maps", "3", "2", "1000", "linear", "--method", "enum"], "9^1000000"),
+    ])
+    def test_count_maps_enum_refused_before_computing(self, capsys, argv, size):
+        # these once computed the whole power, then failed to print it
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 5
+        assert code == 1 and out == ""
+        assert err == f"error: |R|^(n^2) = {size} exceeds the element budget 1000000 (NEARVEC_BUDGET)\n"
 
     @pytest.mark.parametrize("m,k", [(1, 1), (9, 2), (10, 3), (24, 3)])
     def test_seed_roundtrip(self, capsys, tmp_path, m, k):

@@ -20,7 +20,7 @@ from nearvec import (
     vec_neg,
     vec_scale_right,
 )
-from nearvec.closure import BUDGET_ENV
+from nearvec.closure import BUDGET_ENV, require_budget
 
 X = 3
 
@@ -79,7 +79,22 @@ class TestLcStep:
         S = VectorSet.from_vectors(dn32, 3, [(1, 0, 1)])
         with pytest.raises(BudgetExceededError, match=BUDGET_ENV):
             lc_step(S)
-        assert len(lc_step(S, budget=10 ** 6)) == 9
+        monkeypatch.setenv(BUDGET_ENV, "729")  # |R|^3
+        assert len(lc_step(S)) == 9
+
+    def test_guard_refuses_a_power_before_computing_it(self):
+        # 3^(10^18) could never be computed; the default budget 10^6 has 20 bits
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as refused:
+            require_budget("x", 3, 10 ** 18)
+        assert time.perf_counter() - t0 < 1
+        assert str(refused.value) == "x = 3^1000000000000000000 exceeds the element budget 1000000 (NEARVEC_BUDGET)"
+        with pytest.raises(BudgetExceededError, match="^y = a 5001-bit number exceeds"):
+            require_budget("y", 2 ** 5000)
+        with pytest.raises(BudgetExceededError, match="^z = 1000001 exceeds"):
+            require_budget("z", 1000001)
+        assert require_budget("z", 10, 6) == 10 ** 6
+        assert require_budget("w", 1, 10 ** 18) == 1
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
     def test_bad_budget_env(self, dn32, monkeypatch, value):

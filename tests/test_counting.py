@@ -1,4 +1,5 @@
 import functools
+import time
 
 import pytest
 
@@ -157,8 +158,9 @@ class TestEnumerateCanonical:
                 assert len(closures) == count_subgroups(m, k, 9)
 
     def test_budget(self, dn32, monkeypatch):
+        monkeypatch.setenv("NEARVEC_BUDGET", "10")
         with pytest.raises(BudgetExceededError):
-            enumerate_canonical(4, 1, dn32, budget=10)
+            enumerate_canonical(4, 1, dn32)
         monkeypatch.setenv("NEARVEC_BUDGET", "584")  # 585 canonical matrices
         with pytest.raises(BudgetExceededError, match="NEARVEC_BUDGET"):
             enumerate_canonical(4, 1, dn32)
@@ -186,6 +188,20 @@ class TestOrbitReport:
             count_subgroup_orbits(2, 1, dn32)  # |R|^2 = 81
         monkeypatch.setenv("NEARVEC_BUDGET", "81")
         assert count_subgroup_orbits(2, 1, dn32) == 6
+
+    @pytest.mark.parametrize("listing,size", [
+        (lambda nf: enumerate_canonical(20000, 2, nf), "a 60008-bit number"),
+        (lambda nf: count_subgroup_orbits(10 ** 6, 1, nf), "9^1000000"),
+    ], ids=["enumerate_canonical", "count_subgroup_orbits"])
+    def test_huge_listing_refused_by_the_guard(self, dn32, listing, size):
+        # these once raised ValueError from printing the refused size in full
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as refused:
+            listing(dn32)
+        assert time.perf_counter() - t0 < 1
+        message = str(refused.value)
+        assert f" = {size} exceeds the element budget 1000000 (NEARVEC_BUDGET)" in message
+        assert "\n" not in message
 
     def test_work_bound_before_listing_permutations(self):
         # 12! |R| / 10 is about 10^8; the 479001600 permutations are never listed

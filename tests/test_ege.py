@@ -259,6 +259,15 @@ class TestTraceCodec:
         with pytest.raises(ValueError, match="trace step 2: the trick column is not a conflict column"):
             replay(M, steps)
 
+    def test_replay_rechecks_columns_left_of_a_trick(self, dn32):
+        # the trick at column 4 is valid; ELIM 1 2 1 then puts a second
+        # nonzero in column 1, left of it, so the next trick is refused
+        M = NfMatrix.from_rows(dn32, [(1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1)])
+        steps = trace_from_text(dn32, "TRICK 4 1 x x\nELIM 1 2 1\nTRICK 4 1 x x\n")
+        assert replay(M, steps[:1]).rows == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        with pytest.raises(ValueError, match="trace step 3: an earlier column already has two nonzero entries"):
+            replay(M, steps)
+
 
 class TestOneColumnIndependence:
     def test_identity_true(self, dn32):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -219,20 +220,31 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_maps(dn32, 2, "all", "guess")
 
-    def test_closed_form_digit_bound(self, dn32):
+    def test_closed_form_digit_bound(self, dn32, monkeypatch):
         # |R|^(n^2) has at most n^2 len(str(|R|)) digits: 9 for n = 3 over DN(3,2)
+        monkeypatch.setenv("NEARVEC_BUDGET", "8")
         with pytest.raises(BudgetExceededError, match="NEARVEC_BUDGET"):
-            count_maps(dn32, 3, "all", budget=8)
-        assert count_maps(dn32, 3, "all", budget=9) == 9 ** 9
+            count_maps(dn32, 3, "all")
+        monkeypatch.setenv("NEARVEC_BUDGET", "9")
+        assert count_maps(dn32, 3, "all") == 9 ** 9
+        monkeypatch.delenv("NEARVEC_BUDGET")
         with pytest.raises(BudgetExceededError):
             count_maps(dn32, 1001, "all")  # 1002001 digits over the default budget
         # linear and normal counts are bounded by (1 + n (|R|-1))^n: 4004 digits
         assert count_maps(dn32, 1001, "linear") == 8009 ** 1001
         assert count_maps(dn32, 1001, "normal") < 8009 ** 1001
 
-    def test_enumeration_budget(self, dn32):
+    def test_enumeration_budget(self, dn32, monkeypatch):
+        monkeypatch.setenv("NEARVEC_BUDGET", "1000")
         with pytest.raises(BudgetExceededError):
-            count_maps(dn32, 3, "linear", "enumeration", budget=1000)
+            count_maps(dn32, 3, "linear", "enumeration")
+
+    def test_enumerate_maps_refused_before_computing(self, dn32):
+        # 9^(10^8) is named by its power, not computed
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"\|R\|\^\(n\^2\) = 9\^100000000 exceeds .* \(NEARVEC_BUDGET\)"):
+            next(enumerate_maps(dn32, 10 ** 4))
+        assert time.perf_counter() - t0 < 1
 
 
 class TestCompose:

@@ -96,9 +96,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="4 divides n"):
             build_nearfield(3, 4)
 
-    def test_max_order_rejected(self):
-        with pytest.raises(ValueError, match="max_order"):
-            build_nearfield(3, 2, max_order=5)
+    def test_order_limit_rejected(self):
+        # 1031 is prime and 2 divides 1030: a Dickson pair of order 1062961 > 2^20
+        with pytest.raises(ValueError, match="order 1062961 exceeds the hard limit 1048576"):
+            build_nearfield(1031, 2)
+        # checked ahead of the cache, where 3.0 would find DN(3,2)
+        build_nearfield(3, 2)
+        with pytest.raises(TypeError):
+            build_nearfield(3.0, 2)
         with pytest.raises(ValueError):
             build_nearfield(9, 8)  # 9^8 > 2^20, rejected before construction
 
