@@ -9,6 +9,7 @@ machine-parsable line on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import itertools
 import json
@@ -26,33 +27,60 @@ from .seeds import build_seed, verify_seed
 from .vectors import NfMatrix, matrix_format, matrix_parse
 
 
+def _json_doc(nf, input_doc, result, trace=None) -> str:
+    doc = {"nearfield": {"q": nf.q, "n": nf.n}, "input": input_doc, "result": result}
+    if trace is not None:
+        doc["trace"] = trace
+    return json.dumps(doc, separators=(", ", ": "))
+
+
 def _emit(args, nf, input_doc, result, text_lines, trace=None):
     if args.json:
-        doc = {"nearfield": {"q": nf.q, "n": nf.n}, "input": input_doc, "result": result}
-        if trace is not None:
-            doc["trace"] = trace
-        print(json.dumps(doc, separators=(", ", ": ")))
+        print(_json_doc(nf, input_doc, result, trace))
     else:
         for ln in text_lines:
             print(ln)
     return 0
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int n >= 0, in time near linear in its digits.
+
+    str() is quadratic in the digits before Python 3.12 and refuses more
+    than 4300 of them from 3.10.7 on.  Here n is cut into binary halves,
+    which costs a shift, and the halves' conversions are joined as
+    hi * 2^k + lo in the decimal module, whose exact multiplication is
+    fast at any size.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        pow2 = {}
+
+        def convert(x, bits):
+            if bits <= 1024:
+                return decimal.Decimal(x)
+            k = bits // 2
+            if k not in pow2:
+                pow2[k] = decimal.Decimal(2) ** k
+            hi = x >> k
+            return convert(hi, bits - k) * pow2[k] + convert(x - (hi << k), k)
+
+        return str(convert(n, n.bit_length()))
+
+
 def _emit_count(args, nf, input_doc, result):
     """_emit for a count, which the element budget bounds in decimal digits.
 
-    Python's int-to-str digit limit (from 3.10.7 on) is lifted only while
-    the count is printed; parsing input keeps it.
+    The digits come from _decimal; json.dumps would call str() on the
+    count, so a JSON document gets them in place of a null.
     """
-    lift = hasattr(sys, "set_int_max_str_digits")
-    if lift:
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-    try:
-        return _emit(args, nf, input_doc, result, [str(result["count"])])
-    finally:
-        if lift:
-            sys.set_int_max_str_digits(saved)
+    digits = _decimal(result["count"])
+    if not args.json:
+        return _emit(args, nf, input_doc, result, [digits])
+    text = _json_doc(nf, input_doc, {**result, "count": None})
+    print(text.replace('"count": null', f'"count": {digits}', 1))
+    return 0
 
 
 def _read_matrix(path: str) -> NfMatrix:
@@ -183,11 +211,9 @@ def _cmd_search_index(args):
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     nf = build_nearfield(args.q, args.n)
+    # every subset's lc_index enumerates R^m
+    space = require_budget("vectors of R^m, |R|^m", nf.order, args.m)
     budget = current_budget()
-    # every subset's lc_index enumerates R^m; |R|^m >= 2^m, so past the
-    # budget's bit length the power is not computed
-    space = budget + 1 if args.m >= budget.bit_length() else min(nf.order ** args.m, budget + 1)
-    require_budget("vectors of R^m, min(|R|^m, budget + 1)", space)
     # C(N, k) >= 2^min(k, N - k): past the budget's bit length it is not computed
     j = min(args.k, space - 1 - args.k)
     subsets = budget + 1 if j >= budget.bit_length() else min(math.comb(space - 1, args.k), budget + 1)

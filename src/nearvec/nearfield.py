@@ -26,6 +26,16 @@ modulus is the lexicographically smallest irreducible candidate with
 coefficients compared low-degree-first, and the generator is the
 smallest primitive code, so every table is reproducible.
 
+The set-up works on integers, not on polynomial lists, except for the
+gcd in the irreducibility test of the modulus candidates.  That test and
+the generator test power as integers by Kronecker substitution (a
+polynomial is its value at a power of two, _Kronecker).  exp steps g^k -> g^(k+1) on lane codes,
+one spare bit per base-p digit: g*a is the sum of two table images of the
+halves of a's digits, reduced mod p in every lane at once (_TimesG).  A
+prime field steps g^k * g % p.  The other tables follow from exp by
+indexing, and neg digit by digit.  At order 2^20 the build takes seconds,
+not minutes.
+
 Arithmetic is table lookup, and every table is derived from the log
 tables.  Every field carries these O(order) tables:
 
@@ -49,7 +59,6 @@ because a table lookup costs about half a Zech step per entry.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -102,17 +111,6 @@ def _ptrim(a: list[int]) -> list[int]:
     return a
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
 def _pmod(a, m, p):
     """Remainder of a modulo the monic polynomial m."""
     a = list(a)
@@ -136,17 +134,6 @@ def _psub(a, b, p):
     return _ptrim(out)
 
 
-def _ppowmod(a, e, m, p):
-    r = [1]
-    a = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            r = _pmod(_pmul(r, a, p), m, p)
-        a = _pmod(_pmul(a, a, p), m, p)
-        e >>= 1
-    return r
-
-
 def _pgcd(a, b, p):
     a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
@@ -156,15 +143,56 @@ def _pgcd(a, b, p):
     return a
 
 
+class _Kronecker:
+    """Powers in GF(p)[x]/(f) on integers, by Kronecker substitution.
+
+    A polynomial with coefficients below 2^w is held as its value at
+    x = 2^w.  F = x^d - sum((-f_i % p) x^i) is f mod p with no negative
+    term, so the product of two reduced values, taken mod F(2^w), is the
+    value of the product's remainder mod F over the integers: reducing by
+    F only adds, the coefficients stay below d p^(d+1) < 2^(w-1), and so
+    the value stays below F(2^w).  Each coefficient mod p then gives the
+    product mod f.
+    """
+
+    def __init__(self, p, f):
+        d = len(f) - 1
+        w = (d * p ** (d + 1)).bit_length() + 1
+        self.p, self.mask, self.shifts = p, (1 << w) - 1, [w * i for i in range(d)]
+        self.fw = (1 << (w * d)) - sum((-c % p) << (w * i) for i, c in enumerate(f[:-1]))
+
+    def encode(self, a: list[int]) -> int:
+        """The value of a reduced polynomial given by its coefficients."""
+        return sum(c << s for c, s in zip(a, self.shifts))
+
+    def decode(self, u: int) -> list[int]:
+        return _ptrim([(u >> s) & self.mask for s in self.shifts])
+
+    def mul(self, u: int, v: int) -> int:
+        r = u * v % self.fw
+        p, mask = self.p, self.mask
+        return sum(((r >> s) & mask) % p << s for s in self.shifts)
+
+    def pow(self, u: int, e: int) -> int:
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, u)
+            u = self.mul(u, u)
+            e >>= 1
+        return r
+
+
 def _is_irreducible(f, p):
     """Rabin irreducibility test for a monic polynomial f over GF(p)."""
     d = len(f) - 1
-    x = [0, 1]
-    xq = _ppowmod(x, p ** d, f, p)
-    if _pmod(_psub(xq, x, p), f, p):
+    ring = _Kronecker(p, f)
+    x = _pmod([0, 1], f, p)
+    u = ring.encode(x)
+    if ring.pow(u, p ** d) != u:
         return False
     for r in _prime_factors(d):
-        h = _ppowmod(x, p ** (d // r), f, p)
+        h = ring.decode(ring.pow(u, p ** (d // r)))
         if len(_pgcd(_psub(h, x, p), f, p)) > 1:
             return False
     return True
@@ -177,11 +205,69 @@ def _digits_of(code, p, d):
     return out
 
 
-def _code_of(digits, p):
-    code = 0
-    for c in reversed(digits):
-        code = code * p + c
-    return code
+class _TimesG:
+    """a -> g*a in GF(p)[x]/(modulus) on integer lane codes, for the powers of g.
+
+    A lane code holds base-p digit i in bits b*i .. b*i + b - 1, where b is
+    one bit more than a digit needs, so two lane codes add digitwise with no
+    carry between lanes.  Adding 2^(b-1) - p to every lane of such a sum
+    sets a lane's top bit exactly where its digit sum reached p, and one
+    multiply subtracts p from those lanes.  Multiplication by g is
+    GF(p)-linear, so g*a is the sum of the images of the low and the high
+    half of a's digits, read from two tables keyed by the halves' lanes and
+    built from g, g*x, ..., g*x^(d-1).  Each image also carries the code of
+    its half above the d lanes, so a step yields a's code along with g*a.
+    A table has p^ceil(d/2) <= sqrt(p * order) <= 2^15 entries; a prime
+    field (d = 1) has none, as its step is a * g % p.
+    """
+
+    def __init__(self, p, modulus, g):
+        d = len(modulus) - 1
+        self.p, self.g, self.tables = p, g, ()
+        if d == 1:
+            return
+        b = (p - 1).bit_length() + 1
+        self.top, self.lanes, self.split = b - 1, b * d, b * ((d + 1) // 2)
+        self.fold = sum(((1 << (b - 1)) - p) << (b * i) for i in range(d))
+        self.tops = sum(1 << (b * i + b - 1) for i in range(d))
+        images, gx, f = [], _digits_of(g, p, d), list(modulus)
+        for i in range(d):
+            images.append(sum(c << (b * j) for j, c in enumerate(gx)) + (p ** i << self.lanes))
+            gx = _pmod([0] + gx, f, p)  # times x: a shift, then the overflowing digit reduced
+        half = (d + 1) // 2
+        self.tables = (self._table(images[:half], b), self._table(images[half:], b))
+
+    def _reduce(self, s):
+        return s - (((s + self.fold) & self.tops) >> self.top) * self.p
+
+    def _table(self, images, b):
+        table = {0: 0}
+        for i, image in enumerate(images):
+            multiples = [0]
+            for _ in range(1, self.p):
+                multiples.append(self._reduce(multiples[-1] + image))
+            table = {key + (v << (b * i)): self._reduce(val + m)
+                     for key, val in table.items() for v, m in enumerate(multiples)}
+        return table
+
+    def powers(self, count: int) -> list[int]:
+        """The codes of g^0, ..., g^(count-1)."""
+        out, p, cur = [0] * count, self.p, 1
+        if not self.tables:
+            g = self.g
+            for k in range(count):
+                out[k] = cur
+                cur = cur * g % p
+            return out
+        lo, hi = self.tables
+        split, fold, tops, top, lanes = self.split, self.fold, self.tops, self.top, self.lanes
+        mask, lane_mask = (1 << split) - 1, (1 << lanes) - 1
+        for k in range(count):
+            s = lo[cur & mask] + hi[cur >> split]
+            s -= (((s + fold) & tops) >> top) * p
+            out[k] = s >> lanes
+            cur = s & lane_mask
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +372,12 @@ class Nearfield:
         self._qpow = tuple(q ** j for j in range(n))
         self._build_inverse_table()
 
-        # -1 = g^((order-1)/2) for odd p, and -1 = 1 for p = 2
-        o, exp, log = self.order - 1, self._exp, self._log
-        half = o // 2 if p != 2 else 0
-        self._negt = (0,) + tuple(exp[(log[a] + half) % o] for a in range(1, self.order))
+        # -a digit by digit, in code order: digit i of the code a runs slowest
+        # among the lower i + 1
+        negt = [0]
+        for i in range(self.d):
+            negt = [b + (-c % p) * p ** i for c in range(p) for b in negt]
+        self._negt = tuple(negt)
         # the row kernel's order^2 tables; row_axpy computes the rows of
         # t[c][a] = a o c in the log domain while _addt is still None
         self._addt = self._rmul = None
@@ -305,50 +393,62 @@ class Nearfield:
     def _find_modulus(self):
         p, d = self.p, self.d
         # candidates in lexicographic order, constant coefficient compared
-        # first; for d >= 2 a zero constant term means x divides the candidate
-        consts = range(1 if d > 1 else 0, p)
-        for tail in itertools.product(consts, *[range(p)] * (d - 1)):
-            f = list(tail) + [1]
+        # first: the base-p digits of c, most significant first; for d >= 2
+        # a zero constant term means x divides the candidate
+        for c in range(p ** (d - 1) if d > 1 else 0, p ** d):
+            f = _digits_of(c, p, d)[::-1] + [1]
             if _is_irreducible(f, p):
                 return tuple(f)
         raise RuntimeError(f"no irreducible polynomial of degree {d} over GF({p})")
 
     def _find_generator(self):
+        # the least code a with a^((order-1)/r) != 1 for every prime r of order-1
         p, d, order = self.p, self.d, self.order
-        f = list(self.modulus)
+        ring = _Kronecker(p, self.modulus)
         exponents = [(order - 1) // r for r in _prime_factors(order - 1)]
-        for a in range(1, order):
-            digits = _digits_of(a, p, d)
-            if all(_ppowmod(digits, e, f, p) != [1] for e in exponents):
+        # a constant's order divides p - 1, so from d = 2 on x is the first candidate
+        for a in range(p if d > 1 else 1, order):
+            u = ring.encode(_digits_of(a, p, d))
+            if all(ring.pow(u, e) != 1 for e in exponents):
                 return a
         raise RuntimeError("no primitive element found")
 
     def _build_log_tables(self):
-        # exp and log, then the log-domain tables of add and row_axpy (see
-        # the module docstring)
-        p, order, o = self.p, self.order, self.order - 1
-        f = list(self.modulus)
-        g = _digits_of(self.generator, p, self.d)
-        exp = [0] * o
-        cur = [1]
-        for k in range(o):
-            exp[k] = _code_of(cur + [0] * (self.d - len(cur)), p)
-            cur = _pmod(_pmul(cur, g, p), f, p)
-        if _ptrim(cur) != [1]:
+        # exp by stepping g^k -> g^(k+1) on lane codes (_TimesG), then log,
+        # and the log-domain tables of add and row_axpy (see the module
+        # docstring)
+        p, n, order, o = self.p, self.n, self.order, self.order - 1
+        exp = _TimesG(p, self.modulus, self.generator).powers(order)
+        if exp.pop() != 1:
             raise RuntimeError("generator order mismatch: g^(order-1) != 1")
         log = [-1] * order
         for k, a in enumerate(exp):
-            if log[a] != -1:
-                raise RuntimeError("log table is not a bijection")
             log[a] = k
+        # o powers fill o of the order slots: two or more left empty means
+        # two powers collided, and an empty slot other than 0 means that a
+        # power is 0
         if log.count(-1) != 1:
+            raise RuntimeError("log table is not a bijection")
+        if log[0] != -1:
             raise RuntimeError("log table does not cover all nonzero elements")
         self._log = tuple(log)
-        succ = [e + 1 if e % p != p - 1 else e - p + 1 for e in exp]
-        zech = [log[s] if s else 2 * o for s in succ]
+        # 1 + a adds 1 to the lowest digit of a: by code, the next code
+        # within a's block of p, cyclically.  Where 1 + a = 0, Z holds the
+        # sentinel
+        log[0] = 2 * o
+        succ_log = [0] * order
+        for c in range(p):
+            succ_log[c::p] = log[(c + 1) % p::p]
+        zech = list(map(succ_log.__getitem__, exp))
         self._zech = tuple(zech + zech)
-        self._exp = tuple(exp + exp) + (0,) * o
-        self._cosets = (0,) + tuple(self.coset_table[log[a] % self.n] for a in range(1, order))
+        self._exp = tuple(exp * 2 + [0] * o)
+        # j(g^k) = coset_table[k mod n], set by residue class; 0 is the default
+        cosets = [0] * order
+        for r, j in enumerate(self.coset_table):
+            if j:
+                for a in exp[r::n]:
+                    cosets[a] = j
+        self._cosets = tuple(cosets)
 
     def _build_coset_table(self):
         q, n = self.q, self.n
@@ -363,16 +463,21 @@ class Nearfield:
         self.coset_table = tuple(table)
 
     def _build_inverse_table(self):
-        # a = g^k has inverse g^(-k q^(n - j(a))); each entry is checked
-        # against mul once here, so inv itself is a lookup
-        o1, n = self.order - 1, self.n
-        exp, log, qpow, cosets, mul = self._exp, self._log, self._qpow, self._cosets, self.mul
-        invt = [0] * self.order     # entry 0 is never read: inv(0) raises
-        for a in range(1, self.order):
-            b = exp[((-log[a] % o1) * qpow[(n - cosets[a]) % n]) % o1]
-            if mul(a, b) != 1 or mul(b, a) != 1:
-                raise RuntimeError(f"inverse of {a} is not two-sided")
-            invt[a] = b
+        # g^k has inverse g^l, l = -k Q mod o, with o = order - 1, r = k mod n
+        # and Q = q^(n - j(g^k)) = q^(n - coset_table[r]).  Both products are
+        # checked once per r, which decides them for every k of that residue:
+        # g^k o g^l = g^(k + l q^j(g^k)) = g^(k (1 - Q q^j(g^k))), and as n
+        # divides o, l = -r Q mod n, so g^l o g^k = g^(k (q^j(g^l) - Q))
+        o, n, qpow, ct, exp = self.order - 1, self.n, self._qpow, self.coset_table, self._exp
+        if o % n:
+            raise RuntimeError(f"n = {n} does not divide the group order {o}")
+        invt = [0] * self.order  # entry 0 is never read: inv(0) raises
+        for r in range(n):
+            Q = qpow[-ct[r] % n]
+            if (1 - Q * qpow[ct[r]]) % o or (qpow[ct[-r * Q % n]] - Q) % o:
+                raise RuntimeError(f"inverse of g^{r} is not two-sided")
+            for a, k in zip(exp[r:o:n], range(r, o, n)):
+                invt[a] = exp[-k * Q % o]
         self._invt = tuple(invt)
 
     def _build_term_tables(self):

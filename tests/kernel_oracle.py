@@ -17,7 +17,7 @@ import random
 import sys
 
 from nearvec import NfMatrix, build_nearfield, ege, matrix_format, trace_to_text
-from nearvec.nearfield import _code_of, _digits_of, _pmod, _pmul, _ppowmod
+from nearvec.nearfield import _digits_of, _pgcd, _pmod, _prime_factors, _psub, _ptrim
 
 # fields of the kernel oracle: four whose row kernel reads order^2 tables,
 # among them p = 2 fields up to order 256, and four whose row kernel is
@@ -33,6 +33,52 @@ GOLDEN_DENSE = {
     (257, 1): "5edc3d09e3844639dc2c0d72a171135f0611880488adaf77bd28b1fcf1328c4e",
 }
 GOLDEN_WIDTHS = (1, 2, 3, 4, 6, 9, 13, 18, 24)
+
+
+# list-polynomial arithmetic that the field set-up used before it moved to
+# integers: the reference for the modulus, generator and exp tables
+
+def _pmul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _ptrim(out)
+
+
+def _ppowmod(a, e, m, p):
+    r = [1]
+    a = _pmod(a, m, p)
+    while e:
+        if e & 1:
+            r = _pmod(_pmul(r, a, p), m, p)
+        a = _pmod(_pmul(a, a, p), m, p)
+        e >>= 1
+    return r
+
+
+def ref_is_irreducible(f, p):
+    """Rabin irreducibility test for a monic polynomial f over GF(p)."""
+    d = len(f) - 1
+    x = [0, 1]
+    xq = _ppowmod(x, p ** d, f, p)
+    if _pmod(_psub(xq, x, p), f, p):
+        return False
+    for r in _prime_factors(d):
+        h = _ppowmod(x, p ** (d // r), f, p)
+        if len(_pgcd(_psub(h, x, p), f, p)) > 1:
+            return False
+    return True
+
+
+def _code_of(digits, p):
+    code = 0
+    for c in reversed(digits):
+        code = code * p + c
+    return code
 
 
 def ref_add(nf, a, b):
@@ -85,6 +131,20 @@ def golden_matrices(nf):
     for m in GOLDEN_WIDTHS:
         for k in (m + 3, m, max(1, m // 3)):
             yield NfMatrix(nf, tuple(tuple(entry() for _ in range(m)) for _ in range(k)), m)
+
+
+def ref_powers(nf, k, count):
+    """Codes of g^k, ..., g^(k+count-1) by the list-polynomial step that built
+    exp before the lane codes: g^k by square-and-multiply, then one
+    polynomial product and reduction per power."""
+    p, f = nf.p, list(nf.modulus)
+    g = _digits_of(nf.generator, p, nf.d)
+    cur = _ppowmod(g, k, f, p)
+    out = []
+    for _ in range(count):
+        out.append(_code_of(cur, p))
+        cur = _pmod(_pmul(cur, g, p), f, p)
+    return out
 
 
 def golden_digest(q, n):

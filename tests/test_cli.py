@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nearvec import build_nearfield, count_subgroups
-from nearvec.cli import main
+from nearvec.cli import _decimal, main
 
 V3 = "DN 3 2\n2 3\n1 0 1\n1 1 0\n"
 CMAP = "DN 3 2\n2 2\n1 1\n2 1\n"
@@ -220,8 +220,10 @@ class TestMapCommands:
         (["search-index", "3", "2", "4", "3", "2"], "min(--limit, C(|R|^m - 1, k), budget + 1) = 1000001"),
         (["search-index", "3", "2", "6", "300000", "1"], "budget + 1) = 1000001 exceeds"),
         # 9^(10^8) is not computed: m is past the budget's bit length
-        (["search-index", "3", "2", "100000000", "1", "1"], "min(|R|^m, budget + 1) = 1000001 exceeds"),
-        (["search-index", "3", "2", "7", "1", "1"], "min(|R|^m, budget + 1) = 1000001 exceeds"),
+        (["search-index", "3", "2", "100000000", "1", "1"],
+         "vectors of R^m, |R|^m = 9^100000000 exceeds the element budget 1000000 (NEARVEC_BUDGET)"),
+        (["search-index", "3", "2", "7", "1", "1"],
+         "vectors of R^m, |R|^m = 9^7 exceeds the element budget 1000000 (NEARVEC_BUDGET)"),
         (["search-index", "3", "2", "2", "2", "1", "--limit", "-1"], "--limit must be >= 0, got -1"),
     ])
     def test_out_of_range_arguments_refused(self, capsys, argv, message):
@@ -276,10 +278,27 @@ class TestSubgroupAndSeedCommands:
         with _no_str_digit_limit():
             assert (json.loads(out)["result"]["count"] if flag else int(out)) == count
 
+    def test_decimal_matches_str(self):
+        # the last two have about 10^5 digits
+        for n in [0, 1, 9, 10 ** 309, 2 ** 1024, 2 ** 1025 - 1, 9 ** 40000,
+                  3 ** 209590, 7 ** 112915 + 10 ** 50000]:
+            with _no_str_digit_limit():
+                assert _decimal(n) == str(n), n.bit_length()
+
+    def test_huge_count_prints_in_time(self, capsys):
+        # 9^(10^6) has 954243 digits, within the budget's digit bound of 10^6;
+        # str() alone took 16.5 s on Python 3.11
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "count-maps", "3", "2", "1000", "all")
+        assert time.perf_counter() - t0 < 6
+        assert code == 0 and err == ""
+        assert len(out) == 954244 and out.endswith(f"{9 ** 10 ** 6 % 10 ** 60:060d}\n")
+        assert out[0] != "0" and out[:-1].isdigit()
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="no int-to-str digit limit before Python 3.10.7")
     def test_input_keeps_the_str_digit_limit(self, capsys, tmp_path):
-        # the limit is lifted only while a count prints: a huge token in a
+        # printing a count leaves the limit as it is: a huge token in a
         # matrix file is refused by int() as it would be outside the CLI
         saved = sys.get_int_max_str_digits()
         f = tmp_path / "huge.mat"

@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernel_oracle import ORACLE_FIELDS, ref_add, ref_mul, ref_neg, ref_row_axpy
+from kernel_oracle import (ORACLE_FIELDS, ref_add, ref_is_irreducible, ref_mul, ref_neg, ref_powers,
+                           ref_row_axpy)
 from nearvec import Witness, build_nearfield, validate_dickson_pair
-from nearvec.nearfield import _ADD_TABLE_LIMIT, PAIR_LIMIT, TABLE_LIMIT, _digits_of, _is_irreducible
+from nearvec.nearfield import (_ADD_TABLE_LIMIT, ORDER_LIMIT, PAIR_LIMIT, TABLE_LIMIT, Nearfield, _TimesG,
+                               _digits_of, _is_irreducible, _prime_factors)
 
 # The classical 9x9 table of the twisted product on the order-9 nearfield,
 # as usually printed: entry [a][b] there is b o a under the rule implemented
@@ -115,6 +119,14 @@ class TestConstruction:
                      if _is_irreducible(list(tail) + [1], nf.p))
         assert nf.modulus == first
         assert nf.d > 1 or nf.modulus == (0, 1)
+
+    @pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (2, 6), (2, 10), (3, 1), (3, 4), (3, 6),
+                                     (5, 3), (5, 4), (7, 3), (31, 2)])
+    def test_rabin_test_matches_the_list_polynomial_one(self, p, d):
+        # every monic polynomial of degree d over GF(p)
+        for tail in itertools.product(range(p), repeat=d):
+            f = list(tail) + [1]
+            assert _is_irreducible(f, p) == ref_is_irreducible(f, p), f
 
     def test_coset_residues_complete(self):
         for q, n in [(3, 2), (5, 2), (7, 2), (9, 2), (4, 3), (7, 3), (5, 4)]:
@@ -471,3 +483,57 @@ def test_zech_tables_are_linear_in_the_order(q, n):
     assert nf._addt is None and nf._rmul is None
     o = nf.order - 1
     assert len(nf._zech) == 2 * o and len(nf._exp) == 3 * o and len(nf._cosets) == nf.order
+
+
+def _field_digest(nf):
+    h = hashlib.sha256()
+    for item in (nf.modulus, nf.generator, nf._exp, nf._log, nf._invt, nf._zech, nf._cosets,
+                 nf._negt, nf.find_witness()):
+        h.update(repr(item).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_every_small_field_matches_its_golden_digest():
+    """Modulus, generator, tables and witness of all 352 Dickson pairs of
+    order <= 2000, p = 2 and n = 1 among them, pinned by the digests of the
+    list-polynomial build that preceded the lane codes."""
+    want = {}
+    for line in (Path(__file__).parent / "field_digests.txt").read_text().splitlines():
+        if not line.startswith("#"):
+            q, n, digest = line.split()
+            want[int(q), int(n)] = digest
+    pairs = [(q, n) for q in range(2, 2001) for n in range(1, 11)
+             if q ** n <= 2000 and validate_dickson_pair(q, n)]
+    assert len(pairs) == len(want) == 352
+    # Nearfield, not build_nearfield: the 352 fields are not kept in the cache
+    assert {(q, n): _field_digest(Nearfield(q, n)) for q, n in pairs} == want
+
+
+# the extreme shapes of the lane step: p = 2 at d = 20 (20 one-bit digits
+# in two-bit lanes), the largest prime field, whose step is g^k * g % p,
+# and the largest order for p = 29 (two digits a half) and for p = 1021
+# (one 11-bit lane a half)
+@pytest.mark.parametrize("q,n", [(1048576, 1), (1048573, 1), (29, 4), (1021, 2)])
+def test_exp_matches_the_list_polynomial_step_on_extreme_shapes(q, n):
+    nf = Nearfield(q, n)  # not cached: its tables go with the test
+    o = nf.order - 1
+    rng = random.Random(f"exp:{q},{n}")
+    # exp is doubled, so a window may run past g^(order-2) into g^0 = 1
+    for k in [0, o - 4] + rng.sample(range(o), 6):
+        assert list(nf._exp[k:k + 8]) == ref_powers(nf, k, 8), (nf, k)
+    for table in _TimesG(nf.p, nf.modulus, nf.generator).tables:
+        assert len(table) <= 1 << 16
+
+
+def test_lane_step_tables_are_bounded_at_every_order():
+    # every prime power p^d <= ORDER_LIMIT is the order of a field DN(p^d, 1);
+    # a table has p^ceil(d/2) entries, whatever the modulus and generator
+    sizes = {}
+    for p in (p for p in range(2, 1025) if _prime_factors(p) == [p]):
+        d = 2
+        while p ** d <= ORDER_LIMIT:
+            tables = _TimesG(p, (1,) + (0,) * (d - 1) + (1,), 1).tables
+            sizes[p, d] = [len(t) for t in tables]
+            d += 1
+    assert max(max(s) for s in sizes.values()) == 101 ** 2 <= 1 << 16
+    assert sizes[2, 20] == [2 ** 10, 2 ** 10] and sizes[1021, 2] == [1021, 1021]
