@@ -28,8 +28,10 @@ and as a membership bitmap over the space, starting from {0}.  A product
 already in H is skipped; any other product c extends H to H + <c>, the
 disjoint union of the cosets H + k c for k = 0..p-1, each translated
 from the one before.  Each element of the span is produced exactly once,
-so the step is linear in the size of the span, with no elimination over
-GF(p).
+so the step is linear in the size of the span, and a step that fills R^m
+stops at its last independent product: once p |H| = |R^m|, H + <c> is
+the whole space, known by its size and returned as range(space) without
+generating its last p - 1 cosets.  There is no elimination over GF(p).
 
 Every size the package enumerates, lists or prints goes through
 require_budget, the one guard, against the element budget.  The budget
@@ -214,6 +216,9 @@ def lc_step(S: VectorSet) -> VectorSet:
     for c in itertools.chain.from_iterable(rows[w] for w in S.codes):
         if span[c]:
             continue
+        if len(out) * nf.p == space:
+            # out + <c> has p |out| elements: all of R^m
+            return VectorSet(nf, m, tuple(range(space)))
         # out + <c> is out and the cosets out + k c, 0 < k < p, all disjoint
         coset = out
         for _ in range(nf.p - 1):
@@ -221,8 +226,6 @@ def lc_step(S: VectorSet) -> VectorSet:
             for x in coset:
                 span[x] = 1
             out += coset
-        if len(out) == space:
-            break
     return VectorSet(nf, m, tuple(itertools.compress(range(space), span)))
 
 

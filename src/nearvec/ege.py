@@ -255,9 +255,11 @@ def _rref_inplace(nf: Nearfield, work: _Rows, steps: list, pivots: list[int], st
 
 def _check_trick(nf: Nearfield, work: _Rows, col: int, w: Witness, clean: int = 0) -> None:
     """Raise ValueError unless `col` is the first conflict column and `w`
-    violates right distributivity: the preconditions of the trick.  No
-    column left of `clean` may have two nonzero entries; the scan starts
-    there."""
+    violates right distributivity, with codes in range: the preconditions
+    of the trick.  No column left of `clean` may have two nonzero entries;
+    the scan starts there."""
+    for a in (w.alpha, w.beta, w.lam):
+        _code(nf, a, "witness")
     if not 0 <= col < work.width:
         raise ValueError("column index out of range")
     first = work.first_conflict(min(clean, col), col + 1)
@@ -309,7 +311,7 @@ def rref(M: NfMatrix) -> tuple[NfMatrix, tuple[Step, ...]]:
     work, steps = _Rows(M.nf, M.rows, M.width), []
     _rref_inplace(M.nf, work, steps, [])
     kept = tuple(row for row in work.rows if any(row))
-    return NfMatrix(M.nf, kept, M.width), tuple(steps)
+    return NfMatrix._unchecked(M.nf, kept, M.width), tuple(steps)
 
 
 def distributivity_trick(M: NfMatrix, col: int, w: Witness) -> NfMatrix:
@@ -317,7 +319,7 @@ def distributivity_trick(M: NfMatrix, col: int, w: Witness) -> NfMatrix:
 
     Preconditions: every column left of `col` has at most one nonzero
     entry, `col` has at least two, and `w` really violates right
-    distributivity; ValueError otherwise.  With exactly two nonzero
+    distributivity with codes in range; ValueError otherwise.  With exactly two nonzero
     entries the returned matrix has a single nonzero (the new pivot) in
     column `col`; with more, the following rref pass clears the rest
     against it.
@@ -325,7 +327,7 @@ def distributivity_trick(M: NfMatrix, col: int, w: Witness) -> NfMatrix:
     work = _Rows(M.nf, M.rows, M.width)
     _check_trick(M.nf, work, col, w)
     _trick_inplace(M.nf, work, col, w)
-    return NfMatrix(M.nf, tuple(work.rows), M.width)
+    return NfMatrix._unchecked(M.nf, tuple(work.rows), M.width)
 
 
 def ege(M: NfMatrix) -> GenDecomposition:
@@ -358,7 +360,7 @@ def ege(M: NfMatrix) -> GenDecomposition:
         steps.append(_trick_inplace(nf, work, col, w))
         del pivots[bisect_left(pivots, col):]
         _rref_inplace(nf, work, steps, pivots, col)
-    basis = NfMatrix(nf, tuple(row for row in work.rows if any(row)), M.width)
+    basis = NfMatrix._unchecked(nf, tuple(row for row in work.rows if any(row)), M.width)
     return GenDecomposition(basis, basis.n_rows, tuple(steps), canonical)
 
 
@@ -370,7 +372,7 @@ def replay(M: NfMatrix, steps) -> NfMatrix:
     work, clean = _Rows(M.nf, M.rows, M.width), 0
     for i, st in enumerate(steps):
         clean = _apply_step(M.nf, work, st, i, clean)
-    return NfMatrix(M.nf, tuple(row for row in work.rows if any(row)), M.width)
+    return NfMatrix._unchecked(M.nf, tuple(row for row in work.rows if any(row)), M.width)
 
 
 def replay_states(M: NfMatrix, steps):
@@ -378,7 +380,7 @@ def replay_states(M: NfMatrix, steps):
     work, clean = _Rows(M.nf, M.rows, M.width), 0
     for i, st in enumerate(steps):
         clean = _apply_step(M.nf, work, st, i, clean)
-        yield NfMatrix(M.nf, tuple(work.rows), M.width)
+        yield NfMatrix._unchecked(M.nf, tuple(work.rows), M.width)
 
 
 def _row_index(rows, idx: int) -> int:
@@ -387,9 +389,17 @@ def _row_index(rows, idx: int) -> int:
     return idx
 
 
+def _code(nf: Nearfield, a: int, what: str) -> int:
+    if not 0 <= a < nf.order:
+        raise ValueError(f"{what} code {a} out of range for order {nf.order}")
+    return a
+
+
 def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int, clean: int) -> int:
     """Apply step i (0-based) of a trace, which may come from an untrusted
-    file: row indices, the trick column and the witness are checked first.
+    file: row indices, scalar and witness codes, the trick column and the
+    witness are checked first, so the rows stay in range and replay builds
+    its result without the NfMatrix entry scan.
 
     Returns the new clean prefix: no column left of `clean` has two
     nonzero entries.  A checked trick at col sets it to col, since the
@@ -404,11 +414,11 @@ def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int, clean: int) -> int
             work.swap(_row_index(rows, st.r), _row_index(rows, st.s))
         elif st.kind == "scale":
             r = _row_index(rows, st.r)
-            work.axpy(r, rows[r], st.c, work.cols(r), acc=False)
+            work.axpy(r, rows[r], _code(nf, st.c, "scalar"), work.cols(r), acc=False)
         elif st.kind == "eliminate":
             r, s = _row_index(rows, st.r), _row_index(rows, st.s)
             cols = work.cols(r)
-            work.axpy(s, rows[r], nf.neg(st.c), cols)
+            work.axpy(s, rows[r], nf.neg(_code(nf, st.c, "scalar")), cols)
             if cols:
                 clean = min(clean, cols[0])
         elif st.kind == "trick":

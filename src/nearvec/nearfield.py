@@ -384,7 +384,12 @@ class Nearfield:
         if self.order <= _ADD_TABLE_LIMIT:
             elems = range(self.order)
             self._rmul = [self.row_axpy(elems, c) for c in elems]
-            self._addt = [[self.add(a, b) for b in elems] for a in elems]
+            # a + b by add's Zech formula, one row per comprehension; row 0
+            # and column 0 are the zero operand's branch
+            lg, ex, z = self._log, self._exp, self._zech
+            logs = lg[1:]
+            self._addt = [list(elems)] + [[a] + [ex[la + z[lb - la]] for lb in logs]
+                                          for a, la in zip(elems[1:], logs)]
         self._build_term_tables()
         self._witness = _UNSET
 

@@ -82,6 +82,14 @@ class NfMatrix:
                 raise ValueError(f"element code {a} out of range for order {order}")
 
     @classmethod
+    def _unchecked(cls, nf: Nearfield, rows: tuple, width: int) -> "NfMatrix":
+        """An NfMatrix without the entry scan, for rows of `width` codes that
+        the row kernel computed from checked codes, where it cannot fail."""
+        M = object.__new__(cls)
+        M.__dict__.update(nf=nf, rows=rows, width=width)
+        return M
+
+    @classmethod
     def from_rows(cls, nf: Nearfield, rows, width: int | None = None) -> "NfMatrix":
         rows = tuple(tuple(r) for r in rows)
         if width is None:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 import time
@@ -21,6 +22,8 @@ from nearvec import (
     vec_scale_right,
 )
 from nearvec.closure import BUDGET_ENV, require_budget
+
+closure_module = importlib.import_module("nearvec.closure")
 
 X = 3
 
@@ -286,6 +289,29 @@ def test_lc_step_prime_above_chunk_table(q, m, vectors):
     nf = build_nearfield(q, 1)
     S = VectorSet.from_vectors(nf, m, vectors)
     assert lc_step(S) == _elimination_lc_step(S)
+
+
+@pytest.mark.parametrize("vectors", [
+    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+    [(1, 0, 2, X), (0, 1, 4, 5), (X, 7, 1, 0), (6, 2, 0, 1), (0, 0, 0, 8)],
+])
+def test_lc_step_stops_when_the_span_fills_the_space(dn32, monkeypatch, vectors):
+    # once p |H| = |R^m| the last independent product closes the span, so
+    # its p - 1 cosets (all but space / p elements) are never translated;
+    # growing them all translates space - 1 elements
+    translated = []
+    real = closure_module.translate
+
+    def counting(nf, codes, c):
+        translated.append(len(codes))
+        return real(nf, codes, c)
+
+    monkeypatch.setattr(closure_module, "translate", counting)
+    S = VectorSet.from_vectors(dn32, 4, vectors)
+    space = dn32.order ** 4
+    out = lc_step(S)
+    assert out.codes == tuple(range(space))
+    assert sum(translated) < space // dn32.p
 
 
 def test_lc_step_large_prime_is_linear_in_the_space():

@@ -97,6 +97,9 @@ class TestDistributivityTrick:
         M = NfMatrix.from_rows(dn32, [(1, 0, 1), (0, 1, 2)])
         with pytest.raises(ValueError, match="witness"):
             distributivity_trick(M, 2, Witness(1, 1, 1))
+        # lam = -6 would index log from the end and pass as lam = 3
+        with pytest.raises(ValueError, match="^witness code -6 out of range for order 9$"):
+            distributivity_trick(M, 2, Witness(1, X, -6))
 
 
 class TestEge:
@@ -267,6 +270,37 @@ class TestTraceCodec:
         assert replay(M, steps[:1]).rows == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         with pytest.raises(ValueError, match="trace step 3: an earlier column already has two nonzero entries"):
             replay(M, steps)
+
+    @pytest.mark.parametrize("q,n", [(3, 2), (7, 3)])   # table kernel, Zech kernel
+    @pytest.mark.parametrize("step,bad", [
+        (lambda order: Step("scale", r=0, c=-1), "scalar code -1"),
+        (lambda order: Step("scale", r=0, c=order), "scalar code {order}"),
+        (lambda order: Step("eliminate", r=0, s=1, c=order + 91), "scalar code {plus91}"),
+        (lambda order: Step("trick", col=2, witness=(1, order, 1)), "witness code {order}"),
+        (lambda order: Step("trick", col=2, witness=(-2, 1, 1)), "witness code -2"),
+    ], ids=["scale-minus-1", "scale-order", "eliminate-order-plus-91", "trick-beta-order", "trick-alpha-minus-2"])
+    def test_replay_refuses_codes_out_of_range(self, q, n, step, bad):
+        # a step built in code, not parsed from text: a code of -1 would
+        # index from the end of a table and one past the order would raise
+        # IndexError, so each is refused by name
+        nf = build_nearfield(q, n)
+        M = NfMatrix.from_rows(nf, [(1, 0, 1), (0, 1, 1)])   # column 3 is a conflict column
+        bad = bad.format(order=nf.order, plus91=nf.order + 91)
+        with pytest.raises(ValueError, match=f"^trace step 1: {bad} out of range for order {nf.order}$"):
+            replay(M, [step(nf.order)])
+        with pytest.raises(ValueError, match="^trace step 1: "):
+            list(replay_states(M, [step(nf.order)]))
+
+    def test_results_equal_checked_matrices(self, dn32):
+        # ege, rref, replay and the trick build their results without the
+        # entry scan; each equals, and hashes as, the checked construction
+        M = build_seed(12, dn32).matrix
+        D = ege(M)
+        R, _ = rref(M)
+        T = distributivity_trick(NfMatrix.from_rows(dn32, [(1, 0, 1), (0, 1, 1)]), 2, W32)
+        for A in (D.basis, R, replay(M, D.trace), T, *replay_states(M, D.trace[:3])):
+            checked = NfMatrix(dn32, A.rows, A.width)
+            assert A == checked and hash(A) == hash(checked)
 
 
 class TestOneColumnIndependence:

@@ -475,6 +475,15 @@ def test_add_table_matches_digitwise_on_every_small_pair():
         assert nf.add_table() == ref, (q, n)
 
 
+@pytest.mark.parametrize("q,n", [(3, 2), (7, 2), (4, 3), (256, 1)])
+def test_row_kernel_add_table_matches_add(q, n):
+    # _addt inlines add's Zech formula; orders 9, 49, 64 and 256, the last
+    # at _ADD_TABLE_LIMIT
+    nf = build_nearfield(q, n)
+    elems = range(nf.order)
+    assert nf._addt == [[nf.add(a, b) for b in elems] for a in elems]
+
+
 @pytest.mark.parametrize("q,n", [(7, 3), (5, 4), (257, 2)])
 def test_zech_tables_are_linear_in_the_order(q, n):
     nf = build_nearfield(q, n)
