@@ -5,12 +5,13 @@ is mixed-radix with radix q^n = p^d, first coordinate lowest, so a packed
 vector code is simply the base-p digit string of all its coordinates laid
 end to end.  Two helpers serve every caller that works on packed codes:
 
-- scale_rows(nf, m)[c][r] is the code of c o r.  The right action works
-  on each coordinate alone, so the rows for R^(j+1) are built from those
-  for R^j and the field's row kernel row_axpy, one coordinate at a time
-  and with no unpacking.  While space * order is under a cap the rows
-  are one cached table; above it each row is computed when looked up,
-  one row_axpy per scalar.
+- scale_rows(nf, m, scalars)[c][i] is the code of c o scalars[i], for
+  a tuple of scalar codes (every scalar by default).  The right action
+  works on each coordinate alone, so the rows for R^(j+1) are built from
+  those for R^j and the field's row kernel row_axpy, one coordinate at a
+  time and with no unpacking.  While space * order is under a cap the
+  rows are one cached table per tuple of scalars; above it each row is
+  computed when looked up, one row_axpy per scalar.
 - translate(nf, codes, c) is [x + c for x in codes].  Componentwise
   addition of vectors is digitwise base-p addition of packed codes, done
   one chunk of h base-p digits of c at a time, p^h <= 256, through one
@@ -23,15 +24,26 @@ No structure grows with the square of the space.
 The linear-combination step LC -> LC' seeds the products {w o lam} and
 closes them under addition.  Because the additive group of R^m is
 elementary abelian, the additive closure of the products equals their
-GF(p)-span.  The step grows that span as a subgroup H, held as a list
-and as a membership bitmap over the space, starting from {0}.  A product
-already in H is skipped; any other product c extends H to H + <c>, the
-disjoint union of the cosets H + k c for k = 0..p-1, each translated
-from the one before.  Each element of the span is produced exactly once,
-so the step is linear in the size of the span, and a step that fills R^m
-stops at its last independent product: once p |H| = |R^m|, H + <c> is
-the whole space, known by its size and returned as range(space) without
-generating its last p - 1 cosets.  There is no elimination over GF(p).
+GF(p)-span.  The nearfield is left distributive, w o (lam + mu) =
+w o lam + w o mu, so w o lam is GF(p)-linear in lam, and the span of
+{w o lam : lam in R} is the span of the d products w o x^i, i < d (the
+scalar code p^i is x^i): the step seeds d products per vector, not |R|,
+through scale_rows(nf, m, (1, p, ..., p^(d-1))).  It grows the span as a
+subgroup H, held as a list and as a set of its codes, starting from {0}.
+A product already in H is skipped; any other product c extends H to
+H + <c>, the disjoint union of the cosets H + k c for k = 0..p-1, each
+translated from the one before and added to the set one coset at a time.
+Each element of the span is produced exactly once, and nothing allocates
+or scans the space, so a step costs O(|S| d) products plus the span's
+size and its sort, O(|H| log |H|).  The sort is the price: a span of
+half the space lists about 1.2-1.4x slower sorted than by scanning a
+membership bitmap over the space, but coset generation dominates such
+steps, and small spans in large spaces cost nothing per unused code.  A
+step that fills R^m stops at its last independent product: once
+p |H| = |R^m|, H + <c> is the whole space, known by its size, and the
+span is reported as None.  lc_index, gen_closure and is_gamma_dependent
+end there, and only lc_step and gen_closure list the space, as
+range(space), when they return it.  There is no elimination over GF(p).
 
 Every size the package enumerates, lists or prints goes through
 require_budget, the one guard, against the element budget.  The budget
@@ -152,24 +164,27 @@ def translate(nf: Nearfield, codes: list[int], c: int) -> list[int]:
 class _ScaleRowsOnDemand:
     """scale_rows above the cap: each lookup computes one row."""
 
-    def __init__(self, nf: Nearfield, m: int):
-        self.nf, self.m = nf, m
+    def __init__(self, nf: Nearfield, m: int, scalars: tuple[int, ...]):
+        self.nf, self.m, self.scalars = nf, m, scalars
 
     def __getitem__(self, c: int) -> list[int]:
         nf = self.nf
         v = unpack_vector(nf, self.m, c)
-        return [pack_vector(nf, nf.row_axpy(v, r)) for r in range(nf.order)]
+        return [pack_vector(nf, nf.row_axpy(v, r)) for r in self.scalars]
 
 
 @functools.lru_cache(maxsize=None)
-def scale_rows(nf: Nearfield, m: int):
-    """rows[c][r] = packed (c o r): a table while space * order is under the cap."""
+def scale_rows(nf: Nearfield, m: int, scalars: tuple[int, ...] | None = None):
+    """rows[c][i] = packed (c o scalars[i]), every scalar by default: a table
+    while space * order is under the cap."""
     order = nf.order
+    if scalars is None:
+        scalars = tuple(range(order))
     if order ** (m + 1) > _VSCALE_TABLE_CAP:
-        return _ScaleRowsOnDemand(nf, m)
-    # base[c][r] = c o r, the transpose of the kernel's rows [a o r for a]
-    base = list(zip(*[nf.row_axpy(range(order), r) for r in range(order)]))
-    rows = [[0] * order]
+        return _ScaleRowsOnDemand(nf, m, scalars)
+    # base[a][i] = a o scalars[i], the transpose of the kernel's rows [a o r for a]
+    base = list(zip(*[nf.row_axpy(range(order), r) for r in scalars]))
+    rows = [[0] * len(scalars)]
     for _ in range(m):
         # code a + order * b: the new coordinate a lowest, the old ones b above it
         rows = [[a + order * b for a, b in zip(row, hrow)] for hrow in rows for row in base]
@@ -205,28 +220,32 @@ class VectorSet:
         return i < len(self.codes) and self.codes[i] == code
 
 
-def lc_step(S: VectorSet) -> VectorSet:
-    """One stratum up: the additive subgroup generated by {w o lam}."""
-    nf, m = S.nf, S.m
-    space = require_budget("|R|^m", nf.order, m)
-    rows = scale_rows(nf, m)
-    span = bytearray(space)  # membership bitmap of out
-    span[0] = 1
-    out = [0]                # the subgroup grown so far, from the empty sum
+def _span_codes(S: VectorSet, space: int) -> tuple[int, ...] | None:
+    """The GF(p)-span of the products w o x^i, sorted, or None once it fills R^m."""
+    nf, p = S.nf, S.nf.p
+    rows = scale_rows(nf, S.m, tuple(p ** i for i in range(nf.d)))
+    out = [0]     # the subgroup grown so far, from the empty sum
+    seen = {0}    # its membership
     for c in itertools.chain.from_iterable(rows[w] for w in S.codes):
-        if span[c]:
+        if c in seen:
             continue
-        if len(out) * nf.p == space:
+        if len(out) * p == space:
             # out + <c> has p |out| elements: all of R^m
-            return VectorSet(nf, m, tuple(range(space)))
+            return None
         # out + <c> is out and the cosets out + k c, 0 < k < p, all disjoint
         coset = out
-        for _ in range(nf.p - 1):
+        for _ in range(p - 1):
             coset = translate(nf, coset, c)
-            for x in coset:
-                span[x] = 1
+            seen.update(coset)
             out += coset
-    return VectorSet(nf, m, tuple(itertools.compress(range(space), span)))
+    return tuple(sorted(out))
+
+
+def lc_step(S: VectorSet) -> VectorSet:
+    """One stratum up: the additive subgroup generated by {w o lam}."""
+    space = require_budget("|R|^m", S.nf.order, S.m)
+    codes = _span_codes(S, space)
+    return VectorSet(S.nf, S.m, tuple(range(space)) if codes is None else codes)
 
 
 def gen_closure(S: VectorSet) -> VectorSet:
@@ -234,10 +253,12 @@ def gen_closure(S: VectorSet) -> VectorSet:
     space = require_budget("|R|^m", S.nf.order, S.m)
     cur = S
     while True:
-        nxt = lc_step(cur)
-        if nxt.codes == cur.codes or len(nxt) == space:
-            return nxt
-        cur = nxt
+        codes = _span_codes(cur, space)
+        if codes is None:
+            return VectorSet(S.nf, S.m, tuple(range(space)))
+        if codes == cur.codes:
+            return cur
+        cur = VectorSet(S.nf, S.m, codes)
 
 
 def lc_index(nf: Nearfield, vectors) -> int:
@@ -249,14 +270,15 @@ def lc_index(nf: Nearfield, vectors) -> int:
     space = require_budget("|R|^m", nf.order, m)
     cur = VectorSet.from_vectors(nf, m, vectors)
     p = 0
-    while True:
-        if len(cur) == space:
-            return p
-        nxt = lc_step(cur)
-        if nxt.codes == cur.codes:
-            raise ValueError("index undefined: gen != R^m")
-        cur = nxt
+    while len(cur) < space:
+        codes = _span_codes(cur, space)
         p += 1
+        if codes is None:
+            break
+        if codes == cur.codes:
+            raise ValueError("index undefined: gen != R^m")
+        cur = VectorSet(nf, m, codes)
+    return p
 
 
 def is_gamma_dependent(nf: Nearfield, vectors, gamma: int) -> tuple[bool, int | None]:
@@ -270,14 +292,17 @@ def is_gamma_dependent(nf: Nearfield, vectors, gamma: int) -> tuple[bool, int | 
     if not vectors:
         return False, None
     m = len(vectors[0])
+    space = require_budget("|R|^m", nf.order, m)
     for i, v in enumerate(vectors):
         others = vectors[:i] + vectors[i + 1:]
         cur = VectorSet.from_vectors(nf, m, others)
         for _ in range(gamma):
-            nxt = lc_step(cur)
-            if nxt.codes == cur.codes:
+            codes = _span_codes(cur, space)
+            if codes is None:
+                return True, i  # LC of the others is all of R^m, v included
+            if codes == cur.codes:
                 break
-            cur = nxt
+            cur = VectorSet(nf, m, codes)
         if v in cur:
             return True, i
     return False, None

@@ -260,6 +260,8 @@ def _check_trick(nf: Nearfield, work: _Rows, col: int, w: Witness, clean: int = 
     the scan starts there."""
     for a in (w.alpha, w.beta, w.lam):
         _code(nf, a, "witness")
+    if not isinstance(col, int):
+        raise ValueError(f"column index {col!r} is not an integer")
     if not 0 <= col < work.width:
         raise ValueError("column index out of range")
     first = work.first_conflict(min(clean, col), col + 1)
@@ -384,12 +386,16 @@ def replay_states(M: NfMatrix, steps):
 
 
 def _row_index(rows, idx: int) -> int:
+    if not isinstance(idx, int):
+        raise ValueError(f"row index {idx!r} is not an integer")
     if not 0 <= idx < len(rows):
         raise ValueError(f"row {idx + 1} out of range for {len(rows)} rows")
     return idx
 
 
 def _code(nf: Nearfield, a: int, what: str) -> int:
+    if not isinstance(a, int):
+        raise ValueError(f"{what} code {a!r} is not an integer")
     if not 0 <= a < nf.order:
         raise ValueError(f"{what} code {a} out of range for order {nf.order}")
     return a
@@ -422,6 +428,8 @@ def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int, clean: int) -> int
             if cols:
                 clean = min(clean, cols[0])
         elif st.kind == "trick":
+            if not isinstance(st.witness, (tuple, list)) or len(st.witness) != 3:
+                raise ValueError(f"witness {st.witness!r} is not three codes")
             w = Witness(*st.witness)
             _check_trick(nf, work, st.col, w, clean)
             _trick_inplace(nf, work, st.col, w)

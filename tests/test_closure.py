@@ -2,6 +2,7 @@ import importlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,11 +250,11 @@ ORACLE_SHAPES = [(3, 2, 1), (3, 2, 2), (3, 2, 3), (3, 2, 4), (5, 2, 1), (5, 2, 2
 
 
 @st.composite
-def _oracle_cases(draw):
-    q, n, m = draw(st.sampled_from(ORACLE_SHAPES))
+def _oracle_cases(draw, shapes=ORACLE_SHAPES, max_vectors=3):
+    q, n, m = draw(st.sampled_from(shapes))
     nf = build_nearfield(q, n)
     space = nf.order ** m
-    codes = draw(st.lists(st.integers(0, space - 1), max_size=3))
+    codes = draw(st.lists(st.integers(0, space - 1), max_size=max_vectors))
     return nf, m, [unpack_vector(nf, m, c) for c in codes], draw(st.integers(1, 3))
 
 
@@ -280,6 +281,16 @@ def test_lc_step_matches_elimination_oracle(case):
     else:
         with pytest.raises(ValueError, match="index undefined"):
             lc_index(nf, vectors)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_oracle_cases([(7, 3, 2), (5, 4, 2)], max_vectors=2))
+def test_lc_step_matches_elimination_oracle_above_the_cap(case):
+    # DN(7,3)^2 and DN(5,4)^2 are above the scaling-table cap and have
+    # d >= 2: the d products w o x^i, computed on lookup, span all |R| products
+    nf, m, vectors, _ = case
+    S = VectorSet.from_vectors(nf, m, vectors)
+    assert lc_step(S) == _elimination_lc_step(S)
 
 
 @pytest.mark.parametrize("q,m,vectors", [(257, 2, [(3, 5), (7, 0)]), (1009, 1, [(4,)])])
@@ -325,3 +336,37 @@ def test_lc_step_large_prime_is_linear_in_the_space():
     assert time.perf_counter() - start < 5
     assert len(out) == 30011
     assert lc_index(nf, [(5,)]) == 1
+
+
+def test_lc_step_seeds_d_products_per_vector(monkeypatch):
+    # DN(5,4)^2 is above the scaling-table cap, so each product is one
+    # row_axpy: d = 4 per vector, where seeding every scalar took |R| = 625
+    nf = build_nearfield(5, 4)
+    S = VectorSet.from_vectors(nf, 2, [(1, 0), (0, 1)])
+    lc_step(S)  # warm
+    calls = []
+    real = nf.row_axpy
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nf, "row_axpy", counting)
+    assert len(lc_step(S)) == nf.order ** 2
+    assert len(calls) == len(S) * nf.d
+
+
+def test_lc_step_memory_follows_the_span_not_the_space():
+    # one standard basis vector of GF(2)^19 (524288 vectors, above the
+    # scaling-table cap) spans 2 vectors; a membership bitmap over the
+    # space alone would be 512 KB
+    nf = build_nearfield(2, 1)
+    S = VectorSet.from_vectors(nf, 19, [unpack_vector(nf, 19, 1)])
+    assert lc_step(S).codes == (0, 1)  # warm
+    tracemalloc.start()
+    try:
+        assert lc_step(S).codes == (0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

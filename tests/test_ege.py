@@ -291,6 +291,25 @@ class TestTraceCodec:
         with pytest.raises(ValueError, match="^trace step 1: "):
             list(replay_states(M, [step(nf.order)]))
 
+    @pytest.mark.parametrize("step,msg", [
+        (Step("trick", col=2), "witness None is not three codes"),
+        (Step("trick", col=2, witness=(1, X)), r"witness \(1, 3\) is not three codes"),
+        (Step("trick", col=1.5, witness=(1, X, X)), "column index 1.5 is not an integer"),
+        (Step("trick", col=2, witness=(1, X, 3.0)), "witness code 3.0 is not an integer"),
+        (Step("scale", r=0, c=1.5), "scalar code 1.5 is not an integer"),
+        (Step("swap", r=0.0, s=1), "row index 0.0 is not an integer"),
+        (Step("eliminate", r=0, s=1, c=None), "scalar code None is not an integer"),
+    ], ids=["trick-no-witness", "trick-two-codes", "trick-float-col", "trick-float-code",
+            "scale-float", "swap-float-row", "eliminate-none"])
+    def test_replay_refuses_malformed_steps(self, dn32, step, msg):
+        # a step built in code can carry any Python value; each malformed
+        # field is refused by name instead of raising TypeError
+        M = NfMatrix.from_rows(dn32, [(1, 0, 1), (0, 1, 1)])   # column 3 is a conflict column
+        with pytest.raises(ValueError, match=f"^trace step 1: {msg}$"):
+            replay(M, [step])
+        with pytest.raises(ValueError, match=f"^trace step 1: {msg}$"):
+            list(replay_states(M, [step]))
+
     def test_results_equal_checked_matrices(self, dn32):
         # ege, rref, replay and the trick build their results without the
         # entry scan; each equals, and hashes as, the checked construction

@@ -409,6 +409,11 @@ def test_scale_rows_match_vec_scale_right(scale_cap, q, k, m):
     nf = build_nearfield(q, k)
     rows = closure.scale_rows(nf, m)
     assert isinstance(rows, list) == (scale_cap == "cap")
+    # the scalar basis x^i (codes p^i), which lc_step asks for, under the same cap
+    basis = tuple(nf.p ** i for i in range(nf.d))
+    sub = closure.scale_rows(nf, m, basis)
+    assert isinstance(sub, list) == (scale_cap == "cap")
     for c in range(nf.order ** m):
         v = unpack_vector(nf, m, c)
         assert rows[c] == [pack_vector(nf, vec_scale_right(nf, v, r)) for r in range(nf.order)]
+        assert sub[c] == [rows[c][r] for r in basis]
