@@ -10,12 +10,15 @@ force semantics in the tests.
 
 The semantic checks are those brute-force oracles: they consult no
 criterion and run over all of R^n, on packed codes through closure's
-scale_rows and translate.  The images are built one coordinate at a
-time, T(low + order^j r) = T(low) + column_j o r.  Normality is checked
-by coset labels: each x is labelled with the least element of x + H,
-H the image, so two vectors lie in one coset exactly when their labels
-agree.  That costs O(space * order), where the definition read
-literally costs O(space * |H| * order); is_normal gives the argument.
+scale_rows and translate.  They test every pair (x, r) against the full
+scalar table, without the reduction to the scalars x^i that lc_step
+uses, comparing a whole scaling row of x at a time.  The images are
+built one coordinate at a time, T(low + order^j r) = T(low) + column_j o r.
+Normality is checked by coset labels: each x is labelled with the least
+element of x + H, H the image, so two vectors lie in one coset exactly
+when their labels agree.  That costs O(space * order), where the
+definition read literally costs O(space * |H| * order); is_normal gives
+the argument.
 """
 
 from __future__ import annotations
@@ -98,9 +101,11 @@ def linear_violation(T: MapRep):
     img = _images_packed(T)
     rows = scale_rows(T.nf, T.n)
     for c, ic in enumerate(img):
-        for r, (x, y) in enumerate(zip(rows[c], rows[ic])):
-            if img[x] != y:
-                return unpack_vector(T.nf, T.n, c), r
+        # T(c o r) for every r at once, against T(c) o r
+        lhs, rhs = list(map(img.__getitem__, rows[c])), rows[ic]
+        if lhs != rhs:
+            r = next(r for r, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            return unpack_vector(T.nf, T.n, c), r
     return None
 
 
@@ -137,8 +142,11 @@ def is_normal(T: MapRep, mode: str = "criterion") -> bool:
         if label[x] < 0:  # x is the least element of its coset x + H
             for y in translate(T.nf, image, x):
                 label[y] = x
-    return all(label[a] == label[b]
-               for x, rep in enumerate(label) for a, b in zip(rows[x], rows[rep]))
+    # the labels of x o r for every r at once, against those of rep o r,
+    # which are listed once per coset
+    labels_of = lambda x: list(map(label.__getitem__, rows[x]))
+    rep_labels = {rep: labels_of(rep) for rep in set(label)}
+    return all(labels_of(x) == rep_labels[rep] for x, rep in enumerate(label))
 
 
 def _is_scaled_permutation(T: MapRep) -> bool:
@@ -241,28 +249,25 @@ def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form") ->
     if method != "enumeration":
         raise ValueError("method must be 'closed_form' or 'enumeration'")
     require_budget("|R|^(n^2)", order, n * n)
+    # each matrix is tested inside itertools and map, with no Python step per matrix
     if kind == "all":
-        return sum(1 for _ in itertools.product(range(order), repeat=n * n))
+        # the one empty matrix of n = 0 is a falsy tuple, which compress would drop
+        if n == 0:
+            return 1
+        matrices = itertools.product(range(order), repeat=n * n)
+        return sum(itertools.compress(itertools.repeat(1), matrices))
     rows = list(itertools.product(range(order), repeat=n))
-    nnz = [sum(1 for a in row if a) for row in rows]
-    count = 0
-    for mat in itertools.product(range(len(rows)), repeat=n):
-        if any(nnz[ri] > 1 for ri in mat):
-            continue
-        if kind == "normal":
-            cols = [0] * n
-            ok = True
-            for ri in mat:
-                row = rows[ri]
-                for j, a in enumerate(row):
-                    if a:
-                        cols[j] += 1
-                        if cols[j] > 1:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                continue
-        count += 1
-    return count
+    if kind == "linear":
+        row_ok = [sum(map(bool, row)) <= 1 for row in rows]
+        return sum(map(all, itertools.product(row_ok, repeat=n)))
+    # a row weighs (n+1)^j for its one nonzero column j, 0 when zero and
+    # (n+1)^n with two nonzero entries or more; the n weights of a matrix add
+    # without carry, so it is normal exactly when they sum to (n+1)^j over
+    # distinct columns j
+    base = n + 1
+    weight = []
+    for row in rows:
+        support = [j for j, a in enumerate(row) if a]
+        weight.append(base ** n if len(support) > 1 else sum(base ** j for j in support))
+    normal_sums = set(map(sum, itertools.product(*[(0, base ** j) for j in range(n)])))
+    return sum(map(normal_sums.__contains__, map(sum, itertools.product(weight, repeat=n))))

@@ -15,7 +15,9 @@ from nearvec import (
     partitions_into_parts,
 )
 from nearvec import counting
-from nearvec.counting import _partition_counts, _partitions_desc, _poly_at
+from nearvec.counting import (_generator_rows, _partition_counts, _partitions_desc, _poly_at,
+                               _subgroup_builds)
+from orbit_oracle import reference_subgroup_orbits
 
 X = 3
 
@@ -207,6 +209,41 @@ class TestOrbitReport:
         # 12! |R| / 10 is about 10^8; the 479001600 permutations are never listed
         with pytest.raises(BudgetExceededError, match="m! \\|R\\|\\^k / 10"):
             count_subgroup_orbits(12, 1, build_nearfield(2, 1))
+
+    @pytest.mark.parametrize("q,n,m,k", [
+        (3, 2, 1, 1), (3, 2, 2, 1), (3, 2, 2, 2), (3, 2, 3, 1), (3, 2, 3, 2), (3, 2, 3, 3),
+        (3, 2, 4, 2), (5, 2, 2, 1), (5, 2, 2, 2), (7, 2, 2, 1), (2, 1, 5, 1), (2, 1, 5, 2),
+    ])
+    def test_marking_matches_reference_quotient(self, q, n, m, k):
+        # the min-key quotient over every subgroup's permuted elements;
+        # over GF(2) many permutations give equal rows
+        nf = build_nearfield(q, n)
+        assert count_subgroup_orbits(m, k, nf) == reference_subgroup_orbits(m, k, nf)
+
+    @pytest.mark.parametrize("m,k", [(6, 2), (6, 3)])
+    def test_subgroup_builds_refused_before_listing(self, dn32, m, k):
+        # 360542 and 338520 builds pass the other two guards; (5, 2)'s
+        # 20340 builds take about a second
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="subgroup builds \\|R\\|\\^k / 10 = "):
+            count_subgroup_orbits(m, k, dn32)
+        assert time.perf_counter() - t0 < 1
+
+    def test_marking_skips_permutations_that_give_equal_rows(self):
+        # over GF(2) a dimension-1 subgroup is one row, and its orbit is
+        # fixed by its support size; 10! permutations per orbit are never
+        # taken one by one
+        t0 = time.perf_counter()
+        assert count_subgroup_orbits(10, 1, build_nearfield(2, 1)) == 10
+        assert time.perf_counter() - t0 < 1
+
+    def test_builds_formula_counts_generator_rows(self):
+        assert [_subgroup_builds(m, k, 9) for m, k in [(3, 2), (5, 2), (6, 3)]] == [54, 20340, 338520]
+        for order in (2, 3, 9):
+            for m in range(5):
+                for k in range(m + 2):
+                    listed = sum(1 for _ in _generator_rows(m, k, order))
+                    assert _subgroup_builds(m, k, order) == listed, (order, m, k)
 
     def test_swap_merge_witness(self, dn32):
         # swap(gen((1, x))) = gen((1, inv(x)))

@@ -204,10 +204,11 @@ class TestCounts:
         assert count_maps(dn32, 2, "normal") == 161
 
     def test_enumeration_matches_closed_form(self, dn32, dn52):
-        from nearvec import build_nearfield
+        # n = 0 has one matrix, the empty one
         for nf in (build_nearfield(2, 1), dn32, dn52):
-            for kind in ("all", "linear", "normal"):
-                assert count_maps(nf, 2, kind, "enumeration") == count_maps(nf, 2, kind)
+            for n in (0, 1, 2):
+                for kind in ("all", "linear", "normal"):
+                    assert count_maps(nf, n, kind, "enumeration") == count_maps(nf, n, kind), (nf, n, kind)
 
     def test_n1(self, dn32):
         assert count_maps(dn32, 1, "all") == 9
@@ -354,6 +355,21 @@ def _entry_is_normal(T):
     image = set(_entry_images(T))
     return all(vadd[vscale[vadd[m][a]][r]][vneg[vscale[m][r]]] in image
                for m in range(len(vscale)) for a in image for r in range(T.nf.order))
+
+
+@pytest.mark.parametrize("q,k,n", [(5, 2, 2), (3, 2, 3)])
+def test_first_violation_matches_per_entry_oracle(q, k, n):
+    # hom-only maps: row 0 holds two nonzero entries, the other rows are
+    # random; the first violating scalar lies past the start of the row
+    nf = build_nearfield(q, k)
+    rng = random.Random(43)
+    for _ in range(6):
+        rows = [tuple(rng.randrange(nf.order) for _ in range(n)) for _ in range(n)]
+        rows[0] = (rng.randrange(1, nf.order), rng.randrange(1, nf.order)) + rows[0][2:]
+        T = MapRep(nf, n, tuple(rows))
+        violation = linear_violation(T)
+        assert violation is not None and violation[1] > 1
+        assert violation == _entry_linear_violation(T)
 
 
 # DN(3,2)^1..3, DN(5,2)^2 and GF(7)^2
