@@ -59,7 +59,7 @@ from itertools import compress, islice
 from operator import itemgetter
 
 from .nearfield import Nearfield, Witness
-from .vectors import NfMatrix, left_multiple_of
+from .vectors import NfMatrix, left_multiple_of, vec_scale_left
 
 
 class Step(tuple):
@@ -441,15 +441,38 @@ def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int, clean: int) -> int
     return clean
 
 
+def _column_keys(M: NfMatrix) -> list:
+    """Each column's class under left multiplication: key(c) = c_t^-1 o c,
+    entrywise, for the first nonzero entry c_t of c, or None for a zero
+    column.
+
+    Two nonzero columns are left multiples of each other exactly when
+    their keys are equal: key(b o c) = (b o c_t)^-1 o b o c = key(c) by
+    associativity.  One pass over the k x m entries, with no pairwise
+    comparison.
+    """
+    nf = M.nf
+    keys = []
+    for col in zip(*M.rows) if M.rows else [()] * M.width:
+        lead = next(filter(None, col), 0)
+        if not lead:
+            keys.append(None)
+        else:
+            keys.append(col if lead == 1 else vec_scale_left(nf, nf.inv(lead), col))
+    return keys
+
+
 def is_one_column_independent(M: NfMatrix) -> bool:
-    """No column is a left scalar multiple of another (all ordered pairs)."""
+    """No column is a left scalar multiple of another (all ordered pairs).
+
+    A zero column is 0 times any other, so it counts as dependent; the
+    nonzero columns are compared by their keys (_column_keys), which
+    decides every ordered pair at once.
+    """
     if M.width < 2:
         raise ValueError("need at least 2 columns")
-    for i in range(M.width):
-        for j in range(i + 1, M.width):
-            if column_pair_dependent(M, i, j):
-                return False
-    return True
+    keys = _column_keys(M)
+    return None not in keys and len(set(keys)) == M.width
 
 
 def column_pair_dependent(M: NfMatrix, i: int, j: int) -> bool:

@@ -67,6 +67,7 @@ ORDER_LIMIT = 1 << 20   # largest order for which log/exp tables are built at al
 PAIR_LIMIT = 1 << 32    # largest q and n that the Dickson pair test factors
 
 _ADD_TABLE_LIMIT = 256  # largest order whose row kernel reads order x order tables
+_CACHE_ALL_LIMIT = 1 << 16  # fields up to this order stay cached; of larger ones, the last only
 
 _TERM_RE = re.compile(r"^(\d*)x(?:\^(\d+))?$")
 
@@ -745,16 +746,24 @@ def _cached_nearfield(q: int, n: int) -> Nearfield:
     return Nearfield(q, n)
 
 
+@functools.lru_cache(maxsize=1)
+def _cached_large_nearfield(q: int, n: int) -> Nearfield:
+    return Nearfield(q, n)
+
+
 def build_nearfield(q: int, n: int) -> Nearfield:
     """Construct (or fetch the cached) DN(q, n).
 
     Raises TypeError for non-integers, and ValueError for invalid pairs
     or when q^n exceeds ORDER_LIMIT (2^20).  The type, range and order
     checks run ahead of the cache, which would return DN(3,2) for (3.0, 2)
-    as 3.0 hashes like 3, and a huge q or n costs no factoring.  The
-    limits are fixed: besides ORDER_LIMIT, full operation tables stop at
-    TABLE_LIMIT (2^12) and the pair test at PAIR_LIMIT (2^32).  The one
+    as 3.0 hashes like 3, and a huge q or n costs no factoring.  Every
+    field of order up to 2^16 stays cached; of the larger ones, whose
+    tables take tens to hundreds of MB, only the last one built does.
+    The limits are fixed: besides ORDER_LIMIT, full operation tables stop
+    at TABLE_LIMIT (2^12) and the pair test at PAIR_LIMIT (2^32).  The one
     settable size limit is the element budget (closure, NEARVEC_BUDGET).
     """
-    _bounded_order(q, n, ORDER_LIMIT, f"the hard limit {ORDER_LIMIT}")
-    return _cached_nearfield(q, n)
+    order = _bounded_order(q, n, ORDER_LIMIT, f"the hard limit {ORDER_LIMIT}")
+    cache = _cached_nearfield if order <= _CACHE_ALL_LIMIT else _cached_large_nearfield
+    return cache(q, n)

@@ -12,6 +12,30 @@ contributes (j-1)(|R|-2) columns, so k rows last exactly up to
 columns, and the row count for a given m is the integer ceiling of the
 positive root of that quadratic.  All of it is exact integer arithmetic;
 no floating point enters the ceiling.
+
+Checking a seed needs no elimination over a proper nearfield (n >= 2).
+Normalise each nonzero column c to its key c_t^-1 o c, the left product
+taken entrywise with c_t the first nonzero entry of c.  Then dim gen(V)
+is the number of distinct keys, so gen(V) = R^m exactly when no column
+is zero and all m keys differ (after Djagba and Howell's results on the
+R-dimension):
+
+- keys are well defined: key(b o c) = key(c), by associativity;
+- columns in one class stay coupled: if c_j = a o c_i, every element of
+  gen(V) keeps v_j = a o v_i, by left distributivity,
+  a o (x + y) = a o x + a o y, and associativity,
+  a o (x o r) = (a o x) o r; a zero column stays zero;
+- columns in different classes stay apart: EGE's final basis u_1..u_d
+  lies in gen(V), generates it and has rows with pairwise disjoint
+  supports, so gen(V) = u_1 o R + ... + u_d o R.  Two columns in the
+  support of one u_l are then coupled in every element of gen(V), so in
+  V; columns in different supports are not left multiples in the basis,
+  so not in V, as a coupling in V would hold in the basis too.  The
+  classes of nonzero columns are thus the d basis rows.
+
+Over a field (n = 1) EGE may stop short of disjoint supports, and the
+criterion fails: the rows (1 0 1) and (0 1 1) over GF(5) have three
+distinct keys but span a plane.  verify_seed eliminates there.
 """
 
 from __future__ import annotations
@@ -91,16 +115,29 @@ def build_seed(m: int, nf: Nearfield) -> SeedMatrix:
 def verify_seed(V: NfMatrix) -> bool:
     """Does gen(rows of V) equal all of R^m?
 
-    Decided through the elimination decomposition; for small spaces the
-    closure oracle independently confirms the verdict.
+    Over a proper nearfield (n >= 2) this is decided without elimination.
+    Each nonzero column c has the key c_t^-1 o c (ege._column_keys: c_t
+    is its first nonzero entry, the product is entrywise on the left), and
+    dim gen(V) is the number of distinct keys.  Columns with one key are
+    left multiples of each other, a coupling that every element of gen(V)
+    keeps by left distributivity and associativity; EGE's basis, whose
+    rows have disjoint supports, keeps columns with different keys apart.
+    So gen(V) = R^m exactly when no column is zero and all m keys differ;
+    the module docstring gives the proof in full.  Over a field the
+    criterion fails, so EGE decides there.  For small spaces
+    (|R|^m <= 10^4) the closure oracle independently confirms the verdict.
     """
-    from .ege import ege
+    from .ege import _column_keys, ege
 
-    ok = ege(V).dimension == V.width
+    if V.nf.n >= 2:
+        keys = _column_keys(V)
+        ok = None not in keys and len(set(keys)) == V.width
+    else:
+        ok = ege(V).dimension == V.width
     if V.nf.order ** V.width <= 10 ** 4:
         from .closure import VectorSet, gen_closure
 
         size = len(gen_closure(VectorSet.from_vectors(V.nf, V.width, V.rows)))
         if (size == V.nf.order ** V.width) != ok:
-            raise RuntimeError("elimination and closure oracle disagree on the seed property")
+            raise RuntimeError("the seed verdict and the closure oracle disagree on the seed property")
     return ok

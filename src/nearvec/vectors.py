@@ -2,7 +2,8 @@
 
 Vectors are plain tuples of element codes; scalars act componentwise on
 the right (v o r)_i = v_i o r.  The left action r o v appears only in
-the left-multiple test and is kept as a separate operation.
+the left-multiple test and the column keys of 1-column independence, and
+is kept as a separate operation.
 """
 
 from __future__ import annotations

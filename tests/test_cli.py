@@ -340,6 +340,11 @@ class TestSubgroupAndSeedCommands:
         assert code == 0
         assert vout == "true\n"
 
+    def test_verify_seed_zero_column(self, capsys, tmp_path):
+        f = tmp_path / "zero.mat"
+        f.write_text("DN 3 2\n2 3\n1 0 0\n0 1 0\n")
+        assert run(capsys, "verify-seed", str(f)) == (0, "false\n", "")
+
     def test_seed_roundtrip_all_m(self, capsys, tmp_path):
         f = tmp_path / "seed.mat"
         for m in range(1, 25):

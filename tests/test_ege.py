@@ -338,6 +338,52 @@ class TestOneColumnIndependence:
         with pytest.raises(ValueError, match="2 columns"):
             is_one_column_independent(NfMatrix.from_rows(dn32, [(1,), (2,)]))
 
+    @staticmethod
+    def _coupled_matrix(rng, nf, max_rows=4, max_cols=6):
+        """A random matrix in which some columns are forced to be left
+        multiples of earlier ones and some to be zero."""
+        k, m = rng.randint(1, max_rows), rng.randint(1, max_cols)
+        cols = []
+        for _ in range(m):
+            kind = rng.random()
+            if kind < 0.25 and cols:
+                a = rng.randrange(1, nf.order)
+                cols.append(tuple(nf.mul(a, x) for x in rng.choice(cols)))
+            elif kind < 0.35:
+                cols.append((0,) * k)
+            else:
+                cols.append(tuple(rng.randrange(nf.order) if rng.random() < 0.7 else 0 for _ in range(k)))
+        return NfMatrix(nf, tuple(zip(*cols)), m)
+
+    @pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (7, 3)])
+    def test_column_classes_count_the_ege_dimension(self, q, n):
+        # over a proper nearfield dim gen = the number of nonzero column classes
+        nf = build_nearfield(q, n)
+        rng = random.Random(f"column-keys:{q},{n}")
+        for _ in range(150):
+            M = self._coupled_matrix(rng, nf)
+            keys = ege_module._column_keys(M)
+            assert len(keys) == M.width
+            assert [key is None for key in keys] == [not any(M.column(j)) for j in range(M.width)]
+            assert len(set(keys) - {None}) == ege(M).dimension, M.rows
+
+    @pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (7, 3), (5, 1)])
+    def test_matches_the_pairwise_reference(self, q, n):
+        # the pairwise loop over column_pair_dependent that the keys replace
+        def reference(M):
+            return not any(column_pair_dependent(M, i, j)
+                           for i in range(M.width) for j in range(i + 1, M.width))
+
+        nf = build_nearfield(q, n)
+        rng = random.Random(f"one-column:{q},{n}")
+        seen = set()
+        for _ in range(150):
+            M = self._coupled_matrix(rng, nf)
+            if M.width >= 2:
+                seen.add(reference(M))
+                assert is_one_column_independent(M) == reference(M), M.rows
+        assert seen == {True, False}
+
 
 class TestWitnessChoiceIndependence:
     def test_final_basis_stable_across_witnesses(self, dn32):

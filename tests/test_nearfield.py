@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,23 @@ class TestConstruction:
             build_nearfield(3.0, 2)
         with pytest.raises(ValueError):
             build_nearfield(9, 8)  # 9^8 > 2^20, rejected before construction
+
+    def test_cache_keeps_one_field_above_2_16(self, dn32):
+        # small fields stay cached; building a second field above 2^16
+        # releases the first, and a rebuilt field computes the same
+        small = build_nearfield(3, 2)
+        first = build_nearfield(65537, 1)
+        assert build_nearfield(65537, 1) is first
+        probe = [(a, first.mul(a, b), first.add(a, b), first.inv(a)) for a, b in ((3, 40000), (65536, 2))]
+        released = weakref.ref(first)
+        del first
+        second = build_nearfield(131071, 1)
+        gc.collect()
+        assert released() is None
+        assert build_nearfield(131071, 1) is second
+        assert build_nearfield(3, 2) is small is dn32
+        again = build_nearfield(65537, 1)
+        assert [(a, again.mul(a, b), again.add(a, b), again.inv(a)) for a, b in ((3, 40000), (65536, 2))] == probe
 
     @pytest.mark.parametrize("q,n", [(2, 1), (5, 1), (3, 2), (9, 2), (4, 3), (7, 3), (5, 4)])
     def test_modulus_is_first_irreducible(self, q, n):

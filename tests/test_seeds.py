@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ from nearvec import (
     VectorSet,
     build_nearfield,
     build_seed,
+    ege,
     gen_closure,
     seed_number,
     u_max,
@@ -149,6 +151,41 @@ class TestVerifySeed:
 
     def test_single_row_fails(self, dn32):
         assert not verify_seed(NfMatrix.from_rows(dn32, [(1, 3)]))
+
+    @pytest.mark.parametrize("q,n", [(3, 2), (5, 2)])
+    def test_agrees_with_ege_on_seeds_and_dropped_rows(self, q, n):
+        # every seed of width 1..60, and each with every row dropped in turn
+        nf = build_nearfield(q, n)
+        negatives = 0
+        for m in range(1, 61):
+            V = build_seed(m, nf).matrix
+            cases = [V.rows] + [V.rows[:i] + V.rows[i + 1:] for i in range(len(V.rows))]
+            for rows in cases:
+                M = NfMatrix(nf, rows, m)
+                want = ege(M).dimension == m
+                assert verify_seed(M) == want, (m, len(rows))
+                negatives += not want
+        assert negatives > 60
+
+    def test_field_path_uses_elimination(self):
+        # over a field distinct column classes do not make a seed, so
+        # verify_seed must eliminate: (1 0 1), (0 1 1) spans a plane in GF(5)^3
+        gf5 = build_nearfield(5, 1)
+        assert verify_seed(NfMatrix.from_rows(gf5, [(1, 0), (0, 1)]))
+        assert not verify_seed(NfMatrix.from_rows(gf5, [(1, 3)]))
+        assert not verify_seed(NfMatrix.from_rows(gf5, [(1, 0, 1), (0, 1, 1)]))
+
+    def test_closure_oracle_checks_the_criterion(self, dn32, monkeypatch):
+        # a criterion that calls the one row (1 3) a seed is caught in R^2
+        ege_module = importlib.import_module("nearvec.ege")   # the package's ege shadows it
+        monkeypatch.setattr(ege_module, "_column_keys", lambda M: list(range(M.width)))
+        with pytest.raises(RuntimeError, match="closure oracle disagree"):
+            verify_seed(NfMatrix.from_rows(dn32, [(1, 3)]))
+
+    def test_zero_column_fails(self, dn32):
+        assert not verify_seed(NfMatrix.from_rows(dn32, [(1, 0, 0), (0, 1, 0)]))
+        assert not verify_seed(NfMatrix.from_rows(dn32, [(0,), (0,)]))
+        assert verify_seed(NfMatrix.from_rows(dn32, [(0,), (5,)]))
 
     def test_minimality_small_m(self, dn32):
         """No single vector generates R^m for m = 2, 3, so seed_number is
