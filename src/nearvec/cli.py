@@ -87,8 +87,8 @@ def _read_matrix(path: str) -> NfMatrix:
     return matrix_parse(Path(path).read_text())
 
 
-def _matrix_tokens(M: NfMatrix, style: str = "poly"):
-    return [[M.nf.format_element(a, style) for a in row] for row in M.rows]
+def _matrix_tokens(M: NfMatrix):
+    return list(map(M.nf.format_elements, M.rows))
 
 
 def _rows_doc(args, M: NfMatrix):
@@ -99,14 +99,14 @@ def _rows_doc(args, M: NfMatrix):
 def _cmd_table(args):
     nf = build_nearfield(args.q, args.n)
     table = nf.mul_table() if args.op == "mul" else nf.add_table()
-    fmt = lambda a: nf.format_element(a, args.style)
-    labels = [fmt(a) for a in nf.elements]
-    width = max(len(s) for s in labels)
+    labels = nf.format_elements(nf.elements, args.style)
+    cells = [nf.format_elements(row, args.style) for row in table]
+    width = max(map(len, labels))
     head = args.op.rjust(width)
     lines = [" ".join([head] + [s.rjust(width) for s in labels])]
-    for a in nf.elements:
-        lines.append(" ".join([labels[a].rjust(width)] + [fmt(x).rjust(width) for x in table[a]]))
-    result = {"op": args.op, "table": [[fmt(x) for x in row] for row in table]}
+    for label, row in zip(labels, cells):
+        lines.append(" ".join([label.rjust(width)] + [s.rjust(width) for s in row]))
+    result = {"op": args.op, "table": cells}
     return _emit(args, nf, {"q": args.q, "n": args.n}, result, lines)
 
 
@@ -115,7 +115,7 @@ def _cmd_witness(args):
     w = nf.find_witness()
     if w is None:
         return _emit(args, nf, {"q": args.q, "n": args.n}, {"witness": None}, ["none"])
-    trip = [nf.format_element(x) for x in (w.alpha, w.beta, w.lam)]
+    trip = nf.format_elements((w.alpha, w.beta, w.lam))
     result = {"witness": {"alpha": trip[0], "beta": trip[1], "lambda": trip[2]}}
     return _emit(args, nf, {"q": args.q, "n": args.n}, result, [" ".join(trip)])
 
@@ -166,7 +166,7 @@ def _cmd_classify_map(args):
     result = {"class": cls.value, "bijective": bij}
     if cls.value == "hom_only":
         v, r = linear_violation(T)
-        pair = {"v": [M.nf.format_element(a) for a in v], "r": M.nf.format_element(r)}
+        pair = {"v": M.nf.format_elements(v), "r": M.nf.format_element(r)}
         result["violating_pair"] = pair
         lines.append(f"violating_pair ({','.join(pair['v'])}) {pair['r']}")
     return _emit(args, M.nf, _rows_doc(args, M), result, lines)
@@ -194,7 +194,7 @@ def _cmd_seed(args):
         f"s_order={','.join(str(s) for s in sm.s_order)}"
     )
     text = matrix_format(sm.matrix, comments=(header,))
-    # the JSON tokens cost a format call per entry, so only --json builds them
+    # the JSON token lists repeat the text of every entry, so only --json builds them
     result = {"m": args.m, "k": sm.k, "rows": _matrix_tokens(sm.matrix)} if args.json else None
     return _emit(args, nf, {"m": args.m}, result, text.splitlines())
 
@@ -240,10 +240,8 @@ def _cmd_search_index(args):
             max_index = idx
             first_max = vectors
         if idx > args.bound and len(exceeding) < 10:
-            exceeding.append([[nf.format_element(a) for a in v] for v in vectors])
-    fmt_first = (
-        [[nf.format_element(a) for a in v] for v in first_max] if first_max else None
-    )
+            exceeding.append(list(map(nf.format_elements, vectors)))
+    fmt_first = list(map(nf.format_elements, first_max)) if first_max else None
     result = {
         "searched": searched,
         "spanning": spanning,

@@ -173,21 +173,27 @@ class _ScaleRowsOnDemand:
         return [pack_vector(nf, nf.row_axpy(v, r)) for r in self.scalars]
 
 
-@functools.lru_cache(maxsize=None)
 def scale_rows(nf: Nearfield, m: int, scalars: tuple[int, ...] | None = None):
     """rows[c][i] = packed (c o scalars[i]), every scalar by default: a table
-    while space * order is under the cap."""
+    while space * order is under the cap.  Cached on the field, so the
+    tables die with it."""
+    key = (m, scalars)
+    rows = nf._scale_rows.get(key)
+    if rows is not None:
+        return rows
     order = nf.order
     if scalars is None:
         scalars = tuple(range(order))
     if order ** (m + 1) > _VSCALE_TABLE_CAP:
-        return _ScaleRowsOnDemand(nf, m, scalars)
-    # base[a][i] = a o scalars[i], the transpose of the kernel's rows [a o r for a]
-    base = list(zip(*[nf.row_axpy(range(order), r) for r in scalars]))
-    rows = [[0] * len(scalars)]
-    for _ in range(m):
-        # code a + order * b: the new coordinate a lowest, the old ones b above it
-        rows = [[a + order * b for a, b in zip(row, hrow)] for hrow in rows for row in base]
+        rows = _ScaleRowsOnDemand(nf, m, scalars)
+    else:
+        # base[a][i] = a o scalars[i], the transpose of the kernel's rows [a o r for a]
+        base = list(zip(*[nf.row_axpy(range(order), r) for r in scalars]))
+        rows = [[0] * len(scalars)]
+        for _ in range(m):
+            # code a + order * b: the new coordinate a lowest, the old ones b above it
+            rows = [[a + order * b for a, b in zip(row, hrow)] for hrow in rows for row in base]
+    nf._scale_rows[key] = rows
     return rows
 
 

@@ -125,6 +125,16 @@ def _subgroup_builds(m: int, k: int, order: int) -> int:
     return sum(comb(m, t) * onto[t] * (order - 1) ** (t - k) for t in range(k, m + 1))
 
 
+def _marking_builds(m: int, k: int, order: int) -> int:
+    """The sum, over the generator-row lists _generator_rows yields, of the
+    product of their rows' support sizes, which bounds the builds of the
+    orbit marking in count_subgroup_orbits.  A labelling of t columns onto
+    k rows with one column marked in each row is t!/(t-k)! placements of
+    the marked columns times k^(t-k) rows for the other columns."""
+    return sum(comb(m, t) * factorial(t) // factorial(t - k) * k ** (t - k) * (order - 1) ** (t - k)
+               for t in range(k, m + 1))
+
+
 def _generator_rows(m: int, k: int, order: int):
     """Every list of k rows with pairwise disjoint supports and a unit
     leading entry, sorted by leading column; each dimension-k subgroup is
@@ -183,27 +193,29 @@ def count_subgroup_orbits(m: int, k: int, nf: Nearfield) -> int:
     sum of the v_i o R onto that of the pi(v_i) o R, so the first subgroup
     not yet marked starts an orbit, and the sums of its permuted rows mark
     the whole orbit.  Permutations that give equal rows are taken once,
-    so marking builds each member of the orbit at most k! (m/k)^k times
-    (a row order, and where each row's unit lands in its support), not
-    m! times; over DN(3,2), (m, k) = (5, 2) marks with 11645 builds where
-    the enumeration makes 20340.
+    so marking builds each member of the orbit at most k! prod |supp v_i|
+    <= k! (m/k)^k times (a row order, and where each row's unit lands in
+    its support), not m! times; over DN(3,2), (m, k) = (5, 2) marks with
+    11645 builds where the enumeration makes 20340.
 
-    Three guards bound the work before it starts: |R|^max(k, m), the
-    m! |R|^k elements of marking one orbit through every permutation, and
-    the subgroup builds times |R|^k; the last two at up to ten times the
+    Three guards bound the work before it starts, each build costing
+    |R|^k elements: |R|^max(k, m); the subgroup builds of the enumeration;
+    and the marking builds, at most k! prod |supp v_i| per subgroup,
+    summed over the subgroups by _marking_builds (each subgroup's rows
+    come as k! generator-row lists).  The last two stop at ten times the
     budget.
     """
     order = nf.order
     require_budget("|R|^max(k, m)", order, max(k, m))
-    # marking one orbit builds at most m! subgroups of |R|^k elements
-    require_budget("m! |R|^k / 10", -(-factorial(m) * order ** k // 10))
     require_budget("subgroup builds |R|^k / 10", -(-_subgroup_builds(m, k, order) * order ** k // 10))
+    require_budget("marking builds |R|^k / 10", -(-_marking_builds(m, k, order) * order ** k // 10))
     scale = scale_rows(nf, m)
 
     def direct_sum(rows) -> frozenset[int]:
         elems = [0]
         for row in rows:
-            elems = [x + y for x in elems for y in scale[pack_vector(nf, row)]]
+            images = scale[pack_vector(nf, row)]
+            elems = [x + y for x in elems for y in images]
         return frozenset(elems)
 
     # any generator rows of each subgroup, keyed by its elements

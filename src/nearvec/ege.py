@@ -489,17 +489,17 @@ def column_pair_dependent(M: NfMatrix, i: int, j: int) -> bool:
 def trace_to_text(nf: Nearfield, steps) -> str:
     """One step per line, 1-based indices, elements in polynomial style."""
     out = []
-    fmt = nf.format_element
+    fmt = nf.format_elements
     for st in steps:
         if st.kind == "swap":
             out.append(f"SWAP {st.r + 1} {st.s + 1}")
         elif st.kind == "scale":
-            out.append(f"SCALE {st.r + 1} {fmt(st.c)}")
+            out.append(f"SCALE {st.r + 1} {fmt((st.c,))[0]}")
         elif st.kind == "eliminate":
-            out.append(f"ELIM {st.r + 1} {st.s + 1} {fmt(st.c)}")
+            out.append(f"ELIM {st.r + 1} {st.s + 1} {fmt((st.c,))[0]}")
         elif st.kind == "trick":
-            a, b, lam = st.witness
-            out.append(f"TRICK {st.col + 1} {fmt(a)} {fmt(b)} {fmt(lam)}")
+            a, b, lam = fmt(st.witness)
+            out.append(f"TRICK {st.col + 1} {a} {b} {lam}")
         else:
             raise ValueError(f"unknown step kind {st.kind!r}")
     return "\n".join(out) + ("\n" if out else "")
@@ -507,6 +507,7 @@ def trace_to_text(nf: Nearfield, steps) -> str:
 
 def trace_from_text(nf: Nearfield, text: str) -> tuple[Step, ...]:
     steps = []
+    parse = nf.parse_elements
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
@@ -517,13 +518,12 @@ def trace_from_text(nf: Nearfield, text: str) -> tuple[Step, ...]:
             if op == "SWAP" and len(parts) == 3:
                 steps.append(Step("swap", r=int(parts[1]) - 1, s=int(parts[2]) - 1))
             elif op == "SCALE" and len(parts) == 3:
-                steps.append(Step("scale", r=int(parts[1]) - 1, c=nf.parse_element(parts[2])))
+                steps.append(Step("scale", r=int(parts[1]) - 1, c=parse(parts[2:])[0]))
             elif op == "ELIM" and len(parts) == 4:
                 steps.append(Step("eliminate", r=int(parts[1]) - 1, s=int(parts[2]) - 1,
-                                  c=nf.parse_element(parts[3])))
+                                  c=parse(parts[3:])[0]))
             elif op == "TRICK" and len(parts) == 5:
-                w = tuple(nf.parse_element(t) for t in parts[2:5])
-                steps.append(Step("trick", col=int(parts[1]) - 1, witness=w))
+                steps.append(Step("trick", col=int(parts[1]) - 1, witness=tuple(parse(parts[2:]))))
             else:
                 raise ValueError("unknown step or wrong number of fields")
         except ValueError as e:

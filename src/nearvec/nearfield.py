@@ -54,11 +54,21 @@ add is this formula at every order.  The row kernel row_axpy uses it
 above order 256; up to 256 it reads two order x order tables instead,
 t[c][a] = a o c and x + y, built once from the log-domain kernel and add
 because a table lookup costs about half a Zech step per entry.
+
+Element text goes through one memo per field: format_elements and
+parse_elements look codes and tokens up in two dicts, code -> canonical
+text and back, and every other text path (format_element, parse_element,
+the matrix file and trace codecs, the command line) calls them.  A code
+or token that misses is spelled or parsed once by the general rules,
+which raise every error, and only its code's canonical text is stored,
+so each dict holds at most order entries.  Nothing is stored at
+construction: a field pays for the texts it prints or reads.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -349,8 +359,10 @@ class Nearfield:
     """Immutable arithmetic context for DN(q, n).
 
     All operations are pure table lookups after construction; instances
-    are safe to share between threads.  Obtain instances through
-    build_nearfield(), which caches them.
+    are safe to share between threads, as the text memo and the closure's
+    scaling rows only ever gain entries that do not depend on the order
+    of the calls.  Obtain instances through build_nearfield(), which
+    caches them.
     """
 
     def __init__(self, q: int, n: int):
@@ -392,6 +404,10 @@ class Nearfield:
             self._addt = [list(elems)] + [[a] + [ex[la + z[lb - la]] for lb in logs]
                                           for a, la in zip(elems[1:], logs)]
         self._build_term_tables()
+        # filled on demand: the element text memo, code -> canonical text and
+        # back (see format_elements), and closure.scale_rows' tables
+        self._texts, self._codes = {}, {}
+        self._scale_rows = {}
         self._witness = _UNSET
 
     # -- construction ------------------------------------------------------
@@ -488,8 +504,8 @@ class Nearfield:
 
     def _build_term_tables(self):
         # the printed text of each term c x^i (0 < c < p), indexed [i][c] for
-        # format_element and keyed by text for parse_element: p * d entries,
-        # and none for a prime field, whose elements print as their codes
+        # the digit loop of _remember and keyed by text for _parse_token: p * d
+        # entries, and none for a prime field, whose elements print as their codes
         p, d = self.p, self.d
         texts = []
         if d > 1:
@@ -677,12 +693,83 @@ class Nearfield:
 
     # -- text codec -------------------------------------------------------------
 
-    def parse_element(self, text: str) -> int:
-        """Parse either style: bare decimal code, or polynomial like '2+2x', '1+x^2'.
+    def format_elements(self, codes, style: str = "poly") -> list[str]:
+        """The texts of a sequence of codes: in "poly" style by lookup in the
+        field's memo of canonical texts, in "code" style str(a).
 
-        A term spelled as format_element prints it is looked up; any other
-        spelling is parsed with the term pattern.
+        A code missing from the memo is spelled by the digit loop, which
+        refuses a code out of range, and stored; then the lookup runs again,
+        so codes is read twice on a miss.
         """
+        if style != "poly":
+            order = self.order
+            bad = next((a for a in codes if not 0 <= a < order), None)
+            if bad is not None:
+                raise ValueError(f"code {bad} out of range for order {order}")
+            if style != "code":
+                raise ValueError("style must be 'poly' or 'code'")
+            return list(map(str, codes))
+        texts = self._texts
+        try:
+            return list(map(texts.__getitem__, codes))
+        except KeyError:
+            for a in codes:
+                if a not in texts:
+                    self._remember(a)
+            return list(map(texts.__getitem__, codes))
+
+    def parse_elements(self, tokens) -> list[int]:
+        """The codes of a sequence of tokens, each looked up in the memo of
+        canonical texts; a token that misses is parsed by parse_element's
+        rules, and its code's canonical text is stored."""
+        codes = self._codes
+        try:
+            return list(map(codes.__getitem__, tokens))
+        except KeyError:
+            texts, out = self._texts, []
+            for t in tokens:
+                a = codes[t] if t in codes else self._parse_token(t)
+                if a not in texts:
+                    self._remember(a)
+                out.append(a)
+            return out
+
+    def format_element(self, a: int, style: str = "poly") -> str:
+        """The text of one code; see format_elements."""
+        return self.format_elements((a,), style)[0]
+
+    def parse_element(self, text: str) -> int:
+        """Parse either style: bare decimal code, or polynomial like '2+2x', '1+x^2'."""
+        return self.parse_elements((text,))[0]
+
+    def _remember(self, a: int) -> None:
+        """Store the canonical text of code a both ways in the memo.
+
+        The text is spelled digit by digit from the term table, and a prime
+        field prints the code itself.  A code out of range is refused before
+        anything is stored, and callers pass only codes not yet stored, so
+        each memo holds at most order entries.
+        """
+        if not 0 <= a < self.order:
+            raise ValueError(f"code {a} out of range for order {self.order}")
+        a = operator.index(a)
+        if self.d == 1:
+            text = str(a)
+        else:
+            p, terms, rest = self.p, [], a
+            for term in self._term_text:
+                if not rest:
+                    break
+                rest, c = divmod(rest, p)
+                if c:
+                    terms.append(term[c])
+            text = "+".join(terms) or "0"
+        self._texts[a] = text
+        self._codes[text] = a
+
+    def _parse_token(self, text: str) -> int:
+        """The code of a token in either style, spelled any way the term
+        pattern admits ('1x', 'x^1', ' 1 + x', '0001', decimal codes)."""
         t = text.strip()
         if not t:
             raise ValueError("empty element token")
@@ -718,24 +805,6 @@ class Nearfield:
             last_pow = hit[0]
             code += hit[1]
         return code
-
-    def format_element(self, a: int, style: str = "poly") -> str:
-        if not 0 <= a < self.order:
-            raise ValueError(f"code {a} out of range for order {self.order}")
-        if style == "code":
-            return str(a)
-        if style != "poly":
-            raise ValueError("style must be 'poly' or 'code'")
-        if self.d == 1:
-            return str(a)
-        p, terms = self.p, []
-        for texts in self._term_text:
-            if not a:
-                break
-            a, c = divmod(a, p)
-            if c:
-                terms.append(texts[c])
-        return "+".join(terms) or "0"
 
     def __repr__(self):
         return f"DN({self.q},{self.n})"

@@ -150,7 +150,7 @@ def matrix_parse(text: str) -> NfMatrix:
         tokens = ln.split()
         if len(tokens) != m:
             raise ValueError(f"ragged row {ln!r}, expected {m} entries")
-        rows.append(tuple(nf.parse_element(tok) for tok in tokens))
+        rows.append(tuple(nf.parse_elements(tokens)))
     return NfMatrix(nf, tuple(rows), m)
 
 
@@ -160,6 +160,5 @@ def matrix_format(M: NfMatrix, style: str = "poly", comments: tuple[str, ...] = 
     out = [f"# {c}" for c in comments]
     out.append(f"DN {nf.q} {nf.n}")
     out.append(f"{M.n_rows} {M.width}")
-    for row in M.rows:
-        out.append(" ".join(nf.format_element(a, style) for a in row))
+    out += [" ".join(nf.format_elements(row, style)) for row in M.rows]
     return "\n".join(out) + "\n"

@@ -1,8 +1,10 @@
+import gc
 import importlib
 import itertools
 import random
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +129,24 @@ class TestGenClosure:
             vs = [tuple(rng.randrange(9) for _ in range(2)) for _ in range(2)]
             G = gen_closure(VectorSet.from_vectors(dn32, 2, vs))
             assert lc_step(G).codes == G.codes
+
+    def test_scaling_rows_die_with_their_field(self):
+        # the closure's scaling rows are cached on the field, so a field above
+        # 2^16 that reached closure still leaves build_nearfield's one-slot cache
+        first = build_nearfield(65537, 1)
+        assert len(gen_closure(VectorSet.from_vectors(first, 1, [(3,)]))) == 65537
+        released = weakref.ref(first)
+        del first
+        second = build_nearfield(131071, 1)
+        gc.collect()
+        assert released() is None
+        assert len(gen_closure(VectorSet.from_vectors(second, 1, [(5,)]))) == 131071
+
+    def test_scaling_rows_built_once_per_field(self, dn32):
+        scale_rows = closure_module.scale_rows
+        for scalars in (None, (1, 3)):
+            assert scale_rows(dn32, 2, scalars) is scale_rows(dn32, 2, scalars)
+        assert scale_rows(dn32, 2) is scale_rows(dn32, 2, None)
 
     def test_closed_under_operations(self, dn32):
         G = gen_closure(VectorSet.from_vectors(dn32, 2, [(1, 5)]))

@@ -15,8 +15,8 @@ from nearvec import (
     partitions_into_parts,
 )
 from nearvec import counting
-from nearvec.counting import (_generator_rows, _partition_counts, _partitions_desc, _poly_at,
-                               _subgroup_builds)
+from nearvec.counting import (_generator_rows, _marking_builds, _partition_counts, _partitions_desc,
+                               _poly_at, _subgroup_builds)
 from orbit_oracle import reference_subgroup_orbits
 
 X = 3
@@ -206,9 +206,21 @@ class TestOrbitReport:
         assert "\n" not in message
 
     def test_work_bound_before_listing_permutations(self):
-        # 12! |R| / 10 is about 10^8; the 479001600 permutations are never listed
-        with pytest.raises(BudgetExceededError, match="m! \\|R\\|\\^k / 10"):
-            count_subgroup_orbits(12, 1, build_nearfield(2, 1))
+        # GF(2)^13, k = 2: the 1577940 subgroup builds pass their guard, but
+        # marking may build 27634932 subgroups of 4 elements, 11 times the
+        # budget's tenfold; (11, 2) takes a few seconds, and each m about
+        # triples the time and the memory
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="marking builds \\|R\\|\\^k / 10 = 11053973 "):
+            count_subgroup_orbits(13, 2, build_nearfield(2, 1))
+        assert time.perf_counter() - t0 < 1
+
+    def test_guard_admits_what_marking_finishes(self):
+        # the old m! |R|^k guard refused (11, 1) and (12, 1); marking takes
+        # each support size once, 4095 subgroups and 24576 marking builds
+        t0 = time.perf_counter()
+        assert count_subgroup_orbits(12, 1, build_nearfield(2, 1)) == 12
+        assert time.perf_counter() - t0 < 1
 
     @pytest.mark.parametrize("q,n,m,k", [
         (3, 2, 1, 1), (3, 2, 2, 1), (3, 2, 2, 2), (3, 2, 3, 1), (3, 2, 3, 2), (3, 2, 3, 3),
@@ -244,6 +256,32 @@ class TestOrbitReport:
                 for k in range(m + 2):
                     listed = sum(1 for _ in _generator_rows(m, k, order))
                     assert _subgroup_builds(m, k, order) == listed, (order, m, k)
+
+    def test_marking_formula_sums_support_products(self):
+        for order in (2, 3, 9):
+            for m in range(5):
+                for k in range(1, m + 2):
+                    listed = sum(functools.reduce(lambda x, row: x * sum(1 for a in row if a), rows, 1)
+                                 for rows in _generator_rows(m, k, order))
+                    assert _marking_builds(m, k, order) == listed, (order, m, k)
+
+    @pytest.mark.parametrize("q,n,m,k", [
+        (3, 2, 3, 1), (3, 2, 3, 2), (3, 2, 4, 2), (3, 2, 5, 2), (2, 1, 6, 2), (2, 1, 6, 3), (4, 1, 4, 2),
+    ])
+    def test_marking_builds_stay_under_the_bound(self, monkeypatch, q, n, m, k):
+        # every build packs its k rows once: the enumeration's builds, then marking's
+        packed = 0
+        pack = counting.pack_vector
+
+        def counted(nf, row):
+            nonlocal packed
+            packed += 1
+            return pack(nf, row)
+
+        monkeypatch.setattr(counting, "pack_vector", counted)
+        count_subgroup_orbits(m, k, build_nearfield(q, n))
+        builds = _subgroup_builds(m, k, q ** n)
+        assert builds < packed // k <= builds + _marking_builds(m, k, q ** n)
 
     def test_swap_merge_witness(self, dn32):
         # swap(gen((1, x))) = gen((1, inv(x)))

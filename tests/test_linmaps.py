@@ -397,12 +397,16 @@ def _maps(draw):
 
 @pytest.fixture(params=["cap", "no_table"])
 def scale_cap(request, monkeypatch):
-    """The real scaling-table cap, or 0 so that every row is computed on lookup."""
+    """The real scaling-table cap, or 0 so that every row is computed on lookup;
+    the oracle fields' cached scaling rows are dropped before and after."""
     if request.param == "no_table":
         monkeypatch.setattr(closure, "_VSCALE_TABLE_CAP", 0)
-    closure.scale_rows.cache_clear()
+    fields = {build_nearfield(q, k) for q, k, _ in ORACLE_SPACES + [(3, 2, 4)]}
+    for nf in fields:
+        nf._scale_rows.clear()
     yield request.param
-    closure.scale_rows.cache_clear()
+    for nf in fields:
+        nf._scale_rows.clear()
 
 
 @settings(max_examples=40, deadline=None,

@@ -334,6 +334,15 @@ def _first_witness_full_scan(nf):
     return None
 
 
+def _reference_text(nf, a):
+    """The text of code a, spelled digit by digit."""
+    terms = [
+        (str(c) if i == 0 else ("" if c == 1 else str(c)) + ("x" if i == 1 else f"x^{i}"))
+        for i, c in enumerate(_digits_of(a, nf.p, nf.d)) if c
+    ]
+    return "+".join(terms) or "0"
+
+
 class TestElementCodec:
     def test_examples(self, dn32):
         assert dn32.parse_element("2+2x") == 8
@@ -361,13 +370,78 @@ class TestElementCodec:
         for q, n in [(3, 2), (5, 4), (257, 1), (257, 2)]:
             nf = build_nearfield(q, n)
             for a in range(0, nf.order, max(1, nf.order // 3000)):
-                terms = [
-                    (str(c) if i == 0 else ("" if c == 1 else str(c)) + ("x" if i == 1 else f"x^{i}"))
-                    for i, c in enumerate(_digits_of(a, nf.p, nf.d)) if c
-                ]
-                text = "+".join(terms) or "0"
+                text = _reference_text(nf, a)
                 assert nf.format_element(a) == text
                 assert nf.parse_element(text) == a
+
+    @pytest.mark.parametrize("q,n", [(3, 2), (7, 3), (5, 4), (4, 3), (7, 1)])
+    @pytest.mark.parametrize("first", ["format", "parse"])
+    def test_memo_matches_digit_reference(self, q, n, first):
+        # a new field holds no texts; whichever direction fills the memo, the
+        # second round reads every code and text from it
+        nf = Nearfield(q, n)
+        assert nf._texts == {} and nf._codes == {}
+        codes = list(nf.elements)
+        reference = [_reference_text(nf, a) for a in codes]
+        if first == "parse":
+            assert nf.parse_elements(reference) == codes
+        for _ in range(2):
+            assert nf.format_elements(codes) == reference
+            assert nf.parse_elements(reference) == codes
+        assert nf._texts == dict(zip(codes, reference))
+        assert nf._codes == dict(zip(reference, codes))
+
+    @pytest.mark.parametrize("q,n,spellings", [
+        (7, 3, [("1x", 7), ("x^1", 7), ("0001", 1), ("7", 7), ("10", 10), ("342", 342), ("01+x", 8),
+                ("1 + x", 8), ("x^1+1x^2", 56), (" 3", 3), ("2x^2", 98)]),
+        (3, 2, [("1x", 3), ("x^1", 3), ("0001", 1), ("3", 3), ("8", 8), ("00", 0), ("1+1x", 4)]),
+        (5, 4, [("1x", 5), ("x^1", 5), ("0001", 1), ("5", 5), ("624", 624), ("1x^2", 25)]),
+        (4, 3, [("1x", 2), ("x^1", 2), ("0001", 1), ("2", 2), ("63", 63)]),
+        (7, 1, [("0001", 1), ("06", 6), ("6", 6), ("0", 0)]),
+    ])
+    def test_other_spellings_parse_through_the_memo(self, q, n, spellings):
+        # the codes the general rules gave before the memo; only the codes'
+        # canonical texts are stored, so the second round parses the same way
+        nf = Nearfield(q, n)
+        tokens, codes = [t for t, _ in spellings], [c for _, c in spellings]
+        for _ in range(2):
+            assert nf.parse_elements(tokens) == codes
+            assert [nf.parse_element(t) for t in tokens] == codes
+        assert nf._codes == {_reference_text(nf, a): a for a in codes}
+
+    @pytest.mark.parametrize("bad", ["", "3x", "0x", "x^2", "x+1", "2+", "1x^0", "y", "9", "99", " x + 1 "])
+    def test_parse_errors_are_not_memoised(self, bad):
+        nf = Nearfield(3, 2)
+        messages = set()
+        for tokens in ([bad], ["x", bad], ["x", bad], [bad]):
+            with pytest.raises(ValueError) as exc:
+                nf.parse_elements(tokens)
+            messages.add(str(exc.value))
+            with pytest.raises(ValueError) as exc:
+                nf.parse_element(bad)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+        assert nf._codes == {"x": 3} and nf._texts == {3: "x"}
+
+    def test_format_errors_are_not_memoised(self):
+        nf = Nearfield(3, 2)
+        for _ in range(2):
+            for bad in (9, -1, 100):
+                for style in ("poly", "code", "hex"):
+                    with pytest.raises(ValueError, match=f"^code {bad} out of range for order 9$"):
+                        nf.format_elements([1, bad], style)
+            with pytest.raises(ValueError, match="^style must be 'poly' or 'code'$"):
+                nf.format_element(3, "hex")
+        assert nf._texts == {1: "1"} and nf._codes == {"1": 1}
+        assert nf.format_elements(range(9), "code") == [str(a) for a in range(9)]
+        assert nf._texts == {1: "1"}
+
+    def test_memo_stores_int_codes(self):
+        # a code that only compares equal to an int is stored as the int, so
+        # parsing its text gives an int back
+        nf = Nearfield(3, 2)
+        assert nf.format_elements([True, 3]) == ["1", "x"]
+        assert [type(a) for a in nf.parse_elements(["1", "x"])] == [int, int]
 
     def test_other_spellings_still_parse(self):
         nf = build_nearfield(7, 3)

@@ -150,3 +150,16 @@ class TestMatrixCodec:
         M = NfMatrix.from_rows(dn32, [(1, 2, 3), (4, 5, 6)])
         assert M.column(1) == (2, 5)
         assert M.columns == ((1, 4), (2, 5), (3, 6))
+
+    def test_codec_memoises_only_the_codes_it_reads(self):
+        # order 1042441: a 2 x 2 file stores the texts of its 4 entries, not
+        # a table of every element
+        nf = build_nearfield(1021, 2)
+        nf._texts.clear()
+        nf._codes.clear()
+        text = "DN 1021 2\n2 2\n1 x\n1020x 5+7x\n"
+        M = matrix_parse(text)
+        assert M.rows == ((1, 1021), (1020 * 1021, 5 + 7 * 1021))
+        assert len(nf._texts) <= 4 and len(nf._codes) <= 4
+        assert matrix_format(M) == text
+        assert len(nf._texts) <= 4 and len(nf._codes) <= 4
