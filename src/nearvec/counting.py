@@ -10,19 +10,24 @@ nonzero value for each of the t - k non-leading cells.  This is
 
 and enumerate_canonical lists exactly the matrices the formula counts.
 Genuine orbit counting under coordinate permutations is a different
-(smaller) number; count_subgroup_orbits computes it by explicit
-quotient at small m for comparison.  It builds each subgroup as the
-carry-free sum of its generator rows' scalings on packed codes, marks
-each orbit through the column permutations of one member's rows, and
-bounds its subgroup builds by the budget before it starts.
+(smaller) number, which count_subgroup_orbits gives in closed form.
+An orbit is a multiset of k block types, a block type of size s being
+an orbit of (R*)^s under S_s x R*; with u = |R| - 1 and c_o the units
+of order o there are
+
+    N_s = (1/u) sum_{o | gcd(s, u)} c_o C(u/o + s/o - 1, s/o)
+
+of them (Burnside), and the orbit count is
+
+    sum_{t <= m} [y^k x^t] prod_{s=1}^{m} (1 - y x^s)^(-N_s).
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial
+from math import comb
 
-from .closure import pack_vector, require_budget, scale_rows
+from .closure import require_budget
 from .nearfield import Nearfield
 from .vectors import NfMatrix
 
@@ -117,114 +122,71 @@ def enumerate_canonical(m: int, k: int, nf: Nearfield) -> list[NfMatrix]:
     return out
 
 
-def _subgroup_builds(m: int, k: int, order: int) -> int:
-    """How many generator-row lists _generator_rows yields: a labelling of
-    t columns onto all k rows (k! S(t, k) of them, by inclusion-exclusion)
-    times |R|-1 values for each of its t - k non-leading cells."""
-    onto = [sum((-1) ** i * comb(k, i) * (k - i) ** t for i in range(k + 1)) for t in range(m + 1)]
-    return sum(comb(m, t) * onto[t] * (order - 1) ** (t - k) for t in range(k, m + 1))
+def _block_type_counts(nf: Nearfield, m: int) -> list[int]:
+    """[N_s for s in 0..m]: N_s block types of size s, the orbits of
+    (R*)^s under S_s x R*, permuting coordinates and scaling on the right.
 
+    R* acts freely, so a pair (sigma, r) with r of order o fixes a vector
+    only when every cycle of sigma has length divisible by o, and then
+    fixes u choices per cycle (u = |R| - 1).  Summed over sigma by the
+    cycle index of S_s this is C(u/o + s/o - 1, s/o) when o | s, and
+    Burnside's lemma gives
 
-def _marking_builds(m: int, k: int, order: int) -> int:
-    """The sum, over the generator-row lists _generator_rows yields, of the
-    product of their rows' support sizes, which bounds the builds of the
-    orbit marking in count_subgroup_orbits.  A labelling of t columns onto
-    k rows with one column marked in each row is t!/(t-k)! placements of
-    the marked columns times k^(t-k) rows for the other columns."""
-    return sum(comb(m, t) * factorial(t) // factorial(t - k) * k ** (t - k) * (order - 1) ** (t - k)
-               for t in range(k, m + 1))
+        N_s = (1/u) sum_{o | gcd(s, u)} c_o C(u/o + s/o - 1, s/o)
 
-
-def _generator_rows(m: int, k: int, order: int):
-    """Every list of k rows with pairwise disjoint supports and a unit
-    leading entry, sorted by leading column; each dimension-k subgroup is
-    generated by such a list.  A column labelling names each row's
-    support, so every list comes once per ordering of its rows."""
-    columns = range(m)
-    for labels in itertools.product(range(k + 1), repeat=m):  # 0 = unused column
-        rows_cols = [[j for j in columns if labels[j] == i + 1] for i in range(k)]
-        if any(not cols for cols in rows_cols):
-            continue
-        rows_cols.sort(key=lambda cols: cols[0])
-        frees = [cols[1:] for cols in rows_cols]
-        nfree = sum(len(f) for f in frees)
-        for fill in itertools.product(range(1, order), repeat=nfree):
-            rows = []
-            pos = 0
-            for cols, free in zip(rows_cols, frees):
-                row = [0] * m
-                row[cols[0]] = 1
-                for j in free:
-                    row[j] = fill[pos]
-                    pos += 1
-                rows.append(tuple(row))
-            yield rows
-
-
-def _distinct_orders(items):
-    """Each distinct ordering of the items once, in lexicographic order."""
-    a = sorted(items)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
+    with c_o the units of order o, found by powering each unit up to
+    min(m, u) times.
+    """
+    u = nf.order - 1
+    top = min(m, u)
+    units = [0] * (top + 1)  # units[o]: the units of multiplicative order o
+    for a in range(1, nf.order):
+        x = a
+        for o in range(1, top + 1):
+            if x == 1:
+                units[o] += 1
+                break
+            x = nf.mul(x, a)
+    return [sum(units[o] * comb(u // o + s // o - 1, s // o)
+                for o in range(1, min(s, top) + 1) if units[o] and s % o == 0) // u
+            for s in range(m + 1)]
 
 
 def count_subgroup_orbits(m: int, k: int, nf: Nearfield) -> int:
     """True orbit count of dimension-k R-subgroups of R^m under coordinate
-    permutations, by explicit quotient.  Small m only; provided for
-    comparison with count_subgroups, which it is generally below
+    permutations, in closed form.  It is generally below count_subgroups
     (e.g. the subgroups generated by (1,a) and (1,a^-1) merge under a
     column swap).
 
-    Each subgroup is built from its generator rows as the set of its
-    elements.  The rows have disjoint supports, so the subgroup is the
-    direct sum of the row modules v o R, and packed codes of vectors with
-    disjoint supports add without carry: the sum is x + y on codes.  The
-    quotient then marks orbits: a column permutation pi maps the direct
-    sum of the v_i o R onto that of the pi(v_i) o R, so the first subgroup
-    not yet marked starts an orbit, and the sums of its permuted rows mark
-    the whole orbit.  Permutations that give equal rows are taken once,
-    so marking builds each member of the orbit at most k! prod |supp v_i|
-    <= k! (m/k)^k times (a row order, and where each row's unit lands in
-    its support), not m! times; over DN(3,2), (m, k) = (5, 2) marks with
-    11645 builds where the enumeration makes 20340.
+    A dimension-k subgroup is the direct sum of k blocks v o R whose rows
+    v have disjoint supports (EGE), and the blocks are unique.  A column
+    permutation maps blocks onto blocks, so an orbit is a multiset of k
+    block types with sizes summing to at most m; _block_type_counts gives
+    N_s, the types of size s.  By the multiset construction the count is
 
-    Three guards bound the work before it starts, each build costing
-    |R|^k elements: |R|^max(k, m); the subgroup builds of the enumeration;
-    and the marking builds, at most k! prod |supp v_i| per subgroup,
-    summed over the subgroups by _marking_builds (each subgroup's rows
-    come as k! generator-row lists).  The last two stop at ten times the
-    budget.
+        sum_{t <= m} [y^k x^t] prod_s (1 - y x^s)^(-N_s),
+
+    read off a table T[j][t] of the multisets of j types of total size t:
+    taking i blocks of size s multiplies in C(N_s + i - 1, i) y^i x^(i s).
+
+    One guard bounds the steps before any work: the unit scan,
+    u min(m, u), and the table updates, at most k (m+1) sum_{i<=k} m // i,
+    which is at most k (m+1) m b for k of b bits: the 2^(l-1) terms 1/i
+    with i of bit length l are each at most 2^(1-l).  The bound costs no
+    loop, so a huge m or k is refused at once.
     """
-    order = nf.order
-    require_budget("|R|^max(k, m)", order, max(k, m))
-    require_budget("subgroup builds |R|^k / 10", -(-_subgroup_builds(m, k, order) * order ** k // 10))
-    require_budget("marking builds |R|^k / 10", -(-_marking_builds(m, k, order) * order ** k // 10))
-    scale = scale_rows(nf, m)
-
-    def direct_sum(rows) -> frozenset[int]:
-        elems = [0]
-        for row in rows:
-            images = scale[pack_vector(nf, row)]
-            elems = [x + y for x in elems for y in images]
-        return frozenset(elems)
-
-    # any generator rows of each subgroup, keyed by its elements
-    subgroups = {direct_sum(rows): rows for rows in _generator_rows(m, k, order)}
-    orbits = 0
-    while subgroups:
-        _, rows = subgroups.popitem()
-        orbits += 1
-        # a permutation of the rows' columns; equal columns are permuted once
-        for columns in _distinct_orders(zip(*rows)):
-            subgroups.pop(direct_sum(zip(*columns)), None)
-    return orbits
+    if m < 0 or k < 0:
+        raise ValueError(f"need m >= 0 and k >= 0, got k={k}, m={m}")
+    if k > m:
+        return 0
+    u = nf.order - 1
+    require_budget("orbit count steps", u * min(m, u) + k * (m + 1) * m * k.bit_length())
+    types = _block_type_counts(nf, m)
+    table = [[1] + [0] * m] + [[0] * (m + 1) for _ in range(k)]
+    for s in range(1, m + 1):
+        for j in range(k, 0, -1):  # downwards, so table[j - i] holds no size-s block yet
+            row = table[j]
+            for i in range(1, min(j, m // s) + 1):
+                ways, off = comb(types[s] + i - 1, i), i * s
+                row[off:] = [a + ways * b for a, b in zip(row[off:], table[j - i])]
+    return sum(table[k])

@@ -59,7 +59,7 @@ from itertools import compress, islice
 from operator import itemgetter
 
 from .nearfield import Nearfield, Witness
-from .vectors import NfMatrix, left_multiple_of, vec_scale_left
+from .vectors import NfMatrix, vec_scale_left
 
 
 class Step(tuple):
@@ -473,15 +473,6 @@ def is_one_column_independent(M: NfMatrix) -> bool:
         raise ValueError("need at least 2 columns")
     keys = _column_keys(M)
     return None not in keys and len(set(keys)) == M.width
-
-
-def column_pair_dependent(M: NfMatrix, i: int, j: int) -> bool:
-    """Is column i a left multiple of column j, or vice versa?"""
-    ci, cj = M.column(i), M.column(j)
-    return (
-        left_multiple_of(M.nf, ci, cj) is not None
-        or left_multiple_of(M.nf, cj, ci) is not None
-    )
 
 
 # -- textual trace codec -----------------------------------------------------

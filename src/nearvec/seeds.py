@@ -107,9 +107,8 @@ def build_seed(m: int, nf: Nearfield) -> SeedMatrix:
             ones = (1,) * (counter + 1)
             for s in s_order:
                 cols.append(ones + (s,) * (j - 1 - counter) + pad)
-    cols = cols[:m]
-    rows = tuple(tuple(col[i] for col in cols) for i in range(k))
-    return SeedMatrix(NfMatrix(nf, rows, m), k, s_order)
+    rows = tuple(zip(*cols[:m]))
+    return SeedMatrix(NfMatrix._unchecked(nf, rows, m), k, s_order)
 
 
 def verify_seed(V: NfMatrix) -> bool:

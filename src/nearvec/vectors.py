@@ -72,20 +72,25 @@ class NfMatrix:
     width: int
 
     def __post_init__(self):
-        # a row at a time through min and max; the entries are walked only
-        # to name the first code out of range
+        # a row at a time through the set of entry types, min and max; the
+        # entries are walked only to name the first code that is not an int
+        # or out of range
         order = self.nf.order
         for row in self.rows:
             if len(row) != self.width:
                 raise ValueError("ragged rows")
-            if row and not (0 <= min(row) and max(row) < order):
-                a = next(a for a in row if not 0 <= a < order)
+            if row and not ({*map(type, row)} <= {int} and 0 <= min(row) and max(row) < order):
+                a = next(a for a in row if type(a) is not int or not 0 <= a < order)
+                if type(a) is not int:
+                    raise ValueError(f"element code {a!r} is not an int")
                 raise ValueError(f"element code {a} out of range for order {order}")
 
     @classmethod
     def _unchecked(cls, nf: Nearfield, rows: tuple, width: int) -> "NfMatrix":
         """An NfMatrix without the entry scan, for rows of `width` codes that
-        the row kernel computed from checked codes, where it cannot fail."""
+        are in-range ints by construction, where it cannot fail: computed
+        by the row kernel from checked codes, read by the field's codec,
+        or laid out by build_seed."""
         M = object.__new__(cls)
         M.__dict__.update(nf=nf, rows=rows, width=width)
         return M
@@ -151,7 +156,7 @@ def matrix_parse(text: str) -> NfMatrix:
         if len(tokens) != m:
             raise ValueError(f"ragged row {ln!r}, expected {m} entries")
         rows.append(tuple(nf.parse_elements(tokens)))
-    return NfMatrix(nf, tuple(rows), m)
+    return NfMatrix._unchecked(nf, tuple(rows), m)
 
 
 def matrix_format(M: NfMatrix, style: str = "poly", comments: tuple[str, ...] = ()) -> str:

@@ -1,4 +1,5 @@
-"""Reference scalar arithmetic and golden EGE digests above order 256.
+"""Reference scalar arithmetic, golden EGE digests above order 256, and
+the pairwise column test that EGE's traced steps keep.
 
 Stdlib only, so it runs under any interpreter without pytest:
 
@@ -16,7 +17,7 @@ import hashlib
 import random
 import sys
 
-from nearvec import NfMatrix, build_nearfield, ege, matrix_format, trace_to_text
+from nearvec import NfMatrix, build_nearfield, ege, left_multiple_of, matrix_format, trace_to_text
 from nearvec.nearfield import _digits_of, _pgcd, _pmod, _prime_factors, _psub, _ptrim
 
 # fields of the kernel oracle: four whose row kernel reads order^2 tables,
@@ -118,6 +119,13 @@ def ref_row_axpy(nf, row, c, acc=None):
     if acc is None:
         return tuple(prod)
     return tuple(ref_add(nf, x, y) for x, y in zip(acc, prod))
+
+
+def column_pair_dependent(M, i, j):
+    """Is column i a left multiple of column j, or vice versa?  The pairwise
+    reference for is_one_column_independent's column keys."""
+    ci, cj = M.column(i), M.column(j)
+    return left_multiple_of(M.nf, ci, cj) is not None or left_multiple_of(M.nf, cj, ci) is not None
 
 
 def golden_matrices(nf):

@@ -9,9 +9,9 @@ count_subgroup_orbits and the seconds each took.  The reference builds
 every subgroup by translating its element list, one generator row at a
 time, and takes as an orbit's key the least sorted tuple of packed codes
 over all m! column permutations of the subgroup's elements: the explicit
-quotient that count_subgroup_orbits replaced by marking orbits.  It
-enumerates the generator rows itself and shares nothing with
-count_subgroup_orbits but scale_rows and the packed format.
+quotient that count_subgroup_orbits replaced by a closed form over block
+types.  It enumerates the generator rows itself and shares nothing with
+count_subgroup_orbits.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from nearvec import (
     VectorSet,
     apply_map,
     build_seed,
-    column_pair_dependent,
     compose,
     count_maps,
     count_subgroups,
@@ -38,6 +37,7 @@ from nearvec import (
 )
 from nearvec.closure import check_lc1_cardinality
 
+from kernel_oracle import column_pair_dependent
 from test_nearfield import PRINTED_TABLE
 
 X = 3

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import time
 
 import pytest
@@ -15,8 +17,7 @@ from nearvec import (
     partitions_into_parts,
 )
 from nearvec import counting
-from nearvec.counting import (_generator_rows, _marking_builds, _partition_counts, _partitions_desc,
-                               _poly_at, _subgroup_builds)
+from nearvec.counting import _block_type_counts, _partition_counts, _partitions_desc, _poly_at
 from orbit_oracle import reference_subgroup_orbits
 
 X = 3
@@ -184,19 +185,36 @@ class TestOrbitReport:
     def test_full_space_single_orbit(self, dn32):
         assert count_subgroup_orbits(2, 2, dn32) == 1
 
-    def test_budget(self, dn32, monkeypatch):
-        monkeypatch.setenv("NEARVEC_BUDGET", "80")
-        with pytest.raises(BudgetExceededError, match="NEARVEC_BUDGET"):
-            count_subgroup_orbits(2, 1, dn32)  # |R|^2 = 81
-        monkeypatch.setenv("NEARVEC_BUDGET", "81")
-        assert count_subgroup_orbits(2, 1, dn32) == 6
+    def test_budget(self, monkeypatch):
+        # the one guard counts the unit scan, u min(m, u), and a bound on
+        # the table updates, k (m+1) m b for k of b bits
+        for (q, n, m, k), orbits in [((3, 2, 2, 1), 6), ((3, 2, 5, 2), 155), ((2, 1, 12, 1), 12),
+                                     ((5, 2, 4, 3), 14)]:
+            nf = build_nearfield(q, n)
+            u = nf.order - 1
+            steps = u * min(m, u) + k * (m + 1) * m * k.bit_length()
+            monkeypatch.setenv("NEARVEC_BUDGET", str(steps - 1))
+            with pytest.raises(BudgetExceededError, match=f"^orbit count steps = {steps} .*NEARVEC_BUDGET"):
+                count_subgroup_orbits(m, k, nf)
+            monkeypatch.setenv("NEARVEC_BUDGET", str(steps))
+            assert count_subgroup_orbits(m, k, nf) == orbits
+
+    def test_table_updates_under_the_guard(self):
+        # the table makes at most k (m+1) sum_{i<=k} m // i updates, which
+        # the guard bounds by k (m+1) m b for k of b bits
+        for m in range(1, 300):
+            for k in range(1, m + 1):
+                assert sum(m // i for i in range(1, k + 1)) <= m * k.bit_length(), (m, k)
 
     @pytest.mark.parametrize("listing,size", [
         (lambda nf: enumerate_canonical(20000, 2, nf), "a 60008-bit number"),
-        (lambda nf: count_subgroup_orbits(10 ** 6, 1, nf), "9^1000000"),
-    ], ids=["enumerate_canonical", "count_subgroup_orbits"])
+        (lambda nf: count_subgroup_orbits(10 ** 6, 1, nf), "1000001000064"),
+        (lambda nf: count_subgroup_orbits(10 ** 18, 10 ** 18, nf), "a 186-bit number"),
+    ], ids=["enumerate_canonical", "count_subgroup_orbits", "count_subgroup_orbits_huge_k"])
     def test_huge_listing_refused_by_the_guard(self, dn32, listing, size):
-        # these once raised ValueError from printing the refused size in full
+        # these once raised ValueError from printing the refused size in full;
+        # at k = 1 the orbit count is small, but its table takes m^2 steps,
+        # and at any k the guard's bound takes no loop
         t0 = time.perf_counter()
         with pytest.raises(BudgetExceededError) as refused:
             listing(dn32)
@@ -205,19 +223,21 @@ class TestOrbitReport:
         assert f" = {size} exceeds the element budget 1000000 (NEARVEC_BUDGET)" in message
         assert "\n" not in message
 
-    def test_work_bound_before_listing_permutations(self):
-        # GF(2)^13, k = 2: the 1577940 subgroup builds pass their guard, but
-        # marking may build 27634932 subgroups of 4 elements, 11 times the
-        # budget's tenfold; (11, 2) takes a few seconds, and each m about
-        # triples the time and the memory
-        t0 = time.perf_counter()
-        with pytest.raises(BudgetExceededError, match="marking builds \\|R\\|\\^k / 10 = 11053973 "):
-            count_subgroup_orbits(13, 2, build_nearfield(2, 1))
-        assert time.perf_counter() - t0 < 1
+    def test_rejects_negative_arguments(self, dn32):
+        with pytest.raises(ValueError, match="need m >= 0 and k >= 0, got k=1, m=-1"):
+            count_subgroup_orbits(-1, 1, dn32)
+        with pytest.raises(ValueError, match="need m >= 0 and k >= 0, got k=-1, m=3"):
+            count_subgroup_orbits(3, -1, dn32)
+
+    def test_edge_shapes(self, dn32):
+        # the zero subgroup is one orbit at every m; k > m leaves no subgroup
+        assert [count_subgroup_orbits(m, 0, dn32) for m in range(4)] == [1, 1, 1, 1]
+        assert count_subgroup_orbits(0, 1, dn32) == 0
+        assert count_subgroup_orbits(2, 3, dn32) == 0
+        assert count_subgroup_orbits(10 ** 6, 10 ** 6 + 1, dn32) == 0
 
     def test_guard_admits_what_marking_finishes(self):
-        # the old m! |R|^k guard refused (11, 1) and (12, 1); marking takes
-        # each support size once, 4095 subgroups and 24576 marking builds
+        # over GF(2) each block type is fixed by its size: one orbit per size
         t0 = time.perf_counter()
         assert count_subgroup_orbits(12, 1, build_nearfield(2, 1)) == 12
         assert time.perf_counter() - t0 < 1
@@ -225,63 +245,86 @@ class TestOrbitReport:
     @pytest.mark.parametrize("q,n,m,k", [
         (3, 2, 1, 1), (3, 2, 2, 1), (3, 2, 2, 2), (3, 2, 3, 1), (3, 2, 3, 2), (3, 2, 3, 3),
         (3, 2, 4, 2), (5, 2, 2, 1), (5, 2, 2, 2), (7, 2, 2, 1), (2, 1, 5, 1), (2, 1, 5, 2),
+        (3, 1, 3, 1), (3, 1, 4, 2), (4, 1, 3, 1), (4, 1, 4, 2), (7, 3, 2, 1),
     ])
     def test_marking_matches_reference_quotient(self, q, n, m, k):
-        # the min-key quotient over every subgroup's permuted elements;
-        # over GF(2) many permutations give equal rows
+        # the closed form against the min-key quotient over every subgroup's
+        # permuted elements
         nf = build_nearfield(q, n)
         assert count_subgroup_orbits(m, k, nf) == reference_subgroup_orbits(m, k, nf)
 
-    @pytest.mark.parametrize("m,k", [(6, 2), (6, 3)])
-    def test_subgroup_builds_refused_before_listing(self, dn32, m, k):
-        # 360542 and 338520 builds pass the other two guards; (5, 2)'s
-        # 20340 builds take about a second
+    @pytest.mark.parametrize("q,n,m,k,orbits", [
+        # the marking quotient this closed form replaced computed each of
+        # these with NEARVEC_BUDGET=10^8 (refused at the default budget) ...
+        (3, 2, 5, 3, 36), (3, 2, 6, 2, 594), (5, 2, 4, 2, 214), (2, 1, 8, 4, 12), (9, 1, 5, 2, 154),
+        # ... but refused this one even at 10^8: from the closed form only
+        (3, 2, 6, 3, 190),
+    ])
+    def test_counts_past_the_reference(self, q, n, m, k, orbits):
         t0 = time.perf_counter()
-        with pytest.raises(BudgetExceededError, match="subgroup builds \\|R\\|\\^k / 10 = "):
-            count_subgroup_orbits(m, k, dn32)
+        assert count_subgroup_orbits(m, k, build_nearfield(q, n)) == orbits
         assert time.perf_counter() - t0 < 1
+
+    def test_nearfield_and_field_of_order_9_differ(self):
+        # DN(3,2)* is the quaternion group, six units of order 4; GF(9)* is
+        # cyclic, with two; at (5, 2) the counts are 155 and 154
+        dn, gf = build_nearfield(3, 2), build_nearfield(9, 1)
+        assert _block_type_counts(dn, 4) == [0, 1, 5, 15, 44]
+        assert _block_type_counts(gf, 4) == [0, 1, 5, 15, 43]
+
+    @pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (2, 1), (4, 1)])
+    def test_block_types_match_burnside_sum(self, q, n):
+        # (sigma, r) fixes v in (R*)^s iff v_i = v_sigma(i) o r for all i:
+        # along a cycle of length l that needs r^l = 1, and then leaves the
+        # cycle's first entry free
+        nf = build_nearfield(q, n)
+        units = range(1, nf.order)
+
+        def power(r, e):
+            x = 1
+            for _ in range(e):
+                x = nf.mul(x, r)
+            return x
+
+        def cycle_lengths(perm):
+            seen, lengths = set(), []
+            for i in range(len(perm)):
+                length = 0
+                while i not in seen:
+                    seen.add(i)
+                    i = perm[i]
+                    length += 1
+                if length:
+                    lengths.append(length)
+            return lengths
+
+        types = _block_type_counts(nf, 6)
+        for s in range(1, 7):
+            fixed = 0
+            for perm in itertools.permutations(range(s)):
+                lengths = cycle_lengths(perm)
+                fixed += sum(math.prod(len(units) if power(r, l) == 1 else 0 for l in lengths) for r in units)
+            assert fixed % (math.factorial(s) * len(units)) == 0
+            assert types[s] == fixed // (math.factorial(s) * len(units)), (q, n, s)
+
+    @pytest.mark.parametrize("q,n,top", [(3, 2, 3), (4, 1, 4), (2, 1, 5)])
+    def test_block_types_are_orbits_of_unit_vectors(self, q, n, top):
+        # N_s by listing (R*)^s and keeping each orbit's least image
+        nf = build_nearfield(q, n)
+        units = range(1, nf.order)
+        types = _block_type_counts(nf, top)
+        for s in range(1, top + 1):
+            keys = {min(tuple(nf.mul(v[p], r) for p in perm)
+                        for perm in itertools.permutations(range(s)) for r in units)
+                    for v in itertools.product(units, repeat=s)}
+            assert types[s] == len(keys), (q, n, s)
 
     def test_marking_skips_permutations_that_give_equal_rows(self):
         # over GF(2) a dimension-1 subgroup is one row, and its orbit is
-        # fixed by its support size; 10! permutations per orbit are never
-        # taken one by one
+        # fixed by its support size
         t0 = time.perf_counter()
         assert count_subgroup_orbits(10, 1, build_nearfield(2, 1)) == 10
         assert time.perf_counter() - t0 < 1
-
-    def test_builds_formula_counts_generator_rows(self):
-        assert [_subgroup_builds(m, k, 9) for m, k in [(3, 2), (5, 2), (6, 3)]] == [54, 20340, 338520]
-        for order in (2, 3, 9):
-            for m in range(5):
-                for k in range(m + 2):
-                    listed = sum(1 for _ in _generator_rows(m, k, order))
-                    assert _subgroup_builds(m, k, order) == listed, (order, m, k)
-
-    def test_marking_formula_sums_support_products(self):
-        for order in (2, 3, 9):
-            for m in range(5):
-                for k in range(1, m + 2):
-                    listed = sum(functools.reduce(lambda x, row: x * sum(1 for a in row if a), rows, 1)
-                                 for rows in _generator_rows(m, k, order))
-                    assert _marking_builds(m, k, order) == listed, (order, m, k)
-
-    @pytest.mark.parametrize("q,n,m,k", [
-        (3, 2, 3, 1), (3, 2, 3, 2), (3, 2, 4, 2), (3, 2, 5, 2), (2, 1, 6, 2), (2, 1, 6, 3), (4, 1, 4, 2),
-    ])
-    def test_marking_builds_stay_under_the_bound(self, monkeypatch, q, n, m, k):
-        # every build packs its k rows once: the enumeration's builds, then marking's
-        packed = 0
-        pack = counting.pack_vector
-
-        def counted(nf, row):
-            nonlocal packed
-            packed += 1
-            return pack(nf, row)
-
-        monkeypatch.setattr(counting, "pack_vector", counted)
-        count_subgroup_orbits(m, k, build_nearfield(q, n))
-        builds = _subgroup_builds(m, k, q ** n)
-        assert builds < packed // k <= builds + _marking_builds(m, k, q ** n)
 
     def test_swap_merge_witness(self, dn32):
         # swap(gen((1, x))) = gen((1, inv(x)))

@@ -6,14 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernel_oracle import GOLDEN_DENSE, golden_digest
+from kernel_oracle import GOLDEN_DENSE, column_pair_dependent, golden_digest
 from nearvec import (
     NfMatrix,
     Step,
     VectorSet,
     Witness,
     build_nearfield,
-    column_pair_dependent,
     distributivity_trick,
     ege,
     gen_closure,

@@ -146,6 +146,15 @@ class TestMatrixCodec:
         with pytest.raises(ValueError, match="width required"):
             NfMatrix.from_rows(dn32, [])
 
+    @pytest.mark.parametrize("bad", [1.0, "2", 1.5, True])
+    def test_matrix_rejects_codes_that_are_not_ints(self, dn32, bad):
+        # a float equal to a code once passed the range check, and ege
+        # returned it in the basis
+        with pytest.raises(ValueError, match=f"element code {bad!r} is not an int"):
+            NfMatrix(dn32, ((bad, 2),), 2)
+        with pytest.raises(ValueError, match="is not an int"):
+            NfMatrix(dn32, ((1, 2), (0, bad)), 2)
+
     def test_columns(self, dn32):
         M = NfMatrix.from_rows(dn32, [(1, 2, 3), (4, 5, 6)])
         assert M.column(1) == (2, 5)
