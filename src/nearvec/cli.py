@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .closure import (BudgetExceededError, VectorSet, current_budget, gen_closure, lc_index,
+from .closure import (BudgetExceededError, VectorSet, current_budget, gen_size, lc_index,
                       require_budget, unpack_vector)
 from .counting import count_subgroups
 from .ege import ege, replay, trace_from_text, trace_to_text
@@ -142,8 +142,7 @@ def _cmd_replay(args):
 
 def _cmd_gen(args):
     M = _read_matrix(args.file)
-    closure = gen_closure(VectorSet.from_vectors(M.nf, M.width, M.rows))
-    size = len(closure)
+    size = gen_size(VectorSet.from_vectors(M.nf, M.width, M.rows))
     spans = size == M.nf.order ** M.width
     lines = [f"size {size}", f"spans_space {'true' if spans else 'false'}"]
     return _emit(args, M.nf, _rows_doc(args, M), {"size": size, "spans_space": spans}, lines)

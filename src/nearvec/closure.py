@@ -28,22 +28,34 @@ GF(p)-span.  The nearfield is left distributive, w o (lam + mu) =
 w o lam + w o mu, so w o lam is GF(p)-linear in lam, and the span of
 {w o lam : lam in R} is the span of the d products w o x^i, i < d (the
 scalar code p^i is x^i): the step seeds d products per vector, not |R|,
-through scale_rows(nf, m, (1, p, ..., p^(d-1))).  It grows the span as a
-subgroup H, held as a list and as a set of its codes, starting from {0}.
+through scale_rows(nf, m, (1, p, ..., p^(d-1))).  One helper, _grow,
+grows the span as a subgroup H, held as a list and as a set of its codes.
 A product already in H is skipped; any other product c extends H to
 H + <c>, the disjoint union of the cosets H + k c for k = 0..p-1, each
 translated from the one before and added to the set one coset at a time.
-Each element of the span is produced exactly once, and nothing allocates
-or scans the space, so a step costs O(|S| d) products plus the span's
-size and its sort, O(|H| log |H|).  The sort is the price: a span of
-half the space lists about 1.2-1.4x slower sorted than by scanning a
-membership bitmap over the space, but coset generation dominates such
-steps, and small spans in large spaces cost nothing per unused code.  A
-step that fills R^m stops at its last independent product: once
-p |H| = |R^m|, H + <c> is the whole space, known by its size, and the
-span is reported as None.  lc_index, gen_closure and is_gamma_dependent
+
+The strata are grown semi-naively, each from the last.  LC_p is inside
+LC_(p+1), since x^0 = 1 is seeded and w o 1 = w, and the products of
+LC_(p-1) already lie in LC_p.  So LC_(p+1) starts from LC_p's list and
+set and seeds only the codes that LC_p added; LC_1 starts from {0} and
+seeds V.  No element is listed twice across the strata, and the
+fixpoint is a stratum that adds nothing, seen by its size, with no sort
+or compare.  Only lc_step and gen_closure sort, once, for their
+VectorSet.  A stratum costs its new codes' d products each, mostly set
+lookups, plus the elements it adds.
+
+A stratum that fills R^m stops at its last independent product: once
+p |H| = |R^m|, H + <c> is the whole space, known by its size.  One rank
+earlier the growth holds a product back.  Once p^2 |H| = |R^m|, the next
+new product c is kept as its multiples c, 2c, ..., (p-1)c instead of
+being translated.  A later new product e lies in H + <c> exactly when
+some e + j c lies in H, one translate of p - 1 codes; one that does not
+fills R^m.  c's p - 1 cosets are listed only when the stratum ends short
+of R^m.  So the stratum that fills R^m lists no coset of its last one
+or two independent products, lc_index, gen_size and is_gamma_dependent
 end there, and only lc_step and gen_closure list the space, as
-range(space), when they return it.  There is no elimination over GF(p).
+range(space), when they return it.
+There is no elimination over GF(p).
 
 Every size the package enumerates, lists or prints goes through
 require_budget, the one guard, against the element budget.  The budget
@@ -226,45 +238,77 @@ class VectorSet:
         return i < len(self.codes) and self.codes[i] == code
 
 
-def _span_codes(S: VectorSet, space: int) -> tuple[int, ...] | None:
-    """The GF(p)-span of the products w o x^i, sorted, or None once it fills R^m."""
+def _extend(nf: Nearfield, out: list[int], seen: set[int], c: int) -> None:
+    """out + <c>: append the cosets out + k c, 0 < k < p, to out and seen."""
+    coset = out
+    for _ in range(nf.p - 1):
+        coset = translate(nf, coset, c)
+        seen.update(coset)
+        out += coset
+
+
+def _grow(S: VectorSet, out: list[int], seen: set[int], new, space: int) -> bool:
+    """Extend the subgroup out, its members in seen, by the products w o x^i
+    of the codes w in new; False once it fills R^m."""
     nf, p = S.nf, S.nf.p
     rows = scale_rows(nf, S.m, tuple(p ** i for i in range(nf.d)))
-    out = [0]     # the subgroup grown so far, from the empty sum
-    seen = {0}    # its membership
-    for c in itertools.chain.from_iterable(rows[w] for w in S.codes):
-        if c in seen:
+    held = None   # c, 2c, ..., (p-1)c for a product c not yet listed
+    # the filter is lazy, so it skips products that out has grown to cover
+    products = itertools.chain.from_iterable(map(rows.__getitem__, new))
+    for c in itertools.filterfalse(seen.__contains__, products):
+        if held is not None:
+            # c lies in out + <held> iff c + j held lies in out for some 0 < j < p
+            if seen.isdisjoint(translate(nf, held, c)):
+                return False  # out + <held> + <c> has p^2 |out| elements: all of R^m
             continue
         if len(out) * p == space:
-            # out + <c> has p |out| elements: all of R^m
-            return None
-        # out + <c> is out and the cosets out + k c, 0 < k < p, all disjoint
-        coset = out
-        for _ in range(p - 1):
-            coset = translate(nf, coset, c)
-            seen.update(coset)
-            out += coset
-    return tuple(sorted(out))
+            return False      # out + <c> has p |out| elements: all of R^m
+        if len(out) * p * p == space:
+            held = [c]
+            while len(held) < p - 1:
+                held += translate(nf, held[-1:], c)
+        else:
+            _extend(nf, out, seen, c)
+    if held is not None:
+        _extend(nf, out, seen, held[0])
+    return True
+
+
+def _gen_codes(S: VectorSet, space: int) -> tuple[list[int] | None, int]:
+    """gen(S), unsorted, or None when it is R^m, and the strata grown:
+    LC_1, LC_2, ... in one list, each from the products of the codes the
+    last one added."""
+    out, seen, new, strata = [0], {0}, S.codes, 0
+    while new:
+        start = len(out)
+        strata += 1
+        if not _grow(S, out, seen, new, space):
+            return None, strata
+        new = out[start:]
+    return out, strata
 
 
 def lc_step(S: VectorSet) -> VectorSet:
     """One stratum up: the additive subgroup generated by {w o lam}."""
     space = require_budget("|R|^m", S.nf.order, S.m)
-    codes = _span_codes(S, space)
-    return VectorSet(S.nf, S.m, tuple(range(space)) if codes is None else codes)
+    out = [0]
+    if not _grow(S, out, {0}, S.codes, space):
+        return VectorSet(S.nf, S.m, tuple(range(space)))
+    return VectorSet(S.nf, S.m, tuple(sorted(out)))
 
 
 def gen_closure(S: VectorSet) -> VectorSet:
     """Least fixpoint of lc_step containing S: the smallest R-subgroup."""
     space = require_budget("|R|^m", S.nf.order, S.m)
-    cur = S
-    while True:
-        codes = _span_codes(cur, space)
-        if codes is None:
-            return VectorSet(S.nf, S.m, tuple(range(space)))
-        if codes == cur.codes:
-            return cur
-        cur = VectorSet(S.nf, S.m, codes)
+    codes, _ = _gen_codes(S, space)
+    return VectorSet(S.nf, S.m, tuple(range(space)) if codes is None else tuple(sorted(codes)))
+
+
+def gen_size(S: VectorSet) -> int:
+    """|gen(S)|, without listing R^m when S spans it."""
+    space = require_budget("|R|^m", S.nf.order, S.m)
+    codes, _ = _gen_codes(S, space)
+    return space if codes is None else len(codes)
 
 
 def lc_index(nf: Nearfield, vectors) -> int:
@@ -274,16 +318,12 @@ def lc_index(nf: Nearfield, vectors) -> int:
         raise ValueError("need at least one vector")
     m = len(vectors[0])
     space = require_budget("|R|^m", nf.order, m)
-    cur = VectorSet.from_vectors(nf, m, vectors)
-    p = 0
-    while len(cur) < space:
-        codes = _span_codes(cur, space)
-        p += 1
-        if codes is None:
-            break
-        if codes == cur.codes:
-            raise ValueError("index undefined: gen != R^m")
-        cur = VectorSet(nf, m, codes)
+    S = VectorSet.from_vectors(nf, m, vectors)
+    if len(S) == space:
+        return 0
+    codes, p = _gen_codes(S, space)
+    if codes is not None:
+        raise ValueError("index undefined: gen != R^m")
     return p
 
 
@@ -300,16 +340,14 @@ def is_gamma_dependent(nf: Nearfield, vectors, gamma: int) -> tuple[bool, int | 
     m = len(vectors[0])
     space = require_budget("|R|^m", nf.order, m)
     for i, v in enumerate(vectors):
-        others = vectors[:i] + vectors[i + 1:]
-        cur = VectorSet.from_vectors(nf, m, others)
+        others = VectorSet.from_vectors(nf, m, vectors[:i] + vectors[i + 1:])
+        out, seen, new = [0], {0}, others.codes
         for _ in range(gamma):
-            codes = _span_codes(cur, space)
-            if codes is None:
+            start = len(out)
+            if not _grow(others, out, seen, new, space):
                 return True, i  # LC of the others is all of R^m, v included
-            if codes == cur.codes:
-                break
-            cur = VectorSet(nf, m, codes)
-        if v in cur:
+            new = out[start:]
+        if pack_vector(nf, v) in seen:
             return True, i
     return False, None
 

@@ -498,25 +498,25 @@ def trace_to_text(nf: Nearfield, steps) -> str:
 
 def trace_from_text(nf: Nearfield, text: str) -> tuple[Step, ...]:
     steps = []
-    parse = nf.parse_elements
+    append, parse, new = steps.append, nf.parse_elements, tuple.__new__
     for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
         parts = ln.split()
-        op = parts[0].upper()
+        if not parts or parts[0][0] == "#":
+            continue
+        op, n = parts[0].upper(), len(parts)
+        # each Step as Step.__new__ would build it: no theta or phi to pack
         try:
-            if op == "SWAP" and len(parts) == 3:
-                steps.append(Step("swap", r=int(parts[1]) - 1, s=int(parts[2]) - 1))
-            elif op == "SCALE" and len(parts) == 3:
-                steps.append(Step("scale", r=int(parts[1]) - 1, c=parse(parts[2:])[0]))
-            elif op == "ELIM" and len(parts) == 4:
-                steps.append(Step("eliminate", r=int(parts[1]) - 1, s=int(parts[2]) - 1,
-                                  c=parse(parts[3:])[0]))
-            elif op == "TRICK" and len(parts) == 5:
-                steps.append(Step("trick", col=int(parts[1]) - 1, witness=tuple(parse(parts[2:]))))
+            if op == "SWAP" and n == 3:
+                append(new(Step, ("swap", int(parts[1]) - 1, int(parts[2]) - 1, -1, -1, None, None, None)))
+            elif op == "SCALE" and n == 3:
+                append(new(Step, ("scale", int(parts[1]) - 1, -1, parse(parts[2:])[0], -1, None, None, None)))
+            elif op == "ELIM" and n == 4:
+                append(new(Step, ("eliminate", int(parts[1]) - 1, int(parts[2]) - 1, parse(parts[3:])[0],
+                                   -1, None, None, None)))
+            elif op == "TRICK" and n == 5:
+                append(new(Step, ("trick", -1, -1, -1, int(parts[1]) - 1, tuple(parse(parts[2:])), None, None)))
             else:
                 raise ValueError("unknown step or wrong number of fields")
         except ValueError as e:
-            raise ValueError(f"malformed trace line {ln!r}: {e}") from None
+            raise ValueError(f"malformed trace line {ln.strip()!r}: {e}") from None
     return tuple(steps)

@@ -134,9 +134,9 @@ def verify_seed(V: NfMatrix) -> bool:
     else:
         ok = ege(V).dimension == V.width
     if V.nf.order ** V.width <= 10 ** 4:
-        from .closure import VectorSet, gen_closure
+        from .closure import VectorSet, gen_size
 
-        size = len(gen_closure(VectorSet.from_vectors(V.nf, V.width, V.rows)))
+        size = gen_size(VectorSet.from_vectors(V.nf, V.width, V.rows))
         if (size == V.nf.order ** V.width) != ok:
             raise RuntimeError("the seed verdict and the closure oracle disagree on the seed property")
     return ok

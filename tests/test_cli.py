@@ -3,12 +3,13 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nearvec import build_nearfield, count_subgroups
+from nearvec import build_nearfield, build_seed, count_subgroups, matrix_format
 from nearvec.cli import _decimal, main
 
 V3 = "DN 3 2\n2 3\n1 0 1\n1 1 0\n"
@@ -148,6 +149,22 @@ class TestClosureCommands:
         code, out, _ = run(capsys, "gen", str(f))
         assert code == 0
         assert out == "size 729\nspans_space true\n"
+
+    def test_gen_of_a_spanning_seed_does_not_list_the_space(self, capsys, tmp_path):
+        # R^6 over DN(3,2) has 531441 vectors: listing them as ints alone
+        # allocates over 18 MB, while the strata stop by |R^m| / p^2 codes
+        f = tmp_path / "seed6.mat"
+        f.write_text(matrix_format(build_seed(6, build_nearfield(3, 2)).matrix))
+        run(capsys, "gen", str(f))  # warm
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "gen", str(f))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out == "size 531441\nspans_space true\n"
+        assert peak < 8 * 2 ** 20
 
     def test_lc_index(self, capsys, tmp_path):
         f = tmp_path / "v3.mat"

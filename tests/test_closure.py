@@ -278,6 +278,17 @@ def _oracle_cases(draw, shapes=ORACLE_SHAPES, max_vectors=3):
     return nf, m, [unpack_vector(nf, m, c) for c in codes], draw(st.integers(1, 3))
 
 
+def _oracle_gamma_dependent(nf, m, vectors, gamma):
+    """is_gamma_dependent by the oracle's strata LC_gamma of the other vectors."""
+    for i, v in enumerate(vectors):
+        cur = VectorSet.from_vectors(nf, m, vectors[:i] + vectors[i + 1:])
+        for _ in range(gamma):
+            cur = _elimination_lc_step(cur)
+        if v in cur:
+            return True, i
+    return False, None
+
+
 @settings(max_examples=60, deadline=None)
 @given(_oracle_cases())
 def test_lc_step_matches_elimination_oracle(case):
@@ -296,6 +307,7 @@ def test_lc_step_matches_elimination_oracle(case):
     assert gen_closure(S) == strata[-1]
     if not vectors:
         return
+    assert is_gamma_dependent(nf, vectors, steps) == _oracle_gamma_dependent(nf, m, vectors, steps)
     if len(strata[-1]) == space:
         assert lc_index(nf, vectors) == next(i for i, T in enumerate(strata) if len(T) == space)
     else:
@@ -343,6 +355,71 @@ def test_lc_step_stops_when_the_span_fills_the_space(dn32, monkeypatch, vectors)
     out = lc_step(S)
     assert out.codes == tuple(range(space))
     assert sum(translated) < space // dn32.p
+
+
+@pytest.mark.parametrize("q,n,vectors", [
+    (3, 2, [(4, 4, 1), (1, 2, 3), (4, 2, 6)]),
+    (7, 1, [(6, 2, 1), (5, 6, 5)]),
+    (3, 2, [(3, 8, 2, 1), (2, 7, 7, 2), (0, 1, 5, 5), (6, 8, 4, 8)]),
+])
+def test_held_product_is_listed_when_the_stratum_ends_one_rank_short(q, n, vectors):
+    # |LC_1| = |R^m| / p: the product that takes the span past |R^m| / p^2
+    # is held, no later product leaves span + <held>, and its cosets are
+    # listed at the end; the next stratum starts from this one
+    nf = build_nearfield(q, n)
+    m = len(vectors[0])
+    S = VectorSet.from_vectors(nf, m, vectors)
+    lc1 = lc_step(S)
+    assert len(lc1) * nf.p == nf.order ** m
+    assert lc1 == _elimination_lc_step(S)
+    lc2 = _elimination_lc_step(lc1)
+    assert gen_closure(S) == lc2
+    if len(lc2) == nf.order ** m:
+        assert lc_index(nf, vectors) == 2
+    else:
+        with pytest.raises(ValueError, match="index undefined"):
+            lc_index(nf, vectors)
+
+
+@pytest.mark.parametrize("vectors,dependent", [
+    ([(0, 0, 0), (1, 0, 1), (1, 1, 0)], (True, 0)),
+    ([(1, 0, 1), (1, 1, 0), (1, 0, 1)], (True, 0)),
+    ([(1, 1, 0), (0, 0, 0), (1, 0, 1), (1, 1, 0), (1, 0, 1)], (True, 0)),
+])
+def test_zero_and_repeated_vectors(dn32, vectors, dependent):
+    # neither the zero vector nor a repeat changes a stratum; each makes the
+    # set gamma-dependent, the zero vector from the empty sum, a repeat from itself
+    S = VectorSet.from_vectors(dn32, 3, vectors)
+    plain = VectorSet.from_vectors(dn32, 3, [(1, 0, 1), (1, 1, 0)])
+    assert lc_step(S) == lc_step(plain) == _elimination_lc_step(S)
+    assert gen_closure(S) == gen_closure(plain)
+    assert lc_index(dn32, vectors) == lc_index(dn32, plain.vectors()) == 2
+    assert is_gamma_dependent(dn32, vectors, 1) == dependent == _oracle_gamma_dependent(dn32, 3, vectors, 1)
+
+
+def test_lc_index_lists_each_element_once_and_never_the_held_cosets(dn32, monkeypatch):
+    # a spanning 3-subset of DN(3,2)^4 with |LC_1| = 729 = |R^m| / p^2: LC_2
+    # starts from LC_1's list, so only LC_1's 728 nonzero elements are ever
+    # translated as members; LC_2 holds its first new product, and after it
+    # translates nothing longer than its p - 1 multiples
+    vectors = [(3, 8, 2, 1), (2, 7, 7, 2), (0, 1, 5, 5)]
+    S = VectorSet.from_vectors(dn32, 4, vectors)
+    translated = []
+    real = closure_module.translate
+
+    def counting(nf, codes, c):
+        translated.append(len(codes))
+        return real(nf, codes, c)
+
+    lc_step(S)  # warm
+    monkeypatch.setattr(closure_module, "translate", counting)
+    lc1 = len(lc_step(S))
+    first = list(translated)
+    assert lc1 == 729 and sum(first) == lc1 - 1
+    translated.clear()
+    assert lc_index(dn32, vectors) == 2
+    assert translated[:len(first)] == first
+    assert 0 < max(translated[len(first):]) <= dn32.p - 1
 
 
 def test_lc_step_large_prime_is_linear_in_the_space():
