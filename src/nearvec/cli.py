@@ -17,8 +17,8 @@ import math
 import sys
 from pathlib import Path
 
-from .closure import (BudgetExceededError, VectorSet, current_budget, gen_size, lc_index,
-                      require_budget, unpack_vector)
+from .closure import (BudgetExceededError, VectorSet, _gen_codes, current_budget, gen_size,
+                      lc_index, require_budget, unpack_vector)
 from .counting import count_subgroups
 from .ege import ege, replay, trace_from_text, trace_to_text
 from .linmaps import MapRep, classify, is_bijective, linear_violation, count_maps
@@ -210,7 +210,7 @@ def _cmd_search_index(args):
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     nf = build_nearfield(args.q, args.n)
-    # every subset's lc_index enumerates R^m
+    # every subset's closure grows inside R^m
     space = require_budget("vectors of R^m, |R|^m", nf.order, args.m)
     budget = current_budget()
     # C(N, k) >= 2^min(k, N - k): past the budget's bit length it is not computed
@@ -219,28 +219,26 @@ def _cmd_search_index(args):
     if args.limit is not None:
         subsets = min(args.limit, subsets)
     require_budget("k-subsets to scan, min(--limit, C(|R|^m - 1, k), budget + 1)", subsets)
-    nonzero = range(1, space)
-    searched = spanning = 0
-    max_index = 0
-    first_max = None
-    exceeding = []
-    combos = itertools.combinations(nonzero, args.k)
+    searched = spanning = max_index = 0
+    first_max, exceeding = None, []
+    combos = itertools.combinations(range(1, space), args.k)
     if args.limit is not None:
         combos = itertools.islice(combos, args.limit)
+    # a combination is sorted and distinct, a VectorSet as it stands; its
+    # closure lists gen only short of R^m, and else counts lc_index's strata
+    fmt = lambda codes: [nf.format_elements(unpack_vector(nf, args.m, c)) for c in codes]
     for combo in combos:
         searched += 1
-        vectors = [unpack_vector(nf, args.m, c) for c in combo]
-        try:
-            idx = lc_index(nf, vectors)
-        except ValueError:
+        short, idx = _gen_codes(VectorSet(nf, args.m, combo), space)
+        if short is not None:
             continue
         spanning += 1
         if idx > max_index:
             max_index = idx
-            first_max = vectors
+            first_max = combo
         if idx > args.bound and len(exceeding) < 10:
-            exceeding.append(list(map(nf.format_elements, vectors)))
-    fmt_first = list(map(nf.format_elements, first_max)) if first_max else None
+            exceeding.append(fmt(combo))
+    fmt_first = fmt(first_max) if first_max else None
     result = {
         "searched": searched,
         "spanning": spanning,

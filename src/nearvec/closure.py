@@ -219,10 +219,12 @@ class VectorSet:
 
     @classmethod
     def from_vectors(cls, nf: Nearfield, m: int, vectors) -> "VectorSet":
+        """The set of vectors of m element codes each, checked by the field."""
         seen = set()
         for v in vectors:
             if len(v) != m:
                 raise ValueError("dimension mismatch")
+            nf.check_codes(v)
             seen.add(pack_vector(nf, v))
         return cls(nf, m, tuple(sorted(seen)))
 
@@ -233,7 +235,7 @@ class VectorSet:
         return len(self.codes)
 
     def __contains__(self, v) -> bool:
-        code = pack_vector(self.nf, v)
+        (code,) = VectorSet.from_vectors(self.nf, self.m, (v,)).codes  # v's length and codes checked
         i = bisect.bisect_left(self.codes, code)
         return i < len(self.codes) and self.codes[i] == code
 
@@ -339,6 +341,7 @@ def is_gamma_dependent(nf: Nearfield, vectors, gamma: int) -> tuple[bool, int | 
         return False, None
     m = len(vectors[0])
     space = require_budget("|R|^m", nf.order, m)
+    VectorSet.from_vectors(nf, m, vectors)  # checks each v_i, which no set of the others holds
     for i, v in enumerate(vectors):
         others = VectorSet.from_vectors(nf, m, vectors[:i] + vectors[i + 1:])
         out, seen, new = [0], {0}, others.codes
@@ -375,11 +378,9 @@ def check_lc1_cardinality(nf: Nearfield, vectors) -> Lc1Report:
     lc1 = lc_step(VectorSet.from_vectors(nf, m, vectors))
     size = len(lc1)
     bound = nf.order ** k
-    two_indep, _ = is_gamma_dependent(nf, vectors, 2)
-    two_indep = not two_indep
     return Lc1Report(
         k=k, m=m, size=size, bound=bound,
-        two_independent=two_indep,
+        two_independent=not is_gamma_dependent(nf, vectors, 2)[0],
         within_bound=size <= bound,
         equality=size == bound,
         k_le_m=k <= m,

@@ -258,8 +258,7 @@ def _check_trick(nf: Nearfield, work: _Rows, col: int, w: Witness, clean: int = 
     violates right distributivity, with codes in range: the preconditions
     of the trick.  No column left of `clean` may have two nonzero entries;
     the scan starts there."""
-    for a in (w.alpha, w.beta, w.lam):
-        _code(nf, a, "witness")
+    nf.check_codes((w.alpha, w.beta, w.lam), "witness code")
     if not isinstance(col, int):
         raise ValueError(f"column index {col!r} is not an integer")
     if not 0 <= col < work.width:
@@ -393,14 +392,6 @@ def _row_index(rows, idx: int) -> int:
     return idx
 
 
-def _code(nf: Nearfield, a: int, what: str) -> int:
-    if not isinstance(a, int):
-        raise ValueError(f"{what} code {a!r} is not an integer")
-    if not 0 <= a < nf.order:
-        raise ValueError(f"{what} code {a} out of range for order {nf.order}")
-    return a
-
-
 def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int, clean: int) -> int:
     """Apply step i (0-based) of a trace, which may come from an untrusted
     file: row indices, scalar and witness codes, the trick column and the
@@ -420,11 +411,13 @@ def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int, clean: int) -> int
             work.swap(_row_index(rows, st.r), _row_index(rows, st.s))
         elif st.kind == "scale":
             r = _row_index(rows, st.r)
-            work.axpy(r, rows[r], _code(nf, st.c, "scalar"), work.cols(r), acc=False)
+            nf.check_codes((st.c,), "scalar code")
+            work.axpy(r, rows[r], st.c, work.cols(r), acc=False)
         elif st.kind == "eliminate":
             r, s = _row_index(rows, st.r), _row_index(rows, st.s)
+            nf.check_codes((st.c,), "scalar code")
             cols = work.cols(r)
-            work.axpy(s, rows[r], nf.neg(_code(nf, st.c, "scalar")), cols)
+            work.axpy(s, rows[r], nf.neg(st.c), cols)
             if cols:
                 clean = min(clean, cols[0])
         elif st.kind == "trick":

@@ -42,7 +42,8 @@ class MapClass(enum.Enum):
 
 @dataclass(frozen=True)
 class MapRep:
-    """Matrix representation; matrix[i][j] is row i, column j."""
+    """Matrix representation; matrix[i][j] is row i, column j, an element code
+    checked by the field."""
 
     nf: Nearfield
     n: int
@@ -51,11 +52,8 @@ class MapRep:
     def __post_init__(self):
         if len(self.matrix) != self.n or any(len(r) != self.n for r in self.matrix):
             raise ValueError("matrix must be n x n")
-        order = self.nf.order
         for row in self.matrix:
-            for a in row:
-                if not 0 <= a < order:
-                    raise ValueError(f"element code {a} out of range")
+            self.nf.check_codes(row)
 
     @classmethod
     def from_columns(cls, nf: Nearfield, cols) -> "MapRep":
@@ -97,7 +95,11 @@ def _images_packed(T: MapRep) -> list[int]:
 
 
 def linear_violation(T: MapRep):
-    """First (v, r) with T(v o r) != T(v) o r in lexicographic packed order, or None."""
+    """First (v, r) with T(v o r) != T(v) o r in lexicographic packed order, or None.
+
+    Guarded by |R|^n only, as classify-map's hom-only maps stop early (code
+    962 of random DN(31,2)^2 maps).  A linear map scans all |R|^(n+1) pairs,
+    which the semantic is_linear and is_normal bound before they start."""
     img = _images_packed(T)
     rows = scale_rows(T.nf, T.n)
     for c, ic in enumerate(img):
@@ -113,6 +115,7 @@ def is_linear(T: MapRep, mode: str = "criterion") -> bool:
     if mode == "criterion":
         return all(sum(1 for a in row if a) <= 1 for row in T.matrix)
     if mode == "semantic":
+        require_budget("|R|^(n+1)", T.nf.order, T.n + 1)
         return linear_violation(T) is None
     raise ValueError("mode must be 'criterion' or 'semantic'")
 
@@ -134,6 +137,7 @@ def is_normal(T: MapRep, mode: str = "criterion") -> bool:
         return all(sum(1 for i in range(T.n) if T.matrix[i][j]) <= 1 for j in range(T.n))
     if mode != "semantic":
         raise ValueError("mode must be 'criterion' or 'semantic'")
+    require_budget("|R|^(n+1)", T.nf.order, T.n + 1)
     img = _images_packed(T)
     rows = scale_rows(T.nf, T.n)
     image = list(set(img))

@@ -68,7 +68,6 @@ construction: a field pays for the texts it prints or reads.
 from __future__ import annotations
 
 import functools
-import operator
 import re
 from dataclasses import dataclass
 
@@ -80,6 +79,7 @@ _ADD_TABLE_LIMIT = 256  # largest order whose row kernel reads order x order tab
 _CACHE_ALL_LIMIT = 1 << 16  # fields up to this order stay cached; of larger ones, the last only
 
 _TERM_RE = re.compile(r"^(\d*)x(?:\^(\d+))?$")
+_INT_ONLY = frozenset((int,))  # the one type of an element code: not bool, not float
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +586,17 @@ class Nearfield:
     def elements(self) -> range:
         return range(self.order)
 
+    def check_codes(self, codes, what: str = "element code") -> None:
+        """The one check of element codes: ValueError unless every entry of the
+        sequence is an int (not a bool) in 0..order-1.  It reads the set of
+        entry types, min and max, and walks the entries only to name a bad one."""
+        order = self.order
+        if codes and not (_INT_ONLY.issuperset(map(type, codes)) and 0 <= min(codes) and max(codes) < order):
+            a = next(a for a in codes if type(a) is not int or not 0 <= a < order)
+            if type(a) is not int:
+                raise ValueError(f"{what} {a!r} is not an integer")
+            raise ValueError(f"{what} {a} out of range for order {order}")
+
     @property
     def is_field(self) -> bool:
         return self.n == 1
@@ -694,21 +705,22 @@ class Nearfield:
     # -- text codec -------------------------------------------------------------
 
     def format_elements(self, codes, style: str = "poly") -> list[str]:
-        """The texts of a sequence of codes: in "poly" style by lookup in the
-        field's memo of canonical texts, in "code" style str(a).
-
-        A code missing from the memo is spelled by the digit loop, which
-        refuses a code out of range, and stored; then the lookup runs again,
-        so codes is read twice on a miss.
-        """
+        """The texts of a sequence of codes: in "poly" style by _texts_of, in
+        "code" style str(a).  A code that is not an int is refused first, as
+        True and 1.0 would hit the text of 1."""
         if style != "poly":
-            order = self.order
-            bad = next((a for a in codes if not 0 <= a < order), None)
-            if bad is not None:
-                raise ValueError(f"code {bad} out of range for order {order}")
+            self.check_codes(codes, "code")
             if style != "code":
                 raise ValueError("style must be 'poly' or 'code'")
             return list(map(str, codes))
+        if not _INT_ONLY.issuperset(map(type, codes)):
+            self.check_codes(codes, "code")
+        return self._texts_of(codes)
+
+    def _texts_of(self, codes) -> list[str]:
+        """The texts of int codes by lookup in the memo, for format_elements and
+        an NfMatrix's rows, checked when it was built.  A code that misses is
+        checked and stored, and the lookup runs again, reading codes twice."""
         texts = self._texts
         try:
             return list(map(texts.__getitem__, codes))
@@ -746,13 +758,11 @@ class Nearfield:
         """Store the canonical text of code a both ways in the memo.
 
         The text is spelled digit by digit from the term table, and a prime
-        field prints the code itself.  A code out of range is refused before
-        anything is stored, and callers pass only codes not yet stored, so
-        each memo holds at most order entries.
+        field prints the code itself.  A code that is not an int in range is
+        refused before anything is stored, and callers pass only codes not
+        yet stored, so each memo holds at most order entries.
         """
-        if not 0 <= a < self.order:
-            raise ValueError(f"code {a} out of range for order {self.order}")
-        a = operator.index(a)
+        self.check_codes((a,), "code")
         if self.d == 1:
             text = str(a)
         else:

@@ -72,18 +72,10 @@ class NfMatrix:
     width: int
 
     def __post_init__(self):
-        # a row at a time through the set of entry types, min and max; the
-        # entries are walked only to name the first code that is not an int
-        # or out of range
-        order = self.nf.order
         for row in self.rows:
             if len(row) != self.width:
                 raise ValueError("ragged rows")
-            if row and not ({*map(type, row)} <= {int} and 0 <= min(row) and max(row) < order):
-                a = next(a for a in row if type(a) is not int or not 0 <= a < order)
-                if type(a) is not int:
-                    raise ValueError(f"element code {a!r} is not an int")
-                raise ValueError(f"element code {a} out of range for order {order}")
+            self.nf.check_codes(row)
 
     @classmethod
     def _unchecked(cls, nf: Nearfield, rows: tuple, width: int) -> "NfMatrix":
@@ -160,10 +152,12 @@ def matrix_parse(text: str) -> NfMatrix:
 
 
 def matrix_format(M: NfMatrix, style: str = "poly", comments: tuple[str, ...] = ()) -> str:
-    """Inverse of matrix_parse (up to comments and token style)."""
+    """Inverse of matrix_parse (up to comments and token style).  M's rows
+    were checked when it was built, so poly texts skip the type check."""
     nf = M.nf
+    fmt = nf._texts_of if style == "poly" else lambda row: nf.format_elements(row, style)
     out = [f"# {c}" for c in comments]
     out.append(f"DN {nf.q} {nf.n}")
     out.append(f"{M.n_rows} {M.width}")
-    out += [" ".join(nf.format_elements(row, style)) for row in M.rows]
+    out += [" ".join(fmt(row)) for row in M.rows]
     return "\n".join(out) + "\n"

@@ -2,6 +2,7 @@ import gc
 import importlib
 import itertools
 import random
+import re
 import time
 import tracemalloc
 import weakref
@@ -24,7 +25,7 @@ from nearvec import (
     vec_neg,
     vec_scale_right,
 )
-from nearvec.closure import BUDGET_ENV, require_budget
+from nearvec.closure import BUDGET_ENV, gen_size, require_budget
 
 closure_module = importlib.import_module("nearvec.closure")
 
@@ -190,6 +191,41 @@ class TestGammaDependence:
     def test_gamma_must_be_positive(self, dn32):
         with pytest.raises(ValueError):
             is_gamma_dependent(dn32, [(1, 0)], 0)
+
+
+class TestElementCodes:
+    """Every closure entry that takes vectors refuses a code that is not an
+    int in range, by the field's one check, before it packs the vector."""
+
+    @pytest.mark.parametrize("entry", [
+        lambda nf, V: VectorSet.from_vectors(nf, 2, V),
+        lambda nf, V: V[-1] in VectorSet.from_vectors(nf, 2, V[:-1]),
+        lc_index,
+        check_lc1_cardinality,
+        lambda nf, V: gen_closure(VectorSet.from_vectors(nf, 2, V)),
+        lambda nf, V: gen_size(VectorSet.from_vectors(nf, 2, V)),
+        lambda nf, V: is_gamma_dependent(nf, V, 1),
+        lambda nf, V: is_gamma_dependent(nf, V[::-1], 1),
+    ], ids=["from_vectors", "contains", "lc_index", "lc1_cardinality", "gen_closure", "gen_size",
+            "gamma-bad-last", "gamma-bad-first"])
+    def test_entries_refuse_bad_codes(self, dn32, bad_code, entry):
+        # the others, (1, 0) and (0, 1), span R^2, so is_gamma_dependent
+        # with the bad vector first would answer (True, 0) before it
+        # reached the others' set, if it did not check every vector first
+        bad, message = bad_code
+        with pytest.raises(ValueError, match=f"^element code {re.escape(message)}$"):
+            entry(dn32, [(1, 0), (0, 1), (0, bad)])
+
+    def test_codes_past_the_order_are_not_packed_as_other_vectors(self, dn32):
+        # (10, 0) once packed as the code of (1, 1) and (-1, 0) as (8, 8):
+        # lc_index returned 1 and is_gamma_dependent (True, 0)
+        for V in ([(10, 0), (0, 1)], [(-1, 0), (0, 1)]):
+            with pytest.raises(ValueError, match=" out of range for order 9$"):
+                lc_index(dn32, V)
+        with pytest.raises(ValueError, match="^element code 10 out of range for order 9$"):
+            is_gamma_dependent(dn32, [(10, 0), (1, 1)], 1)
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            (1,) in VectorSet.from_vectors(dn32, 2, [(1, 0)])
 
 
 class TestLc1Cardinality:

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +270,23 @@ class TestTraceCodec:
         assert replay(M, steps[:1]).rows == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         with pytest.raises(ValueError, match="trace step 3: an earlier column already has two nonzero entries"):
             replay(M, steps)
+
+    @pytest.mark.parametrize("step,noun", [
+        (lambda a: Step("scale", r=0, c=a), "scalar code"),
+        (lambda a: Step("eliminate", r=0, s=1, c=a), "scalar code"),
+        (lambda a: Step("trick", col=2, witness=(a, 1, 1)), "witness code"),
+        (lambda a: Step("trick", col=2, witness=(1, a, 1)), "witness code"),
+        (lambda a: Step("trick", col=2, witness=(1, X, a)), "witness code"),
+    ], ids=["scale", "eliminate", "trick-alpha", "trick-beta", "trick-lam"])
+    def test_replay_refuses_bad_codes_by_the_fields_check(self, dn32, bad_code, step, noun):
+        # True once passed as the scalar 1
+        bad, message = bad_code
+        M = NfMatrix.from_rows(dn32, [(1, 0, 1), (0, 1, 1)])   # column 3 is a conflict column
+        with pytest.raises(ValueError, match=f"^trace step 1: {noun} {re.escape(message)}$"):
+            replay(M, [step(bad)])
+        if noun == "witness code":
+            with pytest.raises(ValueError, match=f"^{noun} {re.escape(message)}$"):
+                distributivity_trick(M, 2, Witness(*step(bad).witness))
 
     @pytest.mark.parametrize("q,n", [(3, 2), (7, 3)])   # table kernel, Zech kernel
     @pytest.mark.parametrize("step,bad", [

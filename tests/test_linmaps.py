@@ -1,6 +1,8 @@
 import functools
+import importlib
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -29,6 +31,8 @@ from nearvec import (
     vec_scale_right,
 )
 from nearvec import closure
+
+linmaps_module = importlib.import_module("nearvec.linmaps")
 
 X = 3
 
@@ -104,6 +108,35 @@ class TestLinearity:
         I = MapRep.identity(dn32, 7)
         with pytest.raises(BudgetExceededError):
             is_linear(I, "semantic")
+
+
+    @pytest.mark.parametrize("check", [is_linear, is_normal])
+    def test_semantic_scan_bounded_before_any_work(self, dn32, monkeypatch, check):
+        # the scan of a linear map visits |R|^n x |R| pairs: DN(31,2)^2 has
+        # 923521 vectors, under the budget, but 961^3 pairs, about 24 min
+        def no_work(*args):
+            raise AssertionError("the guard ran after the scan started")
+        monkeypatch.setattr(linmaps_module, "_images_packed", no_work)
+        monkeypatch.setattr(linmaps_module, "scale_rows", no_work)
+        I = MapRep.identity(build_nearfield(31, 2), 2)
+        with pytest.raises(BudgetExceededError, match=r"^\|R\|\^\(n\+1\) = 961\^3 exceeds"):
+            check(I, "semantic")
+        monkeypatch.setenv("NEARVEC_BUDGET", "728")
+        with pytest.raises(BudgetExceededError, match=r"= 9\^3 exceeds the element budget 728"):
+            check(MapRep.identity(dn32, 2), "semantic")
+        monkeypatch.undo()
+        monkeypatch.setenv("NEARVEC_BUDGET", "729")
+        assert check(MapRep.identity(dn32, 2), "semantic")
+
+
+class TestMapRepCodes:
+    def test_refuses_bad_codes_by_the_fields_check(self, dn32, bad_code):
+        # a float or bool once passed the range check, and a str raised TypeError
+        bad, message = bad_code
+        with pytest.raises(ValueError, match=f"^element code {re.escape(message)}$"):
+            MapRep(dn32, 2, ((1, 0), (0, bad)))
+        with pytest.raises(ValueError, match=f"^element code {re.escape(message)}$"):
+            MapRep.from_columns(dn32, [(bad, 0), (0, 1)])
 
 
 class TestNormality:

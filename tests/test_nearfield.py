@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+import re
 import weakref
 from pathlib import Path
 
@@ -343,6 +344,35 @@ def _reference_text(nf, a):
     return "+".join(terms) or "0"
 
 
+class TestCheckCodes:
+    def test_accepts_every_code_and_no_code(self, dn32):
+        for codes in (range(9), (0,), (8, 8), (), []):
+            dn32.check_codes(codes)
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    def test_names_the_first_bad_entry_with_the_callers_noun(self, dn32, bad_code, at):
+        bad, message = bad_code
+        codes = [1, 2, 3]
+        codes[at] = bad
+        with pytest.raises(ValueError, match=f"^scalar code {re.escape(message)}$"):
+            dn32.check_codes(codes, "scalar code")
+        with pytest.raises(ValueError, match=f"^element code {re.escape(message)}$"):
+            dn32.check_codes([*codes, 9.5])
+
+    @pytest.mark.parametrize("style", ["poly", "code"])
+    def test_format_elements_refuses_bad_codes(self, bad_code, style):
+        # on a cold memo and on a warm one: True hashes like 1 and would hit
+        bad, message = bad_code
+        nf = Nearfield(3, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^code {re.escape(message)}$"):
+                nf.format_elements([0, bad], style)
+            with pytest.raises(ValueError, match=f"^code {re.escape(message)}$"):
+                nf.format_element(bad, style)
+            nf.format_elements(range(9), style)
+        assert all(type(a) is int for a in nf._texts)
+
+
 class TestElementCodec:
     def test_examples(self, dn32):
         assert dn32.parse_element("2+2x") == 8
@@ -437,11 +467,17 @@ class TestElementCodec:
         assert nf._texts == {1: "1"}
 
     def test_memo_stores_int_codes(self):
-        # a code that only compares equal to an int is stored as the int, so
-        # parsing its text gives an int back
+        # a value that only compares equal to a code, True or 1.0, is refused
+        # both before and after the code's text is stored, as True and 1.0
+        # hash like 1 and would hit the memo; the memo holds ints only
         nf = Nearfield(3, 2)
-        assert nf.format_elements([True, 3]) == ["1", "x"]
+        for _ in range(2):
+            for bad in (True, 1.0):
+                with pytest.raises(ValueError, match=f"^code {bad!r} is not an integer$"):
+                    nf.format_elements([bad, 3])
+            assert nf.format_elements([1, 3]) == ["1", "x"]
         assert [type(a) for a in nf.parse_elements(["1", "x"])] == [int, int]
+        assert nf._texts == {1: "1", 3: "x"}
 
     def test_other_spellings_still_parse(self):
         nf = build_nearfield(7, 3)

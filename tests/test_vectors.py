@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,14 @@ class TestMatrixCodec:
             NfMatrix(dn32, ((bad, 2),), 2)
         with pytest.raises(ValueError, match="is not an int"):
             NfMatrix(dn32, ((1, 2), (0, bad)), 2)
+
+    def test_matrix_refuses_bad_codes_by_the_fields_check(self, dn32, bad_code):
+        bad, message = bad_code
+        for rows in [((bad, 2),), ((1, 2), (0, bad))]:
+            with pytest.raises(ValueError, match=f"^element code {re.escape(message)}$"):
+                NfMatrix(dn32, rows, 2)
+            with pytest.raises(ValueError, match=f"^element code {re.escape(message)}$"):
+                NfMatrix.from_rows(dn32, rows)
 
     def test_columns(self, dn32):
         M = NfMatrix.from_rows(dn32, [(1, 2, 3), (4, 5, 6)])
