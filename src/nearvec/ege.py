@@ -38,13 +38,15 @@ w_r or w_s does: where w_s is zero its entry is
 and likewise where w_r is zero.  So theta is computed on the common
 support S of the two rows, which starts at j, as rows of |S| entries;
 phi and the updates of rows r and s touch only supp(theta), and the
-trace keeps theta and phi by support.  Every row op passes the support
-of its operand row to the kernel (the cols of Nearfield.row_axpy), which
-updates only those entries of the dense result.  The working rows carry
-a column index, the nonzero rows of each column and the support of each
-row, kept current from the entries each op touches; so the pivot search,
-the rows to eliminate, the conflict scan and the two trick rows are set
-lookups, not scans over every row.
+trace keeps theta and phi by support.  A pivot's elimination run is one
+kernel call (Nearfield.row_eliminate): it gets the pivot row's support
+once and updates only those entries of every target row, and the two
+row updates of a trick are one call with phi as the pivot row.  The
+working rows carry a column index, the nonzero rows of each column and
+the support of each row, kept current from the columns that the kernel
+reports each target gained or lost; so the pivot search, the rows to
+eliminate, the conflict scan and the two trick rows are set lookups, not
+scans over every row.
 
 The end result is a basis whose columns have pairwise disjoint supports,
 exhibiting the generated subgroup as a direct sum of cyclic modules u_i R.
@@ -55,10 +57,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import itemgetter
+from itertools import chain, compress, groupby, islice
+from operator import attrgetter, itemgetter
 
-from .nearfield import Nearfield, Witness
+from .nearfield import _INT_ONLY, Nearfield, Witness
 from .vectors import NfMatrix, vec_scale_left
 
 
@@ -155,15 +157,15 @@ class _Rows:
     """The working rows of EGE and replay, with a column index.
 
     rows[i] is a dense tuple, sup[i] the set of its nonzero columns and
-    at[j] the set of rows nonzero in column j.  Each row op runs the
-    kernel on the operand row's support and updates both sets from the
-    entries that the kernel touched, so a row op costs that support, and
-    the column scans of reduction, the conflict search and the trick are
-    set lookups.
+    at[j] the set of rows nonzero in column j.  The row ops run the kernel
+    on the operand row's support and update both sets from the columns
+    that the kernel reports gained or lost, so a row op costs that
+    support, and the column scans of reduction, the conflict search and
+    the trick are set lookups.
     """
 
     def __init__(self, nf: Nearfield, rows, width: int):
-        self.kernel = nf.row_axpy
+        self.nf = nf
         self.width = width
         self.rows, self.sup = [], []
         self.at = [set() for _ in range(width)]
@@ -194,23 +196,38 @@ class _Rows:
         rows[i], rows[k] = rows[k], rows[i]
         sup[i], sup[k] = sup[k], sup[i]
 
-    def axpy(self, i: int, row, c: int, cols, acc: bool = True) -> None:
-        """rows[i] = rows[i] + row o c, or row o c without acc, where cols
-        holds the support of row and, without acc, that of rows[i]."""
-        old = self.rows[i]
-        new = self.rows[i] = self.kernel(row, c, old if acc else None, cols)
-        sup, at = self.sup[i], self.at
-        size = len(sup)
-        for j in cols:
-            if new[j]:
-                if not old[j]:
-                    sup.add(j)
-                    at[j].add(i)
-            elif old[j]:
-                sup.discard(j)
-                at[j].discard(i)
-        if 2 * len(sup) < size:     # a set keeps its table when it shrinks
-            self.sup[i] = set(sup)
+    def scale(self, i: int, c: int, cols) -> None:
+        """rows[i] = rows[i] o c, where cols is the ascending support of
+        rows[i]; the support stays unless c = 0 clears the row, as a o c != 0
+        for nonzero a and c."""
+        row = self.rows[i]
+        out = list(row)
+        for j, a in zip(cols, self.nf.row_axpy([row[j] for j in cols], c)):
+            out[j] = a
+        self.rows[i] = tuple(out)
+        if not c:
+            for j in cols:
+                self.at[j].discard(i)
+            self.sup[i] = set()
+
+    def eliminate(self, row, cols, targets) -> None:
+        """rows[s] = rows[s] - row o c for each (s, c) of targets in turn, in
+        one kernel call (Nearfield.row_eliminate), where cols is the
+        ascending support of row; both sets follow the columns that each
+        target gained or lost, in target order."""
+        sup, at = self.sup, self.at
+        for (s, _), (gained, lost) in zip(targets, self.nf.row_eliminate(row, cols, self.rows, targets)):
+            ss = sup[s]
+            for j in gained:
+                ss.add(j)
+                at[j].add(s)
+            if lost:
+                size = len(ss)
+                for j in lost:
+                    ss.discard(j)
+                    at[j].discard(s)
+                if 2 * len(ss) < size:     # a set keeps its table when it shrinks
+                    sup[s] = set(ss)
 
     def first_conflict(self, start: int, stop: int) -> int | None:
         """First column in start..stop - 1 with two nonzero entries."""
@@ -228,6 +245,7 @@ def _rref_inplace(nf: Nearfield, work: _Rows, steps: list, pivots: list[int], st
     """
     pr = len(pivots)
     rows, at = work.rows, work.at
+    new = tuple.__new__     # each eliminate Step as Step.__new__ would build it
     for col in range(start, work.width):
         if pr == len(rows):
             break
@@ -241,14 +259,12 @@ def _rref_inplace(nf: Nearfield, work: _Rows, steps: list, pivots: list[int], st
         lead = rows[pr][col]
         if lead != 1:
             c = nf.inv(lead)
-            work.axpy(pr, rows[pr], c, cols, acc=False)
+            work.scale(pr, c, cols)
             steps.append(Step("scale", r=pr, c=c))
-        prow = rows[pr]
-        for i in sorted(at[col]):
-            if i != pr:    # rows[i] - prow o a = rows[i] + prow o (-a)
-                a = rows[i][col]
-                work.axpy(i, prow, nf.neg(a), cols)
-                steps.append(Step("eliminate", r=pr, s=i, c=a))
+        targets = [(i, rows[i][col]) for i in sorted(at[col]) if i != pr]
+        if targets:    # rows[i] - prow o a for the entry a of each row i in column col
+            work.eliminate(rows[pr], cols, targets)
+            steps += [new(Step, ("eliminate", pr, i, a, -1, None, None, None)) for i, a in targets]
         pivots.append(col)
         pr += 1
 
@@ -281,7 +297,8 @@ def _trick_inplace(nf: Nearfield, work: _Rows, col: int, w: Witness) -> Step:
     The caller guarantees the preconditions that _check_trick tests, so
     the common support S of the two rows starts at `col`.  theta is
     computed on S, as rows of |S| entries; phi and the updates of the two
-    rows touch only supp(theta).  RuntimeError means theta is not a pivot
+    rows, one kernel call with phi as the pivot row, touch only
+    supp(theta).  RuntimeError means theta is not a pivot
     row for `col`, which only a faulty row kernel can cause.
     """
     r, s = sorted(work.at[col])[:2]
@@ -301,8 +318,7 @@ def _trick_inplace(nf: Nearfield, work: _Rows, col: int, w: Witness) -> Step:
     theta = tuple(filter(None, theta))
     phi = axpy(theta, nf.inv(theta[0]))
     dense = _dense((work.width, cols, phi))
-    work.axpy(r, dense, neg(wr[col]), cols)
-    work.axpy(s, dense, neg(ws[col]), cols)
+    work.eliminate(dense, cols, ((r, wr[col]), (s, ws[col])))
     work.append(dense, cols)
     return Step._trick(col, (w.alpha, w.beta, w.lam), work.width, cols, theta, phi)
 
@@ -365,15 +381,33 @@ def ege(M: NfMatrix) -> GenDecomposition:
     return GenDecomposition(basis, basis.n_rows, tuple(steps), canonical)
 
 
+# a run's grouping key, and the fields of its steps that _apply_run checks at once
+_KIND_ROW, _FIELDS = attrgetter("kind", "r"), attrgetter("r", "s", "c")
+
+
 def replay(M: NfMatrix, steps) -> NfMatrix:
     """Apply a trace to M; returns the final matrix (zero rows dropped).
 
-    Raises ValueError naming the first step that does not apply.
+    Consecutive eliminate steps on one pivot row are applied as a run: the
+    run's row indices and scalar codes are checked at once, the pivot's
+    support is sorted once, and one kernel call updates every target row
+    (_apply_run).  A run that fails the check, or that names its pivot
+    row as a target, is applied step by step, so the error names the same
+    step with the same text.  Raises ValueError naming the first step that
+    does not apply.
     """
-    work, clean = _Rows(M.nf, M.rows, M.width), 0
-    for i, st in enumerate(steps):
-        clean = _apply_step(M.nf, work, st, i, clean)
-    return NfMatrix._unchecked(M.nf, tuple(row for row in work.rows if any(row)), M.width)
+    nf, i = M.nf, 0
+    work, clean = _Rows(nf, M.rows, M.width), 0
+    for (kind, r), run in groupby(steps, _KIND_ROW):
+        run = tuple(run)
+        done = _apply_run(nf, work, r, run, clean) if kind == "eliminate" else None
+        if done is None:
+            for st in run:
+                clean = _apply_step(nf, work, st, i, clean)
+                i += 1
+        else:
+            clean, i = done, i + len(run)
+    return NfMatrix._unchecked(nf, tuple(row for row in work.rows if any(row)), M.width)
 
 
 def replay_states(M: NfMatrix, steps):
@@ -382,6 +416,25 @@ def replay_states(M: NfMatrix, steps):
     for i, st in enumerate(steps):
         clean = _apply_step(M.nf, work, st, i, clean)
         yield NfMatrix._unchecked(M.nf, tuple(work.rows), M.width)
+
+
+def _apply_run(nf: Nearfield, work: _Rows, r, run, clean: int) -> int | None:
+    """Apply a run of eliminate steps with pivot row r in one kernel call;
+    returns the new clean prefix (see _apply_step).  Returns None, with
+    nothing changed, unless every row index is an int in range, no target
+    is r and every scalar code passes the field's check."""
+    k = len(work.rows)
+    rs, ss, cs = zip(*map(_FIELDS, run))
+    if not (_INT_ONLY.issuperset(map(type, rs + ss)) and 0 <= r < k and 0 <= min(ss) and max(ss) < k
+            and r not in ss):
+        return None
+    try:
+        nf.check_codes(cs, "scalar code")
+    except ValueError:
+        return None
+    cols = work.cols(r)
+    work.eliminate(work.rows[r], cols, list(zip(ss, cs)))
+    return min(clean, cols[0]) if cols else clean
 
 
 def _row_index(rows, idx: int) -> int:
@@ -412,12 +465,12 @@ def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int, clean: int) -> int
         elif st.kind == "scale":
             r = _row_index(rows, st.r)
             nf.check_codes((st.c,), "scalar code")
-            work.axpy(r, rows[r], st.c, work.cols(r), acc=False)
+            work.scale(r, st.c, work.cols(r))
         elif st.kind == "eliminate":
             r, s = _row_index(rows, st.r), _row_index(rows, st.s)
             nf.check_codes((st.c,), "scalar code")
             cols = work.cols(r)
-            work.axpy(s, rows[r], nf.neg(st.c), cols)
+            work.eliminate(rows[r], cols, ((s, st.c),))
             if cols:
                 clean = min(clean, cols[0])
         elif st.kind == "trick":
@@ -471,45 +524,92 @@ def is_one_column_independent(M: NfMatrix) -> bool:
 # -- textual trace codec -----------------------------------------------------
 
 def trace_to_text(nf: Nearfield, steps) -> str:
-    """One step per line, 1-based indices, elements in polynomial style."""
-    out = []
-    fmt = nf.format_elements
-    for st in steps:
-        if st.kind == "swap":
-            out.append(f"SWAP {st.r + 1} {st.s + 1}")
-        elif st.kind == "scale":
-            out.append(f"SCALE {st.r + 1} {fmt((st.c,))[0]}")
-        elif st.kind == "eliminate":
-            out.append(f"ELIM {st.r + 1} {st.s + 1} {fmt((st.c,))[0]}")
-        elif st.kind == "trick":
-            a, b, lam = fmt(st.witness)
-            out.append(f"TRICK {st.col + 1} {a} {b} {lam}")
-        else:
-            raise ValueError(f"unknown step kind {st.kind!r}")
-    return "\n".join(out) + ("\n" if out else "")
+    """One step per line, 1-based indices, elements in polynomial style.
+
+    The codes of the whole trace are formatted in one format_elements call:
+    the text is the pieces between the codes interleaved with the codes'
+    texts.  An error is raised in step order: one in a step's fields raises
+    only after the codes of the earlier steps have been formatted.
+    """
+    pieces, codes, gap = [], [], ""     # gap: the text since the last code
+    try:
+        for st in steps:
+            kind = st.kind
+            if kind == "eliminate":
+                pieces.append(f"{gap}ELIM {st.r + 1} {st.s + 1} ")
+                codes.append(st.c)
+            elif kind == "swap":
+                gap += f"SWAP {st.r + 1} {st.s + 1}\n"
+                continue
+            elif kind == "scale":
+                pieces.append(f"{gap}SCALE {st.r + 1} ")
+                codes.append(st.c)
+            elif kind == "trick":
+                a, b, lam = st.witness
+                pieces += (f"{gap}TRICK {st.col + 1} ", " ", " ")
+                codes += (a, b, lam)
+            else:
+                raise ValueError(f"unknown step kind {kind!r}")
+            gap = "\n"
+    except (AttributeError, TypeError, ValueError):
+        nf.format_elements(codes)       # a bad code of an earlier step comes first
+        raise
+    return "".join(chain.from_iterable(zip(pieces, nf.format_elements(codes)))) + gap
 
 
 def trace_from_text(nf: Nearfield, text: str) -> tuple[Step, ...]:
+    """The steps of a textual trace; blank lines and lines starting with #
+    are skipped.
+
+    The element tokens of the whole trace are parsed in one parse_elements
+    call.  When any line is malformed, the lines are parsed again one at a
+    time, and the first bad one is named with the error it raises.
+    """
+    lines = text.splitlines()
+    try:
+        return _parse_trace(nf, lines)
+    except ValueError:
+        pass
     steps = []
-    append, parse, new = steps.append, nf.parse_elements, tuple.__new__
-    for ln in text.splitlines():
+    for ln in lines:
+        try:
+            steps += _parse_trace(nf, (ln,))
+        except ValueError as e:
+            raise ValueError(f"malformed trace line {ln.strip()!r}: {e}") from None
+    return tuple(steps)
+
+
+def _parse_trace(nf: Nearfield, lines) -> tuple[Step, ...]:
+    """trace_from_text without the line in the error: each line's fields,
+    then every element token at once, then the Steps."""
+    heads, tokens = [], []
+    for ln in lines:
         parts = ln.split()
         if not parts or parts[0][0] == "#":
             continue
         op, n = parts[0].upper(), len(parts)
-        # each Step as Step.__new__ would build it: no theta or phi to pack
-        try:
-            if op == "SWAP" and n == 3:
-                append(new(Step, ("swap", int(parts[1]) - 1, int(parts[2]) - 1, -1, -1, None, None, None)))
-            elif op == "SCALE" and n == 3:
-                append(new(Step, ("scale", int(parts[1]) - 1, -1, parse(parts[2:])[0], -1, None, None, None)))
-            elif op == "ELIM" and n == 4:
-                append(new(Step, ("eliminate", int(parts[1]) - 1, int(parts[2]) - 1, parse(parts[3:])[0],
-                                   -1, None, None, None)))
-            elif op == "TRICK" and n == 5:
-                append(new(Step, ("trick", -1, -1, -1, int(parts[1]) - 1, tuple(parse(parts[2:])), None, None)))
-            else:
-                raise ValueError("unknown step or wrong number of fields")
-        except ValueError as e:
-            raise ValueError(f"malformed trace line {ln.strip()!r}: {e}") from None
+        if op == "ELIM" and n == 4:
+            heads.append(("eliminate", int(parts[1]) - 1, int(parts[2]) - 1))
+            tokens.append(parts[3])
+        elif op == "SWAP" and n == 3:
+            heads.append(("swap", int(parts[1]) - 1, int(parts[2]) - 1))
+        elif op == "SCALE" and n == 3:
+            heads.append(("scale", int(parts[1]) - 1, -1))
+            tokens.append(parts[2])
+        elif op == "TRICK" and n == 5:
+            heads.append(("trick", int(parts[1]) - 1))
+            tokens += parts[2:]
+        else:
+            raise ValueError("unknown step or wrong number of fields")
+    codes = iter(nf.parse_elements(tokens))
+    new, steps = tuple.__new__, []
+    # each Step as Step.__new__ would build it: no theta or phi to pack
+    for head in heads:
+        kind = head[0]
+        if kind == "eliminate" or kind == "scale":
+            steps.append(new(Step, (*head, next(codes), -1, None, None, None)))
+        elif kind == "swap":
+            steps.append(new(Step, (*head, -1, -1, None, None, None)))
+        else:
+            steps.append(new(Step, ("trick", -1, -1, -1, head[1], tuple(islice(codes, 3)), None, None)))
     return tuple(steps)

@@ -74,9 +74,11 @@ class MapRep:
 
 
 def apply_map(T: MapRep, v) -> tuple[int, ...]:
-    """sum_j column_j o v_j, one row-kernel step per column."""
+    """sum_j column_j o v_j, one row-kernel step per column; the codes of v
+    are checked by the field."""
     if len(v) != T.n:
         raise ValueError("dimension mismatch")
+    T.nf.check_codes(v)
     out = (0,) * T.n
     for col, r in zip(T.columns, v):
         out = T.nf.row_axpy(col, r, out)
@@ -211,10 +213,12 @@ def map_sum(T1: MapRep, T2: MapRep) -> MapRep:
 
 
 def scale_family(T: MapRep, scalars) -> MapRep:
-    """Column j right-scaled by scalars[j]; preserves linearity."""
+    """Column j right-scaled by scalars[j]; preserves linearity.  The
+    scalar codes are checked by the field."""
     scalars = tuple(scalars)
     if len(scalars) != T.n:
         raise ValueError("need one scalar per column")
+    T.nf.check_codes(scalars, "scalar code")
     if not is_linear(T, "criterion"):
         raise ValueError("scale_family is defined for linear maps only")
     mul = T.nf.mul

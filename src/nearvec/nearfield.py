@@ -50,10 +50,14 @@ tables.  Every field carries these O(order) tables:
 Then a o c = exp[log a + log c * q^j(a)] and
 x + y = exp[log x + Z[log y - log x]]; the doubling absorbs the index
 ranges without a modulo, and zero operands are branches, not entries.
-add is this formula at every order.  The row kernel row_axpy uses it
-above order 256; up to 256 it reads two order x order tables instead,
-t[c][a] = a o c and x + y, built once from the log-domain kernel and add
-because a table lookup costs about half a Zech step per entry.
+add is this formula at every order.  The two row kernels use it above
+order 256: row_axpy (acc + row o c, for closure, maps and scale steps)
+and row_eliminate, which applies every eliminate step of one pivot row
+in one call, reading the pivot's logs and cosets once and reporting the
+columns each target row gained or lost.  Up to order 256 both read two
+order x order tables instead, t[c][a] = a o c and x + y, built once from
+the log-domain kernel and add because a table lookup costs about half a
+Zech step per entry.
 
 Element text goes through one memo per field: format_elements and
 parse_elements look codes and tokens up in two dicts, code -> canonical
@@ -637,7 +641,7 @@ class Nearfield:
 
     def mul_table(self) -> list[list[int]]:
         """Full o table, row index = left operand, built on each call up to
-        TABLE_LIMIT; the row kernel keeps its own rows (see row_axpy)."""
+        TABLE_LIMIT; the row kernels keep their own rows (see row_axpy)."""
         return self._table(self.mul)
 
     def add_table(self) -> list[list[int]]:
@@ -650,46 +654,25 @@ class Nearfield:
         elems = range(self.order)
         return [[op(a, b) for b in elems] for a in elems]
 
-    def row_axpy(self, row, c: int, acc=None, cols=None) -> tuple[int, ...]:
+    def row_axpy(self, row, c: int, acc=None) -> tuple[int, ...]:
         """acc + row o c componentwise, or row o c when acc is None.
 
-        The row kernel of elimination, and of the scaling rows of closure.
-        Above _ADD_TABLE_LIMIT each entry stays in the log domain: with
-        off[j] = log c * q^j, a o c = exp[log a + off[j(a)]], and adding x
-        is the Zech step exp[log x + Z[log(a o c) - log x]] (see add);
-        c = 0, a = 0 and x = 0 are branches, not table entries, and no
-        order^2 table is allocated.  Up to the limit each entry is one or
-        two lookups in the order^2 tables t[c][a] = a o c and x + y, which
-        the constructor derives from this log-domain path and add.
-
-        cols, an ascending sequence of column indices that holds the
-        support of row, restricts the work to those entries: the result
-        is a copy of acc (of zeros when acc is None) with only the entries
-        at cols updated, through the same tables, so a row op costs the
-        support of row rather than its width.
+        The row kernel of closure's scaling rows, of apply_map and of
+        EGE's scale steps.  Above _ADD_TABLE_LIMIT each entry stays in the
+        log domain: with off[j] = log c * q^j, a o c = exp[log a + off[j(a)]],
+        and adding x is the Zech step exp[log x + Z[log(a o c) - log x]]
+        (see add); c = 0, a = 0 and x = 0 are branches, not table entries,
+        and no order^2 table is allocated.  Up to the limit each entry is
+        one or two lookups in the order^2 tables t[c][a] = a o c and x + y,
+        which the constructor derives from this log-domain path and add.
         """
         addt = self._addt
-        if addt is None and c:
-            ex, lg, cosets, z = self._exp, self._log, self._cosets, self._zech
-            o, lc = self.order - 1, lg[c]
-            off = [lc * qj % o for qj in self._qpow]
-        if cols is not None:
-            out = [0] * len(row) if acc is None else list(acc)
-            if addt is not None:
-                tc = self._rmul[c]
-                for j in cols:
-                    out[j] = addt[out[j]][tc[row[j]]]
-            elif c:
-                for j in cols:
-                    a = row[j]
-                    if a:
-                        x = out[j]
-                        la = lg[a] + off[cosets[a]]
-                        out[j] = ex[lg[x] + z[la - lg[x]]] if x else ex[la]
-            return tuple(out)
         if addt is None:
             if not c:
                 return (0,) * len(row) if acc is None else tuple(acc)
+            ex, lg, cosets, z = self._exp, self._log, self._cosets, self._zech
+            o, lc = self.order - 1, lg[c]
+            off = [lc * qj % o for qj in self._qpow]
             if acc is None:
                 return tuple([ex[lg[a] + off[cosets[a]]] if a else 0 for a in row])
             return tuple([
@@ -701,6 +684,67 @@ class Nearfield:
         if acc is None:
             return tuple([tc[a] for a in row])
         return tuple([addt[x][tc[a]] for x, a in zip(acc, row)])
+
+    def row_eliminate(self, row, cols, rows, targets) -> list[tuple[list[int], list[int]]]:
+        """rows[s] = rows[s] - row o c for each (s, c) of targets in turn: the
+        eliminate steps of one pivot row in one call.
+
+        cols is the ascending support of row, on which alone the targets
+        change, so an update costs that support rather than the width.  The
+        pivot's logs and coset indices on cols are read once, and each
+        target's offsets log(-c) * q^j once; each entry is then add's Zech
+        step above _ADD_TABLE_LIMIT and two lookups in the order^2 tables up
+        to it, as in row_axpy.  A target row is read when its turn comes,
+        so a row named twice gets both updates in order, and a target that
+        is row's own index is updated from row as passed.  A multiplier
+        c = 0 changes nothing.
+
+        Returns, per target, the columns of cols where its row became
+        nonzero and those where it became zero: a zero entry always fills
+        in, as a o c != 0 for nonzero a and c, and only a nonzero one can
+        cancel.
+        """
+        negt, zech, changes = self._negt, self._addt is None, []
+        if zech:
+            ex, lg, z, cosets = self._exp, self._log, self._zech, self._cosets
+            o, qpow = self.order - 1, self._qpow
+            pivot = [(j, lg[row[j]], cosets[row[j]]) for j in cols]
+        else:
+            addt, rmul = self._addt, self._rmul
+            pivot = [(j, row[j]) for j in cols]
+        for s, c in targets:
+            gained, lost = [], []
+            changes.append((gained, lost))
+            if not c:
+                continue
+            out = list(rows[s])
+            if zech:
+                # x + a o -c = exp[log x + Z[log(a o -c) - log x]], log(a o -c) = log a + off[j(a)]
+                lc = lg[negt[c]]
+                off = [lc * qj % o for qj in qpow]
+                for j, la, k in pivot:
+                    x = out[j]
+                    if x:
+                        lx = lg[x]
+                        v = out[j] = ex[lx + z[la + off[k] - lx]]
+                        if not v:
+                            lost.append(j)
+                    else:
+                        out[j] = ex[la + off[k]]
+                        gained.append(j)
+            else:
+                tc = rmul[negt[c]]
+                for j, a in pivot:
+                    x = out[j]
+                    if x:
+                        v = out[j] = addt[x][tc[a]]
+                        if not v:
+                            lost.append(j)
+                    else:
+                        out[j] = tc[a]
+                        gained.append(j)
+            rows[s] = tuple(out)
+        return changes
 
     # -- text codec -------------------------------------------------------------
 

@@ -4,6 +4,13 @@ Vectors are plain tuples of element codes; scalars act componentwise on
 the right (v o r)_i = v_i o r.  The left action r o v appears only in
 the left-multiple test and the column keys of 1-column independence, and
 is kept as a separate operation.
+
+The vec_* kernels do not check their codes.  vec_scale_left runs once
+per column in the column keys of 1-column independence, on entries that
+NfMatrix has checked, and a check there would slow every seed
+verification.  A code that is not an int in 0..order-1 gives a wrong
+answer or an IndexError; callers with unchecked input check it with
+Nearfield.check_codes, as apply_map and scale_family do.
 """
 
 from __future__ import annotations

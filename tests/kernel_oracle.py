@@ -5,10 +5,11 @@ Stdlib only, so it runs under any interpreter without pytest:
 
     PYTHONPATH=src python tests/kernel_oracle.py
 
-checks Nearfield.row_axpy, add and sub against the per-entry reference
-below on seeded random rows, and recomputes the golden digests.  The
-reference uses none of the nearfield's tables: products come from
-polynomial arithmetic modulo the field's modulus, sums digit by digit.
+checks Nearfield.row_axpy, row_eliminate, add and sub against the
+per-entry reference below on seeded random rows, and recomputes the
+golden digests.  The reference uses none of the nearfield's tables:
+products come from polynomial arithmetic modulo the field's modulus,
+sums digit by digit.
 """
 
 from __future__ import annotations
@@ -164,9 +165,36 @@ def golden_digest(q, n):
     return h.hexdigest()
 
 
+def ref_row_eliminate(nf, row, rows, targets):
+    """row_eliminate one target at a time with the reference arithmetic:
+    rows[s] - row o c, and the columns each target gained and lost."""
+    rows, changes = list(rows), []
+    for s, c in targets:
+        old, new = rows[s], ref_row_axpy(nf, row, ref_neg(nf, c), rows[s])
+        changes.append(([j for j, (x, y) in enumerate(zip(old, new)) if y and not x],
+                         [j for j, (x, y) in enumerate(zip(old, new)) if x and not y]))
+        rows[s] = new
+    return rows, changes
+
+
+def eliminate_case(nf, rng, m, k):
+    """A pivot row of width m, k target rows and targets drawn with repeats:
+    some target entries are zero (fill-in), some equal row o c (forced
+    cancellation), and some multipliers are 0."""
+    def entry():
+        return rng.choice((0, 0, 1)) if rng.random() < 0.3 else rng.randrange(nf.order)
+
+    row = tuple(entry() for _ in range(m))
+    targets = [(rng.randrange(k), entry()) for _ in range(rng.randint(0, 2 * k))]
+    rows = [tuple(entry() for _ in range(m)) for _ in range(k)]
+    for s, c in targets[:1]:
+        rows[s] = tuple(ref_mul(nf, a, c) if rng.random() < 0.5 else x for x, a in zip(rows[s], row))
+    return row, rows, targets
+
+
 def check_kernel(nf, rng, trials):
-    """Compare row_axpy (with and without acc), add and sub with the
-    reference on random rows that hold zeros; c = 0 is drawn too."""
+    """Compare row_axpy (with and without acc), row_eliminate, add and sub
+    with the reference on random rows that hold zeros; c = 0 is drawn too."""
     def entry():
         return rng.choice((0, 0, 1)) if rng.random() < 0.3 else rng.randrange(nf.order)
 
@@ -180,6 +208,10 @@ def check_kernel(nf, rng, trials):
         for a, b in zip(row, acc):
             assert nf.add(a, b) == ref_add(nf, a, b), (nf, a, b)
             assert nf.sub(a, b) == ref_add(nf, a, ref_neg(nf, b)), (nf, a, b)
+        row, rows, targets = eliminate_case(nf, rng, m, 3)
+        want = ref_row_eliminate(nf, row, rows, targets)
+        changes = nf.row_eliminate(row, [j for j, a in enumerate(row) if a], rows, targets)
+        assert (rows, changes) == want, (nf, row, targets)
 
 
 def main():

@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernel_oracle import GOLDEN_DENSE, column_pair_dependent, golden_digest
+from kernel_oracle import GOLDEN_DENSE, column_pair_dependent, golden_digest, ref_neg, ref_row_axpy
 from nearvec import (
     NfMatrix,
     Step,
@@ -589,3 +589,163 @@ class TestInternalChecks:
         monkeypatch.setattr(ege_module, "_trick_inplace", lambda nf, rows, col, w: Step("trick", col=col))
         with pytest.raises(RuntimeError, match="conflict column 3 does not follow"):
             ege(NfMatrix(dn32, ((1, 0, 1), (0, 1, 2)), 3))
+
+
+# -- replay by runs: consecutive eliminate steps on one pivot row are one
+# kernel call; the reference applies one step at a time
+
+def _stepwise(M, steps):
+    """The rows after every eliminate step applied alone by the reference
+    arithmetic, rows[s] - rows[r] o c, reading both rows at that step; zero
+    rows kept, as replay_states yields them."""
+    nf, rows = M.nf, list(M.rows)
+    for st in steps:
+        rows[st.s] = ref_row_axpy(nf, rows[st.r], ref_neg(nf, st.c), rows[st.s])
+    return tuple(rows)
+
+
+def _elim(r, s, c):
+    return Step("eliminate", r=r, s=s, c=c)
+
+
+class _RecordedRows(ege_module._Rows):
+    """_Rows that keeps every instance, for the support index check."""
+
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+def _index_is_rebuilt(work):
+    """sup and at equal what a rebuild from rows gives."""
+    sup = [{j for j, a in enumerate(row) if a} for row in work.rows]
+    at = [{i for i, row in enumerate(work.rows) if row[j]} for j in range(work.width)]
+    return work.sup == sup and work.at == at
+
+
+class TestReplayRuns:
+    @pytest.mark.parametrize("q,n", [(3, 2), (7, 3), (5, 4)])
+    def test_duplicate_targets_apply_in_order(self, q, n):
+        # a run from an untrusted trace may name a target twice: the second
+        # update reads the row that the first one wrote
+        nf = build_nearfield(q, n)
+        rng = random.Random(f"dup:{q},{n}")
+        for _ in range(30):
+            M = _random_matrix(rng, nf, max_rows=4, max_cols=5)
+            k = M.n_rows
+            if k < 2:
+                continue
+            r = rng.randrange(k)
+            others = [s for s in range(k) if s != r]
+            steps = [_elim(r, rng.choice(others), rng.randrange(nf.order)) for _ in range(5)]
+            steps.insert(1, _elim(r, steps[0].s, rng.randrange(nf.order)))
+            want = _stepwise(M, steps)
+            assert replay(M, steps).rows == tuple(row for row in want if any(row))
+            assert list(replay_states(M, steps))[-1].rows == want
+
+    @pytest.mark.parametrize("q,n", [(3, 2), (7, 3)])
+    def test_pivot_row_as_target(self, q, n):
+        # ELIM 1 1 c changes the pivot row itself; the steps after it in the
+        # run read the changed row
+        nf = build_nearfield(q, n)
+        rng = random.Random(f"self:{q},{n}")
+        for _ in range(30):
+            M = _random_matrix(rng, nf, max_rows=4, max_cols=5)
+            k = M.n_rows
+            r = rng.randrange(k)
+            steps = [_elim(r, rng.randrange(k), rng.randrange(nf.order)) for _ in range(4)]
+            steps.insert(1, _elim(r, r, rng.randrange(nf.order)))
+            want = _stepwise(M, steps)
+            assert replay(M, steps).rows == tuple(row for row in want if any(row))
+            assert list(replay_states(M, steps))[-1].rows == want
+
+    @pytest.mark.parametrize("q,n", [(3, 2), (7, 3), (5, 4)])
+    def test_support_index_matches_the_rows(self, q, n, monkeypatch):
+        # after ege, replay of its trace and replay of random runs, the sets
+        # that follow the kernel's gained and lost columns equal a rebuild
+        monkeypatch.setattr(ege_module, "_Rows", _RecordedRows)
+        monkeypatch.setattr(_RecordedRows, "made", [])
+        nf = build_nearfield(q, n)
+        rng = random.Random(f"index:{q},{n}")
+        for _ in range(20):
+            M = _random_matrix(rng, nf, max_rows=6, max_cols=8)
+            D = ege(M)
+            assert replay(M, D.trace) == D.basis
+            k = M.n_rows
+            steps = [_elim(rng.randrange(k), rng.randrange(k), rng.randrange(nf.order)) for _ in range(8)]
+            replay(M, sorted(steps, key=lambda st: st.r))
+        assert len(_RecordedRows.made) == 60
+        assert all(map(_index_is_rebuilt, _RecordedRows.made))
+
+
+class TestRunErrorParity:
+    """A bad step inside a run, or on a trace's last line, is named with
+    the text that the step-by-step and line-by-line paths raise."""
+
+    @staticmethod
+    def _trace_with_a_run():
+        nf = build_nearfield(7, 3)
+        rng = random.Random("parity")
+        M = NfMatrix(nf, tuple(tuple(rng.randrange(1, nf.order) for _ in range(5)) for _ in range(6)), 5)
+        trace = list(ege(M).trace)
+        # the middle step of the first run of at least three eliminate steps
+        i = next(i for i in range(1, len(trace) - 1)
+                 if all(st.kind == "eliminate" and st.r == trace[i].r for st in trace[i - 1:i + 2]))
+        return M, trace, i
+
+    def _refused(self, M, trace, i, message):
+        want = f"^trace step {i + 1}: {re.escape(message)}$"
+        with pytest.raises(ValueError, match=want):
+            replay(M, trace)
+        with pytest.raises(ValueError, match=want):
+            list(replay_states(M, trace))
+
+    @pytest.mark.parametrize("field", ["r", "s"])
+    @pytest.mark.parametrize("bad,message", [
+        (6, "row 7 out of range for 6 rows"),
+        (-1, "row 0 out of range for 6 rows"),
+        ("float", "row index {bad!r} is not an integer"),
+    ], ids=["past-end", "minus-1", "float"])
+    def test_bad_index_mid_run(self, field, bad, message):
+        M, trace, i = self._trace_with_a_run()
+        st = trace[i]
+        if bad == "float":      # equal to the index, so a bad r stays in the run
+            bad = float(getattr(st, field))
+        trace[i] = _elim(**{"r": st.r, "s": st.s, "c": st.c, field: bad})
+        self._refused(M, trace, i, message.format(bad=bad))
+
+    @pytest.mark.parametrize("bad,message", [
+        (True, "scalar code True is not an integer"),
+        (1.5, "scalar code 1.5 is not an integer"),
+        (343, "scalar code 343 out of range for order 343"),
+        (-1, "scalar code -1 out of range for order 343"),
+    ], ids=["bool", "float", "order", "minus-1"])
+    def test_bad_code_mid_run(self, bad, message):
+        M, trace, i = self._trace_with_a_run()
+        trace[i] = _elim(trace[i].r, trace[i].s, bad)
+        self._refused(M, trace, i, message)
+
+    @pytest.mark.parametrize("line,message", [
+        ("ELIM 1 2 zz", "malformed element term 'zz'"),
+        ("ELIM 1 2 343", "code 343 out of range for order 343"),
+        ("ELIM 1 x 1", "invalid literal for int() with base 10: 'x'"),
+        ("ELIM 1 2", "unknown step or wrong number of fields"),
+        ("TRICK 3 1 x", "unknown step or wrong number of fields"),
+        ("NUDGE 1 2", "unknown step or wrong number of fields"),
+    ])
+    def test_bad_last_line(self, line, message):
+        M, trace, _ = self._trace_with_a_run()
+        text = trace_to_text(M.nf, trace) + line + "\n"
+        with pytest.raises(ValueError, match=f"^malformed trace line {re.escape(repr(line))}: {re.escape(message)}$"):
+            trace_from_text(M.nf, text)
+
+    def test_to_text_raises_the_first_error_in_step_order(self, dn32):
+        good = _elim(0, 1, 1)
+        with pytest.raises(ValueError, match="^unknown step kind 'nudge'$"):
+            trace_to_text(dn32, [good, Step("nudge"), _elim(0, 1, -1)])
+        with pytest.raises(ValueError, match="^code -1 out of range for order 9$"):
+            trace_to_text(dn32, [good, _elim(0, 1, -1), Step("nudge")])
+        with pytest.raises(ValueError, match="^code True is not an integer$"):
+            trace_to_text(dn32, [_elim(0, 1, True), Step("swap", r=None, s=0)])

@@ -470,3 +470,26 @@ def test_scale_rows_match_vec_scale_right(scale_cap, q, k, m):
         v = unpack_vector(nf, m, c)
         assert rows[c] == [pack_vector(nf, vec_scale_right(nf, v, r)) for r in range(nf.order)]
         assert sub[c] == [rows[c][r] for r in basis]
+
+
+@pytest.mark.parametrize("v,message", [
+    ((-1, 0), "element code -1 out of range for order 9"),
+    ((10, 0), "element code 10 out of range for order 9"),
+    ((1, True), "element code True is not an integer"),
+    ((1.0, 0), "element code 1.0 is not an integer"),
+])
+def test_apply_map_checks_the_vector_codes(dn32, v, message):
+    # (-1, 0) once returned (8, 0) and (10, 0) raised IndexError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply_map(MapRep.identity(dn32, 2), v)
+
+
+@pytest.mark.parametrize("scalars,message", [
+    ((-1, 1), "scalar code -1 out of range for order 9"),
+    ((1, 9), "scalar code 9 out of range for order 9"),
+    ((1, True), "scalar code True is not an integer"),
+])
+def test_scale_family_checks_the_scalar_codes(dn32, scalars, message):
+    # (-1, 1) once gave the matrix ((8, 0), (0, 1))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scale_family(MapRep.identity(dn32, 2), scalars)

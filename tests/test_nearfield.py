@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernel_oracle import (ORACLE_FIELDS, ref_add, ref_is_irreducible, ref_mul, ref_neg, ref_powers,
-                           ref_row_axpy)
+from kernel_oracle import (ORACLE_FIELDS, eliminate_case, ref_add, ref_is_irreducible, ref_mul, ref_neg,
+                           ref_powers, ref_row_axpy, ref_row_eliminate)
 from nearvec import Witness, build_nearfield, validate_dickson_pair
 from nearvec.nearfield import (_ADD_TABLE_LIMIT, ORDER_LIMIT, PAIR_LIMIT, TABLE_LIMIT, Nearfield, _TimesG,
                                _digits_of, _is_irreducible, _prime_factors)
@@ -541,22 +541,29 @@ def test_row_axpy_matches_reference(case):
 
 
 @st.composite
-def _kernel_cols_case(draw):
-    # cols holds the support of row and may list zero entries of row too;
-    # some entries of acc are -(row o c), so that they cancel to 0
-    nf, row, c, acc = draw(_kernel_case())
-    if acc is not None:
-        cancel = draw(st.lists(st.booleans(), min_size=len(row), max_size=len(row)))
-        acc = tuple(ref_neg(nf, ref_mul(nf, a, c)) if k else x for x, a, k in zip(acc, row, cancel))
-    extra = draw(st.sets(st.integers(0, len(row) - 1)))
-    return nf, row, c, acc, sorted({j for j, a in enumerate(row) if a} | extra)
+def _eliminate_case(draw):
+    # a pivot row, target rows and (s, c) targets, repeats allowed: zero
+    # target entries fill in, the first target's entries equal to row o c
+    # cancel, and c = 0 is drawn; table kernel over DN(3,2) and GF(256),
+    # Zech kernel over DN(7,3) and DN(5,4)
+    nf = build_nearfield(*draw(st.sampled_from([(3, 2), (256, 1), (7, 3), (5, 4)])))
+    return (nf, *eliminate_case(nf, random.Random(draw(st.integers(0, 2 ** 32))), draw(st.integers(1, 8)), 3))
 
 
 @settings(max_examples=400, deadline=None)
-@given(_kernel_cols_case())
-def test_row_axpy_on_a_support_matches_reference(case):
-    nf, row, c, acc, cols = case
-    assert nf.row_axpy(row, c, acc, cols) == ref_row_axpy(nf, row, c, acc)
+@given(_eliminate_case())
+def test_row_eliminate_matches_repeated_row_axpy(case):
+    nf, row, rows, targets = case
+    cols = [j for j, a in enumerate(row) if a]
+    start, want, changes = list(rows), list(rows), []
+    for s, c in targets:
+        old = want[s]
+        want[s] = nf.row_axpy(row, nf.neg(c), old)
+        changes.append(([j for j in cols if want[s][j] and not old[j]],
+                        [j for j in cols if old[j] and not want[s][j]]))
+    assert nf.row_eliminate(row, cols, rows, targets) == changes
+    assert rows == want
+    assert ref_row_eliminate(nf, row, start, targets) == (want, changes)
 
 
 @settings(max_examples=400, deadline=None)
