@@ -11,13 +11,15 @@ end to end.  Two helpers serve every caller that works on packed codes:
   those for R^j and the field's row kernel row_axpy, one coordinate at a
   time and with no unpacking.  While space * order is under a cap the
   rows are one cached table per tuple of scalars; above it each row is
-  computed when looked up, one row_axpy per scalar.
+  computed when looked up, one row_axpy per scalar.  A row is a tuple,
+  so no caller can change the shared table.
 - translate(nf, codes, c) is [x + c for x in codes].  Componentwise
   addition of vectors is digitwise base-p addition of packed codes, done
   one chunk of h base-p digits of c at a time, p^h <= 256, through one
-  cached table per prime p of chunk sums (at most 2^16 entries).  Above
-  p = 256 a chunk is one digit, added inline less p where it carries,
-  so a translate costs O(len(codes)) for every p.
+  cached table per prime p of chunk sums (at most 2^16 entries), looked
+  up once per call; the lowest chunk needs no scaling, x + delta[x % p^h].
+  Above p = 256 a chunk is one digit, added inline less p where it
+  carries, so a translate costs O(len(codes)) for every p.
 
 No structure grows with the square of the space.
 
@@ -158,17 +160,22 @@ def _chunk_table(nf: Nearfield) -> list[list[int]]:
 def translate(nf: Nearfield, codes: list[int], c: int) -> list[int]:
     """[x + c for x in codes] with + componentwise, one chunk of c at a time (codes itself for c = 0)."""
     base = _chunk_base(nf.p)
+    table = _chunk_table(nf) if base <= 256 else None
     scale = 1
     while c:
         c, b = divmod(c, base)
-        if b and base <= 256:
-            # x + b on the chunk at scale is x + delta[chunk of x] * scale
-            delta = _chunk_table(nf)[b]
-            codes = [x + delta[x // scale % base] * scale for x in codes]
-        elif b:
+        if b and table is None:
             # above p = 256 a chunk is one digit: add b, less p where it carries
             add, wrap, keep = b * scale, (b - base) * scale, base - b
             codes = [x + add if x // scale % base < keep else x + wrap for x in codes]
+        elif b and scale == 1:
+            # the lowest chunk: x + delta[chunk of x], with nothing to scale
+            delta = table[b]
+            codes = [x + delta[x % base] for x in codes]
+        elif b:
+            # x + b on the chunk at scale is x + delta[chunk of x] * scale
+            delta = table[b]
+            codes = [x + delta[x // scale % base] * scale for x in codes]
         scale *= base
     return codes
 
@@ -179,16 +186,17 @@ class _ScaleRowsOnDemand:
     def __init__(self, nf: Nearfield, m: int, scalars: tuple[int, ...]):
         self.nf, self.m, self.scalars = nf, m, scalars
 
-    def __getitem__(self, c: int) -> list[int]:
+    def __getitem__(self, c: int) -> tuple[int, ...]:
         nf = self.nf
         v = unpack_vector(nf, self.m, c)
-        return [pack_vector(nf, nf.row_axpy(v, r)) for r in self.scalars]
+        return tuple(pack_vector(nf, nf.row_axpy(v, r)) for r in self.scalars)
 
 
 def scale_rows(nf: Nearfield, m: int, scalars: tuple[int, ...] | None = None):
     """rows[c][i] = packed (c o scalars[i]), every scalar by default: a table
     while space * order is under the cap.  Cached on the field, so the
-    tables die with it."""
+    tables die with it.  Each row is a tuple: the table is shared by every
+    caller, and a row compares equal to a tuple gathered from it."""
     key = (m, scalars)
     rows = nf._scale_rows.get(key)
     if rows is not None:
@@ -201,10 +209,10 @@ def scale_rows(nf: Nearfield, m: int, scalars: tuple[int, ...] | None = None):
     else:
         # base[a][i] = a o scalars[i], the transpose of the kernel's rows [a o r for a]
         base = list(zip(*[nf.row_axpy(range(order), r) for r in scalars]))
-        rows = [[0] * len(scalars)]
+        rows = [(0,) * len(scalars)]
         for _ in range(m):
             # code a + order * b: the new coordinate a lowest, the old ones b above it
-            rows = [[a + order * b for a, b in zip(row, hrow)] for hrow in rows for row in base]
+            rows = [tuple([a + order * b for a, b in zip(row, hrow)]) for hrow in rows for row in base]
     nf._scale_rows[key] = rows
     return rows
 

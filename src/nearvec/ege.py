@@ -275,7 +275,7 @@ def _check_trick(nf: Nearfield, work: _Rows, col: int, w: Witness, clean: int = 
     of the trick.  No column left of `clean` may have two nonzero entries;
     the scan starts there."""
     nf.check_codes((w.alpha, w.beta, w.lam), "witness code")
-    if not isinstance(col, int):
+    if type(col) is not int:   # a bool is an int to isinstance
         raise ValueError(f"column index {col!r} is not an integer")
     if not 0 <= col < work.width:
         raise ValueError("column index out of range")
@@ -438,7 +438,7 @@ def _apply_run(nf: Nearfield, work: _Rows, r, run, clean: int) -> int | None:
 
 
 def _row_index(rows, idx: int) -> int:
-    if not isinstance(idx, int):
+    if type(idx) is not int:   # a bool is an int to isinstance
         raise ValueError(f"row index {idx!r} is not an integer")
     if not 0 <= idx < len(rows):
         raise ValueError(f"row {idx + 1} out of range for {len(rows)} rows")

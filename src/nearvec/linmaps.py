@@ -12,8 +12,13 @@ The semantic checks are those brute-force oracles: they consult no
 criterion and run over all of R^n, on packed codes through closure's
 scale_rows and translate.  They test every pair (x, r) against the full
 scalar table, without the reduction to the scalars x^i that lc_step
-uses, comparing a whole scaling row of x at a time.  The images are
-built one coordinate at a time, T(low + order^j r) = T(low) + column_j o r.
+uses, comparing a whole scaling row of x at a time: the images of that
+row's codes are gathered by one operator.itemgetter call, whose loop
+runs in C.
+The images are built one coordinate at a time, T(low + order^j r) =
+T(low) + column_j o r, once per map: linear_violation, the semantic
+is_normal and is_bijective share them, and the budget is checked again
+on every call before they are read.
 Normality is checked by coset labels: each x is labelled with the least
 element of x + H, H the image, so two vectors lie in one coset exactly
 when their labels agree.  That costs O(space * order), where the
@@ -28,6 +33,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
+from operator import itemgetter
 
 from .nearfield import Nearfield
 from .closure import pack_vector, require_budget, scale_rows, translate, unpack_vector
@@ -72,6 +78,16 @@ class MapRep:
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.column(j) for j in range(self.n))
 
+    @functools.cached_property
+    def _images(self) -> list[int]:
+        """T(x) for every packed x in R^n, in code order; read through _images_packed."""
+        nf = self.nf
+        rows = scale_rows(nf, self.n)
+        img = [0]
+        for j in range(self.n):
+            img = [y for s in rows[pack_vector(nf, self.column(j))] for y in translate(nf, img, s)]
+        return img
+
 
 def apply_map(T: MapRep, v) -> tuple[int, ...]:
     """sum_j column_j o v_j, one row-kernel step per column; the codes of v
@@ -86,14 +102,10 @@ def apply_map(T: MapRep, v) -> tuple[int, ...]:
 
 
 def _images_packed(T: MapRep) -> list[int]:
-    """T(x) for every packed x in R^n, in code order."""
-    nf = T.nf
-    require_budget("|R|^n", nf.order, T.n)
-    rows = scale_rows(nf, T.n)
-    img = [0]
-    for j in range(T.n):
-        img = [y for s in rows[pack_vector(nf, T.column(j))] for y in translate(nf, img, s)]
-    return img
+    """T(x) for every packed x in R^n, in code order, built once per map; the
+    budget is checked on every call, before they are built or read."""
+    require_budget("|R|^n", T.nf.order, T.n)
+    return T._images
 
 
 def linear_violation(T: MapRep):
@@ -105,8 +117,9 @@ def linear_violation(T: MapRep):
     img = _images_packed(T)
     rows = scale_rows(T.nf, T.n)
     for c, ic in enumerate(img):
-        # T(c o r) for every r at once, against T(c) o r
-        lhs, rhs = list(map(img.__getitem__, rows[c])), rows[ic]
+        # T(c o r) for every r at once, against T(c) o r; a row has |R| >= 2
+        # entries, so itemgetter returns a tuple, never a bare element
+        lhs, rhs = itemgetter(*rows[c])(img), rows[ic]
         if lhs != rhs:
             r = next(r for r, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
             return unpack_vector(T.nf, T.n, c), r
@@ -149,8 +162,9 @@ def is_normal(T: MapRep, mode: str = "criterion") -> bool:
             for y in translate(T.nf, image, x):
                 label[y] = x
     # the labels of x o r for every r at once, against those of rep o r,
-    # which are listed once per coset
-    labels_of = lambda x: list(map(label.__getitem__, rows[x]))
+    # which are listed once per coset; a row has |R| >= 2 entries, so
+    # itemgetter returns a tuple
+    labels_of = lambda x: itemgetter(*rows[x])(label)
     rep_labels = {rep: labels_of(rep) for rep in set(label)}
     return all(labels_of(x) == rep_labels[rep] for x, rep in enumerate(label))
 

@@ -316,8 +316,13 @@ class TestTraceCodec:
         (Step("scale", r=0, c=1.5), "scalar code 1.5 is not an integer"),
         (Step("swap", r=0.0, s=1), "row index 0.0 is not an integer"),
         (Step("eliminate", r=0, s=1, c=None), "scalar code None is not an integer"),
+        # a bool is an int to isinstance: True once swapped rows 2 and 1
+        (Step("swap", r=True, s=0), "row index True is not an integer"),
+        (Step("scale", r=False, c=1), "row index False is not an integer"),
+        (Step("trick", col=True, witness=(1, X, X)), "column index True is not an integer"),
     ], ids=["trick-no-witness", "trick-two-codes", "trick-float-col", "trick-float-code",
-            "scale-float", "swap-float-row", "eliminate-none"])
+            "scale-float", "swap-float-row", "eliminate-none", "swap-bool-row", "scale-bool-row",
+            "trick-bool-col"])
     def test_replay_refuses_malformed_steps(self, dn32, step, msg):
         # a step built in code can carry any Python value; each malformed
         # field is refused by name instead of raising TypeError
@@ -707,12 +712,15 @@ class TestRunErrorParity:
         (6, "row 7 out of range for 6 rows"),
         (-1, "row 0 out of range for 6 rows"),
         ("float", "row index {bad!r} is not an integer"),
-    ], ids=["past-end", "minus-1", "float"])
+        ("bool", "row index {bad!r} is not an integer"),
+    ], ids=["past-end", "minus-1", "float", "bool"])
     def test_bad_index_mid_run(self, field, bad, message):
         M, trace, i = self._trace_with_a_run()
         st = trace[i]
         if bad == "float":      # equal to the index, so a bad r stays in the run
             bad = float(getattr(st, field))
+        elif bad == "bool":     # False for the pivot row 0, so it stays in the run
+            bad = bool(getattr(st, field))
         trace[i] = _elim(**{"r": st.r, "s": st.s, "c": st.c, field: bad})
         self._refused(M, trace, i, message.format(bad=bad))
 

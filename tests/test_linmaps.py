@@ -117,6 +117,7 @@ class TestLinearity:
         def no_work(*args):
             raise AssertionError("the guard ran after the scan started")
         monkeypatch.setattr(linmaps_module, "_images_packed", no_work)
+        monkeypatch.setattr(MapRep, "_images", property(no_work))
         monkeypatch.setattr(linmaps_module, "scale_rows", no_work)
         I = MapRep.identity(build_nearfield(31, 2), 2)
         with pytest.raises(BudgetExceededError, match=r"^\|R\|\^\(n\+1\) = 961\^3 exceeds"):
@@ -127,6 +128,34 @@ class TestLinearity:
         monkeypatch.undo()
         monkeypatch.setenv("NEARVEC_BUDGET", "729")
         assert check(MapRep.identity(dn32, 2), "semantic")
+
+
+class TestImagesOnce:
+    def test_one_build_shared_by_the_semantic_checks(self, dn32, monkeypatch):
+        # a linear map that is not normal, so is_bijective counts its images;
+        # a build translates once per (column, scalar): 2 x 9 calls
+        calls, real = [], linmaps_module.translate
+        def counted(nf, codes, c):
+            calls.append(c)
+            return real(nf, codes, c)
+        monkeypatch.setattr(linmaps_module, "translate", counted)
+        T = MapRep.from_columns(dn32, [(1, X), (0, 0)])
+        assert classify(T) is MapClass.LINEAR and not calls
+        assert linear_violation(T) is None and len(calls) == 18
+        # the labels translate the 9-element image once per coset, 81 / 9
+        assert not is_normal(T, "semantic") and len(calls) == 18 + 9
+        assert not is_bijective(T) and linear_violation(T) is None and len(calls) == 27
+        # another map, even an equal one, builds its own images
+        assert not is_bijective(MapRep.from_columns(dn32, [(1, X), (0, 0)])) and len(calls) == 45
+
+    def test_budget_checked_before_the_images_are_read(self, dn32, monkeypatch):
+        T = MapRep.from_columns(dn32, [(1, X), (0, 0)])
+        assert not is_bijective(T)
+        monkeypatch.setenv("NEARVEC_BUDGET", "80")
+        with pytest.raises(BudgetExceededError, match=r"^\|R\|\^n = 9\^2 exceeds the element budget 80"):
+            is_bijective(T)
+        with pytest.raises(BudgetExceededError, match=r"^\|R\|\^n = 9\^2 exceeds"):
+            linear_violation(T)
 
 
 class TestMapRepCodes:
@@ -468,8 +497,10 @@ def test_scale_rows_match_vec_scale_right(scale_cap, q, k, m):
     assert isinstance(sub, list) == (scale_cap == "cap")
     for c in range(nf.order ** m):
         v = unpack_vector(nf, m, c)
-        assert rows[c] == [pack_vector(nf, vec_scale_right(nf, v, r)) for r in range(nf.order)]
-        assert sub[c] == [rows[c][r] for r in basis]
+        # rows are tuples, so no caller can change a row of the shared table
+        assert type(rows[c]) is tuple and type(sub[c]) is tuple
+        assert rows[c] == tuple(pack_vector(nf, vec_scale_right(nf, v, r)) for r in range(nf.order))
+        assert sub[c] == tuple(rows[c][r] for r in basis)
 
 
 @pytest.mark.parametrize("v,message", [
