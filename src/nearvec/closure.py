@@ -40,11 +40,12 @@ The strata are grown semi-naively, each from the last.  LC_p is inside
 LC_(p+1), since x^0 = 1 is seeded and w o 1 = w, and the products of
 LC_(p-1) already lie in LC_p.  So LC_(p+1) starts from LC_p's list and
 set and seeds only the codes that LC_p added; LC_1 starts from {0} and
-seeds V.  No element is listed twice across the strata, and the
-fixpoint is a stratum that adds nothing, seen by its size, with no sort
-or compare.  Only lc_step and gen_closure sort, once, for their
-VectorSet.  A stratum costs its new codes' d products each, mostly set
-lookups, plus the elements it adds.
+seeds V.  One loop, _gen_codes, grows every stratum, up to a limit for
+lc_step (1) and is_gamma_dependent (gamma).  No element is listed twice
+across the strata, and the fixpoint is a stratum that adds nothing, seen
+by its size, with no sort or compare.  Only lc_step and gen_closure
+sort, once, for their VectorSet.  A stratum costs its new codes' d
+products each, mostly set lookups, plus the elements it adds.
 
 A stratum that fills R^m stops at its last independent product: once
 p |H| = |R^m|, H + <c> is the whole space, known by its size.  One rank
@@ -60,12 +61,12 @@ range(space), when they return it.
 There is no elimination over GF(p).
 
 Every size the package enumerates, lists or prints goes through
-require_budget, the one guard, against the element budget.  The budget
-is set only by the environment variable NEARVEC_BUDGET (an integer >= 1,
-default 10^6); no function takes it as an argument.  The other limits
-are fixed: order 2^20 (nearfield.ORDER_LIMIT), full operation tables
-2^12 (TABLE_LIMIT), seed width 2^12 (seeds.MAX_SEED_WIDTH) and q, n up
-to 2^32 in the Dickson pair test (PAIR_LIMIT).
+require_budget, the one guard, against the element budget; the full
+operation tables too, at order^2 cells.  The budget is set only by the
+environment variable NEARVEC_BUDGET (an integer >= 1, default 10^6); no
+function takes it as an argument.  The other limits are fixed: order
+2^20 (nearfield.ORDER_LIMIT), seed width 2^12 (seeds.MAX_SEED_WIDTH) and
+q, n up to 2^32 in the Dickson pair test (PAIR_LIMIT).
 """
 
 from __future__ import annotations
@@ -284,34 +285,33 @@ def _grow(S: VectorSet, out: list[int], seen: set[int], new, space: int) -> bool
     return True
 
 
-def _gen_codes(S: VectorSet, space: int) -> tuple[list[int] | None, int]:
-    """gen(S), unsorted, or None when it is R^m, and the strata grown:
-    LC_1, LC_2, ... in one list, each from the products of the codes the
-    last one added."""
+def _gen_codes(S: VectorSet, space: int, limit: int | None = None) -> tuple[set[int] | None, int]:
+    """The set of gen(S), or of LC_limit(S) for a stratum limit, or None when
+    it is R^m, and the strata grown, each from the codes the last one added."""
     out, seen, new, strata = [0], {0}, S.codes, 0
-    while new:
+    while new and strata != limit:
         start = len(out)
         strata += 1
         if not _grow(S, out, seen, new, space):
             return None, strata
         new = out[start:]
-    return out, strata
+    return seen, strata
+
+
+def _stratum_set(S: VectorSet, limit: int | None) -> VectorSet:
+    space = require_budget("|R|^m", S.nf.order, S.m)
+    codes, _ = _gen_codes(S, space, limit)
+    return VectorSet(S.nf, S.m, tuple(range(space)) if codes is None else tuple(sorted(codes)))
 
 
 def lc_step(S: VectorSet) -> VectorSet:
     """One stratum up: the additive subgroup generated by {w o lam}."""
-    space = require_budget("|R|^m", S.nf.order, S.m)
-    out = [0]
-    if not _grow(S, out, {0}, S.codes, space):
-        return VectorSet(S.nf, S.m, tuple(range(space)))
-    return VectorSet(S.nf, S.m, tuple(sorted(out)))
+    return _stratum_set(S, 1)
 
 
 def gen_closure(S: VectorSet) -> VectorSet:
     """Least fixpoint of lc_step containing S: the smallest R-subgroup."""
-    space = require_budget("|R|^m", S.nf.order, S.m)
-    codes, _ = _gen_codes(S, space)
-    return VectorSet(S.nf, S.m, tuple(range(space)) if codes is None else tuple(sorted(codes)))
+    return _stratum_set(S, None)
 
 
 def gen_size(S: VectorSet) -> int:
@@ -352,13 +352,9 @@ def is_gamma_dependent(nf: Nearfield, vectors, gamma: int) -> tuple[bool, int | 
     VectorSet.from_vectors(nf, m, vectors)  # checks each v_i, which no set of the others holds
     for i, v in enumerate(vectors):
         others = VectorSet.from_vectors(nf, m, vectors[:i] + vectors[i + 1:])
-        out, seen, new = [0], {0}, others.codes
-        for _ in range(gamma):
-            start = len(out)
-            if not _grow(others, out, seen, new, space):
-                return True, i  # LC of the others is all of R^m, v included
-            new = out[start:]
-        if pack_vector(nf, v) in seen:
+        codes, _ = _gen_codes(others, space, gamma)
+        # None: LC_gamma of the others is all of R^m, v included
+        if codes is None or pack_vector(nf, v) in codes:
             return True, i
     return False, None
 

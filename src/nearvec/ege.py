@@ -275,8 +275,7 @@ def _check_trick(nf: Nearfield, work: _Rows, col: int, w: Witness, clean: int = 
     of the trick.  No column left of `clean` may have two nonzero entries;
     the scan starts there."""
     nf.check_codes((w.alpha, w.beta, w.lam), "witness code")
-    if type(col) is not int:   # a bool is an int to isinstance
-        raise ValueError(f"column index {col!r} is not an integer")
+    _check_index("column", col)
     if not 0 <= col < work.width:
         raise ValueError("column index out of range")
     first = work.first_conflict(min(clean, col), col + 1)
@@ -437,9 +436,15 @@ def _apply_run(nf: Nearfield, work: _Rows, r, run, clean: int) -> int | None:
     return min(clean, cols[0]) if cols else clean
 
 
+def _check_index(what: str, *indices) -> None:
+    """ValueError naming the first index that is not an int, bools included."""
+    for idx in indices:
+        if type(idx) is not int:
+            raise ValueError(f"{what} index {idx!r} is not an integer")
+
+
 def _row_index(rows, idx: int) -> int:
-    if type(idx) is not int:   # a bool is an int to isinstance
-        raise ValueError(f"row index {idx!r} is not an integer")
+    _check_index("row", idx)
     if not 0 <= idx < len(rows):
         raise ValueError(f"row {idx + 1} out of range for {len(rows)} rows")
     return idx
@@ -529,25 +534,34 @@ def trace_to_text(nf: Nearfield, steps) -> str:
     The codes of the whole trace are formatted in one format_elements call:
     the text is the pieces between the codes interleaved with the codes'
     texts.  An error is raised in step order: one in a step's fields raises
-    only after the codes of the earlier steps have been formatted.
+    only after the codes of the earlier steps have been formatted.  A row
+    index or trick column that is not an int, a bool among them, is
+    refused with replay's text; eliminate steps, the bulk of a trace, test
+    their indices inline and call the check only when one fails.
     """
     pieces, codes, gap = [], [], ""     # gap: the text since the last code
     try:
         for st in steps:
             kind = st.kind
             if kind == "eliminate":
-                pieces.append(f"{gap}ELIM {st.r + 1} {st.s + 1} ")
+                r, s = st.r, st.s
+                if type(r) is not int or type(s) is not int:
+                    _check_index("row", r, s)
+                pieces.append(f"{gap}ELIM {r + 1} {s + 1} ")
                 codes.append(st.c)
             elif kind == "swap":
+                _check_index("row", st.r, st.s)
                 gap += f"SWAP {st.r + 1} {st.s + 1}\n"
                 continue
             elif kind == "scale":
+                _check_index("row", st.r)
                 pieces.append(f"{gap}SCALE {st.r + 1} ")
                 codes.append(st.c)
             elif kind == "trick":
                 a, b, lam = st.witness
+                codes += (a, b, lam)    # a bad witness code comes before the column, as in replay
+                _check_index("column", st.col)
                 pieces += (f"{gap}TRICK {st.col + 1} ", " ", " ")
-                codes += (a, b, lam)
             else:
                 raise ValueError(f"unknown step kind {kind!r}")
             gap = "\n"

@@ -195,7 +195,8 @@ def is_bijective(T: MapRep) -> bool:
 
 
 def compose(T1: MapRep, T2: MapRep) -> MapRep:
-    """Apply T1 first, then T2; the matrix is the product M2 . M1.
+    """Apply T1 first, then T2; the matrix is the product M2 . M1, whose
+    column j is T2 applied to column j of T1.
 
     As a function on R^n the product representation is faithful when T2
     is linear (single-term rows need no right distributivity); the
@@ -203,42 +204,27 @@ def compose(T1: MapRep, T2: MapRep) -> MapRep:
     """
     if T1.nf is not T2.nf or T1.n != T2.n:
         raise ValueError("maps must live on the same space")
-    nf, n = T1.nf, T1.n
-    add, mul = nf.add, nf.mul
-    m2, m1 = T2.matrix, T1.matrix
-    prod = tuple(
-        tuple(
-            functools.reduce(add, (mul(m2[i][k], m1[k][j]) for k in range(n)))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return MapRep(nf, n, prod)
+    return MapRep.from_columns(T1.nf, [apply_map(T2, c) for c in T1.columns])
 
 
 def map_sum(T1: MapRep, T2: MapRep) -> MapRep:
-    """Raw entrywise sum; linear maps are NOT closed under this."""
+    """Raw entrywise sum, row by row through the row kernel; linear maps are
+    NOT closed under this."""
     if T1.nf is not T2.nf or T1.n != T2.n:
         raise ValueError("maps must live on the same space")
-    add = T1.nf.add
-    return MapRep(T1.nf, T1.n,
-                  tuple(tuple(add(a, b) for a, b in zip(r1, r2))
-                        for r1, r2 in zip(T1.matrix, T2.matrix)))
+    return MapRep(T1.nf, T1.n, tuple(T1.nf.row_axpy(r2, 1, r1) for r1, r2 in zip(T1.matrix, T2.matrix)))
 
 
 def scale_family(T: MapRep, scalars) -> MapRep:
-    """Column j right-scaled by scalars[j]; preserves linearity.  The
-    scalar codes are checked by the field."""
+    """Column j right-scaled by scalars[j], one row-kernel call per column;
+    preserves linearity.  The scalar codes are checked by the field."""
     scalars = tuple(scalars)
     if len(scalars) != T.n:
         raise ValueError("need one scalar per column")
     T.nf.check_codes(scalars, "scalar code")
     if not is_linear(T, "criterion"):
         raise ValueError("scale_family is defined for linear maps only")
-    mul = T.nf.mul
-    return MapRep(T.nf, T.n,
-                  tuple(tuple(mul(a, scalars[j]) for j, a in enumerate(row))
-                        for row in T.matrix))
+    return MapRep.from_columns(T.nf, [T.nf.row_axpy(col, r) for col, r in zip(T.columns, scalars)])
 
 
 def enumerate_maps(nf: Nearfield, n: int):

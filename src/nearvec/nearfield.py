@@ -75,7 +75,6 @@ import functools
 import re
 from dataclasses import dataclass
 
-TABLE_LIMIT = 1 << 12   # largest order for which full operation tables are materialized
 ORDER_LIMIT = 1 << 20   # largest order for which log/exp tables are built at all
 PAIR_LIMIT = 1 << 32    # largest q and n that the Dickson pair test factors
 
@@ -626,7 +625,7 @@ class Nearfield:
         if self._witness is not _UNSET:
             return self._witness
         w = None
-        if self.n > 1:  # fields are two-sided distributive, nothing to scan
+        if not self.is_field:  # fields are two-sided distributive, nothing to scan
             add, mul = self.add, self.mul
             probes = [self.p ** i for i in range(self.d)]
             w = next(
@@ -640,19 +639,20 @@ class Nearfield:
         return w
 
     def mul_table(self) -> list[list[int]]:
-        """Full o table, row index = left operand, built on each call up to
-        TABLE_LIMIT; the row kernels keep their own rows (see row_axpy)."""
-        return self._table(self.mul)
+        """Full o table, row index = left operand: the transpose of the row
+        kernel's rows [a o c for a], under the element budget (order^2 cells)."""
+        elems = self._table_elements()
+        return list(map(list, zip(*[self.row_axpy(elems, c) for c in elems])))
 
     def add_table(self) -> list[list[int]]:
-        """Full + table, built on each call up to TABLE_LIMIT."""
-        return self._table(self.add)
+        """Full + table, row a = a + elems o 1, under the element budget."""
+        elems = self._table_elements()
+        return [list(self.row_axpy(elems, 1, (a,) * self.order)) for a in elems]
 
-    def _table(self, op) -> list[list[int]]:
-        if self.order > TABLE_LIMIT:
-            raise ValueError(f"order {self.order} too large for a full table (limit {TABLE_LIMIT})")
-        elems = range(self.order)
-        return [[op(a, b) for b in elems] for a in elems]
+    def _table_elements(self) -> range:
+        from .closure import require_budget  # closure imports this module
+        require_budget("operation table cells, |R|^2", self.order, 2)
+        return self.elements
 
     def row_axpy(self, row, c: int, acc=None) -> tuple[int, ...]:
         """acc + row o c componentwise, or row o c when acc is None.
@@ -883,9 +883,9 @@ def build_nearfield(q: int, n: int) -> Nearfield:
     as 3.0 hashes like 3, and a huge q or n costs no factoring.  Every
     field of order up to 2^16 stays cached; of the larger ones, whose
     tables take tens to hundreds of MB, only the last one built does.
-    The limits are fixed: besides ORDER_LIMIT, full operation tables stop
-    at TABLE_LIMIT (2^12) and the pair test at PAIR_LIMIT (2^32).  The one
-    settable size limit is the element budget (closure, NEARVEC_BUDGET).
+    The limits are fixed: besides ORDER_LIMIT, the pair test stops at
+    PAIR_LIMIT (2^32).  The one settable size limit is the element budget
+    (closure, NEARVEC_BUDGET), which also bounds the full operation tables.
     """
     order = _bounded_order(q, n, ORDER_LIMIT, f"the hard limit {ORDER_LIMIT}")
     cache = _cached_nearfield if order <= _CACHE_ALL_LIMIT else _cached_large_nearfield

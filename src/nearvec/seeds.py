@@ -92,7 +92,7 @@ class SeedMatrix:
 
 def build_seed(m: int, nf: Nearfield) -> SeedMatrix:
     """The k x m seed matrix V_m whose rows generate R^m."""
-    if nf.n == 1:
+    if nf.is_field:
         raise ValueError("seed construction requires a proper nearfield (n >= 2)")
     if m < 1:
         raise ValueError("m must be positive")
@@ -128,7 +128,7 @@ def verify_seed(V: NfMatrix) -> bool:
     """
     from .ege import _column_keys, ege
 
-    if V.nf.n >= 2:
+    if not V.nf.is_field:
         keys = _column_keys(V)
         ok = None not in keys and len(set(keys)) == V.width
     else:

@@ -1,9 +1,10 @@
 """Vectors and matrices over a nearfield: the right module R^m and its codecs.
 
 Vectors are plain tuples of element codes; scalars act componentwise on
-the right (v o r)_i = v_i o r.  The left action r o v appears only in
-the left-multiple test and the column keys of 1-column independence, and
-is kept as a separate operation.
+the right (v o r)_i = v_i o r, and u + v, u - v and -u are the row kernel
+row_axpy (acc + row o c) with c = 1 or -1, as a o (-1) = -a.  The left
+action r o v, per entry, appears only in the left-multiple test and the
+column keys of 1-column independence.
 
 The vec_* kernels do not check their codes.  vec_scale_left runs once
 per column in the column keys of 1-column independence, on entries that
@@ -23,20 +24,17 @@ from .nearfield import Nearfield, build_nearfield
 def vec_add(nf: Nearfield, u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    add = nf.add
-    return tuple(add(a, b) for a, b in zip(u, v))
+    return nf.row_axpy(v, 1, u)
 
 
 def vec_neg(nf: Nearfield, u):
-    neg = nf.neg
-    return tuple(neg(a) for a in u)
+    return nf.row_axpy(u, nf.neg(1))
 
 
 def vec_sub(nf: Nearfield, u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    sub = nf.sub
-    return tuple(sub(a, b) for a, b in zip(u, v))
+    return nf.row_axpy(v, nf.neg(1), u)
 
 
 def vec_scale_right(nf: Nearfield, v, r: int):

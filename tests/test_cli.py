@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nearvec import build_nearfield, build_seed, count_subgroups, matrix_format
+from nearvec import build_nearfield, build_seed, count_subgroups, lc_index, matrix_format, unpack_vector
 from nearvec.cli import _decimal, main
 
 V3 = "DN 3 2\n2 3\n1 0 1\n1 1 0\n"
@@ -50,6 +51,15 @@ class TestTable:
         # row of 0 in the addition table is the header again
         lines = out.splitlines()
         assert lines[1].split()[1:] == [str(i) for i in range(9)]
+
+    def test_table_refused_by_the_budget(self, capsys, monkeypatch):
+        # 4096^2 cells: one error line naming the knob, before any row is built
+        monkeypatch.delenv("NEARVEC_BUDGET", raising=False)
+        for op in ("mul", "add"):
+            code, out, err = run(capsys, "table", "16", "3", "--op", op)
+            assert code == 1 and out == ""
+            assert err == ("error: operation table cells, |R|^2 = 4096^2 exceeds the element budget 1000000"
+                           " (NEARVEC_BUDGET)\n")
 
     def test_invalid_pair(self, capsys):
         code, out, err = run(capsys, "table", "3", "4")
@@ -409,6 +419,28 @@ class TestSearchIndex:
         doc = json.loads(out)
         assert doc["result"]["searched"] == 50
         assert doc["result"]["spanning"] <= 50
+
+    def test_exceeding_lists_the_first_ten_spanning_subsets_above_the_bound(self, capsys):
+        # no 2-subset of R^2 is all of it, so every spanning one has index >= 1 > 0
+        code, out, _ = run(capsys, "search-index", "3", "2", "2", "2", "0", "--limit", "50", "--json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        nf = build_nearfield(3, 2)
+        spanning = []
+        for combo in itertools.combinations(range(1, 81), 2):
+            vectors = [unpack_vector(nf, 2, c) for c in combo]
+            try:
+                index = lc_index(nf, vectors)
+            except ValueError:
+                continue
+            assert index > 0
+            spanning.append([nf.format_elements(v) for v in vectors])
+            if len(spanning) == 10:
+                break
+        assert result["spanning"] >= 10
+        assert result["exceeding"] == spanning
+        _, out, _ = run(capsys, "search-index", "3", "2", "2", "2", "0", "--limit", "50")
+        assert out.splitlines()[-1] == "exceeding_bound 10"
 
 
 class TestUsageErrors:

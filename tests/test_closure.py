@@ -171,6 +171,12 @@ class TestLcIndex:
         with pytest.raises(ValueError, match="index undefined"):
             lc_index(dn32, [(1, X)])
 
+    def test_all_of_the_space_has_index_zero(self, dn32):
+        # LC_0(V) is V itself
+        assert lc_index(dn32, [(a,) for a in dn32.elements]) == 0
+        assert lc_index(dn32, list(itertools.product(range(9), repeat=2))) == 0
+        assert lc_index(dn32, [(a,) for a in range(1, 9)]) == 1
+
 
 class TestGammaDependence:
     def test_scaled_pair_dependent(self, dn32):
@@ -187,6 +193,9 @@ class TestGammaDependence:
     def test_zero_vector_dependent(self, dn32):
         dep, idx = is_gamma_dependent(dn32, [(0, 0)], 1)
         assert dep and idx == 0
+
+    def test_no_vectors_are_independent(self, dn32):
+        assert is_gamma_dependent(dn32, [], 1) == (False, None)
 
     def test_gamma_must_be_positive(self, dn32):
         with pytest.raises(ValueError):

@@ -757,3 +757,34 @@ class TestRunErrorParity:
             trace_to_text(dn32, [good, _elim(0, 1, -1), Step("nudge")])
         with pytest.raises(ValueError, match="^code True is not an integer$"):
             trace_to_text(dn32, [_elim(0, 1, True), Step("swap", r=None, s=0)])
+
+    @pytest.mark.parametrize("step,message", [
+        (_elim(False, True, 1), "row index False is not an integer"),
+        (_elim(0, 1.0, 1), "row index 1.0 is not an integer"),
+        (Step("swap", r=True, s=0), "row index True is not an integer"),
+        (Step("swap", r=0, s=None), "row index None is not an integer"),
+        (Step("scale", r=True, c=1), "row index True is not an integer"),
+        (Step("trick", col=True, witness=(1, X, X)), "column index True is not an integer"),
+    ], ids=["elim-bool", "elim-float", "swap-bool", "swap-none", "scale-bool", "trick-bool"])
+    def test_to_text_refuses_an_index_that_is_not_an_int(self, dn32, step, message):
+        # the text replay raises for the same step
+        M = NfMatrix.from_rows(dn32, [(1, 0, 1), (1, 1, 0)])
+        with pytest.raises(ValueError, match=f"^trace step 1: {re.escape(message)}$"):
+            replay(M, [step])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            trace_to_text(dn32, [step])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            trace_to_text(dn32, [_elim(0, 1, 1), step, _elim(0, 1, 2)])
+
+    def test_to_text_raises_a_bad_index_and_a_bad_code_in_step_order(self, dn32):
+        with pytest.raises(ValueError, match="^code -1 out of range for order 9$"):
+            trace_to_text(dn32, [_elim(0, 1, -1), Step("swap", r=True, s=0)])
+        with pytest.raises(ValueError, match="^row index True is not an integer$"):
+            trace_to_text(dn32, [Step("swap", r=True, s=0), _elim(0, 1, -1)])
+        with pytest.raises(ValueError, match="^code True is not an integer$"):
+            trace_to_text(dn32, [Step("scale", r=0, c=True), _elim(False, 1, 1)])
+        with pytest.raises(ValueError, match="^row index False is not an integer$"):
+            trace_to_text(dn32, [_elim(False, 1, 1), Step("scale", r=0, c=True)])
+        # within a trick step, a bad witness code comes before the column, as in replay
+        with pytest.raises(ValueError, match="^code 9 out of range for order 9$"):
+            trace_to_text(dn32, [Step("trick", col=True, witness=(1, 9, X))])

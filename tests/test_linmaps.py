@@ -167,6 +167,12 @@ class TestMapRepCodes:
         with pytest.raises(ValueError, match=f"^element code {re.escape(message)}$"):
             MapRep.from_columns(dn32, [(bad, 0), (0, 1)])
 
+    @pytest.mark.parametrize("n,matrix", [(2, ((1, 0),)), (2, ((1, 0), (0,))), (1, ((1, 0),))],
+                             ids=["rows", "ragged", "cols"])
+    def test_refuses_a_matrix_that_is_not_n_x_n(self, dn32, n, matrix):
+        with pytest.raises(ValueError, match="^matrix must be n x n$"):
+            MapRep(dn32, n, matrix)
+
 
 class TestNormality:
     def test_single_cell_map_normal(self, dn32):
@@ -358,6 +364,11 @@ class TestSumAndScale:
         S = map_sum(T1, T2)
         assert S.matrix == ((0, 0), (1, 1))
         assert not is_linear(S)
+
+    def test_sum_refuses_maps_on_different_spaces(self, dn32, dn52):
+        for T2 in (MapRep.identity(dn32, 3), MapRep.identity(dn52, 2)):
+            with pytest.raises(ValueError, match="^maps must live on the same space$"):
+                map_sum(MapRep.identity(dn32, 2), T2)
 
     def test_scale_by_ones_is_identity(self, dn32):
         T = MapRep(dn32, 2, ((0, 5), (7, 0)))

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from kernel_oracle import (ORACLE_FIELDS, eliminate_case, ref_add, ref_is_irreducible, ref_mul, ref_neg,
                            ref_powers, ref_row_axpy, ref_row_eliminate)
 from nearvec import Witness, build_nearfield, validate_dickson_pair
-from nearvec.nearfield import (_ADD_TABLE_LIMIT, ORDER_LIMIT, PAIR_LIMIT, TABLE_LIMIT, Nearfield, _TimesG,
+from nearvec.closure import BUDGET_ENV, BudgetExceededError
+from nearvec.nearfield import (_ADD_TABLE_LIMIT, ORDER_LIMIT, PAIR_LIMIT, Nearfield, _TimesG,
                                _digits_of, _is_irreducible, _prime_factors)
 
 # The classical 9x9 table of the twisted product on the order-9 nearfield,
@@ -176,11 +177,34 @@ class TestTableFidelity:
         assert table[0] == [0] * 9
         assert table[1] == list(range(9))
 
-    def test_table_size_limit(self):
-        big = build_nearfield(9, 4)  # order 6561 > 2^12
-        assert big.order > TABLE_LIMIT
-        with pytest.raises(ValueError, match="too large"):
-            big.mul_table()
+    def test_table_size_limit(self, monkeypatch):
+        """Both tables are bounded by the element budget at order^2 cells,
+        checked before any row is built: order 4096 is refused at the
+        default budget and one cell below 4096^2, and admitted at 4096^2,
+        where the row kernel is stopped at its first call rather than
+        build 2^24 cells."""
+        big = build_nearfield(16, 3)
+        assert big.order == 4096
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
+
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(big, "row_axpy", started)
+        for table in (big.mul_table, big.add_table):
+            with pytest.raises(BudgetExceededError, match=re.escape(
+                    "operation table cells, |R|^2 = 4096^2 exceeds the element budget 1000000 (NEARVEC_BUDGET)")):
+                table()
+            monkeypatch.setenv(BUDGET_ENV, str(4096 ** 2 - 1))
+            with pytest.raises(BudgetExceededError, match=r"4096\^2 exceeds the element budget 16777215 "):
+                table()
+            monkeypatch.setenv(BUDGET_ENV, str(4096 ** 2))
+            with pytest.raises(Started):
+                table()
+            monkeypatch.delenv(BUDGET_ENV)
 
 
 class TestArithmetic:
@@ -595,8 +619,9 @@ def test_zech_edge_cases(q, n):
 
 
 def test_add_table_matches_digitwise_on_every_small_pair():
-    """add_table, and so the Zech tables behind add, against digitwise sums
-    on every Dickson pair of order <= _ADD_TABLE_LIMIT."""
+    """add_table (through the row kernel) and add, and so the Zech tables
+    behind both, against digitwise sums on every Dickson pair of order
+    <= _ADD_TABLE_LIMIT."""
     pairs = [(q, n) for q in range(2, _ADD_TABLE_LIMIT + 1) for n in range(1, 9)
              if q ** n <= _ADD_TABLE_LIMIT and validate_dickson_pair(q, n)]
     assert len(pairs) > 60
@@ -609,6 +634,8 @@ def test_add_table_matches_digitwise_on_every_small_pair():
         ref = [[sum(w * ((x + y) % p) for w, x, y in zip(weights, da, db)) for db in digits]
                for da in digits]
         assert nf.add_table() == ref, (q, n)
+        # add itself, which add_table no longer calls
+        assert [[nf.add(a, b) for b in elems] for a in elems] == ref, (q, n)
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (7, 2), (4, 3), (256, 1)])

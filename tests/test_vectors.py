@@ -126,6 +126,9 @@ class TestMatrixCodec:
     def test_errors(self):
         with pytest.raises(ValueError, match="header"):
             matrix_parse("GF 3 2\n1 1\n1\n")
+        for dims in ("2", "2 3 4"):
+            with pytest.raises(ValueError, match=f"^bad dimension line {re.escape(repr(dims))}$"):
+                matrix_parse(f"DN 3 2\n{dims}\n1 2\n")
         with pytest.raises(ValueError, match="no rows"):
             matrix_parse("DN 3 2\n0 3\n")
         with pytest.raises(ValueError, match="no columns"):
