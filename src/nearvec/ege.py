@@ -271,11 +271,9 @@ def _rref_inplace(nf: Nearfield, work: _Rows, steps: list, pivots: list[int], st
 
 def _check_trick(nf: Nearfield, work: _Rows, col: int, w: Witness, clean: int = 0) -> None:
     """Raise ValueError unless `col` is the first conflict column and `w`
-    violates right distributivity, with codes in range: the preconditions
-    of the trick.  No column left of `clean` may have two nonzero entries;
-    the scan starts there."""
-    nf.check_codes((w.alpha, w.beta, w.lam), "witness code")
-    _check_index("column", col)
+    violates right distributivity: the preconditions of the trick, once
+    _check_step has passed its fields.  No column left of `clean` may have
+    two nonzero entries; the scan starts there."""
     if not 0 <= col < work.width:
         raise ValueError("column index out of range")
     first = work.first_conflict(min(clean, col), col + 1)
@@ -341,6 +339,7 @@ def distributivity_trick(M: NfMatrix, col: int, w: Witness) -> NfMatrix:
     against it.
     """
     work = _Rows(M.nf, M.rows, M.width)
+    _check_step(M.nf, Step("trick", col=col, witness=(w.alpha, w.beta, w.lam)))
     _check_trick(M.nf, work, col, w)
     _trick_inplace(M.nf, work, col, w)
     return NfMatrix._unchecked(M.nf, tuple(work.rows), M.width)
@@ -387,106 +386,116 @@ _KIND_ROW, _FIELDS = attrgetter("kind", "r"), attrgetter("r", "s", "c")
 def replay(M: NfMatrix, steps) -> NfMatrix:
     """Apply a trace to M; returns the final matrix (zero rows dropped).
 
-    Consecutive eliminate steps on one pivot row are applied as a run: the
-    run's row indices and scalar codes are checked at once, the pivot's
-    support is sorted once, and one kernel call updates every target row
-    (_apply_run).  A run that fails the check, or that names its pivot
-    row as a target, is applied step by step, so the error names the same
-    step with the same text.  Raises ValueError naming the first step that
-    does not apply.
+    Consecutive eliminate steps on one pivot row are applied as a run in
+    one kernel call (_apply_run).  Raises ValueError naming the first step
+    that does not apply.
     """
     nf, i = M.nf, 0
     work, clean = _Rows(nf, M.rows, M.width), 0
     for (kind, r), run in groupby(steps, _KIND_ROW):
         run = tuple(run)
-        done = _apply_run(nf, work, r, run, clean) if kind == "eliminate" else None
-        if done is None:
-            for st in run:
-                clean = _apply_step(nf, work, st, i, clean)
-                i += 1
+        if kind == "eliminate":
+            clean = _apply_run(nf, work, r, run, i, clean)
         else:
-            clean, i = done, i + len(run)
+            for j, st in enumerate(run, i):
+                clean = _apply_step(nf, work, st, j, clean)
+        i += len(run)
     return NfMatrix._unchecked(nf, tuple(row for row in work.rows if any(row)), M.width)
 
 
 def replay_states(M: NfMatrix, steps):
-    """Yield the working matrix after every step (zero rows kept)."""
-    work, clean = _Rows(M.nf, M.rows, M.width), 0
+    """Yield the working matrix after every step (zero rows kept); each
+    eliminate step is a run of one."""
+    nf, work, clean = M.nf, _Rows(M.nf, M.rows, M.width), 0
     for i, st in enumerate(steps):
-        clean = _apply_step(M.nf, work, st, i, clean)
-        yield NfMatrix._unchecked(M.nf, tuple(work.rows), M.width)
+        clean = (_apply_run(nf, work, st.r, (st,), i, clean) if st.kind == "eliminate"
+                 else _apply_step(nf, work, st, i, clean))
+        yield NfMatrix._unchecked(nf, tuple(work.rows), M.width)
 
 
-def _apply_run(nf: Nearfield, work: _Rows, r, run, clean: int) -> int | None:
-    """Apply a run of eliminate steps with pivot row r in one kernel call;
-    returns the new clean prefix (see _apply_step).  Returns None, with
-    nothing changed, unless every row index is an int in range, no target
-    is r and every scalar code passes the field's check."""
+def _check_step(nf: Nearfield, st: Step, rows: int | None = None) -> None:
+    """The one check of a step's fields, which may come from an untrusted
+    file: ValueError with replay's text unless its kind is known, its row
+    indices are ints, not bools, in 0..rows - 1 when rows is given, and its
+    scalar code passes the field's check; a trick's witness must be three
+    witness codes, and then its column an int."""
+    kind = st.kind
+    if kind == "trick":
+        w = st.witness
+        if not isinstance(w, (tuple, list)) or len(w) != 3:
+            raise ValueError(f"witness {w!r} is not three codes")
+        nf.check_codes(w, "witness code")
+        if type(st.col) is not int:
+            raise ValueError(f"column index {st.col!r} is not an integer")
+        return
+    if kind not in ("eliminate", "swap", "scale"):
+        raise ValueError(f"unknown step kind {kind!r}")
+    for idx in (st.r,) if kind == "scale" else (st.r, st.s):
+        if type(idx) is not int:
+            raise ValueError(f"row index {idx!r} is not an integer")
+        if rows is not None and not 0 <= idx < rows:
+            raise ValueError(f"row {idx + 1} out of range for {rows} rows")
+    if kind != "swap":
+        nf.check_codes((st.c,), "scalar code")
+
+
+def _check_steps(nf: Nearfield, steps, i: int = 0, rows: int | None = None) -> None:
+    """ValueError `trace step N: ...` for the first of steps, steps i + 1..
+    of a trace, that _check_step refuses."""
+    for n, st in enumerate(steps, i + 1):
+        try:
+            _check_step(nf, st, rows)
+        except ValueError as e:
+            raise ValueError(f"trace step {n}: {e}") from None
+
+
+def _apply_run(nf: Nearfield, work: _Rows, r: int, run, i: int, clean: int) -> int:
+    """Apply a run of eliminate steps with pivot row r, steps i + 1.. of a
+    trace; returns the new clean prefix (see _apply_step).
+
+    The tests of _check_step run over the whole run at once; they are the
+    same tests, so when one fails _check_steps raises, naming the first
+    bad step.  The pivot's support is sorted once and one kernel call
+    updates every target row, unless the run names r as a target: then
+    each step is one call, as the steps after it read the changed pivot
+    row.
+    """
     k = len(work.rows)
     rs, ss, cs = zip(*map(_FIELDS, run))
-    if not (_INT_ONLY.issuperset(map(type, rs + ss)) and 0 <= r < k and 0 <= min(ss) and max(ss) < k
-            and r not in ss):
-        return None
-    try:
-        nf.check_codes(cs, "scalar code")
-    except ValueError:
-        return None
-    cols = work.cols(r)
-    work.eliminate(work.rows[r], cols, list(zip(ss, cs)))
-    return min(clean, cols[0]) if cols else clean
-
-
-def _check_index(what: str, *indices) -> None:
-    """ValueError naming the first index that is not an int, bools included."""
-    for idx in indices:
-        if type(idx) is not int:
-            raise ValueError(f"{what} index {idx!r} is not an integer")
-
-
-def _row_index(rows, idx: int) -> int:
-    _check_index("row", idx)
-    if not 0 <= idx < len(rows):
-        raise ValueError(f"row {idx + 1} out of range for {len(rows)} rows")
-    return idx
+    if not (_INT_ONLY.issuperset(map(type, rs + ss + cs)) and 0 <= r < k and 0 <= min(ss) and max(ss) < k
+            and 0 <= min(cs) and max(cs) < nf.order):
+        _check_steps(nf, run, i, k)
+    targets = tuple(zip(ss, cs))
+    for part in zip(targets) if r in ss else (targets,):    # zip(targets): one target per part
+        cols = work.cols(r)
+        work.eliminate(work.rows[r], cols, part)
+        clean = min(clean, cols[0]) if cols else clean
+    return clean
 
 
 def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int, clean: int) -> int:
-    """Apply step i (0-based) of a trace, which may come from an untrusted
-    file: row indices, scalar and witness codes, the trick column and the
-    witness are checked first, so the rows stay in range and replay builds
-    its result without the NfMatrix entry scan.
+    """Apply step i (0-based) of a trace, a swap, scale or trick, once
+    _check_step has passed its fields, so the rows stay in range and
+    replay builds its result without the NfMatrix entry scan.
 
     Returns the new clean prefix: no column left of `clean` has two
     nonzero entries.  A checked trick at col sets it to col, since the
     trick changes rows only at or right of col.  An eliminate can add
-    nonzeros only on the operand row's support, so it lowers clean to
-    that support's first column.  A swap or scale adds no nonzero entry
+    nonzeros only on the operand row's support, so _apply_run lowers clean
+    to that support's first column.  A swap or scale adds no nonzero entry
     (a o c = 0 only for a = 0 or c = 0), so clean stays.
     """
-    rows = work.rows
     try:
+        _check_step(nf, st, len(work.rows))
         if st.kind == "swap":
-            work.swap(_row_index(rows, st.r), _row_index(rows, st.s))
+            work.swap(st.r, st.s)
         elif st.kind == "scale":
-            r = _row_index(rows, st.r)
-            nf.check_codes((st.c,), "scalar code")
-            work.scale(r, st.c, work.cols(r))
-        elif st.kind == "eliminate":
-            r, s = _row_index(rows, st.r), _row_index(rows, st.s)
-            nf.check_codes((st.c,), "scalar code")
-            cols = work.cols(r)
-            work.eliminate(rows[r], cols, ((s, st.c),))
-            if cols:
-                clean = min(clean, cols[0])
-        elif st.kind == "trick":
-            if not isinstance(st.witness, (tuple, list)) or len(st.witness) != 3:
-                raise ValueError(f"witness {st.witness!r} is not three codes")
+            work.scale(st.r, st.c, work.cols(st.r))
+        else:   # a trick: eliminate steps go through _apply_run
             w = Witness(*st.witness)
             _check_trick(nf, work, st.col, w, clean)
             _trick_inplace(nf, work, st.col, w)
             clean = st.col
-        else:
-            raise ValueError(f"unknown step kind {st.kind!r}")
     except ValueError as e:
         raise ValueError(f"trace step {i + 1}: {e}") from None
     return clean
@@ -522,6 +531,12 @@ def is_one_column_independent(M: NfMatrix) -> bool:
     """
     if M.width < 2:
         raise ValueError("need at least 2 columns")
+    return _columns_apart(M)
+
+
+def _columns_apart(M: NfMatrix) -> bool:
+    """No column is zero and no two share a key (_column_keys): the
+    criterion of is_one_column_independent and seeds.verify_seed."""
     keys = _column_keys(M)
     return None not in keys and len(set(keys)) == M.width
 
@@ -533,42 +548,38 @@ def trace_to_text(nf: Nearfield, steps) -> str:
 
     The codes of the whole trace are formatted in one format_elements call:
     the text is the pieces between the codes interleaved with the codes'
-    texts.  An error is raised in step order: one in a step's fields raises
-    only after the codes of the earlier steps have been formatted.  A row
-    index or trick column that is not an int, a bool among them, is
-    refused with replay's text; eliminate steps, the bulk of a trace, test
-    their indices inline and call the check only when one fails.
+    texts.  Any failure, an index that is not an int among them, sends the
+    steps through _check_step, which refuses the first malformed one with
+    replay's text, `trace step N: ...`.
     """
+    steps = tuple(steps)
     pieces, codes, gap = [], [], ""     # gap: the text since the last code
     try:
         for st in steps:
-            kind = st.kind
-            if kind == "eliminate":
-                r, s = st.r, st.s
+            kind, r, s = st.kind, st.r, st.s
+            if kind == "eliminate" or kind == "swap":
                 if type(r) is not int or type(s) is not int:
-                    _check_index("row", r, s)
+                    raise ValueError
+                if kind == "swap":
+                    gap += f"SWAP {r + 1} {s + 1}\n"
+                    continue
                 pieces.append(f"{gap}ELIM {r + 1} {s + 1} ")
                 codes.append(st.c)
-            elif kind == "swap":
-                _check_index("row", st.r, st.s)
-                gap += f"SWAP {st.r + 1} {st.s + 1}\n"
-                continue
-            elif kind == "scale":
-                _check_index("row", st.r)
-                pieces.append(f"{gap}SCALE {st.r + 1} ")
+            elif kind == "scale" and type(r) is int:
+                pieces.append(f"{gap}SCALE {r + 1} ")
                 codes.append(st.c)
-            elif kind == "trick":
-                a, b, lam = st.witness
-                codes += (a, b, lam)    # a bad witness code comes before the column, as in replay
-                _check_index("column", st.col)
+            elif (kind == "trick" and type(st.col) is int
+                  and isinstance(w := st.witness, (tuple, list)) and len(w) == 3):
+                codes += w
                 pieces += (f"{gap}TRICK {st.col + 1} ", " ", " ")
             else:
-                raise ValueError(f"unknown step kind {kind!r}")
+                raise ValueError
             gap = "\n"
+        texts = nf.format_elements(codes)
     except (AttributeError, TypeError, ValueError):
-        nf.format_elements(codes)       # a bad code of an earlier step comes first
+        _check_steps(nf, steps)     # names the step at fault with replay's text
         raise
-    return "".join(chain.from_iterable(zip(pieces, nf.format_elements(codes)))) + gap
+    return "".join(chain.from_iterable(zip(pieces, texts))) + gap
 
 
 def trace_from_text(nf: Nearfield, text: str) -> tuple[Step, ...]:
@@ -583,14 +594,12 @@ def trace_from_text(nf: Nearfield, text: str) -> tuple[Step, ...]:
     try:
         return _parse_trace(nf, lines)
     except ValueError:
-        pass
-    steps = []
-    for ln in lines:
-        try:
-            steps += _parse_trace(nf, (ln,))
-        except ValueError as e:
-            raise ValueError(f"malformed trace line {ln.strip()!r}: {e}") from None
-    return tuple(steps)
+        for ln in lines:
+            try:
+                _parse_trace(nf, (ln,))
+            except ValueError as e:
+                raise ValueError(f"malformed trace line {ln.strip()!r}: {e}") from None
+        raise
 
 
 def _parse_trace(nf: Nearfield, lines) -> tuple[Step, ...]:

@@ -126,17 +126,14 @@ def verify_seed(V: NfMatrix) -> bool:
     criterion fails, so EGE decides there.  For small spaces
     (|R|^m <= 10^4) the closure oracle independently confirms the verdict.
     """
-    from .ege import _column_keys, ege
+    from .ege import _columns_apart, ege
 
-    if not V.nf.is_field:
-        keys = _column_keys(V)
-        ok = None not in keys and len(set(keys)) == V.width
-    else:
-        ok = ege(V).dimension == V.width
-    if V.nf.order ** V.width <= 10 ** 4:
+    nf, m = V.nf, V.width
+    ok = _columns_apart(V) if not nf.is_field else ege(V).dimension == m
+    # |R| >= 2, so a width of 14 or more is past 10^4 without the power
+    if m < 14 and (space := nf.order ** m) <= 10 ** 4:
         from .closure import VectorSet, gen_size
 
-        size = gen_size(VectorSet.from_vectors(V.nf, V.width, V.rows))
-        if (size == V.nf.order ** V.width) != ok:
+        if (gen_size(VectorSet.from_vectors(nf, m, V.rows)) == space) != ok:
             raise RuntimeError("the seed verdict and the closure oracle disagree on the seed property")
     return ok

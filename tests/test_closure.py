@@ -171,6 +171,11 @@ class TestLcIndex:
         with pytest.raises(ValueError, match="index undefined"):
             lc_index(dn32, [(1, X)])
 
+    @pytest.mark.parametrize("entry", [lc_index, check_lc1_cardinality])
+    def test_no_vectors_refused(self, dn32, entry):
+        with pytest.raises(ValueError, match="^need at least one vector$"):
+            entry(dn32, [])
+
     def test_all_of_the_space_has_index_zero(self, dn32):
         # LC_0(V) is V itself
         assert lc_index(dn32, [(a,) for a in dn32.elements]) == 0

@@ -254,6 +254,12 @@ class TestTraceCodec:
         with pytest.raises(ValueError, match="malformed trace"):
             trace_from_text(dn32, "NUDGE 1 2\n")
 
+    def test_blank_and_comment_lines_are_skipped(self, dn32):
+        text = "# a trace\n\nELIM 1 2 1\n   \n  # a trick next\nTRICK 3 1 x x\n"
+        assert trace_to_text(dn32, trace_from_text(dn32, text)) == "ELIM 1 2 1\nTRICK 3 1 x x\n"
+        with pytest.raises(ValueError, match="^malformed trace line 'SWAP 1': "):
+            trace_from_text(dn32, text + "#\nSWAP 1\n")
+
     def test_replay_sees_a_row_scaled_to_zero(self, dn32):
         # an untrusted trace may scale by 0: the conflict check must then
         # see column 3 with one nonzero entry left
@@ -284,6 +290,8 @@ class TestTraceCodec:
         M = NfMatrix.from_rows(dn32, [(1, 0, 1), (0, 1, 1)])   # column 3 is a conflict column
         with pytest.raises(ValueError, match=f"^trace step 1: {noun} {re.escape(message)}$"):
             replay(M, [step(bad)])
+        with pytest.raises(ValueError, match=f"^trace step 1: {noun} {re.escape(message)}$"):
+            trace_to_text(dn32, [step(bad)])
         if noun == "witness code":
             with pytest.raises(ValueError, match=f"^{noun} {re.escape(message)}$"):
                 distributivity_trick(M, 2, Witness(*step(bad).witness))
@@ -305,12 +313,16 @@ class TestTraceCodec:
         bad = bad.format(order=nf.order, plus91=nf.order + 91)
         with pytest.raises(ValueError, match=f"^trace step 1: {bad} out of range for order {nf.order}$"):
             replay(M, [step(nf.order)])
-        with pytest.raises(ValueError, match="^trace step 1: "):
+        with pytest.raises(ValueError, match=f"^trace step 1: {bad} out of range for order {nf.order}$"):
             list(replay_states(M, [step(nf.order)]))
+        with pytest.raises(ValueError, match=f"^trace step 1: {bad} out of range for order {nf.order}$"):
+            trace_to_text(nf, [step(nf.order)])
 
     @pytest.mark.parametrize("step,msg", [
         (Step("trick", col=2), "witness None is not three codes"),
         (Step("trick", col=2, witness=(1, X)), r"witness \(1, 3\) is not three codes"),
+        (Step("trick", col=2, witness=(1, X, X, X)), r"witness \(1, 3, 3, 3\) is not three codes"),
+        (Step("trick", col=2, witness={1, X, 5}), r"witness \{1, 3, 5\} is not three codes"),
         (Step("trick", col=1.5, witness=(1, X, X)), "column index 1.5 is not an integer"),
         (Step("trick", col=2, witness=(1, X, 3.0)), "witness code 3.0 is not an integer"),
         (Step("scale", r=0, c=1.5), "scalar code 1.5 is not an integer"),
@@ -320,17 +332,22 @@ class TestTraceCodec:
         (Step("swap", r=True, s=0), "row index True is not an integer"),
         (Step("scale", r=False, c=1), "row index False is not an integer"),
         (Step("trick", col=True, witness=(1, X, X)), "column index True is not an integer"),
-    ], ids=["trick-no-witness", "trick-two-codes", "trick-float-col", "trick-float-code",
-            "scale-float", "swap-float-row", "eliminate-none", "swap-bool-row", "scale-bool-row",
-            "trick-bool-col"])
+        (Step("nudge"), "unknown step kind 'nudge'"),
+    ], ids=["trick-no-witness", "trick-two-codes", "trick-four-codes", "trick-set-witness",
+            "trick-float-col", "trick-float-code", "scale-float", "swap-float-row", "eliminate-none",
+            "swap-bool-row", "scale-bool-row", "trick-bool-col", "unknown-kind"])
     def test_replay_refuses_malformed_steps(self, dn32, step, msg):
         # a step built in code can carry any Python value; each malformed
-        # field is refused by name instead of raising TypeError
+        # field is refused by name instead of raising TypeError, by replay
+        # and by the trace codec alike (a witness that is not three codes
+        # once leaked TypeError from trace_to_text's unpacking)
         M = NfMatrix.from_rows(dn32, [(1, 0, 1), (0, 1, 1)])   # column 3 is a conflict column
         with pytest.raises(ValueError, match=f"^trace step 1: {msg}$"):
             replay(M, [step])
         with pytest.raises(ValueError, match=f"^trace step 1: {msg}$"):
             list(replay_states(M, [step]))
+        with pytest.raises(ValueError, match=f"^trace step 1: {msg}$"):
+            trace_to_text(dn32, [step])
 
     def test_results_equal_checked_matrices(self, dn32):
         # ege, rref, replay and the trick build their results without the
@@ -700,12 +717,16 @@ class TestRunErrorParity:
                  if all(st.kind == "eliminate" and st.r == trace[i].r for st in trace[i - 1:i + 2]))
         return M, trace, i
 
-    def _refused(self, M, trace, i, message):
+    def _refused(self, M, trace, i, message, to_text=True):
+        # trace_to_text knows no row count, so it refuses no row by range
         want = f"^trace step {i + 1}: {re.escape(message)}$"
         with pytest.raises(ValueError, match=want):
             replay(M, trace)
         with pytest.raises(ValueError, match=want):
             list(replay_states(M, trace))
+        if to_text:
+            with pytest.raises(ValueError, match=want):
+                trace_to_text(M.nf, trace)
 
     @pytest.mark.parametrize("field", ["r", "s"])
     @pytest.mark.parametrize("bad,message", [
@@ -722,7 +743,7 @@ class TestRunErrorParity:
         elif bad == "bool":     # False for the pivot row 0, so it stays in the run
             bad = bool(getattr(st, field))
         trace[i] = _elim(**{"r": st.r, "s": st.s, "c": st.c, field: bad})
-        self._refused(M, trace, i, message.format(bad=bad))
+        self._refused(M, trace, i, message.format(bad=bad), to_text=type(bad) is not int)
 
     @pytest.mark.parametrize("bad,message", [
         (True, "scalar code True is not an integer"),
@@ -751,11 +772,11 @@ class TestRunErrorParity:
 
     def test_to_text_raises_the_first_error_in_step_order(self, dn32):
         good = _elim(0, 1, 1)
-        with pytest.raises(ValueError, match="^unknown step kind 'nudge'$"):
+        with pytest.raises(ValueError, match="^trace step 2: unknown step kind 'nudge'$"):
             trace_to_text(dn32, [good, Step("nudge"), _elim(0, 1, -1)])
-        with pytest.raises(ValueError, match="^code -1 out of range for order 9$"):
+        with pytest.raises(ValueError, match="^trace step 2: scalar code -1 out of range for order 9$"):
             trace_to_text(dn32, [good, _elim(0, 1, -1), Step("nudge")])
-        with pytest.raises(ValueError, match="^code True is not an integer$"):
+        with pytest.raises(ValueError, match="^trace step 1: scalar code True is not an integer$"):
             trace_to_text(dn32, [_elim(0, 1, True), Step("swap", r=None, s=0)])
 
     @pytest.mark.parametrize("step,message", [
@@ -771,20 +792,20 @@ class TestRunErrorParity:
         M = NfMatrix.from_rows(dn32, [(1, 0, 1), (1, 1, 0)])
         with pytest.raises(ValueError, match=f"^trace step 1: {re.escape(message)}$"):
             replay(M, [step])
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^trace step 1: {re.escape(message)}$"):
             trace_to_text(dn32, [step])
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^trace step 2: {re.escape(message)}$"):
             trace_to_text(dn32, [_elim(0, 1, 1), step, _elim(0, 1, 2)])
 
     def test_to_text_raises_a_bad_index_and_a_bad_code_in_step_order(self, dn32):
-        with pytest.raises(ValueError, match="^code -1 out of range for order 9$"):
+        with pytest.raises(ValueError, match="^trace step 1: scalar code -1 out of range for order 9$"):
             trace_to_text(dn32, [_elim(0, 1, -1), Step("swap", r=True, s=0)])
-        with pytest.raises(ValueError, match="^row index True is not an integer$"):
+        with pytest.raises(ValueError, match="^trace step 1: row index True is not an integer$"):
             trace_to_text(dn32, [Step("swap", r=True, s=0), _elim(0, 1, -1)])
-        with pytest.raises(ValueError, match="^code True is not an integer$"):
+        with pytest.raises(ValueError, match="^trace step 1: scalar code True is not an integer$"):
             trace_to_text(dn32, [Step("scale", r=0, c=True), _elim(False, 1, 1)])
-        with pytest.raises(ValueError, match="^row index False is not an integer$"):
+        with pytest.raises(ValueError, match="^trace step 1: row index False is not an integer$"):
             trace_to_text(dn32, [_elim(False, 1, 1), Step("scale", r=0, c=True)])
         # within a trick step, a bad witness code comes before the column, as in replay
-        with pytest.raises(ValueError, match="^code 9 out of range for order 9$"):
+        with pytest.raises(ValueError, match="^trace step 1: witness code 9 out of range for order 9$"):
             trace_to_text(dn32, [Step("trick", col=True, witness=(1, 9, X))])

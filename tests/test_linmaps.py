@@ -100,9 +100,11 @@ class TestLinearity:
         T = MapRep(dn32, 2, ((1, 1), (0, 0)))
         assert not is_linear(T) and not is_linear(T, "semantic")
 
-    def test_mode_validation(self, counterexample):
+    def test_mode_validation(self, counterexample, dn32):
         with pytest.raises(ValueError):
             is_linear(counterexample, "telepathic")
+        with pytest.raises(ValueError, match="^mode must be 'criterion' or 'semantic'$"):
+            is_normal(MapRep.identity(dn32, 2), "telepathic")
 
     def test_semantic_budget(self, dn32):
         I = MapRep.identity(dn32, 7)
@@ -530,6 +532,7 @@ def test_apply_map_checks_the_vector_codes(dn32, v, message):
     ((-1, 1), "scalar code -1 out of range for order 9"),
     ((1, 9), "scalar code 9 out of range for order 9"),
     ((1, True), "scalar code True is not an integer"),
+    ((1,), "need one scalar per column"),
 ])
 def test_scale_family_checks_the_scalar_codes(dn32, scalars, message):
     # (-1, 1) once gave the matrix ((8, 0), (0, 1))

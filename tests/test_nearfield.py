@@ -108,6 +108,9 @@ class TestConstruction:
         # 1031 is prime and 2 divides 1030: a Dickson pair of order 1062961 > 2^20
         with pytest.raises(ValueError, match="order 1062961 exceeds the hard limit 1048576"):
             build_nearfield(1031, 2)
+        # q alone above the limit is refused without computing q**n
+        with pytest.raises(ValueError, match=f"^order {ORDER_LIMIT + 1}\\^1 exceeds the hard limit {ORDER_LIMIT}$"):
+            build_nearfield(ORDER_LIMIT + 1, 1)
         # checked ahead of the cache, where 3.0 would find DN(3,2)
         build_nearfield(3, 2)
         with pytest.raises(TypeError):
@@ -171,6 +174,8 @@ class TestTableFidelity:
                 else:
                     expected = dn32.field_mul(a, dn32.field_pow(b, 3))
                 assert dn32.mul(a, b) == expected
+        with pytest.raises(ValueError, match="^negative exponent$"):
+            dn32.field_pow(2, -1)
 
     def test_zero_and_identity_rows(self, dn32):
         table = dn32.mul_table()

@@ -33,6 +33,8 @@ class TestUMax:
     def test_rejects_small_order(self):
         with pytest.raises(ValueError):
             u_max(3, 2)
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+            u_max(-1, 9)
 
 
 class TestSeedNumber:

@@ -71,6 +71,8 @@ class TestLeftMultiple:
         assert left_multiple_of(dn32, (2, 6), (1, X)) == 2
         assert left_multiple_of(dn32, (0, 0), (5, 7)) == 0
         assert left_multiple_of(dn32, (1, 0), (0, 1)) is None
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            left_multiple_of(dn32, (1, 0), (1,))
 
     def test_left_vs_right_action_differ(self, dn32):
         # u = v o r need not make u a left multiple of v; (1+x) o x != x o (1+x)
@@ -114,6 +116,7 @@ class TestMatrixCodec:
         M = NfMatrix.from_rows(dn32, [(1, 0, X), (4, 8, 2)])
         for style in ("poly", "code"):
             assert matrix_parse(matrix_format(M, style)) == M
+        assert str(M) == matrix_format(M)
 
     def test_mixed_token_styles(self):
         M = matrix_parse("DN 3 2\n1 3\n2 1+x 7\n")
@@ -124,6 +127,11 @@ class TestMatrixCodec:
         assert M.rows == ((1, 2),)
 
     def test_errors(self):
+        for text in ("", "# only a comment\n\n"):
+            with pytest.raises(ValueError, match="^empty matrix file$"):
+                matrix_parse(text)
+        with pytest.raises(ValueError, match="^missing dimension line$"):
+            matrix_parse("DN 3 2\n# no dimensions\n")
         with pytest.raises(ValueError, match="header"):
             matrix_parse("GF 3 2\n1 1\n1\n")
         for dims in ("2", "2 3 4"):
