@@ -332,12 +332,15 @@ def distributivity_trick(M: NfMatrix, col: int, w: Witness) -> NfMatrix:
     """One trick step at the first conflict column `col` (0-based).
 
     Preconditions: every column left of `col` has at most one nonzero
-    entry, `col` has at least two, and `w` really violates right
-    distributivity with codes in range; ValueError otherwise.  With exactly two nonzero
-    entries the returned matrix has a single nonzero (the new pivot) in
-    column `col`; with more, the following rref pass clears the rest
-    against it.
+    entry, `col` has at least two, and `w` is a Witness that really
+    violates right distributivity with codes in range; ValueError
+    otherwise, with replay's text for a trick step's witness when `w` is
+    not a Witness.  With exactly two nonzero entries the returned matrix
+    has a single nonzero (the new pivot) in column `col`; with more, the
+    following rref pass clears the rest against it.
     """
+    if not isinstance(w, Witness):
+        raise ValueError(f"witness {w!r} is not three codes")
     work = _Rows(M.nf, M.rows, M.width)
     _check_step(M.nf, Step("trick", col=col, witness=(w.alpha, w.beta, w.lam)))
     _check_trick(M.nf, work, col, w)
@@ -416,9 +419,9 @@ def replay_states(M: NfMatrix, steps):
 def _check_step(nf: Nearfield, st: Step, rows: int | None = None) -> None:
     """The one check of a step's fields, which may come from an untrusted
     file: ValueError with replay's text unless its kind is known, its row
-    indices are ints, not bools, in 0..rows - 1 when rows is given, and its
-    scalar code passes the field's check; a trick's witness must be three
-    witness codes, and then its column an int."""
+    indices are ints, not bools, at least 0 and below rows when rows is
+    given, and its scalar code passes the field's check; a trick's witness
+    must be three witness codes, and then its column an int."""
     kind = st.kind
     if kind == "trick":
         w = st.witness
@@ -433,8 +436,8 @@ def _check_step(nf: Nearfield, st: Step, rows: int | None = None) -> None:
     for idx in (st.r,) if kind == "scale" else (st.r, st.s):
         if type(idx) is not int:
             raise ValueError(f"row index {idx!r} is not an integer")
-        if rows is not None and not 0 <= idx < rows:
-            raise ValueError(f"row {idx + 1} out of range for {rows} rows")
+        if idx < 0 or rows is not None and idx >= rows:
+            raise ValueError(f"row {idx + 1} out of range" + ("" if rows is None else f" for {rows} rows"))
     if kind != "swap":
         nf.check_codes((st.c,), "scalar code")
 
@@ -548,9 +551,10 @@ def trace_to_text(nf: Nearfield, steps) -> str:
 
     The codes of the whole trace are formatted in one format_elements call:
     the text is the pieces between the codes interleaved with the codes'
-    texts.  Any failure, an index that is not an int among them, sends the
-    steps through _check_step, which refuses the first malformed one with
-    replay's text, `trace step N: ...`.
+    texts.  Any failure, an index that is not an int or a negative row
+    index among them, sends the steps through _check_step, which refuses
+    the first malformed one with replay's text, `trace step N: ...`; with
+    no row count, `row 0 out of range` has no `for K rows`.
     """
     steps = tuple(steps)
     pieces, codes, gap = [], [], ""     # gap: the text since the last code
@@ -558,14 +562,14 @@ def trace_to_text(nf: Nearfield, steps) -> str:
         for st in steps:
             kind, r, s = st.kind, st.r, st.s
             if kind == "eliminate" or kind == "swap":
-                if type(r) is not int or type(s) is not int:
+                if type(r) is not int or type(s) is not int or r < 0 or s < 0:
                     raise ValueError
                 if kind == "swap":
                     gap += f"SWAP {r + 1} {s + 1}\n"
                     continue
                 pieces.append(f"{gap}ELIM {r + 1} {s + 1} ")
                 codes.append(st.c)
-            elif kind == "scale" and type(r) is int:
+            elif kind == "scale" and type(r) is int and r >= 0:
                 pieces.append(f"{gap}SCALE {r + 1} ")
                 codes.append(st.c)
             elif (kind == "trick" and type(st.col) is int
@@ -584,7 +588,8 @@ def trace_to_text(nf: Nearfield, steps) -> str:
 
 def trace_from_text(nf: Nearfield, text: str) -> tuple[Step, ...]:
     """The steps of a textual trace; blank lines and lines starting with #
-    are skipped.
+    are skipped.  A row index below 1, which no replay accepts, makes its
+    line malformed.
 
     The element tokens of the whole trace are parsed in one parse_elements
     call.  When any line is malformed, the lines are parsed again one at a
@@ -612,18 +617,24 @@ def _parse_trace(nf: Nearfield, lines) -> tuple[Step, ...]:
             continue
         op, n = parts[0].upper(), len(parts)
         if op == "ELIM" and n == 4:
-            heads.append(("eliminate", int(parts[1]) - 1, int(parts[2]) - 1))
+            r, s = int(parts[1]) - 1, int(parts[2]) - 1
+            heads.append(("eliminate", r, s))
             tokens.append(parts[3])
         elif op == "SWAP" and n == 3:
-            heads.append(("swap", int(parts[1]) - 1, int(parts[2]) - 1))
+            r, s = int(parts[1]) - 1, int(parts[2]) - 1
+            heads.append(("swap", r, s))
         elif op == "SCALE" and n == 3:
-            heads.append(("scale", int(parts[1]) - 1, -1))
+            r = s = int(parts[1]) - 1
+            heads.append(("scale", r, -1))
             tokens.append(parts[2])
         elif op == "TRICK" and n == 5:
             heads.append(("trick", int(parts[1]) - 1))
             tokens += parts[2:]
+            continue
         else:
             raise ValueError("unknown step or wrong number of fields")
+        if r < 0 or s < 0:      # replay's text, less the row count a trace does not give
+            raise ValueError(f"row {(r if r < 0 else s) + 1} out of range")
     codes = iter(nf.parse_elements(tokens))
     new, steps = tuple.__new__, []
     # each Step as Step.__new__ would build it: no theta or phi to pack

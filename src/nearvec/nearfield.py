@@ -50,14 +50,13 @@ tables.  Every field carries these O(order) tables:
 Then a o c = exp[log a + log c * q^j(a)] and
 x + y = exp[log x + Z[log y - log x]]; the doubling absorbs the index
 ranges without a modulo, and zero operands are branches, not entries.
-add is this formula at every order.  The two row kernels use it above
-order 256: row_axpy (acc + row o c, for closure, maps and scale steps)
-and row_eliminate, which applies every eliminate step of one pivot row
-in one call, reading the pivot's logs and cosets once and reporting the
-columns each target row gained or lost.  Up to order 256 both read two
-order x order tables instead, t[c][a] = a o c and x + y, built once from
-the log-domain kernel and add because a table lookup costs about half a
-Zech step per entry.
+add is this formula, and so are the two row kernels, at every order:
+row_axpy (acc + row o c, for closure, maps and scale steps) and
+row_eliminate, which applies every eliminate step of one pivot row in
+one call, reading the pivot's logs and cosets once and reporting the
+columns each target row gained or lost.  The field builds no table of
+order^2 entries: add_table and mul_table are rows of row_axpy, made when
+asked for.
 
 Element text goes through one memo per field: format_elements and
 parse_elements look codes and tokens up in two dicts, code -> canonical
@@ -78,7 +77,6 @@ from dataclasses import dataclass
 ORDER_LIMIT = 1 << 20   # largest order for which log/exp tables are built at all
 PAIR_LIMIT = 1 << 32    # largest q and n that the Dickson pair test factors
 
-_ADD_TABLE_LIMIT = 256  # largest order whose row kernel reads order x order tables
 _CACHE_ALL_LIMIT = 1 << 16  # fields up to this order stay cached; of larger ones, the last only
 
 _TERM_RE = re.compile(r"^(\d*)x(?:\^(\d+))?$")
@@ -394,18 +392,6 @@ class Nearfield:
         for i in range(self.d):
             negt = [b + (-c % p) * p ** i for c in range(p) for b in negt]
         self._negt = tuple(negt)
-        # the row kernel's order^2 tables; row_axpy computes the rows of
-        # t[c][a] = a o c in the log domain while _addt is still None
-        self._addt = self._rmul = None
-        if self.order <= _ADD_TABLE_LIMIT:
-            elems = range(self.order)
-            self._rmul = [self.row_axpy(elems, c) for c in elems]
-            # a + b by add's Zech formula, one row per comprehension; row 0
-            # and column 0 are the zero operand's branch
-            lg, ex, z = self._log, self._exp, self._zech
-            logs = lg[1:]
-            self._addt = [list(elems)] + [[a] + [ex[la + z[lb - la]] for lb in logs]
-                                          for a, la in zip(elems[1:], logs)]
         self._build_term_tables()
         # filled on demand: the element text memo, code -> canonical text and
         # back (see format_elements), and closure.scale_rows' tables
@@ -657,33 +643,24 @@ class Nearfield:
     def row_axpy(self, row, c: int, acc=None) -> tuple[int, ...]:
         """acc + row o c componentwise, or row o c when acc is None.
 
-        The row kernel of closure's scaling rows, of apply_map and of
-        EGE's scale steps.  Above _ADD_TABLE_LIMIT each entry stays in the
+        The row kernel of closure's scaling rows, of apply_map, of the
+        operation tables and of EGE's scale steps.  Each entry stays in the
         log domain: with off[j] = log c * q^j, a o c = exp[log a + off[j(a)]],
         and adding x is the Zech step exp[log x + Z[log(a o c) - log x]]
-        (see add); c = 0, a = 0 and x = 0 are branches, not table entries,
-        and no order^2 table is allocated.  Up to the limit each entry is
-        one or two lookups in the order^2 tables t[c][a] = a o c and x + y,
-        which the constructor derives from this log-domain path and add.
+        (see add); c = 0, a = 0 and x = 0 are branches, not table entries.
         """
-        addt = self._addt
-        if addt is None:
-            if not c:
-                return (0,) * len(row) if acc is None else tuple(acc)
-            ex, lg, cosets, z = self._exp, self._log, self._cosets, self._zech
-            o, lc = self.order - 1, lg[c]
-            off = [lc * qj % o for qj in self._qpow]
-            if acc is None:
-                return tuple([ex[lg[a] + off[cosets[a]]] if a else 0 for a in row])
-            return tuple([
-                (ex[lg[x] + z[lg[a] + off[cosets[a]] - lg[x]]] if x else ex[lg[a] + off[cosets[a]]])
-                if a else x
-                for x, a in zip(acc, row)
-            ])
-        tc = self._rmul[c]
+        if not c:
+            return (0,) * len(row) if acc is None else tuple(acc)
+        ex, lg, cosets, z = self._exp, self._log, self._cosets, self._zech
+        o, lc = self.order - 1, lg[c]
+        off = [lc * qj % o for qj in self._qpow]
         if acc is None:
-            return tuple([tc[a] for a in row])
-        return tuple([addt[x][tc[a]] for x, a in zip(acc, row)])
+            return tuple([ex[lg[a] + off[cosets[a]]] if a else 0 for a in row])
+        return tuple([
+            (ex[lg[x] + z[lg[a] + off[cosets[a]] - lg[x]]] if x else ex[lg[a] + off[cosets[a]]])
+            if a else x
+            for x, a in zip(acc, row)
+        ])
 
     def row_eliminate(self, row, cols, rows, targets) -> list[tuple[list[int], list[int]]]:
         """rows[s] = rows[s] - row o c for each (s, c) of targets in turn: the
@@ -693,8 +670,7 @@ class Nearfield:
         change, so an update costs that support rather than the width.  The
         pivot's logs and coset indices on cols are read once, and each
         target's offsets log(-c) * q^j once; each entry is then add's Zech
-        step above _ADD_TABLE_LIMIT and two lookups in the order^2 tables up
-        to it, as in row_axpy.  A target row is read when its turn comes,
+        step, as in row_axpy.  A target row is read when its turn comes,
         so a row named twice gets both updates in order, and a target that
         is row's own index is updated from row as passed.  A multiplier
         c = 0 changes nothing.
@@ -704,45 +680,28 @@ class Nearfield:
         in, as a o c != 0 for nonzero a and c, and only a nonzero one can
         cancel.
         """
-        negt, zech, changes = self._negt, self._addt is None, []
-        if zech:
-            ex, lg, z, cosets = self._exp, self._log, self._zech, self._cosets
-            o, qpow = self.order - 1, self._qpow
-            pivot = [(j, lg[row[j]], cosets[row[j]]) for j in cols]
-        else:
-            addt, rmul = self._addt, self._rmul
-            pivot = [(j, row[j]) for j in cols]
+        ex, lg, z, cosets, negt = self._exp, self._log, self._zech, self._cosets, self._negt
+        o, qpow, changes = self.order - 1, self._qpow, []
+        pivot = [(j, lg[row[j]], cosets[row[j]]) for j in cols]
         for s, c in targets:
             gained, lost = [], []
             changes.append((gained, lost))
             if not c:
                 continue
             out = list(rows[s])
-            if zech:
-                # x + a o -c = exp[log x + Z[log(a o -c) - log x]], log(a o -c) = log a + off[j(a)]
-                lc = lg[negt[c]]
-                off = [lc * qj % o for qj in qpow]
-                for j, la, k in pivot:
-                    x = out[j]
-                    if x:
-                        lx = lg[x]
-                        v = out[j] = ex[lx + z[la + off[k] - lx]]
-                        if not v:
-                            lost.append(j)
-                    else:
-                        out[j] = ex[la + off[k]]
-                        gained.append(j)
-            else:
-                tc = rmul[negt[c]]
-                for j, a in pivot:
-                    x = out[j]
-                    if x:
-                        v = out[j] = addt[x][tc[a]]
-                        if not v:
-                            lost.append(j)
-                    else:
-                        out[j] = tc[a]
-                        gained.append(j)
+            # x + a o -c = exp[log x + Z[log(a o -c) - log x]], log(a o -c) = log a + off[j(a)]
+            lc = lg[negt[c]]
+            off = [lc * qj % o for qj in qpow]
+            for j, la, k in pivot:
+                x = out[j]
+                if x:
+                    lx = lg[x]
+                    v = out[j] = ex[lx + z[la + off[k] - lx]]
+                    if not v:
+                        lost.append(j)
+                else:
+                    out[j] = ex[la + off[k]]
+                    gained.append(j)
             rows[s] = tuple(out)
         return changes
 

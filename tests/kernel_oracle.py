@@ -1,5 +1,5 @@
-"""Reference scalar arithmetic, golden EGE digests above order 256, and
-the pairwise column test that EGE's traced steps keep.
+"""Reference scalar arithmetic, golden EGE digests, and the pairwise
+column test that EGE's traced steps keep.
 
 Stdlib only, so it runs under any interpreter without pytest:
 
@@ -21,14 +21,21 @@ import sys
 from nearvec import NfMatrix, build_nearfield, ege, left_multiple_of, matrix_format, trace_to_text
 from nearvec.nearfield import _digits_of, _pgcd, _pmod, _prime_factors, _psub, _ptrim
 
-# fields of the kernel oracle: four whose row kernel reads order^2 tables,
-# among them p = 2 fields up to order 256, and four whose row kernel is
-# the Zech one, among them a prime field and a prime base above 256
+# fields of the kernel oracle, whose row kernels run the one Zech path at
+# every order: four up to order 256, among them p = 2 fields, and four
+# above it, among them a prime field and a prime base above 256
 ORACLE_FIELDS = ((2, 1), (3, 2), (4, 3), (256, 1), (7, 3), (5, 4), (257, 1), (257, 2))
 
-# sha256 over the text of golden_matrices' EGE results, computed with the
-# per-entry arithmetic that preceded the Zech tables
+# sha256 over the text of golden_matrices' EGE results: above order 256
+# computed with the per-entry arithmetic that preceded the Zech tables, up
+# to 256 with the order x order tables that the row kernels read there
+# before they ran the Zech step at every order
 GOLDEN_DENSE = {
+    (2, 1): "772e2fec849f15cbcb2ad84430fc738cba7852c42a3468adbe5c91e3f648b069",
+    (3, 2): "3944d3f5c5ec2ea685a475b287a14459dd5c113f80eb53f04fd30ad4b60a7c96",
+    (4, 3): "23353f3cfec96da33f8266b957e29e49146b8f6a3f2ac7b1480b1092162cd937",
+    (7, 2): "7e9a36dae3d5dfcb22b0be503208d20f204cf0290fb787a4086bbca6cd17ec4a",
+    (256, 1): "1d3f9b53cc6b0554c95bc0a57bf9b7b36fd25632f16ba2bbf92ef25995a69db8",
     (7, 3): "810e0639b6b6f50c67c3a0f18987e2140c1f4027ccb4e4b59d5e622df4339a29",
     (5, 4): "decbf4ada1bc92451e895c564ff8b06a8a803ca108c336dd554144c60f3edb71",
     (31, 2): "67e887072cab9fce8ff73295865614d61dde9fd415a80b79c9a7459983649589",

@@ -127,7 +127,7 @@ class TestEge:
 
     @pytest.mark.parametrize("trace,message", [
         ("SWAP a 1\n", "malformed trace line 'SWAP a 1'"),
-        ("SWAP 0 1\n", "trace step 1: row 0 out of range"),
+        ("SWAP 0 1\n", "'SWAP 0 1': row 0 out of range"),
         ("SWAP 1 5\n", "trace step 1: row 5 out of range"),
         ("ELIM 1 9 1\n", "trace step 1: row 9 out of range"),
         ("TRICK 0 1 x x\n", "trace step 1: column index out of range"),

@@ -93,6 +93,13 @@ class TestDistributivityTrick:
         with pytest.raises(ValueError, match="two nonzero entries before"):
             distributivity_trick(M, 2, W32)
 
+    @pytest.mark.parametrize("w", [(1, X, X), None], ids=["tuple", "none"])
+    def test_rejects_a_witness_that_is_not_a_witness(self, dn32, w):
+        # replay's text for a trick step whose witness is not three codes
+        M = NfMatrix.from_rows(dn32, [(1, 0, 1), (0, 1, 1)])
+        with pytest.raises(ValueError, match=f"^witness {re.escape(repr(w))} is not three codes$"):
+            distributivity_trick(M, 2, w)
+
     def test_rejects_bad_witness(self, dn32):
         M = NfMatrix.from_rows(dn32, [(1, 0, 1), (0, 1, 2)])
         with pytest.raises(ValueError, match="witness"):
@@ -254,6 +261,27 @@ class TestTraceCodec:
         with pytest.raises(ValueError, match="malformed trace"):
             trace_from_text(dn32, "NUDGE 1 2\n")
 
+    @pytest.mark.parametrize("line,row", [
+        ("ELIM 0 1 1", 0), ("ELIM 1 0 1", 0), ("ELIM -3 0 1", -3), ("SWAP 2 -1", -1), ("SCALE 0 1", 0),
+    ])
+    def test_from_text_refuses_a_row_below_1(self, dn32, line, row):
+        # no replay accepts the line, so the codec names it as malformed
+        text = "ELIM 1 2 1\n" + line + "\nTRICK 3 1 x x\n"
+        with pytest.raises(ValueError, match=f"^malformed trace line '{line}': row {row} out of range$"):
+            trace_from_text(dn32, text)
+
+    @pytest.mark.parametrize("step,row", [
+        (Step("eliminate", r=-5, s=1, c=1), -4), (Step("eliminate", r=0, s=-1, c=1), 0),
+        (Step("swap", r=1, s=-2), -1), (Step("scale", r=-1, c=1), 0),
+    ], ids=["elim-r", "elim-s", "swap-s", "scale-r"])
+    def test_to_text_refuses_a_negative_row(self, dn32, step, row):
+        # replay's text, less the row count that trace_to_text does not know
+        M = NfMatrix.from_rows(dn32, [(1, 0, 1), (1, 1, 0)])
+        with pytest.raises(ValueError, match=f"^trace step 2: row {row} out of range for 2 rows$"):
+            replay(M, [Step("eliminate", r=0, s=1, c=1), step])
+        with pytest.raises(ValueError, match=f"^trace step 2: row {row} out of range$"):
+            trace_to_text(dn32, [Step("eliminate", r=0, s=1, c=1), step])
+
     def test_blank_and_comment_lines_are_skipped(self, dn32):
         text = "# a trace\n\nELIM 1 2 1\n   \n  # a trick next\nTRICK 3 1 x x\n"
         assert trace_to_text(dn32, trace_from_text(dn32, text)) == "ELIM 1 2 1\nTRICK 3 1 x x\n"
@@ -296,7 +324,7 @@ class TestTraceCodec:
             with pytest.raises(ValueError, match=f"^{noun} {re.escape(message)}$"):
                 distributivity_trick(M, 2, Witness(*step(bad).witness))
 
-    @pytest.mark.parametrize("q,n", [(3, 2), (7, 3)])   # table kernel, Zech kernel
+    @pytest.mark.parametrize("q,n", [(3, 2), (7, 3)])
     @pytest.mark.parametrize("step,bad", [
         (lambda order: Step("scale", r=0, c=-1), "scalar code -1"),
         (lambda order: Step("scale", r=0, c=order), "scalar code {order}"),
@@ -589,9 +617,10 @@ def test_golden_seed_traces(q, n):
 
 @pytest.mark.parametrize("q,n", sorted(GOLDEN_DENSE))
 def test_golden_dense_traces(q, n):
-    """Seeded dense tall, square and wide matrices above order 256, GF(257)
-    among them with its canonical=False results; digests taken with the
-    per-entry arithmetic that preceded the Zech tables."""
+    """Seeded dense tall, square and wide matrices, the fields GF(2),
+    GF(256) and GF(257) among them with their canonical=False results;
+    digests taken as GOLDEN_DENSE says, so at every order the Zech row
+    kernels reproduce what the earlier arithmetic printed."""
     assert golden_digest(q, n) == GOLDEN_DENSE[(q, n)]
 
 
@@ -718,7 +747,8 @@ class TestRunErrorParity:
         return M, trace, i
 
     def _refused(self, M, trace, i, message, to_text=True):
-        # trace_to_text knows no row count, so it refuses no row by range
+        # trace_to_text knows no row count, so it refuses a row by range only
+        # below 0, without "for K rows" (test_to_text_refuses_a_negative_row)
         want = f"^trace step {i + 1}: {re.escape(message)}$"
         with pytest.raises(ValueError, match=want):
             replay(M, trace)

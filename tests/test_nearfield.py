@@ -13,8 +13,8 @@ from kernel_oracle import (ORACLE_FIELDS, eliminate_case, ref_add, ref_is_irredu
                            ref_powers, ref_row_axpy, ref_row_eliminate)
 from nearvec import Witness, build_nearfield, validate_dickson_pair
 from nearvec.closure import BUDGET_ENV, BudgetExceededError
-from nearvec.nearfield import (_ADD_TABLE_LIMIT, ORDER_LIMIT, PAIR_LIMIT, Nearfield, _TimesG,
-                               _digits_of, _is_irreducible, _prime_factors)
+from nearvec.nearfield import (ORDER_LIMIT, PAIR_LIMIT, Nearfield, _TimesG, _digits_of, _is_irreducible,
+                               _prime_factors)
 
 # The classical 9x9 table of the twisted product on the order-9 nearfield,
 # as usually printed: entry [a][b] there is b o a under the rule implemented
@@ -548,9 +548,10 @@ class TestElementCodec:
 
 
 # -- the Zech-logarithm tables and the row kernel ---------------------------------
-# ORACLE_FIELDS holds GF(2), DN(3,2), DN(4,3) and GF(256) (table kernel) and
-# DN(7,3), DN(5,4), GF(257) and DN(257,2) (Zech kernel); add is the Zech
-# formula on all of them, and kernel_oracle's reference reads none of the tables
+# ORACLE_FIELDS holds GF(2), DN(3,2), DN(4,3) and GF(256), up to order 256,
+# and DN(7,3), DN(5,4), GF(257) and DN(257,2) above it; add and the row
+# kernels are the Zech formula on all of them, and kernel_oracle's
+# reference reads none of the tables
 
 @st.composite
 def _kernel_case(draw):
@@ -573,8 +574,8 @@ def test_row_axpy_matches_reference(case):
 def _eliminate_case(draw):
     # a pivot row, target rows and (s, c) targets, repeats allowed: zero
     # target entries fill in, the first target's entries equal to row o c
-    # cancel, and c = 0 is drawn; table kernel over DN(3,2) and GF(256),
-    # Zech kernel over DN(7,3) and DN(5,4)
+    # cancel, and c = 0 is drawn; over DN(3,2) and GF(256), up to order
+    # 256, and DN(7,3) and DN(5,4) above it
     nf = build_nearfield(*draw(st.sampled_from([(3, 2), (256, 1), (7, 3), (5, 4)])))
     return (nf, *eliminate_case(nf, random.Random(draw(st.integers(0, 2 ** 32))), draw(st.integers(1, 8)), 3))
 
@@ -626,9 +627,9 @@ def test_zech_edge_cases(q, n):
 def test_add_table_matches_digitwise_on_every_small_pair():
     """add_table (through the row kernel) and add, and so the Zech tables
     behind both, against digitwise sums on every Dickson pair of order
-    <= _ADD_TABLE_LIMIT."""
-    pairs = [(q, n) for q in range(2, _ADD_TABLE_LIMIT + 1) for n in range(1, 9)
-             if q ** n <= _ADD_TABLE_LIMIT and validate_dickson_pair(q, n)]
+    <= 256."""
+    pairs = [(q, n) for q in range(2, 257) for n in range(1, 9)
+             if q ** n <= 256 and validate_dickson_pair(q, n)]
     assert len(pairs) > 60
     for q, n in pairs:
         nf = build_nearfield(q, n)
@@ -645,21 +646,54 @@ def test_add_table_matches_digitwise_on_every_small_pair():
 
 @pytest.mark.parametrize("q,n", [(3, 2), (7, 2), (4, 3), (256, 1)])
 def test_row_kernel_add_table_matches_add(q, n):
-    # _addt inlines add's Zech formula; orders 9, 49, 64 and 256, the last
-    # at _ADD_TABLE_LIMIT
+    """The row kernels against per-entry add, sub and mul on every operand at
+    orders 9, 49, 64 and 256: add_table (row_axpy with acc), row_axpy with
+    and without acc for every c, and row_eliminate with every multiplier."""
     nf = build_nearfield(q, n)
     elems = range(nf.order)
-    assert nf._addt == [[nf.add(a, b) for b in elems] for a in elems]
+    add, sub, mul = nf.add, nf.sub, nf.mul
+    assert nf.add_table() == [[add(a, b) for b in elems] for a in elems]
+    rng = random.Random(f"row kernel:{q},{n}")
+    acc = tuple(rng.randrange(nf.order) for _ in elems)
+    for c in elems:
+        assert nf.row_axpy(elems, c) == tuple(mul(a, c) for a in elems)
+        assert nf.row_axpy(elems, c, acc) == tuple(add(x, mul(a, c)) for x, a in zip(acc, elems))
+    # the pivot row holds every element; each multiplier hits a random row, a
+    # zero row (fill-in) and that row's own multiple (cancellation)
+    row, cols = tuple(elems), list(elems[1:])
+    targets = [(s, c) for c in elems for s in range(3)]
+    rows = [acc, (0,) * nf.order, nf.row_axpy(row, 1)]
+    want, changes = list(rows), []
+    for s, c in targets:
+        old = want[s]
+        want[s] = tuple(sub(x, mul(a, c)) for x, a in zip(old, row))
+        changes.append(([j for j in cols if want[s][j] and not old[j]],
+                        [j for j in cols if old[j] and not want[s][j]]))
+    assert nf.row_eliminate(row, cols, rows, targets) == changes
+    assert rows == want
 
 
-@pytest.mark.parametrize("q,n", [(7, 3), (5, 4), (257, 2)])
+def _entries(value) -> int:
+    """The entries of an attribute, counted through nested sequences and dicts."""
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (tuple, list)):
+        return 0
+    return sum(1 + _entries(v) for v in value)
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (7, 2), (4, 3), (256, 1), (7, 3), (5, 4), (257, 2)])
 def test_zech_tables_are_linear_in_the_order(q, n):
-    nf = build_nearfield(q, n)
-    assert nf.order > _ADD_TABLE_LIMIT
+    """No field attribute holds order^2 entries at any order, with the row
+    kernels run: each holds at most 3 * order (the doubled exp and its
+    zeros)."""
+    nf = Nearfield(q, n)    # not cached: the attributes of this build only
     nf.row_axpy((1, 2, 0), 3, (0, 4, 5))
-    assert nf._addt is None and nf._rmul is None
+    nf.row_eliminate((1, 2, 0), [0, 1], [(0, 4, 5)], [(0, 3)])
     o = nf.order - 1
     assert len(nf._zech) == 2 * o and len(nf._exp) == 3 * o and len(nf._cosets) == nf.order
+    sizes = {name: _entries(v) for name, v in vars(nf).items()}
+    assert max(sizes.values()) <= 3 * nf.order, sizes
 
 
 def _field_digest(nf):

@@ -1,7 +1,7 @@
 """The vector, map and table operations that run through the row kernel
 (row_axpy), against per-entry references written here with nf.add and
-nf.mul.  DN(3,2) and DN(5,2) take the kernel's order^2 table path, DN(7,3)
-its Zech path; zero vectors and zero maps are among the inputs."""
+nf.mul.  The kernel runs one Zech path at every order, here over DN(3,2),
+DN(5,2) and DN(7,3); zero vectors and zero maps are among the inputs."""
 
 import functools
 import itertools
