@@ -7,17 +7,20 @@ end to end.  Two helpers serve every caller that works on packed codes:
 
 - scale_rows(nf, m, scalars)[c][i] is the code of c o scalars[i], for
   a tuple of scalar codes (every scalar by default).  The right action
-  works on each coordinate alone, so the rows for R^(j+1) are built from
-  those for R^j and the field's row kernel row_axpy, one coordinate at a
-  time and with no unpacking.  While space * order is under a cap the
-  rows are one cached table per tuple of scalars; above it each row is
-  computed when looked up, one row_axpy per scalar.  A row is a tuple,
-  so no caller can change the shared table.
+  works on each coordinate alone, so while space * order is under a cap
+  the table is built one column per scalar r, col[c] = c o r, with no
+  unpacking: the column for R^(j+1) adds the row kernel's row
+  [a o r for a] (row_axpy) to the column for R^j scaled by the order,
+  one add per code.  zip turns the columns into rows once, one cached
+  table per tuple of scalars; above the cap each row is computed when
+  looked up, one row_axpy per scalar.  A row is a tuple, so no caller
+  can change the shared table.
 - translate(nf, codes, c) is [x + c for x in codes].  Componentwise
   addition of vectors is digitwise base-p addition of packed codes, done
   one chunk of h base-p digits of c at a time, p^h <= 256, through one
   cached table per prime p of chunk sums (at most 2^16 entries), looked
   up once per call; the lowest chunk needs no scaling, x + delta[x % p^h].
+  The table is built a digit at a time in whole rows, one add per entry.
   Above p = 256 a chunk is one digit, added inline less p where it
   carries, so a translate costs O(len(codes)) for every p.
 
@@ -146,14 +149,19 @@ _CHUNK_TABLES: dict[int, list[list[int]]] = {}  # per prime p, built on first us
 
 
 def _chunk_table(nf: Nearfield) -> list[list[int]]:
-    """delta[b][a] = (a + b) - a, with + digitwise base p on chunks a, b < _chunk_base(p) <= 256."""
+    """delta[b][a] = (a + b) - a, with + digitwise base p on chunks a, b < _chunk_base(p) <= 256.
+
+    Built one base-p digit at a time, whole rows at once: the p rows
+    low[b0][a0] = (a0 + b0) mod p - a0 of one digit are made once, and each
+    row of the table so far is scaled by p once, so an entry costs one add."""
     p, table = nf.p, _CHUNK_TABLES.get(nf.p)
     if table is None:
+        low = [[(a0 + b0) % p - a0 for a0 in range(p)] for b0 in range(p)]
         table = [[0]]
         while len(table) < _chunk_base(p):
             # one more base-p digit, the lowest: a = a0 + p a1 and b = b0 + p b1
-            table = [[(a0 + b0) % p - a0 + p * d for d in row for a0 in range(p)]
-                     for row in table for b0 in range(p)]
+            table = [[lo + hi for hi in scaled for lo in row]
+                     for scaled in [[p * d for d in prev] for prev in table] for row in low]
         _CHUNK_TABLES[p] = table
     return table
 
@@ -194,10 +202,13 @@ class _ScaleRowsOnDemand:
 
 
 def scale_rows(nf: Nearfield, m: int, scalars: tuple[int, ...] | None = None):
-    """rows[c][i] = packed (c o scalars[i]), every scalar by default: a table
-    while space * order is under the cap.  Cached on the field, so the
-    tables die with it.  Each row is a tuple: the table is shared by every
-    caller, and a row compares equal to a tuple gathered from it."""
+    """rows[c][i] = packed (c o scalars[i]), for a nonempty tuple of scalar
+    codes, every scalar by default: a table while space * order is under
+    the cap.  Cached on the field, so the tables die with it.  The table is
+    built whole at first use, one column per scalar, a coordinate at a
+    time with one add per code, and zip makes each row's tuple once.  Each
+    row is a tuple: the table is shared by every caller, and a row compares
+    equal to a tuple gathered from it."""
     key = (m, scalars)
     rows = nf._scale_rows.get(key)
     if rows is not None:
@@ -208,12 +219,15 @@ def scale_rows(nf: Nearfield, m: int, scalars: tuple[int, ...] | None = None):
     if order ** (m + 1) > _VSCALE_TABLE_CAP:
         rows = _ScaleRowsOnDemand(nf, m, scalars)
     else:
-        # base[a][i] = a o scalars[i], the transpose of the kernel's rows [a o r for a]
-        base = list(zip(*[nf.row_axpy(range(order), r) for r in scalars]))
-        rows = [(0,) * len(scalars)]
-        for _ in range(m):
-            # code a + order * b: the new coordinate a lowest, the old ones b above it
-            rows = [tuple([a + order * b for a, b in zip(row, hrow)]) for hrow in rows for row in base]
+        # one column per scalar r, col[c] = packed (c o r), from the kernel's row [a o r for a]
+        cols = []
+        for r in scalars:
+            low, col = nf.row_axpy(range(order), r), [0]
+            for _ in range(m):
+                # code a + order * b: the new coordinate a lowest, the old ones b above it
+                col = [a + hi for hi in [order * b for b in col] for a in low]
+            cols.append(col)
+        rows = list(zip(*cols))
     nf._scale_rows[key] = rows
     return rows
 

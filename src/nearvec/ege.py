@@ -421,7 +421,7 @@ def _check_step(nf: Nearfield, st: Step, rows: int | None = None) -> None:
     file: ValueError with replay's text unless its kind is known, its row
     indices are ints, not bools, at least 0 and below rows when rows is
     given, and its scalar code passes the field's check; a trick's witness
-    must be three witness codes, and then its column an int."""
+    must be three witness codes, and then its column an int, at least 0."""
     kind = st.kind
     if kind == "trick":
         w = st.witness
@@ -430,6 +430,8 @@ def _check_step(nf: Nearfield, st: Step, rows: int | None = None) -> None:
         nf.check_codes(w, "witness code")
         if type(st.col) is not int:
             raise ValueError(f"column index {st.col!r} is not an integer")
+        if st.col < 0:
+            raise ValueError("column index out of range")
         return
     if kind not in ("eliminate", "swap", "scale"):
         raise ValueError(f"unknown step kind {kind!r}")
@@ -552,9 +554,10 @@ def trace_to_text(nf: Nearfield, steps) -> str:
     The codes of the whole trace are formatted in one format_elements call:
     the text is the pieces between the codes interleaved with the codes'
     texts.  Any failure, an index that is not an int or a negative row
-    index among them, sends the steps through _check_step, which refuses
-    the first malformed one with replay's text, `trace step N: ...`; with
-    no row count, `row 0 out of range` has no `for K rows`.
+    index or trick column among them, sends the steps through _check_step,
+    which refuses the first malformed one with replay's text,
+    `trace step N: ...`; with no row count, `row 0 out of range` has no
+    `for K rows`.
     """
     steps = tuple(steps)
     pieces, codes, gap = [], [], ""     # gap: the text since the last code
@@ -572,7 +575,7 @@ def trace_to_text(nf: Nearfield, steps) -> str:
             elif kind == "scale" and type(r) is int and r >= 0:
                 pieces.append(f"{gap}SCALE {r + 1} ")
                 codes.append(st.c)
-            elif (kind == "trick" and type(st.col) is int
+            elif (kind == "trick" and type(st.col) is int and st.col >= 0
                   and isinstance(w := st.witness, (tuple, list)) and len(w) == 3):
                 codes += w
                 pieces += (f"{gap}TRICK {st.col + 1} ", " ", " ")
@@ -588,8 +591,8 @@ def trace_to_text(nf: Nearfield, steps) -> str:
 
 def trace_from_text(nf: Nearfield, text: str) -> tuple[Step, ...]:
     """The steps of a textual trace; blank lines and lines starting with #
-    are skipped.  A row index below 1, which no replay accepts, makes its
-    line malformed.
+    are skipped.  A row index or trick column below 1, which no replay
+    accepts, makes its line malformed.
 
     The element tokens of the whole trace are parsed in one parse_elements
     call.  When any line is malformed, the lines are parsed again one at a
@@ -628,7 +631,10 @@ def _parse_trace(nf: Nearfield, lines) -> tuple[Step, ...]:
             heads.append(("scale", r, -1))
             tokens.append(parts[2])
         elif op == "TRICK" and n == 5:
-            heads.append(("trick", int(parts[1]) - 1))
+            col = int(parts[1]) - 1
+            if col < 0:
+                raise ValueError("column index out of range")
+            heads.append(("trick", col))
             tokens += parts[2:]
             continue
         else:

@@ -130,7 +130,7 @@ class TestEge:
         ("SWAP 0 1\n", "'SWAP 0 1': row 0 out of range"),
         ("SWAP 1 5\n", "trace step 1: row 5 out of range"),
         ("ELIM 1 9 1\n", "trace step 1: row 9 out of range"),
-        ("TRICK 0 1 x x\n", "trace step 1: column index out of range"),
+        ("TRICK 0 1 x x\n", "'TRICK 0 1 x x': column index out of range"),
         ("TRICK 3 0 0 0\n", "two nonzero entries before the trick column"),
         ("ELIM 1 2 1\nTRICK 2 1 x x\n", "trace step 2: the trick column is not a conflict column"),
         ("TRICK 1 1 1 1\n", "witness does not violate right distributivity"),

@@ -384,6 +384,20 @@ def test_lc_step_prime_above_chunk_table(q, m, vectors):
     assert lc_step(S) == _elimination_lc_step(S)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_chunk_table_is_digitwise_addition(monkeypatch, p):
+    # built afresh, not read from the per-prime cache: base x base lists of
+    # ints with delta[b][a] = (a + b) - a, + digitwise base p
+    monkeypatch.setattr(closure_module, "_CHUNK_TABLES", {})
+    table = closure_module._chunk_table(build_nearfield(p, 1))
+    base = closure_module._chunk_base(p)
+    assert type(table) is list and len(table) == base
+    for b, row in enumerate(table):
+        assert type(row) is list and len(row) == base
+        assert all(type(x) is int for x in row)
+        assert row == [_padd(p, a, b) - a for a in range(base)]
+
+
 @pytest.mark.parametrize("vectors", [
     [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
     [(1, 0, 2, X), (0, 1, 4, 5), (X, 7, 1, 0), (6, 2, 0, 1), (0, 0, 0, 8)],

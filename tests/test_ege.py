@@ -282,6 +282,21 @@ class TestTraceCodec:
         with pytest.raises(ValueError, match=f"^trace step 2: row {row} out of range$"):
             trace_to_text(dn32, [Step("eliminate", r=0, s=1, c=1), step])
 
+    @pytest.mark.parametrize("line", ["TRICK 0 1 x x", "TRICK -2 1 x x"])
+    def test_from_text_refuses_a_trick_column_below_1(self, dn32, line):
+        text = "ELIM 1 2 1\n" + line + "\n"
+        with pytest.raises(ValueError, match=f"^malformed trace line '{line}': column index out of range$"):
+            trace_from_text(dn32, text)
+
+    @pytest.mark.parametrize("col", [-1, -5])
+    def test_to_text_refuses_a_negative_trick_column(self, dn32, col):
+        # trace_to_text refuses the step with replay's text
+        M = NfMatrix.from_rows(dn32, [(1, 0, 1), (1, 1, 0)])
+        steps = [Step("eliminate", r=0, s=1, c=1), Step("trick", col=col, witness=(1, 3, 3))]
+        for call in (lambda: replay(M, steps), lambda: trace_to_text(dn32, steps)):
+            with pytest.raises(ValueError, match="^trace step 2: column index out of range$"):
+                call()
+
     def test_blank_and_comment_lines_are_skipped(self, dn32):
         text = "# a trace\n\nELIM 1 2 1\n   \n  # a trick next\nTRICK 3 1 x x\n"
         assert trace_to_text(dn32, trace_from_text(dn32, text)) == "ELIM 1 2 1\nTRICK 3 1 x x\n"

@@ -499,21 +499,24 @@ def test_semantic_checks_match_per_entry_oracle(scale_cap, T):
             assert is_normal(T, "semantic") == _entry_is_normal(T)
 
 
-@pytest.mark.parametrize("q,k,m", ORACLE_SPACES + [(3, 2, 4)])
-def test_scale_rows_match_vec_scale_right(scale_cap, q, k, m):
+@pytest.mark.parametrize("q,k,m,scalars", [
+    pytest.param(q, k, m, None, id=f"{q}-{k}-{m}") for q, k, m in ORACLE_SPACES + [(3, 2, 4), (3, 2, 0)]
+] + [pytest.param(3, 2, 2, (5,), id="3-2-2-one-scalar")])
+def test_scale_rows_match_vec_scale_right(scale_cap, q, k, m, scalars):
+    # R^0 is one row and one scalar gives rows of one entry: still tuples
     nf = build_nearfield(q, k)
     rows = closure.scale_rows(nf, m)
     assert isinstance(rows, list) == (scale_cap == "cap")
-    # the scalar basis x^i (codes p^i), which lc_step asks for, under the same cap
-    basis = tuple(nf.p ** i for i in range(nf.d))
-    sub = closure.scale_rows(nf, m, basis)
+    # by default the scalar basis x^i (codes p^i), which lc_step asks for, under the same cap
+    picked = scalars or tuple(nf.p ** i for i in range(nf.d))
+    sub = closure.scale_rows(nf, m, picked)
     assert isinstance(sub, list) == (scale_cap == "cap")
     for c in range(nf.order ** m):
         v = unpack_vector(nf, m, c)
         # rows are tuples, so no caller can change a row of the shared table
         assert type(rows[c]) is tuple and type(sub[c]) is tuple
         assert rows[c] == tuple(pack_vector(nf, vec_scale_right(nf, v, r)) for r in range(nf.order))
-        assert sub[c] == tuple(rows[c][r] for r in basis)
+        assert sub[c] == tuple(rows[c][r] for r in picked)
 
 
 @pytest.mark.parametrize("v,message", [
