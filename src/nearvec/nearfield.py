@@ -33,8 +33,7 @@ polynomial is its value at a power of two, _Kronecker).  exp steps g^k -> g^(k+1
 one spare bit per base-p digit: g*a is the sum of two table images of the
 halves of a's digits, reduced mod p in every lane at once (_TimesG).  A
 prime field steps g^k * g % p.  The other tables follow from exp by
-indexing, and neg digit by digit.  At order 2^20 the build takes seconds,
-not minutes.
+indexing.  At order 2^20 the build takes about a second.
 
 Arithmetic is table lookup, and every table is derived from the log
 tables.  Every field carries these O(order) tables:
@@ -50,6 +49,10 @@ tables.  Every field carries these O(order) tables:
 Then a o c = exp[log a + log c * q^j(a)] and
 x + y = exp[log x + Z[log y - log x]]; the doubling absorbs the index
 ranges without a modulo, and zero operands are branches, not entries.
+Inverse and negation are formulas over log, with no tables of their own:
+a^-1 = exp[-log a * q^(n - j(a)) mod (order - 1)], which the construction
+checks once per residue of log a mod n, and -a = exp[log a + log(p - 1)],
+as -1 is the code p - 1.
 add is this formula, and so are the two row kernels, at every order:
 row_axpy (acc + row o c, for closure, maps and scale steps) and
 row_eliminate, which applies every eliminate step of one pivot row in
@@ -384,15 +387,7 @@ class Nearfield:
         self._build_coset_table()
         self._build_log_tables()
         self._qpow = tuple(q ** j for j in range(n))
-        self._build_inverse_table()
-
-        # -a digit by digit, in code order: digit i of the code a runs slowest
-        # among the lower i + 1
-        negt = [0]
-        for i in range(self.d):
-            negt = [b + (-c % p) * p ** i for c in range(p) for b in negt]
-        self._negt = tuple(negt)
-        self._build_term_tables()
+        self._check_inverse_formula()
         # filled on demand: the element text memo, code -> canonical text and
         # back (see format_elements), and closure.scale_rows' tables
         self._texts, self._codes = {}, {}
@@ -473,37 +468,19 @@ class Nearfield:
             acc += q ** j
         self.coset_table = tuple(table)
 
-    def _build_inverse_table(self):
-        # g^k has inverse g^l, l = -k Q mod o, with o = order - 1, r = k mod n
+    def _check_inverse_formula(self):
+        # inv takes g^k to g^l, l = -k Q mod o, with o = order - 1, r = k mod n
         # and Q = q^(n - j(g^k)) = q^(n - coset_table[r]).  Both products are
         # checked once per r, which decides them for every k of that residue:
         # g^k o g^l = g^(k + l q^j(g^k)) = g^(k (1 - Q q^j(g^k))), and as n
         # divides o, l = -r Q mod n, so g^l o g^k = g^(k (q^j(g^l) - Q))
-        o, n, qpow, ct, exp = self.order - 1, self.n, self._qpow, self.coset_table, self._exp
+        o, n, qpow, ct = self.order - 1, self.n, self._qpow, self.coset_table
         if o % n:
             raise RuntimeError(f"n = {n} does not divide the group order {o}")
-        invt = [0] * self.order  # entry 0 is never read: inv(0) raises
         for r in range(n):
             Q = qpow[-ct[r] % n]
             if (1 - Q * qpow[ct[r]]) % o or (qpow[ct[-r * Q % n]] - Q) % o:
                 raise RuntimeError(f"inverse of g^{r} is not two-sided")
-            for a, k in zip(exp[r:o:n], range(r, o, n)):
-                invt[a] = exp[-k * Q % o]
-        self._invt = tuple(invt)
-
-    def _build_term_tables(self):
-        # the printed text of each term c x^i (0 < c < p), indexed [i][c] for
-        # the digit loop of _remember and keyed by text for _parse_token: p * d
-        # entries, and none for a prime field, whose elements print as their codes
-        p, d = self.p, self.d
-        texts = []
-        if d > 1:
-            texts.append([""] + [str(c) for c in range(1, p)])
-            for i in range(1, d):
-                xi = "x" if i == 1 else f"x^{i}"
-                texts.append([""] + [("" if c == 1 else str(c)) + xi for c in range(1, p)])
-        self._term_text = texts
-        self._term_code = {t: (i, c * p ** i) for i, row in enumerate(texts) for c, t in enumerate(row) if c}
 
     # -- additive structure --------------------------------------------------
 
@@ -523,10 +500,15 @@ class Nearfield:
         return self._exp[la + self._zech[lg[b] - la]]
 
     def neg(self, a: int) -> int:
-        return self._negt[a]
+        """-a = a * (-1) = exp[log a + log(p - 1)], as the code of -1 is p - 1;
+        for p = 2 that is a itself."""
+        if not a:
+            return 0
+        lg = self._log
+        return self._exp[lg[a] + lg[self.p - 1]]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self._negt[b])
+        return self.add(a, self.neg(b))
 
     # -- multiplicative structure --------------------------------------------
 
@@ -552,10 +534,12 @@ class Nearfield:
         return self._exp[(lg[a] + lg[b] * self._qpow[self._cosets[a]]) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
-        """Two-sided inverse for o."""
+        """Two-sided inverse for o: a = g^k has inverse g^(-k q^(n - j(a))),
+        exp[-log a * q^(n - j(a)) mod (order - 1)], as checked at construction."""
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._invt[a]
+        lg = self._log
+        return self._exp[-lg[a] * self._qpow[-self._cosets[a]] % (self.order - 1)]
 
     def coset_index(self, a: int) -> int:
         """The automorphism exponent j(a); for n = 2 it is 0 iff a is a square."""
@@ -680,7 +664,7 @@ class Nearfield:
         in, as a o c != 0 for nonzero a and c, and only a nonzero one can
         cancel.
         """
-        ex, lg, z, cosets, negt = self._exp, self._log, self._zech, self._cosets, self._negt
+        ex, lg, z, cosets = self._exp, self._log, self._zech, self._cosets
         o, qpow, changes = self.order - 1, self._qpow, []
         pivot = [(j, lg[row[j]], cosets[row[j]]) for j in cols]
         for s, c in targets:
@@ -690,7 +674,7 @@ class Nearfield:
                 continue
             out = list(rows[s])
             # x + a o -c = exp[log x + Z[log(a o -c) - log x]], log(a o -c) = log a + off[j(a)]
-            lc = lg[negt[c]]
+            lc = lg[c] + lg[self.p - 1]
             off = [lc * qj % o for qj in qpow]
             for j, la, k in pivot:
                 x = out[j]
@@ -760,7 +744,8 @@ class Nearfield:
     def _remember(self, a: int) -> None:
         """Store the canonical text of code a both ways in the memo.
 
-        The text is spelled digit by digit from the term table, and a prime
+        The text is spelled digit by digit, each nonzero digit c at power i
+        as c, cx or cx^i with a coefficient 1 left out beside x, and a prime
         field prints the code itself.  A code that is not an int in range is
         refused before anything is stored, and callers pass only codes not
         yet stored, so each memo holds at most order entries.
@@ -769,13 +754,11 @@ class Nearfield:
         if self.d == 1:
             text = str(a)
         else:
-            p, terms, rest = self.p, [], a
-            for term in self._term_text:
-                if not rest:
-                    break
-                rest, c = divmod(rest, p)
+            terms = []
+            for i, c in enumerate(_digits_of(a, self.p, self.d)):
                 if c:
-                    terms.append(term[c])
+                    power = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+                    terms.append(power if c == 1 and i else str(c) + power)
             text = "+".join(terms) or "0"
         self._texts[a] = text
         self._codes[text] = a
@@ -791,32 +774,28 @@ class Nearfield:
             if code >= self.order:
                 raise ValueError(f"code {code} out of range for order {self.order}")
             return code
-        term_code = self._term_code
         code, last_pow = 0, -1
         for term in t.split("+"):
-            hit = term_code.get(term)
-            if hit is None:
-                term = term.strip()
-                if term.isdigit():
-                    c, i = int(term), 0
-                else:
-                    mt = _TERM_RE.match(term)
-                    if not mt:
-                        raise ValueError(f"malformed element term {term!r}")
-                    cs, ks = mt.groups()
-                    c = int(cs) if cs else 1
-                    i = int(ks) if ks else 1
-                    if ks is not None and i < 1:
-                        raise ValueError(f"malformed element term {term!r}")
-                if not 0 < c < self.p:
-                    raise ValueError(f"coefficient {c} out of range for GF({self.p})")
-                if i >= self.d:
-                    raise ValueError(f"power {i} out of range for degree {self.d}")
-                hit = (i, c * self.p ** i)
-            if hit[0] <= last_pow:
+            term = term.strip()
+            if term.isdigit():
+                c, i = int(term), 0
+            else:
+                mt = _TERM_RE.match(term)
+                if not mt:
+                    raise ValueError(f"malformed element term {term!r}")
+                cs, ks = mt.groups()
+                c = int(cs) if cs else 1
+                i = int(ks) if ks else 1
+                if ks is not None and i < 1:
+                    raise ValueError(f"malformed element term {term!r}")
+            if not 0 < c < self.p:
+                raise ValueError(f"coefficient {c} out of range for GF({self.p})")
+            if i >= self.d:
+                raise ValueError(f"power {i} out of range for degree {self.d}")
+            if i <= last_pow:
                 raise ValueError(f"powers not ascending in {text!r}")
-            last_pow = hit[0]
-            code += hit[1]
+            last_pow = i
+            code += c * self.p ** i
         return code
 
     def __repr__(self):

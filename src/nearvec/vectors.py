@@ -137,10 +137,10 @@ def matrix_parse(text: str) -> NfMatrix:
     nf = build_nearfield(q, n)
     if len(lines) < 2:
         raise ValueError("missing dimension line")
-    dims = lines[1].split()
-    if len(dims) != 2:
-        raise ValueError(f"bad dimension line {lines[1]!r}")
-    k, m = int(dims[0]), int(dims[1])
+    try:
+        k, m = map(int, lines[1].split())
+    except ValueError:
+        raise ValueError(f"bad dimension line {lines[1]!r}") from None
     if k < 1:
         raise ValueError("no rows")
     if m < 1:

@@ -698,8 +698,11 @@ def test_zech_tables_are_linear_in_the_order(q, n):
 
 def _field_digest(nf):
     h = hashlib.sha256()
-    for item in (nf.modulus, nf.generator, nf._exp, nf._log, nf._invt, nf._zech, nf._cosets,
-                 nf._negt, nf.find_witness()):
+    # inverse and negation as order-length tuples, with 0 in the inverse's
+    # slot 0, the form in which the golden digests hash them
+    invt = (0,) + tuple(map(nf.inv, range(1, nf.order)))
+    for item in (nf.modulus, nf.generator, nf._exp, nf._log, invt, nf._zech, nf._cosets,
+                 tuple(map(nf.neg, nf.elements)), nf.find_witness()):
         h.update(repr(item).encode() + b"\n")
     return h.hexdigest()
 
@@ -732,6 +735,10 @@ def test_exp_matches_the_list_polynomial_step_on_extreme_shapes(q, n):
     # exp is doubled, so a window may run past g^(order-2) into g^0 = 1
     for k in [0, o - 4] + rng.sample(range(o), 6):
         assert list(nf._exp[k:k + 8]) == ref_powers(nf, k, 8), (nf, k)
+        # inverse and negation where the golden digests do not reach
+        a = nf._exp[k]
+        assert nf.mul(a, nf.inv(a)) == nf.mul(nf.inv(a), a) == 1, (nf, k)
+        assert nf.add(a, nf.neg(a)) == 0 and nf.neg(a) == ref_neg(nf, a), (nf, k)
     for table in _TimesG(nf.p, nf.modulus, nf.generator).tables:
         assert len(table) <= 1 << 16
 

@@ -134,7 +134,7 @@ class TestMatrixCodec:
             matrix_parse("DN 3 2\n# no dimensions\n")
         with pytest.raises(ValueError, match="header"):
             matrix_parse("GF 3 2\n1 1\n1\n")
-        for dims in ("2", "2 3 4"):
+        for dims in ("2", "2 3 4", "x 2", "1 2.5"):
             with pytest.raises(ValueError, match=f"^bad dimension line {re.escape(repr(dims))}$"):
                 matrix_parse(f"DN 3 2\n{dims}\n1 2\n")
         with pytest.raises(ValueError, match="no rows"):
