@@ -40,13 +40,14 @@ support S of the two rows, which starts at j, as rows of |S| entries;
 phi and the updates of rows r and s touch only supp(theta), and the
 trace keeps theta and phi by support.  A pivot's elimination run is one
 kernel call (Nearfield.row_eliminate): it gets the pivot row's support
-once and updates only those entries of every target row, and the two
-row updates of a trick are one call with phi as the pivot row.  The
-working rows carry a column index, the nonzero rows of each column and
-the support of each row, kept current from the columns that the kernel
-reports each target gained or lost; so the pivot search, the rows to
-eliminate, the conflict scan and the two trick rows are set lookups, not
-scans over every row.
+once and updates only those entries of every target row, in place, and
+the two row updates of a trick are one call with phi as the pivot row.
+The working rows are lists, so no update copies a row; every function
+here returns tuple rows, built once at its return.  They carry a column
+index, the nonzero rows of each column and the support of each row,
+kept current from the columns that the kernel reports each target
+gained or lost; so the pivot search, the rows to eliminate, the conflict
+scan and the two trick rows are set lookups, not scans over every row.
 
 The end result is a basis whose columns have pairwise disjoint supports,
 exhibiting the generated subgroup as a direct sum of cyclic modules u_i R.
@@ -156,12 +157,13 @@ class GenDecomposition:
 class _Rows:
     """The working rows of EGE and replay, with a column index.
 
-    rows[i] is a dense tuple, sup[i] the set of its nonzero columns and
-    at[j] the set of rows nonzero in column j.  The row ops run the kernel
-    on the operand row's support and update both sets from the columns
-    that the kernel reports gained or lost, so a row op costs that
-    support, and the column scans of reduction, the conflict search and
-    the trick are set lookups.
+    rows[i] is a dense list, sup[i] the set of its nonzero columns and
+    at[j] the set of rows nonzero in column j.  The row ops update the
+    lists in place on the operand row's support and update both sets from
+    the columns that the kernel reports gained or lost, so a row op costs
+    that support, and the column scans of reduction, the conflict search
+    and the trick are set lookups.  The lists never leave: every caller
+    returns tuple rows (see tuples).
     """
 
     def __init__(self, nf: Nearfield, rows, width: int):
@@ -173,13 +175,17 @@ class _Rows:
             self.append(row)
 
     def append(self, row, cols=None) -> None:
-        """Append a row; cols, when given, is its support."""
+        """Append a copy of row as a list; cols, when given, is its support."""
         i, at = len(self.rows), self.at
         sup = set(compress(range(self.width), row) if cols is None else cols)
         for j in sup:
             at[j].add(i)
-        self.rows.append(row)
+        self.rows.append(list(row))
         self.sup.append(sup)
+
+    def tuples(self, nonzero: bool = False) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples, only the nonzero ones when nonzero is true."""
+        return tuple(tuple(row) for row in self.rows if not nonzero or any(row))
 
     def cols(self, i: int) -> list[int]:
         """The ascending support of row i."""
@@ -201,10 +207,8 @@ class _Rows:
         rows[i]; the support stays unless c = 0 clears the row, as a o c != 0
         for nonzero a and c."""
         row = self.rows[i]
-        out = list(row)
         for j, a in zip(cols, self.nf.row_axpy([row[j] for j in cols], c)):
-            out[j] = a
-        self.rows[i] = tuple(out)
+            row[j] = a
         if not c:
             for j in cols:
                 self.at[j].discard(i)
@@ -212,9 +216,10 @@ class _Rows:
 
     def eliminate(self, row, cols, targets) -> None:
         """rows[s] = rows[s] - row o c for each (s, c) of targets in turn, in
-        one kernel call (Nearfield.row_eliminate), where cols is the
-        ascending support of row; both sets follow the columns that each
-        target gained or lost, in target order."""
+        place, in one kernel call (Nearfield.row_eliminate), where cols is
+        the ascending support of row, which may be one of the rows; both
+        sets follow the columns that each target gained or lost, in target
+        order."""
         sup, at = self.sup, self.at
         for (s, _), (gained, lost) in zip(targets, self.nf.row_eliminate(row, cols, self.rows, targets)):
             ss = sup[s]
@@ -324,8 +329,7 @@ def rref(M: NfMatrix) -> tuple[NfMatrix, tuple[Step, ...]]:
     """Reduced row echelon form over the nearfield; zero rows dropped."""
     work, steps = _Rows(M.nf, M.rows, M.width), []
     _rref_inplace(M.nf, work, steps, [])
-    kept = tuple(row for row in work.rows if any(row))
-    return NfMatrix._unchecked(M.nf, kept, M.width), tuple(steps)
+    return NfMatrix._unchecked(M.nf, work.tuples(nonzero=True), M.width), tuple(steps)
 
 
 def distributivity_trick(M: NfMatrix, col: int, w: Witness) -> NfMatrix:
@@ -345,7 +349,7 @@ def distributivity_trick(M: NfMatrix, col: int, w: Witness) -> NfMatrix:
     _check_step(M.nf, Step("trick", col=col, witness=(w.alpha, w.beta, w.lam)))
     _check_trick(M.nf, work, col, w)
     _trick_inplace(M.nf, work, col, w)
-    return NfMatrix._unchecked(M.nf, tuple(work.rows), M.width)
+    return NfMatrix._unchecked(M.nf, work.tuples(), M.width)
 
 
 def ege(M: NfMatrix) -> GenDecomposition:
@@ -378,7 +382,7 @@ def ege(M: NfMatrix) -> GenDecomposition:
         steps.append(_trick_inplace(nf, work, col, w))
         del pivots[bisect_left(pivots, col):]
         _rref_inplace(nf, work, steps, pivots, col)
-    basis = NfMatrix._unchecked(nf, tuple(row for row in work.rows if any(row)), M.width)
+    basis = NfMatrix._unchecked(nf, work.tuples(nonzero=True), M.width)
     return GenDecomposition(basis, basis.n_rows, tuple(steps), canonical)
 
 
@@ -403,17 +407,18 @@ def replay(M: NfMatrix, steps) -> NfMatrix:
             for j, st in enumerate(run, i):
                 clean = _apply_step(nf, work, st, j, clean)
         i += len(run)
-    return NfMatrix._unchecked(nf, tuple(row for row in work.rows if any(row)), M.width)
+    return NfMatrix._unchecked(nf, work.tuples(nonzero=True), M.width)
 
 
 def replay_states(M: NfMatrix, steps):
-    """Yield the working matrix after every step (zero rows kept); each
-    eliminate step is a run of one."""
+    """Yield the working matrix after every step (zero rows kept), each a
+    snapshot in tuple rows of its own; each eliminate step is a run of
+    one."""
     nf, work, clean = M.nf, _Rows(M.nf, M.rows, M.width), 0
     for i, st in enumerate(steps):
         clean = (_apply_run(nf, work, st.r, (st,), i, clean) if st.kind == "eliminate"
                  else _apply_step(nf, work, st, i, clean))
-        yield NfMatrix._unchecked(nf, tuple(work.rows), M.width)
+        yield NfMatrix._unchecked(nf, work.tuples(), M.width)
 
 
 def _check_step(nf: Nearfield, st: Step, rows: int | None = None) -> None:

@@ -56,10 +56,11 @@ as -1 is the code p - 1.
 add is this formula, and so are the two row kernels, at every order:
 row_axpy (acc + row o c, for closure, maps and scale steps) and
 row_eliminate, which applies every eliminate step of one pivot row in
-one call, reading the pivot's logs and cosets once and reporting the
-columns each target row gained or lost.  The field builds no table of
-order^2 entries: add_table and mul_table are rows of row_axpy, made when
-asked for.
+one call to list rows in place, reading the pivot's logs once, grouped
+by coset j(a), so that each target computes its offset log(-c) * q^j
+once per group, and reporting the columns each target row gained or
+lost.  The field builds no table of order^2 entries: add_table and
+mul_table are rows of row_axpy, made when asked for.
 
 Element text goes through one memo per field: format_elements and
 parse_elements look codes and tokens up in two dicts, code -> canonical
@@ -82,8 +83,17 @@ PAIR_LIMIT = 1 << 32    # largest q and n that the Dickson pair test factors
 
 _CACHE_ALL_LIMIT = 1 << 16  # fields up to this order stay cached; of larger ones, the last only
 
-_TERM_RE = re.compile(r"^(\d*)x(?:\^(\d+))?$")
+_TERM_RE = re.compile(r"^([0-9]*)x(?:\^([0-9]+))?$")
 _INT_ONLY = frozenset((int,))  # the one type of an element code: not bool, not float
+
+
+def _ascii_int(text: str) -> int:
+    """The value of text when it is ASCII decimal digits, [0-9]+, and
+    ValueError otherwise: int() alone also reads other Unicode digits, '_'
+    separators, a sign and surrounding whitespace."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -647,46 +657,54 @@ class Nearfield:
         ])
 
     def row_eliminate(self, row, cols, rows, targets) -> list[tuple[list[int], list[int]]]:
-        """rows[s] = rows[s] - row o c for each (s, c) of targets in turn: the
-        eliminate steps of one pivot row in one call.
+        """rows[s] = rows[s] - row o c for each (s, c) of targets in turn, with
+        each rows[s] a list updated in place: the eliminate steps of one
+        pivot row in one call.
 
         cols is the ascending support of row, on which alone the targets
         change, so an update costs that support rather than the width.  The
-        pivot's logs and coset indices on cols are read once, and each
-        target's offsets log(-c) * q^j once; each entry is then add's Zech
-        step, as in row_axpy.  A target row is read when its turn comes,
-        so a row named twice gets both updates in order, and a target that
-        is row's own index is updated from row as passed.  A multiplier
-        c = 0 changes nothing.
+        pivot's logs are read once, before any target changes, and grouped
+        by coset j(a); a target computes its offset log(-c) * q^j once per
+        group, and each entry is then add's Zech step, as in row_axpy.  A
+        target row is read when its turn comes, so a row named twice gets
+        both updates in order, and a target that is row itself is updated
+        from row as passed.  A multiplier c = 0 changes nothing.
 
-        Returns, per target, the columns of cols where its row became
-        nonzero and those where it became zero: a zero entry always fills
-        in, as a o c != 0 for nonzero a and c, and only a nonzero one can
-        cancel.
+        Returns, per target, the ascending columns of cols where its row
+        became nonzero and those where it became zero: a zero entry always
+        fills in, as a o c != 0 for nonzero a and c, and only a nonzero one
+        can cancel.
         """
         ex, lg, z, cosets = self._exp, self._log, self._zech, self._cosets
-        o, qpow, changes = self.order - 1, self._qpow, []
-        pivot = [(j, lg[row[j]], cosets[row[j]]) for j in cols]
+        o, neg1, changes = self.order - 1, lg[self.p - 1], []
+        by_coset = [[] for _ in self._qpow]
+        for j in cols:
+            a = row[j]
+            by_coset[cosets[a]].append((j, lg[a]))
+        pivot = [(qj, group) for qj, group in zip(self._qpow, by_coset) if group]
+        mixed = len(pivot) > 1      # then the columns come out of order
         for s, c in targets:
             gained, lost = [], []
             changes.append((gained, lost))
             if not c:
                 continue
-            out = list(rows[s])
-            # x + a o -c = exp[log x + Z[log(a o -c) - log x]], log(a o -c) = log a + off[j(a)]
-            lc = lg[c] + lg[self.p - 1]
-            off = [lc * qj % o for qj in qpow]
-            for j, la, k in pivot:
-                x = out[j]
-                if x:
-                    lx = lg[x]
-                    v = out[j] = ex[lx + z[la + off[k] - lx]]
-                    if not v:
-                        lost.append(j)
-                else:
-                    out[j] = ex[la + off[k]]
-                    gained.append(j)
-            rows[s] = tuple(out)
+            out, lc = rows[s], lg[c] + neg1
+            # x + a o -c = exp[log x + Z[log(a o -c) - log x]], log(a o -c) = log a + t
+            for qj, group in pivot:
+                t = lc * qj % o
+                for j, la in group:
+                    x = out[j]
+                    if x:
+                        lx = lg[x]
+                        v = out[j] = ex[lx + z[la + t - lx]]
+                        if not v:
+                            lost.append(j)
+                    else:
+                        out[j] = ex[la + t]
+                        gained.append(j)
+            if mixed:
+                gained.sort()
+                lost.sort()
         return changes
 
     # -- text codec -------------------------------------------------------------
@@ -765,11 +783,12 @@ class Nearfield:
 
     def _parse_token(self, text: str) -> int:
         """The code of a token in either style, spelled any way the term
-        pattern admits ('1x', 'x^1', ' 1 + x', '0001', decimal codes)."""
+        pattern admits ('1x', 'x^1', ' 1 + x', '0001', decimal codes), with
+        ASCII digits only."""
         t = text.strip()
         if not t:
             raise ValueError("empty element token")
-        if t.isdigit():
+        if t.isascii() and t.isdigit():
             code = int(t)
             if code >= self.order:
                 raise ValueError(f"code {code} out of range for order {self.order}")
@@ -777,7 +796,7 @@ class Nearfield:
         code, last_pow = 0, -1
         for term in t.split("+"):
             term = term.strip()
-            if term.isdigit():
+            if term.isascii() and term.isdigit():
                 c, i = int(term), 0
             else:
                 mt = _TERM_RE.match(term)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nearfield import Nearfield, build_nearfield
+from .nearfield import Nearfield, _ascii_int, build_nearfield
 
 
 def vec_add(nf: Nearfield, u, v):
@@ -119,9 +119,10 @@ class NfMatrix:
 def matrix_parse(text: str) -> NfMatrix:
     """Parse the shared matrix file format.
 
-    Line 1: ``DN <q> <n>``; line 2: ``<k> <m>``; then k rows of m
-    whitespace-separated element tokens (polynomial or code style,
-    auto-detected per token).  ``#`` lines are comments.
+    Line 1: ``DN <q> <n>``; line 2: ``<k> <m>``, all four ASCII decimal
+    integers; then k rows of m whitespace-separated element tokens
+    (polynomial or code style, auto-detected per token).  ``#`` lines are
+    comments.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -131,14 +132,14 @@ def matrix_parse(text: str) -> NfMatrix:
     if len(head) != 3 or head[0] != "DN":
         raise ValueError(f"bad header {lines[0]!r}, expected 'DN <q> <n>'")
     try:
-        q, n = int(head[1]), int(head[2])
+        q, n = _ascii_int(head[1]), _ascii_int(head[2])
     except ValueError:
         raise ValueError(f"bad header {lines[0]!r}") from None
     nf = build_nearfield(q, n)
     if len(lines) < 2:
         raise ValueError("missing dimension line")
     try:
-        k, m = map(int, lines[1].split())
+        k, m = map(_ascii_int, lines[1].split())
     except ValueError:
         raise ValueError(f"bad dimension line {lines[1]!r}") from None
     if k < 1:

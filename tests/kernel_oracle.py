@@ -217,8 +217,16 @@ def check_kernel(nf, rng, trials):
             assert nf.sub(a, b) == ref_add(nf, a, ref_neg(nf, b)), (nf, a, b)
         row, rows, targets = eliminate_case(nf, rng, m, 3)
         want = ref_row_eliminate(nf, row, rows, targets)
-        changes = nf.row_eliminate(row, [j for j, a in enumerate(row) if a], rows, targets)
-        assert (rows, changes) == want, (nf, row, targets)
+        work = [list(r) for r in rows]     # the kernel updates list rows in place
+        changes = nf.row_eliminate(row, [j for j, a in enumerate(row) if a], work, targets)
+        assert ([tuple(r) for r in work], changes) == want, (nf, row, targets)
+        # the pivot is the list of row 0, which the first target changes: all
+        # targets are updated from the pivot as passed
+        targets = [(0, c or 1)] + targets
+        want = ref_row_eliminate(nf, rows[0], rows, targets)
+        work = [list(r) for r in rows]
+        changes = nf.row_eliminate(work[0], [j for j, a in enumerate(rows[0]) if a], work, targets)
+        assert ([tuple(r) for r in work], changes) == want, (nf, rows[0], targets)
 
 
 def main():

@@ -146,6 +146,18 @@ class TestEge:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("text,message", [
+        ("DN 3 2\n1 2\n1 ²\n", "error: malformed element term '²'\n"),
+        ("DN 3 2\n1 2\n1 ١+x\n", "error: malformed element term '١'\n"),
+        ("DN 3 2\n1_0 2\n1 2\n", "error: bad dimension line '1_0 2'\n"),
+        ("DN ３ 2\n1 2\n1 2\n", "error: bad header 'DN ３ 2'\n"),
+    ])
+    def test_non_ascii_digits_are_refused(self, capsys, tmp_path, text, message):
+        f = tmp_path / "bad.mat"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "ege", str(f))
+        assert (code, out, err) == (1, "", message)
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "ege", "/nonexistent/file.mat")
         assert code == 1

@@ -746,6 +746,64 @@ class TestReplayRuns:
         assert all(map(_index_is_rebuilt, _RecordedRows.made))
 
 
+def _ref_states(M, steps):
+    """The rows after every step, each applied alone by the reference
+    arithmetic and _ref_trick; zero rows kept, as replay_states yields them."""
+    nf, rows, states = M.nf, list(M.rows), []
+    for st in steps:
+        if st.kind == "swap":
+            rows[st.r], rows[st.s] = rows[st.s], rows[st.r]
+        elif st.kind == "scale":
+            rows[st.r] = ref_row_axpy(nf, rows[st.r], st.c)
+        elif st.kind == "eliminate":
+            rows[st.s] = ref_row_axpy(nf, rows[st.r], ref_neg(nf, st.c), rows[st.s])
+        else:
+            _ref_trick(nf, rows, st.col, Witness(*st.witness))
+        states.append(tuple(rows))
+    return states
+
+
+def _tuple_rows(A):
+    return type(A.rows) is tuple and all(type(row) is tuple for row in A.rows)
+
+
+class TestTupleRowsAtEveryExit:
+    """EGE's working rows are lists updated in place; no list leaves them."""
+
+    @pytest.mark.parametrize("q,n", [(3, 2), (7, 3)])
+    def test_replay_states_yields_snapshots(self, q, n):
+        # each state holds tuple rows equal to the reference at its step, and
+        # still equals it once the later steps have run; the traces have
+        # scales and tricks, and each ends in a swap and a run that names
+        # its pivot row as a target
+        nf = build_nearfield(q, n)
+        rng = random.Random(f"snapshots:{q},{n}")
+        kinds = set()
+        for _ in range(12):
+            M = _random_matrix(rng, nf, max_rows=5, max_cols=7)
+            k = M.n_rows
+            r = rng.randrange(k)
+            tail = [Step("swap", r=0, s=k - 1)] + [_elim(r, s, rng.randrange(1, nf.order)) for s in (r, k - 1 - r)]
+            steps = ege(M).trace + tuple(tail)
+            kinds.update(st.kind for st in steps)
+            want = _ref_states(M, steps)
+            states = []
+            for i, state in enumerate(replay_states(M, steps)):
+                assert _tuple_rows(state) and state.rows == want[i]
+                states.append(state)
+            assert [state.rows for state in states] == want
+        assert kinds == {"swap", "scale", "eliminate", "trick"}
+
+    def test_results_are_tuples_and_leave_the_input(self, dn32):
+        M = build_seed(12, dn32).matrix
+        N = NfMatrix.from_rows(dn32, [(1, 0, 1), (0, 1, 1)])
+        rows, before = (M.rows, N.rows), ([list(row) for row in M.rows], [list(row) for row in N.rows])
+        D = ege(M)
+        R, _ = rref(M)
+        assert D.trace and all(map(_tuple_rows, (D.basis, R, replay(M, D.trace), distributivity_trick(N, 2, W32))))
+        assert (M.rows, N.rows) == rows and ([list(row) for row in M.rows], [list(row) for row in N.rows]) == before
+
+
 class TestRunErrorParity:
     """A bad step inside a run, or on a trace's last line, is named with
     the text that the step-by-step and line-by-line paths raise."""

@@ -525,6 +525,12 @@ class TestElementCodec:
         (3, 2, "1++x", "malformed element term ''"),
         (3, 2, "1x^0", "malformed element term '1x^0'"),
         (3, 2, "y", "malformed element term 'y'"),
+        # ASCII digits only: an Arabic-Indic one, a superscript two
+        (3, 2, "١+x", "malformed element term '١'"),
+        (3, 2, "٣", "malformed element term '٣'"),
+        (3, 2, "²", "malformed element term '²'"),
+        (3, 2, "٢x", "malformed element term '٢x'"),
+        (7, 3, "x^٢", "malformed element term 'x^٢'"),
         (3, 2, "99", "code 99 out of range for order 9"),
         (7, 3, "1+x^2+x", "powers not ascending in '1+x^2+x'"),
         (7, 3, "x^1+x", "powers not ascending in 'x^1+x'"),
@@ -591,9 +597,25 @@ def test_row_eliminate_matches_repeated_row_axpy(case):
         want[s] = nf.row_axpy(row, nf.neg(c), old)
         changes.append(([j for j in cols if want[s][j] and not old[j]],
                         [j for j in cols if old[j] and not want[s][j]]))
-    assert nf.row_eliminate(row, cols, rows, targets) == changes
-    assert rows == want
+    work = [list(r) for r in rows]     # the kernel updates list rows in place
+    assert nf.row_eliminate(row, cols, work, targets) == changes
+    assert [tuple(r) for r in work] == want
     assert ref_row_eliminate(nf, row, start, targets) == (want, changes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eliminate_case())
+def test_row_eliminate_pivot_that_is_a_target_row(case):
+    """The pivot passed as the very list of one of the rows, a target among
+    others: every target, that row included, is updated from the pivot as
+    passed, which the kernel reads before any target changes."""
+    nf, _, rows, targets = case
+    r = targets[0][0] if targets else 0
+    pivot = tuple(rows[r])
+    targets = [(r, 1)] + targets
+    work = [list(row) for row in rows]
+    changes = nf.row_eliminate(work[r], [j for j, a in enumerate(pivot) if a], work, targets)
+    assert ([tuple(row) for row in work], changes) == ref_row_eliminate(nf, pivot, rows, targets)
 
 
 @settings(max_examples=400, deadline=None)
@@ -662,15 +684,15 @@ def test_row_kernel_add_table_matches_add(q, n):
     # zero row (fill-in) and that row's own multiple (cancellation)
     row, cols = tuple(elems), list(elems[1:])
     targets = [(s, c) for c in elems for s in range(3)]
-    rows = [acc, (0,) * nf.order, nf.row_axpy(row, 1)]
-    want, changes = list(rows), []
+    rows = [list(acc), [0] * nf.order, list(nf.row_axpy(row, 1))]
+    want, changes = [tuple(r) for r in rows], []
     for s, c in targets:
         old = want[s]
         want[s] = tuple(sub(x, mul(a, c)) for x, a in zip(old, row))
         changes.append(([j for j in cols if want[s][j] and not old[j]],
                         [j for j in cols if old[j] and not want[s][j]]))
     assert nf.row_eliminate(row, cols, rows, targets) == changes
-    assert rows == want
+    assert [tuple(r) for r in rows] == want
 
 
 def _entries(value) -> int:
@@ -689,7 +711,7 @@ def test_zech_tables_are_linear_in_the_order(q, n):
     zeros)."""
     nf = Nearfield(q, n)    # not cached: the attributes of this build only
     nf.row_axpy((1, 2, 0), 3, (0, 4, 5))
-    nf.row_eliminate((1, 2, 0), [0, 1], [(0, 4, 5)], [(0, 3)])
+    nf.row_eliminate((1, 2, 0), [0, 1], [[0, 4, 5]], [(0, 3)])
     o = nf.order - 1
     assert len(nf._zech) == 2 * o and len(nf._exp) == 3 * o and len(nf._cosets) == nf.order
     sizes = {name: _entries(v) for name, v in vars(nf).items()}

@@ -134,7 +134,11 @@ class TestMatrixCodec:
             matrix_parse("DN 3 2\n# no dimensions\n")
         with pytest.raises(ValueError, match="header"):
             matrix_parse("GF 3 2\n1 1\n1\n")
-        for dims in ("2", "2 3 4", "x 2", "1 2.5"):
+        # int() alone reads '_' separators, signs and other Unicode digits
+        for header in ("DN ３ 2", "DN 3_0 2", "DN +3 2", "DN 3 -2"):
+            with pytest.raises(ValueError, match=f"^bad header {re.escape(repr(header))}$"):
+                matrix_parse(f"{header}\n1 1\n1\n")
+        for dims in ("2", "2 3 4", "x 2", "1 2.5", "1_0 2", "+1 2", "١ 2", "1 ２", "-1 2"):
             with pytest.raises(ValueError, match=f"^bad dimension line {re.escape(repr(dims))}$"):
                 matrix_parse(f"DN 3 2\n{dims}\n1 2\n")
         with pytest.raises(ValueError, match="no rows"):
