@@ -3,7 +3,8 @@
 Every command prints deterministic text, or with --json a document of
 the shape {"nearfield": {"q", "n"}, "input": ..., "result": ..., "trace": ...}
 with stable key order.  Exit codes: 0 ok, 1 domain error (single
-machine-parsable line on stderr), 2 usage error.
+machine-parsable line on stderr), 2 usage error, such as an integer
+argument that is not ASCII digits [0-9]+ after at most one '-'.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .closure import (BudgetExceededError, VectorSet, _gen_codes, current_budget
 from .counting import count_subgroups
 from .ege import ege, replay, trace_from_text, trace_to_text
 from .linmaps import MapRep, classify, is_bijective, linear_violation, count_maps
-from .nearfield import build_nearfield
+from .nearfield import _ascii_int, build_nearfield
 from .seeds import build_seed, verify_seed
 from .vectors import NfMatrix, matrix_format, matrix_parse
 
@@ -255,6 +256,15 @@ def _cmd_search_index(args):
     return _emit(args, nf, {"m": args.m, "k": args.k, "bound": args.bound}, result, lines)
 
 
+def _integer(text: str) -> int:
+    """The type of every integer argument, read by nearfield._ascii_int;
+    a '-' is let through to the command's own range check."""
+    try:
+        return _ascii_int(text, "value", None)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(e) from None
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once: main() may run many times in one process."""
@@ -264,21 +274,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, *integers):
         p = sub.add_parser(name, help=help_)
+        for dest in integers:
+            p.add_argument(dest, type=_integer)
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         p.set_defaults(fn=fn)
         return p
 
-    p = add("table", _cmd_table, "print the full operation table of DN(q,n)")
-    p.add_argument("q", type=int)
-    p.add_argument("n", type=int)
+    p = add("table", _cmd_table, "print the full operation table of DN(q,n)", "q", "n")
     p.add_argument("--op", choices=("mul", "add"), default="mul")
     p.add_argument("--style", choices=("poly", "code"), default="poly")
 
-    p = add("witness", _cmd_witness, "first right-distributivity violation of DN(q,n)")
-    p.add_argument("q", type=int)
-    p.add_argument("n", type=int)
+    add("witness", _cmd_witness, "first right-distributivity violation of DN(q,n)", "q", "n")
 
     p = add("ege", _cmd_ege, "decompose gen(rows) via expanded Gaussian elimination")
     p.add_argument("file")
@@ -297,35 +305,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("classify-map", _cmd_classify_map, "classify the map given by a square matrix file")
     p.add_argument("file")
 
-    p = add("count-maps", _cmd_count_maps, "count maps of R^dim by kind")
-    p.add_argument("q", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("dim", type=int)
+    p = add("count-maps", _cmd_count_maps, "count maps of R^dim by kind", "q", "n", "dim")
     p.add_argument("kind", choices=("all", "linear", "normal"))
     p.add_argument("--method", choices=("closed", "enum"), default="closed")
 
-    p = add("count-subgroups", _cmd_count_subgroups, "count R-subgroups of R^m of dimension k")
-    p.add_argument("q", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("k", type=int)
+    add("count-subgroups", _cmd_count_subgroups, "count R-subgroups of R^m of dimension k",
+        "q", "n", "m", "k")
 
-    p = add("seed", _cmd_seed, "construct the seed matrix V_m (emits the matrix file format)")
-    p.add_argument("q", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    add("seed", _cmd_seed, "construct the seed matrix V_m (emits the matrix file format)",
+        "q", "n", "m")
 
     p = add("verify-seed", _cmd_verify_seed, "check gen(rows) = R^m for a matrix file")
     p.add_argument("file")
 
     p = add("search-index", _cmd_search_index,
-            "scan k-subsets of nonzero vectors of R^m for linearity index above a bound")
-    p.add_argument("q", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("bound", type=int)
-    p.add_argument("--limit", type=int, default=None,
+            "scan k-subsets of nonzero vectors of R^m for linearity index above a bound",
+            "q", "n", "m", "k", "bound")
+    p.add_argument("--limit", type=_integer, default=None,
                    help="stop after this many combinations (deterministic prefix)")
 
     return ap

@@ -66,10 +66,11 @@ There is no elimination over GF(p).
 Every size the package enumerates, lists or prints goes through
 require_budget, the one guard, against the element budget; the full
 operation tables too, at order^2 cells.  The budget is set only by the
-environment variable NEARVEC_BUDGET (an integer >= 1, default 10^6); no
-function takes it as an argument.  The other limits are fixed: order
-2^20 (nearfield.ORDER_LIMIT), seed width 2^12 (seeds.MAX_SEED_WIDTH) and
-q, n up to 2^32 in the Dickson pair test (PAIR_LIMIT).
+environment variable NEARVEC_BUDGET (ASCII digits [0-9]+ worth >= 1,
+default 10^6; no sign, '_', space or other digit); no function takes it
+as an argument.  The other limits are fixed: order 2^20
+(nearfield.ORDER_LIMIT), seed width 2^12 (seeds.MAX_SEED_WIDTH) and q, n
+up to 2^32 in the Dickson pair test (PAIR_LIMIT).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .nearfield import Nearfield
+from .nearfield import Nearfield, _ascii_int
 
 DEFAULT_BUDGET = 10 ** 6
 BUDGET_ENV = "NEARVEC_BUDGET"
@@ -93,17 +94,10 @@ class BudgetExceededError(RuntimeError):
 
 
 def current_budget() -> int:
-    """The element budget: NEARVEC_BUDGET, an integer >= 1, else the default."""
+    """The element budget: NEARVEC_BUDGET, ASCII digits [0-9]+ worth >= 1
+    read by nearfield._ascii_int, else the default."""
     raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ValueError(f"{BUDGET_ENV} must be an integer >= 1, got {raw!r}")
-    return limit
+    return DEFAULT_BUDGET if raw is None else _ascii_int(raw, BUDGET_ENV, 1)
 
 
 def require_budget(what: str, base: int, exp: int = 1) -> int:

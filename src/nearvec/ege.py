@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, groupby, islice
 from operator import attrgetter, itemgetter
 
-from .nearfield import _INT_ONLY, Nearfield, Witness
+from .nearfield import _INT_ONLY, Nearfield, Witness, _ascii_int
 from .vectors import NfMatrix, vec_scale_left
 
 
@@ -617,26 +617,25 @@ def trace_from_text(nf: Nearfield, text: str) -> tuple[Step, ...]:
 
 def _parse_trace(nf: Nearfield, lines) -> tuple[Step, ...]:
     """trace_from_text without the line in the error: each line's fields,
-    then every element token at once, then the Steps."""
+    then every element token at once, then the Steps.  An index is read
+    by _ascii_int after one '-', so a negative one meets the range test."""
     heads, tokens = [], []
     for ln in lines:
         parts = ln.split()
         if not parts or parts[0][0] == "#":
             continue
         op, n = parts[0].upper(), len(parts)
-        if op == "ELIM" and n == 4:
-            r, s = int(parts[1]) - 1, int(parts[2]) - 1
-            heads.append(("eliminate", r, s))
-            tokens.append(parts[3])
-        elif op == "SWAP" and n == 3:
-            r, s = int(parts[1]) - 1, int(parts[2]) - 1
-            heads.append(("swap", r, s))
+        if (op == "ELIM" and n == 4) or (op == "SWAP" and n == 3):
+            r, s = _ascii_int(parts[1], "row", None) - 1, _ascii_int(parts[2], "row", None) - 1
+            heads.append(("eliminate" if n == 4 else "swap", r, s))
+            if n == 4:
+                tokens.append(parts[3])
         elif op == "SCALE" and n == 3:
-            r = s = int(parts[1]) - 1
+            r = s = _ascii_int(parts[1], "row", None) - 1
             heads.append(("scale", r, -1))
             tokens.append(parts[2])
         elif op == "TRICK" and n == 5:
-            col = int(parts[1]) - 1
+            col = _ascii_int(parts[1], "column", None) - 1
             if col < 0:
                 raise ValueError("column index out of range")
             heads.append(("trick", col))

@@ -83,17 +83,26 @@ PAIR_LIMIT = 1 << 32    # largest q and n that the Dickson pair test factors
 
 _CACHE_ALL_LIMIT = 1 << 16  # fields up to this order stay cached; of larger ones, the last only
 
-_TERM_RE = re.compile(r"^([0-9]*)x(?:\^([0-9]+))?$")
+_TERM_RE = re.compile(r"([0-9]+)|([0-9]*)x(?:\^(0*[1-9][0-9]*))?")  # c, or [c]x[^k], k >= 1
 _INT_ONLY = frozenset((int,))  # the one type of an element code: not bool, not float
+_MAX_DIGITS = 4300  # int()'s own default limit on a digit string
 
 
-def _ascii_int(text: str) -> int:
-    """The value of text when it is ASCII decimal digits, [0-9]+, and
-    ValueError otherwise: int() alone also reads other Unicode digits, '_'
-    separators, a sign and surrounding whitespace."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{text!r} is not a decimal integer")
-    return int(text)
+def _ascii_int(text: str, field: str, low: int | None = 0) -> int:
+    """The one reader of integer text from argv, NEARVEC_BUDGET, files,
+    traces and element tokens: ASCII digits [0-9]+, at most _MAX_DIGITS,
+    after one '-' when low is None, worth at least low.  Else ValueError
+    naming field; int() alone reads other Unicode digits, '_', '+' and
+    spaces, and refuses 4301 digits without naming the field."""
+    digits = text if low is not None or text.isdigit() else text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        if len(digits) > _MAX_DIGITS:
+            raise ValueError(f"{field} has {len(digits)} digits, more than {_MAX_DIGITS}")
+        value = int(text)
+        if low is None or value >= low:
+            return value
+    bound = "" if low is None else f" >= {low}"
+    raise ValueError(f"{field} must be an integer{bound}, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +604,13 @@ class Nearfield:
         lexicographic order has alpha = 1.
 
         For each beta only lam in {1, p, ..., p^(d-1)} is probed:
-        L(lam) = (1 + beta) o lam - lam - beta o lam is additive in lam, as
-        a o lam = a * lam^(q^j(a)) and Frobenius and the field product are,
-        so the lam with L(lam) = 0 form a GF(p)-subspace.  The codes below
-        p^i are the GF(p)-combinations of 1, p, ..., p^(i-1), so the least
-        code outside it is p^i for the least i with L(p^i) != 0.  That is
-        O(beta* d) probes, not O(beta* order), for the same witness.
+        L(lam) = (1 + beta) o lam - lam - beta o lam is additive in lam by
+        left distributivity alone, x o (lam + mu) = x o lam + x o mu, and an
+        additive map of (R, +) = GF(p)^d is GF(p)-linear, so the lam with
+        L(lam) = 0 form a GF(p)-subspace.  The codes below p^i are the
+        GF(p)-combinations of 1, p, ..., p^(i-1), so the least code outside
+        it is p^i for the least i with L(p^i) != 0.  That is O(beta* d)
+        probes, not O(beta* order), for the same witness.
         """
         if self._witness is not _UNSET:
             return self._witness
@@ -784,29 +794,28 @@ class Nearfield:
     def _parse_token(self, text: str) -> int:
         """The code of a token in either style, spelled any way the term
         pattern admits ('1x', 'x^1', ' 1 + x', '0001', decimal codes), with
-        ASCII digits only."""
+        ASCII digits only; a token of one constant term is a decimal code."""
         t = text.strip()
         if not t:
             raise ValueError("empty element token")
-        if t.isascii() and t.isdigit():
-            code = int(t)
-            if code >= self.order:
-                raise ValueError(f"code {code} out of range for order {self.order}")
-            return code
+        terms = t.split("+")
         code, last_pow = 0, -1
-        for term in t.split("+"):
+        for term in terms:
             term = term.strip()
-            if term.isascii() and term.isdigit():
-                c, i = int(term), 0
+            mt = _TERM_RE.fullmatch(term)
+            if not mt:
+                raise ValueError(f"malformed element term {term!r}")
+            const, cs, ks = mt.groups()
+            if const is not None:
+                if len(terms) == 1:
+                    code = _ascii_int(const, "element code")
+                    if code >= self.order:
+                        raise ValueError(f"code {code} out of range for order {self.order}")
+                    return code
+                c, i = _ascii_int(const, "coefficient"), 0
             else:
-                mt = _TERM_RE.match(term)
-                if not mt:
-                    raise ValueError(f"malformed element term {term!r}")
-                cs, ks = mt.groups()
-                c = int(cs) if cs else 1
-                i = int(ks) if ks else 1
-                if ks is not None and i < 1:
-                    raise ValueError(f"malformed element term {term!r}")
+                c = _ascii_int(cs, "coefficient") if cs else 1
+                i = _ascii_int(ks, "power") if ks else 1
             if not 0 < c < self.p:
                 raise ValueError(f"coefficient {c} out of range for GF({self.p})")
             if i >= self.d:

@@ -132,14 +132,14 @@ def matrix_parse(text: str) -> NfMatrix:
     if len(head) != 3 or head[0] != "DN":
         raise ValueError(f"bad header {lines[0]!r}, expected 'DN <q> <n>'")
     try:
-        q, n = _ascii_int(head[1]), _ascii_int(head[2])
+        q, n = _ascii_int(head[1], "q"), _ascii_int(head[2], "n")
     except ValueError:
         raise ValueError(f"bad header {lines[0]!r}") from None
     nf = build_nearfield(q, n)
     if len(lines) < 2:
         raise ValueError("missing dimension line")
     try:
-        k, m = map(_ascii_int, lines[1].split())
+        k, m = (_ascii_int(f, "dimension") for f in lines[1].split())
     except ValueError:
         raise ValueError(f"bad dimension line {lines[1]!r}") from None
     if k < 1:

@@ -1,6 +1,8 @@
+import argparse
 import io
 import itertools
 import json
+import re
 import subprocess
 import sys
 import time
@@ -8,10 +10,11 @@ import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from nearvec import build_nearfield, build_seed, count_subgroups, lc_index, matrix_format, unpack_vector
-from nearvec.cli import _decimal, main
+from nearvec import (build_nearfield, build_seed, count_subgroups, lc_index, matrix_format, matrix_parse,
+                     unpack_vector)
+from nearvec.cli import _build_parser, _decimal, _integer, main
 
 V3 = "DN 3 2\n2 3\n1 0 1\n1 1 0\n"
 CMAP = "DN 3 2\n2 2\n1 1\n2 1\n"
@@ -158,6 +161,32 @@ class TestEge:
         code, out, err = run(capsys, "ege", str(f))
         assert (code, out, err) == (1, "", message)
 
+    @pytest.mark.parametrize("text,message", [
+        ("DN 3 2\n1 2\n1 " + "1" * 5000 + "\n", "error: element code has 5000 digits, more than 4300\n"),
+        ("DN 3 2\n1 2\n1 x^" + "1" * 5000 + "\n", "error: power has 5000 digits, more than 4300\n"),
+    ], ids=["token", "power"])
+    def test_a_number_past_4300_digits_is_named(self, capsys, tmp_path, text, message):
+        # int() refused these with its own text, which names no token or field
+        f = tmp_path / "big.mat"
+        f.write_text(text)
+        code, out, err = run(capsys, "ege", str(f))
+        assert (code, out, err) == (1, "", message)
+
+    @pytest.mark.parametrize("line,message", [
+        ("ELIM 1 " + "1" * 5000 + " 1", "row has 5000 digits, more than 4300"),
+        ("SWAP 1_0 1", "row must be an integer, got '1_0'"),
+        ("ELIM 1 ٢ 1", "row must be an integer, got '٢'"),
+        ("ELIM 1 +2 1", "row must be an integer, got '+2'"),
+        ("TRICK ３ 1 x x", "column must be an integer, got '３'"),
+    ], ids=["5000-digits", "underscore", "arabic-indic", "plus", "fullwidth-column"])
+    def test_trace_indices_take_ascii_digits_only(self, capsys, tmp_path, line, message):
+        # int() read all but the first: row 10, 2, 2 and column 3
+        f, t = tmp_path / "v3.mat", tmp_path / "bad.trace"
+        f.write_text(V3)
+        t.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "replay", str(f), str(t))
+        assert (code, out, err) == (1, "", f"error: malformed trace line {line!r}: {message}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "ege", "/nonexistent/file.mat")
         assert code == 1
@@ -211,6 +240,23 @@ class TestClosureCommands:
         assert code == 1
         assert out == ""
         assert err == f"error: NEARVEC_BUDGET must be an integer >= 1, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["1_000", " ٣", "+5", "٣", "1000\xa0", "1e3", "1000 "])
+    def test_budget_takes_ascii_digits_only(self, capsys, tmp_path, monkeypatch, value):
+        # int() read the first five as 1000, 3, 5, 3 and 1000
+        f = tmp_path / "v3.mat"
+        f.write_text(V3)
+        monkeypatch.setenv("NEARVEC_BUDGET", value)
+        code, out, err = run(capsys, "gen", str(f))
+        assert (code, out) == (1, "")
+        assert err == f"error: NEARVEC_BUDGET must be an integer >= 1, got {value!r}\n"
+
+    def test_budget_past_4300_digits(self, capsys, tmp_path, monkeypatch):
+        f = tmp_path / "v3.mat"
+        f.write_text(V3)
+        monkeypatch.setenv("NEARVEC_BUDGET", "1" * 5000)
+        code, out, err = run(capsys, "gen", str(f))
+        assert (code, out, err) == (1, "", "error: NEARVEC_BUDGET has 5000 digits, more than 4300\n")
 
 
 class TestMapCommands:
@@ -467,14 +513,90 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+# a valid command line for every command that takes integers, and where
+# each integer argument sits in it, under the name argparse gives it
+_INT_ARGV = {
+    "table": ["3", "2"],
+    "witness": ["3", "2"],
+    "count-maps": ["3", "2", "2", "normal"],
+    "count-subgroups": ["3", "2", "3", "2"],
+    "seed": ["3", "2", "4"],
+    "search-index": ["3", "2", "2", "2", "1", "--limit", "5"],
+}
+_INT_FIELDS = [("table", "q", 0), ("table", "n", 1), ("witness", "q", 0), ("witness", "n", 1),
+               ("count-maps", "q", 0), ("count-maps", "n", 1), ("count-maps", "dim", 2),
+               ("count-subgroups", "q", 0), ("count-subgroups", "n", 1), ("count-subgroups", "m", 2),
+               ("count-subgroups", "k", 3), ("seed", "q", 0), ("seed", "n", 1), ("seed", "m", 2),
+               ("search-index", "q", 0), ("search-index", "n", 1), ("search-index", "m", 2),
+               ("search-index", "k", 3), ("search-index", "bound", 4), ("search-index", "--limit", 6)]
+
+
+def _run_argv(argv):
+    """main(argv) in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestIntegerArguments:
+    def test_every_integer_argument_is_listed(self):
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        typed = {(name, a.option_strings[0] if a.option_strings else a.dest)
+                 for name, p in sub.choices.items() for a in p._actions if a.type is not None}
+        assert typed == {(command, name) for command, name, _ in _INT_FIELDS}
+        assert len(typed) == 20
+        assert all(a.type is _integer for p in sub.choices.values() for a in p._actions
+                   if a.type is not None)
+
+    @pytest.mark.parametrize("command", sorted(_INT_ARGV))
+    def test_the_listed_command_lines_run(self, command):
+        code, out, err = _run_argv([command] + _INT_ARGV[command])
+        assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("bad", ["２", "٢", "²", "1_0", "+2", " 2", "2\xa0", "0x2", "", "1" * 5000],
+                             ids=["fullwidth", "arabic-indic", "superscript", "underscore", "plus", "space",
+                                  "nbsp", "hex", "empty", "5000-digits"])
+    @pytest.mark.parametrize("command,name,i", _INT_FIELDS, ids=[f"{c}-{n}" for c, n, _ in _INT_FIELDS])
+    def test_refused_with_one_line_that_names_it(self, command, name, i, bad):
+        # int() read all but the hex and the empty one; '２' made count-maps print 161
+        argv = [command] + _INT_ARGV[command]
+        argv[1 + i] = bad
+        code, out, err = _run_argv(argv)
+        assert (code, out) == (2, "")
+        assert [ln for ln in err.splitlines() if "error:" in ln] == [err.splitlines()[-1]]
+        reason = ("value has 5000 digits, more than 4300" if len(bad) == 5000
+                  else f"value must be an integer, got {bad!r}")
+        assert err.splitlines()[-1] == f"nearvec {command}: error: argument {name}: {reason}"
+
+
 # -- the CLI contract on malformed files --------------------------------------
+
+# characters that int() reads, or that look like digits, but that no integer field admits
+_NOT_DIGITS = ["٢", "２", "²", "_", "+", "\xa0"]
+
+
+@st.composite
+def _spelled(draw, n):
+    """str(n), or now and then str(n) with one of _NOT_DIGITS put in anywhere."""
+    text = str(n)
+    if draw(st.integers(0, 3)):
+        return text
+    i = draw(st.integers(0, len(text)))
+    return text[:i] + draw(st.sampled_from(_NOT_DIGITS)) + text[i:]
+
 
 # valid headers and shapes are drawn often enough that many files parse
 _HEADERS = ["DN 3 2", "DN 3 2", "DN 5 2", "DN 2 1", "DN 7 1", "DN 3 4", "DN 4 2", "DN 1 1",
-            "DN 3", "XX 3 2", "DN a b"]
+            "DN 3", "XX 3 2", "DN a b", "DN ３ 2", "DN ٣ 2", "DN 3 ²", "DN 3_0 2", "DN +3 2", "DN 3 2\xa0",
+            "DN 3\xa02"]
 _text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
-_token = st.one_of(st.integers(0, 1).map(str), st.integers(0, 9).map(str),
-                   st.sampled_from(["24", "-1", "x", "2x", "1+x", "2+2x", "x^2", "x^9", "abc", "+"]),
+_token = st.one_of(st.integers(0, 1).map(str), st.integers(0, 9).flatmap(_spelled),
+                   st.sampled_from(["24", "-1", "x", "2x", "1+x", "2+2x", "x^2", "x^9", "abc", "+",
+                                    "x^٢", "x^+1", "x^1_0", "２x", "1_0x", "+1", "1\xa0+x"]),
                    _text)
 _size = st.one_of(st.integers(1, 4), st.integers(1, 4), st.sampled_from([-1, 0]))
 
@@ -483,7 +605,7 @@ _size = st.one_of(st.integers(1, 4), st.integers(1, 4), st.sampled_from([-1, 0])
 def _matrix_texts(draw):
     """A matrix file that is well formed or close to it, then maybe corrupted."""
     k, m = draw(_size), draw(_size)
-    lines = [draw(st.sampled_from(_HEADERS)), f"{k} {m}"]
+    lines = [draw(st.sampled_from(_HEADERS)), f"{draw(_spelled(k))} {draw(_spelled(m))}"]
     lines += [" ".join(draw(st.lists(_token, min_size=max(m, 0), max_size=max(m, 0))))
               for _ in range(max(k, 0))]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
@@ -501,7 +623,7 @@ def _matrix_texts(draw):
 _trace_texts = st.lists(
     st.builds(lambda op, args: " ".join([op] + args),
               st.sampled_from(["SWAP", "SCALE", "ELIM", "TRICK", "swap", "NOPE", "#"]),
-              st.lists(st.one_of(st.integers(-1, 6).map(str), _token), max_size=5)),
+              st.lists(st.one_of(st.integers(-1, 6).flatmap(_spelled), _token), max_size=5)),
     max_size=5).map("\n".join)
 
 
@@ -522,17 +644,120 @@ def test_file_commands_keep_the_cli_contract(tmp_path, monkeypatch, command, mat
         argv.append(str(tr))
     if as_json:
         argv.append("--json")
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as e:
-            code = e.code
-    err = err.getvalue()
+    code, _, err = _run_argv(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@st.composite
+def _spelled_matrices(draw):
+    """(text, field, rows, spoil): a matrix file of random codes, each token
+    spelled in a way the grammar admits (a code, with or without leading
+    zeros, or a polynomial with or without coefficients and powers of 1 and
+    leading zeros), and half the time the character spoil, one of
+    _NOT_DIGITS, put in one of its fields (else spoil is None)."""
+    q, n = draw(st.sampled_from([(3, 2), (5, 2), (2, 1), (7, 1), (7, 3), (4, 3), (9, 2), (5, 4)]))
+    nf = build_nearfield(q, n)
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [[draw(st.integers(0, nf.order - 1)) for _ in range(m)] for _ in range(k)]
+
+    def spell(code):
+        digits = [code // nf.p ** i % nf.p for i in range(nf.d)]
+        terms = [f"{'0' * draw(st.integers(0, 1))}{c}x^{'0' * draw(st.integers(0, 1))}{i}"
+                 for i, c in enumerate(digits) if c and i]
+        poly = "+".join([str(digits[0])] * bool(digits[0]) + terms) or "0"
+        return draw(st.sampled_from([str(code), "00" + str(code), nf.format_element(code), poly]))
+
+    fields = [["DN", str(q), str(n)], [str(k), str(m)]] + [list(map(spell, row)) for row in rows]
+    spoil = draw(st.one_of(st.none(), st.sampled_from(_NOT_DIGITS)))
+    if spoil is not None:
+        line = draw(st.integers(0, len(fields) - 1))
+        j = draw(st.integers(line == 0, len(fields[line]) - 1))
+        i = draw(st.integers(0, len(fields[line][j])))
+        fields[line][j] = fields[line][j][:i] + spoil + fields[line][j][i:]
+    return "\n".join(map(" ".join, fields)) + "\n", nf, rows, spoil
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_spelled_matrices())
+def test_accepted_matrix_files_round_trip(case):
+    """A file that parses is printed by matrix_format, in either style, as one
+    that parses to the same field and codes.  Every spelling the grammar
+    admits parses to the code it spells, and a spoiled file parses only
+    when the character put in is whitespace, which separates fields."""
+    text, nf, rows, spoil = case
+    try:
+        M = matrix_parse(text)
+    except ValueError:
+        assert spoil is not None
+        return
+    for style in ("poly", "code"):
+        again = matrix_parse(matrix_format(M, style))
+        assert (again.nf, again.width, again.rows) == (M.nf, M.width, M.rows)
+    if spoil is None:
+        assert (M.nf, M.rows) == (nf, tuple(map(tuple, rows)))
+    else:
+        assert spoil.isspace()
+
+
+@st.composite
+def _bad_integer_fields(draw):
+    """(argv, NEARVEC_BUDGET, expected exit code, start of the error) with
+    one integer field spelled with a character outside the grammar, from a
+    matrix file, a trace, the environment or the command line.  In a file
+    or a trace the character goes strictly inside a field padded with a
+    leading 0, where whitespace cannot pass for a separator; the texts
+    after the command are then file contents."""
+    ch = draw(st.characters(blacklist_categories=("Cs",)).filter(lambda c: c not in "0123456789"))
+    channel = draw(st.sampled_from(["header", "dimensions", "trace", "budget", "argv"]))
+
+    def spoil(field, inside):
+        i = draw(st.integers(1, len(field) - 1) if inside else st.integers(0, len(field)))
+        return field[:i] + ch + field[i:]
+
+    if channel == "header":
+        return ["ege", f"DN {spoil('03', True)} 02\n1 2\n1 x\n"], None, 1, "error: bad header "
+    if channel == "dimensions":
+        return ["ege", f"DN 3 2\n{spoil('01', True)} 02\n1 x\n"], None, 1, "error: bad dimension line "
+    if channel == "trace":
+        line = draw(st.sampled_from(["SWAP {} 02", "SWAP 01 {}", "ELIM {} 02 1", "ELIM 01 {} 1",
+                                     "SCALE {} 1", "TRICK {} 1 x x"]))
+        return (["replay", V3, line.format(spoil("01", True)) + "\n"], None, 1,
+                "error: malformed trace line ")
+    if channel == "budget":
+        assume(ch != "\x00")   # no environment variable holds a NUL
+        return ["gen", V3], spoil("1000", False), 1, "error: NEARVEC_BUDGET must be an integer >= 1, got "
+    command, name, i = draw(st.sampled_from(_INT_FIELDS))
+    argv = [command] + _INT_ARGV[command]
+    argv[1 + i] = spoil(argv[1 + i], False)
+    assume(not re.fullmatch(r"-?[0-9]+", argv[1 + i]))  # a leading '-' is in the grammar
+    return argv, None, 2, f"nearvec {command}: error: "
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_bad_integer_fields())
+def test_a_bad_integer_field_exits_with_one_line(tmp_path, monkeypatch, case):
+    """Exit 1 (files, traces, the environment) or 2 (argv), nothing on
+    stdout and one error line, which names the field."""
+    argv, budget, expected, start = case
+    if budget is None:
+        monkeypatch.delenv("NEARVEC_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("NEARVEC_BUDGET", budget)
+    if expected == 1:
+        paths = [tmp_path / f"in{i}" for i in range(1, len(argv))]
+        for path, text in zip(paths, argv[1:]):
+            path.write_text(text, encoding="utf-8")
+        argv = argv[:1] + list(map(str, paths))
+    code, out, err = _run_argv(argv)
+    assert (code, out) == (expected, "")
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and errors[0].startswith(start)
+    if expected == 1:
+        assert err == errors[0] + "\n"
 
 
 def test_console_script_installed():

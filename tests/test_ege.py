@@ -862,7 +862,7 @@ class TestRunErrorParity:
     @pytest.mark.parametrize("line,message", [
         ("ELIM 1 2 zz", "malformed element term 'zz'"),
         ("ELIM 1 2 343", "code 343 out of range for order 343"),
-        ("ELIM 1 x 1", "invalid literal for int() with base 10: 'x'"),
+        ("ELIM 1 x 1", "row must be an integer, got 'x'"),
         ("ELIM 1 2", "unknown step or wrong number of fields"),
         ("TRICK 3 1 x", "unknown step or wrong number of fields"),
         ("NUDGE 1 2", "unknown step or wrong number of fields"),

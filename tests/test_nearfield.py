@@ -13,8 +13,8 @@ from kernel_oracle import (ORACLE_FIELDS, eliminate_case, ref_add, ref_is_irredu
                            ref_powers, ref_row_axpy, ref_row_eliminate)
 from nearvec import Witness, build_nearfield, validate_dickson_pair
 from nearvec.closure import BUDGET_ENV, BudgetExceededError
-from nearvec.nearfield import (ORDER_LIMIT, PAIR_LIMIT, Nearfield, _TimesG, _digits_of, _is_irreducible,
-                               _prime_factors)
+from nearvec.nearfield import (ORDER_LIMIT, PAIR_LIMIT, Nearfield, _TimesG, _ascii_int, _digits_of,
+                               _is_irreducible, _prime_factors)
 
 # The classical 9x9 table of the twisted product on the order-9 nearfield,
 # as usually printed: entry [a][b] there is b o a under the rule implemented
@@ -551,6 +551,75 @@ class TestElementCodec:
             dn32.format_element(9)
         with pytest.raises(ValueError):
             dn32.format_element(3, style="hex")
+
+    @pytest.mark.parametrize("text,message", [
+        ("1" * 5000, "element code has 5000 digits, more than 4300"),
+        ("x^" + "1" * 5000, "power has 5000 digits, more than 4300"),
+        ("1" * 5000 + "x", "coefficient has 5000 digits, more than 4300"),
+        ("x+" + "1" * 5000, "coefficient has 5000 digits, more than 4300"),
+    ], ids=["code", "power", "coefficient", "constant-term"])
+    def test_a_number_past_4300_digits_is_named(self, dn32, text, message):
+        # int() refused these with its own text, which names no field
+        with pytest.raises(ValueError) as exc:
+            dn32.parse_element(text)
+        assert str(exc.value) == message
+
+    def test_leading_zeros_and_the_4300_digit_edge(self, dn32):
+        assert dn32.parse_element("0" * 4299 + "5") == 5
+        assert dn32.parse_element("x^" + "0" * 4299 + "1") == 3
+        with pytest.raises(ValueError, match="^element code has 4301 digits, more than 4300$"):
+            dn32.parse_element("0" * 4300 + "5")
+
+
+class TestAsciiInt:
+    """The one reader of integer text: ASCII [0-9]+, one '-' when low is None."""
+
+    @pytest.mark.parametrize("text,value", [("0", 0), ("7", 7), ("0042", 42), ("9" * 40, 10 ** 40 - 1)])
+    def test_accepts_ascii_digits(self, text, value):
+        assert _ascii_int(text, "field") == value
+        assert _ascii_int(text, "field", None) == value
+
+    @pytest.mark.parametrize("text", [
+        "", " 1", "1 ", "\xa01", "1\xa0", "+1", "1_0", "٢", "２", "²", "1٢", "0x1", "1.0", "1e3", "-", "--1",
+        "- 1", "1-",
+    ])
+    def test_refuses_everything_else(self, text):
+        # int() reads most of these: spaces, '+', '_' and other Unicode digits
+        for low in (0, None):
+            bound = "" if low is None else " >= 0"
+            with pytest.raises(ValueError) as exc:
+                _ascii_int(text, "row", low)
+            assert str(exc.value) == f"row must be an integer{bound}, got {text!r}"
+
+    def test_sign_only_when_asked(self):
+        assert _ascii_int("-3", "row", None) == -3
+        assert _ascii_int("-0", "row", None) == 0
+        with pytest.raises(ValueError, match=r"^row must be an integer >= 0, got '-3'$"):
+            _ascii_int("-3", "row")
+
+    def test_low_bound(self):
+        assert _ascii_int("1", "NEARVEC_BUDGET", 1) == 1
+        for text in ("0", "00", "-1"):
+            with pytest.raises(ValueError) as exc:
+                _ascii_int(text, "NEARVEC_BUDGET", 1)
+            assert str(exc.value) == f"NEARVEC_BUDGET must be an integer >= 1, got {text!r}"
+
+    def test_digit_limit(self):
+        assert _ascii_int("1" * 4300, "field") == int("1" * 4300)
+        assert _ascii_int("-" + "1" * 4300, "field", None) == -int("1" * 4300)
+        for text, low in (("1" * 4301, 0), ("-" + "1" * 4301, None)):
+            with pytest.raises(ValueError, match="^field has 4301 digits, more than 4300$"):
+                _ascii_int(text, "field", low)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+    def test_agrees_with_the_grammar(self, text):
+        for low, grammar in ((0, r"[0-9]+"), (None, r"-?[0-9]+")):
+            if re.fullmatch(grammar, text, re.ASCII):
+                assert _ascii_int(text, "field", low) == int(text)
+            else:
+                with pytest.raises(ValueError, match="^field must be an integer"):
+                    _ascii_int(text, "field", low)
 
 
 # -- the Zech-logarithm tables and the row kernel ---------------------------------
