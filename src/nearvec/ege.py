@@ -51,7 +51,10 @@ scan and the two trick rows are set lookups, not scans over every row.
 
 The end result is a basis whose columns have pairwise disjoint supports,
 exhibiting the generated subgroup as a direct sum of cyclic modules u_i R.
-Every step is traced and traces replay bit-exactly.
+Every step is traced and traces replay bit-exactly.  Replay has one
+check of a step (_check_step), which tests a trick against the rows it
+meets, and one apply (_apply); a trick's conflict scan starts at the
+clean prefix that the working rows keep (_Rows.clean).
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, groupby, islice
 from operator import attrgetter, itemgetter
 
-from .nearfield import _INT_ONLY, Nearfield, Witness, _ascii_int
+from .nearfield import _INT_ONLY, Nearfield, Witness, _ascii_int, _check_separators
 from .vectors import NfMatrix, vec_scale_left
 
 
@@ -164,11 +167,19 @@ class _Rows:
     that support, and the column scans of reduction, the conflict search
     and the trick are set lookups.  The lists never leave: every caller
     returns tuple rows (see tuples).
+
+    No column left of clean has two nonzero entries, so a trick's
+    conflict scan starts there; it starts at 0.  An eliminate adds
+    nonzero entries only on the operand row's support, so it lowers clean
+    to that support's first column; a checked trick at col changes rows
+    only at or right of col and sets clean to col.  A swap or scale adds
+    no nonzero entry (a o c = 0 only for a = 0 or c = 0), so clean stays.
     """
 
     def __init__(self, nf: Nearfield, rows, width: int):
         self.nf = nf
         self.width = width
+        self.clean = 0
         self.rows, self.sup = [], []
         self.at = [set() for _ in range(width)]
         for row in rows:
@@ -219,7 +230,9 @@ class _Rows:
         place, in one kernel call (Nearfield.row_eliminate), where cols is
         the ascending support of row, which may be one of the rows; both
         sets follow the columns that each target gained or lost, in target
-        order."""
+        order; lowers clean to the first column of cols."""
+        if cols and cols[0] < self.clean:
+            self.clean = cols[0]
         sup, at = self.sup, self.at
         for (s, _), (gained, lost) in zip(targets, self.nf.row_eliminate(row, cols, self.rows, targets)):
             ss = sup[s]
@@ -274,32 +287,14 @@ def _rref_inplace(nf: Nearfield, work: _Rows, steps: list, pivots: list[int], st
         pr += 1
 
 
-def _check_trick(nf: Nearfield, work: _Rows, col: int, w: Witness, clean: int = 0) -> None:
-    """Raise ValueError unless `col` is the first conflict column and `w`
-    violates right distributivity: the preconditions of the trick, once
-    _check_step has passed its fields.  No column left of `clean` may have
-    two nonzero entries; the scan starts there."""
-    if not 0 <= col < work.width:
-        raise ValueError("column index out of range")
-    first = work.first_conflict(min(clean, col), col + 1)
-    if first is None:
-        raise ValueError("the trick column is not a conflict column")
-    if first < col:
-        raise ValueError("an earlier column already has two nonzero entries before the trick column")
-    lhs = nf.mul(nf.add(w.alpha, w.beta), w.lam)
-    rhs = nf.add(nf.mul(w.alpha, w.lam), nf.mul(w.beta, w.lam))
-    if lhs == rhs:
-        raise ValueError("witness does not violate right distributivity")
-
-
 def _trick_inplace(nf: Nearfield, work: _Rows, col: int, w: Witness) -> Step:
-    """Apply the distributivity trick at `col`; mutates the rows, returns
-    the Step.
+    """Apply the distributivity trick at `col`; mutates the rows and their
+    clean prefix, returns the Step.
 
-    The caller guarantees the preconditions that _check_trick tests, so
-    the common support S of the two rows starts at `col`.  theta is
-    computed on S, as rows of |S| entries; phi and the updates of the two
-    rows, one kernel call with phi as the pivot row, touch only
+    The caller guarantees the preconditions that _check_step tests for a
+    trick, so the common support S of the two rows starts at `col`.  theta
+    is computed on S, as rows of |S| entries; phi and the updates of the
+    two rows, one kernel call with phi as the pivot row, touch only
     supp(theta).  RuntimeError means theta is not a pivot
     row for `col`, which only a faulty row kernel can cause.
     """
@@ -322,6 +317,7 @@ def _trick_inplace(nf: Nearfield, work: _Rows, col: int, w: Witness) -> Step:
     dense = _dense((work.width, cols, phi))
     work.eliminate(dense, cols, ((r, wr[col]), (s, ws[col])))
     work.append(dense, cols)
+    work.clean = col
     return Step._trick(col, (w.alpha, w.beta, w.lam), work.width, cols, theta, phi)
 
 
@@ -346,8 +342,7 @@ def distributivity_trick(M: NfMatrix, col: int, w: Witness) -> NfMatrix:
     if not isinstance(w, Witness):
         raise ValueError(f"witness {w!r} is not three codes")
     work = _Rows(M.nf, M.rows, M.width)
-    _check_step(M.nf, Step("trick", col=col, witness=(w.alpha, w.beta, w.lam)))
-    _check_trick(M.nf, work, col, w)
+    _check_step(M.nf, Step("trick", col=col, witness=(w.alpha, w.beta, w.lam)), work)
     _trick_inplace(M.nf, work, col, w)
     return NfMatrix._unchecked(M.nf, work.tuples(), M.width)
 
@@ -386,7 +381,7 @@ def ege(M: NfMatrix) -> GenDecomposition:
     return GenDecomposition(basis, basis.n_rows, tuple(steps), canonical)
 
 
-# a run's grouping key, and the fields of its steps that _apply_run checks at once
+# a run's grouping key, and the fields of its steps that _apply checks at once
 _KIND_ROW, _FIELDS = attrgetter("kind", "r"), attrgetter("r", "s", "c")
 
 
@@ -394,18 +389,14 @@ def replay(M: NfMatrix, steps) -> NfMatrix:
     """Apply a trace to M; returns the final matrix (zero rows dropped).
 
     Consecutive eliminate steps on one pivot row are applied as a run in
-    one kernel call (_apply_run).  Raises ValueError naming the first step
+    one kernel call (_apply).  Raises ValueError naming the first step
     that does not apply.
     """
     nf, i = M.nf, 0
-    work, clean = _Rows(nf, M.rows, M.width), 0
+    work = _Rows(nf, M.rows, M.width)
     for (kind, r), run in groupby(steps, _KIND_ROW):
         run = tuple(run)
-        if kind == "eliminate":
-            clean = _apply_run(nf, work, r, run, i, clean)
-        else:
-            for j, st in enumerate(run, i):
-                clean = _apply_step(nf, work, st, j, clean)
+        _apply(nf, work, kind, r, run, i)
         i += len(run)
     return NfMatrix._unchecked(nf, work.tuples(nonzero=True), M.width)
 
@@ -414,32 +405,44 @@ def replay_states(M: NfMatrix, steps):
     """Yield the working matrix after every step (zero rows kept), each a
     snapshot in tuple rows of its own; each eliminate step is a run of
     one."""
-    nf, work, clean = M.nf, _Rows(M.nf, M.rows, M.width), 0
+    nf, work = M.nf, _Rows(M.nf, M.rows, M.width)
     for i, st in enumerate(steps):
-        clean = (_apply_run(nf, work, st.r, (st,), i, clean) if st.kind == "eliminate"
-                 else _apply_step(nf, work, st, i, clean))
+        _apply(nf, work, st.kind, st.r, (st,), i)
         yield NfMatrix._unchecked(nf, work.tuples(), M.width)
 
 
-def _check_step(nf: Nearfield, st: Step, rows: int | None = None) -> None:
-    """The one check of a step's fields, which may come from an untrusted
-    file: ValueError with replay's text unless its kind is known, its row
-    indices are ints, not bools, at least 0 and below rows when rows is
-    given, and its scalar code passes the field's check; a trick's witness
-    must be three witness codes, and then its column an int, at least 0."""
+def _check_step(nf: Nearfield, st: Step, work: _Rows | None = None) -> None:
+    """The one check of a step, which may come from an untrusted file:
+    ValueError with replay's text unless its kind is known, its row
+    indices are ints, not bools, at least 0 and below len(work.rows) when
+    work is given, and its scalar code passes the field's check.  A
+    trick's witness must be three witness codes and its column an int, at
+    least 0; given work, also _trick_inplace's preconditions: the column
+    is the first conflict column, scanned from work.clean, and the witness
+    violates right distributivity."""
     kind = st.kind
     if kind == "trick":
-        w = st.witness
+        w, col = st.witness, st.col
         if not isinstance(w, (tuple, list)) or len(w) != 3:
             raise ValueError(f"witness {w!r} is not three codes")
         nf.check_codes(w, "witness code")
-        if type(st.col) is not int:
-            raise ValueError(f"column index {st.col!r} is not an integer")
-        if st.col < 0:
+        if type(col) is not int:
+            raise ValueError(f"column index {col!r} is not an integer")
+        if col < 0 or work is not None and col >= work.width:
             raise ValueError("column index out of range")
+        if work is None:
+            return
+        first = work.first_conflict(min(work.clean, col), col + 1)    # None or at most col
+        if first != col:
+            raise ValueError("the trick column is not a conflict column" if first is None
+                             else "an earlier column already has two nonzero entries before the trick column")
+        alpha, beta, lam = w
+        if nf.mul(nf.add(alpha, beta), lam) == nf.add(nf.mul(alpha, lam), nf.mul(beta, lam)):
+            raise ValueError("witness does not violate right distributivity")
         return
     if kind not in ("eliminate", "swap", "scale"):
         raise ValueError(f"unknown step kind {kind!r}")
+    rows = None if work is None else len(work.rows)
     for idx in (st.r,) if kind == "scale" else (st.r, st.s):
         if type(idx) is not int:
             raise ValueError(f"row index {idx!r} is not an integer")
@@ -449,66 +452,45 @@ def _check_step(nf: Nearfield, st: Step, rows: int | None = None) -> None:
         nf.check_codes((st.c,), "scalar code")
 
 
-def _check_steps(nf: Nearfield, steps, i: int = 0, rows: int | None = None) -> None:
+def _check_steps(nf: Nearfield, steps, i: int = 0, work: _Rows | None = None) -> None:
     """ValueError `trace step N: ...` for the first of steps, steps i + 1..
     of a trace, that _check_step refuses."""
     for n, st in enumerate(steps, i + 1):
         try:
-            _check_step(nf, st, rows)
+            _check_step(nf, st, work)
         except ValueError as e:
             raise ValueError(f"trace step {n}: {e}") from None
 
 
-def _apply_run(nf: Nearfield, work: _Rows, r: int, run, i: int, clean: int) -> int:
-    """Apply a run of eliminate steps with pivot row r, steps i + 1.. of a
-    trace; returns the new clean prefix (see _apply_step).
+def _apply(nf: Nearfield, work: _Rows, kind, r, run, i: int) -> None:
+    """Apply run, steps i + 1.. of a trace that share the kind and pivot
+    row r, each passed by _check_step first, so the rows stay in range
+    and replay builds its result without the NfMatrix entry scan.
 
-    The tests of _check_step run over the whole run at once; they are the
-    same tests, so when one fails _check_steps raises, naming the first
-    bad step.  The pivot's support is sorted once and one kernel call
-    updates every target row, unless the run names r as a target: then
-    each step is one call, as the steps after it read the changed pivot
-    row.
+    An eliminate run is checked in one pass over its fields by the tests
+    of _check_step, and _check_steps names the first bad step.  The
+    pivot's support is sorted once and one kernel call updates every
+    target row, unless the run names r as a target: then each step is
+    one call, as the steps after it read the changed pivot row.
     """
-    k = len(work.rows)
-    rs, ss, cs = zip(*map(_FIELDS, run))
-    if not (_INT_ONLY.issuperset(map(type, rs + ss + cs)) and 0 <= r < k and 0 <= min(ss) and max(ss) < k
-            and 0 <= min(cs) and max(cs) < nf.order):
-        _check_steps(nf, run, i, k)
-    targets = tuple(zip(ss, cs))
-    for part in zip(targets) if r in ss else (targets,):    # zip(targets): one target per part
-        cols = work.cols(r)
-        work.eliminate(work.rows[r], cols, part)
-        clean = min(clean, cols[0]) if cols else clean
-    return clean
-
-
-def _apply_step(nf: Nearfield, work: _Rows, st: Step, i: int, clean: int) -> int:
-    """Apply step i (0-based) of a trace, a swap, scale or trick, once
-    _check_step has passed its fields, so the rows stay in range and
-    replay builds its result without the NfMatrix entry scan.
-
-    Returns the new clean prefix: no column left of `clean` has two
-    nonzero entries.  A checked trick at col sets it to col, since the
-    trick changes rows only at or right of col.  An eliminate can add
-    nonzeros only on the operand row's support, so _apply_run lowers clean
-    to that support's first column.  A swap or scale adds no nonzero entry
-    (a o c = 0 only for a = 0 or c = 0), so clean stays.
-    """
-    try:
-        _check_step(nf, st, len(work.rows))
-        if st.kind == "swap":
+    if kind == "eliminate":
+        k = len(work.rows)
+        rs, ss, cs = zip(*map(_FIELDS, run))
+        if not (_INT_ONLY.issuperset(map(type, rs + ss + cs)) and 0 <= r < k and 0 <= min(ss) and max(ss) < k
+                and 0 <= min(cs) and max(cs) < nf.order):
+            _check_steps(nf, run, i, work)
+        targets = tuple(zip(ss, cs))
+        for part in zip(targets) if r in ss else (targets,):    # zip(targets): one target per part
+            work.eliminate(work.rows[r], work.cols(r), part)
+        return
+    for j, st in enumerate(run, i):
+        _check_steps(nf, (st,), j, work)
+        if kind == "swap":
             work.swap(st.r, st.s)
-        elif st.kind == "scale":
+        elif kind == "scale":
             work.scale(st.r, st.c, work.cols(st.r))
-        else:   # a trick: eliminate steps go through _apply_run
-            w = Witness(*st.witness)
-            _check_trick(nf, work, st.col, w, clean)
-            _trick_inplace(nf, work, st.col, w)
-            clean = st.col
-    except ValueError as e:
-        raise ValueError(f"trace step {i + 1}: {e}") from None
-    return clean
+        else:
+            _trick_inplace(nf, work, st.col, Witness(*st.witness))
 
 
 def _column_keys(M: NfMatrix) -> list:
@@ -597,12 +579,14 @@ def trace_to_text(nf: Nearfield, steps) -> str:
 def trace_from_text(nf: Nearfield, text: str) -> tuple[Step, ...]:
     """The steps of a textual trace; blank lines and lines starting with #
     are skipped.  A row index or trick column below 1, which no replay
-    accepts, makes its line malformed.
+    accepts, makes its line malformed.  Fields split at ASCII spaces and
+    tabs only, lines at CR and LF (_check_separators).
 
     The element tokens of the whole trace are parsed in one parse_elements
     call.  When any line is malformed, the lines are parsed again one at a
     time, and the first bad one is named with the error it raises.
     """
+    _check_separators(text, "trace")
     lines = text.splitlines()
     try:
         return _parse_trace(nf, lines)

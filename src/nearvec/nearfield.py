@@ -86,6 +86,7 @@ _CACHE_ALL_LIMIT = 1 << 16  # fields up to this order stay cached; of larger one
 _TERM_RE = re.compile(r"([0-9]+)|([0-9]*)x(?:\^(0*[1-9][0-9]*))?")  # c, or [c]x[^k], k >= 1
 _INT_ONLY = frozenset((int,))  # the one type of an element code: not bool, not float
 _MAX_DIGITS = 4300  # int()'s own default limit on a digit string
+_NOT_SEPARATOR = re.compile(r"[^\S \t\r\n]")   # whitespace other than space, tab, CR and LF
 
 
 def _ascii_int(text: str, field: str, low: int | None = 0) -> int:
@@ -103,6 +104,16 @@ def _ascii_int(text: str, field: str, low: int | None = 0) -> int:
             return value
     bound = "" if low is None else f" >= {low}"
     raise ValueError(f"{field} must be an integer{bound}, got {text!r}")
+
+
+def _check_separators(text: str, what: str) -> None:
+    """ValueError naming the first whitespace but ASCII space, tab, CR and LF
+    in a matrix file or trace, where split() and splitlines() would break; an
+    ASCII text free of \\v, \\f and \\x1c-\\x1f skips this tenth of a trace read."""
+    if not text.isascii() or any(map(text.__contains__, "\v\f\x1c\x1d\x1e\x1f")):
+        if bad := _NOT_SEPARATOR.search(text):
+            where, ch = f"{what} line {text.count(chr(10), 0, bad.start()) + 1}", bad.group()
+            raise ValueError(f"{where}: whitespace {ch!r} (U+{ord(ch):04X}) is not a field separator")
 
 
 # ---------------------------------------------------------------------------
@@ -793,15 +804,15 @@ class Nearfield:
 
     def _parse_token(self, text: str) -> int:
         """The code of a token in either style, spelled any way the term
-        pattern admits ('1x', 'x^1', ' 1 + x', '0001', decimal codes), with
-        ASCII digits only; a token of one constant term is a decimal code."""
-        t = text.strip()
+        pattern admits ('1x', 'x^1', ' 1 + x', '0001', decimal codes), in
+        ASCII digits, spaces and tabs; one constant term is a decimal code."""
+        t = text.strip(" \t")
         if not t:
             raise ValueError("empty element token")
         terms = t.split("+")
         code, last_pow = 0, -1
         for term in terms:
-            term = term.strip()
+            term = term.strip(" \t")
             mt = _TERM_RE.fullmatch(term)
             if not mt:
                 raise ValueError(f"malformed element term {term!r}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nearfield import Nearfield, _ascii_int, build_nearfield
+from .nearfield import Nearfield, _ascii_int, _check_separators, build_nearfield
 
 
 def vec_add(nf: Nearfield, u, v):
@@ -120,10 +120,11 @@ def matrix_parse(text: str) -> NfMatrix:
     """Parse the shared matrix file format.
 
     Line 1: ``DN <q> <n>``; line 2: ``<k> <m>``, all four ASCII decimal
-    integers; then k rows of m whitespace-separated element tokens
-    (polynomial or code style, auto-detected per token).  ``#`` lines are
-    comments.
+    integers; then k rows of m element tokens (polynomial or code style,
+    auto-detected per token).  Fields split at ASCII spaces and tabs only,
+    lines at CR and LF.  ``#`` lines are comments.
     """
+    _check_separators(text, "matrix file")
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -133,15 +134,18 @@ def matrix_parse(text: str) -> NfMatrix:
         raise ValueError(f"bad header {lines[0]!r}, expected 'DN <q> <n>'")
     try:
         q, n = _ascii_int(head[1], "q"), _ascii_int(head[2], "n")
-    except ValueError:
-        raise ValueError(f"bad header {lines[0]!r}") from None
+    except ValueError as e:
+        raise ValueError(f"bad header {lines[0]!r}: {e}") from None
     nf = build_nearfield(q, n)
     if len(lines) < 2:
         raise ValueError("missing dimension line")
+    dims = lines[1].split()
     try:
-        k, m = (_ascii_int(f, "dimension") for f in lines[1].split())
-    except ValueError:
-        raise ValueError(f"bad dimension line {lines[1]!r}") from None
+        if len(dims) != 2:
+            raise ValueError("expected '<k> <m>'")
+        k, m = (_ascii_int(f, "dimension") for f in dims)
+    except ValueError as e:
+        raise ValueError(f"bad dimension line {lines[1]!r}: {e}") from None
     if k < 1:
         raise ValueError("no rows")
     if m < 1:

@@ -10,7 +10,7 @@ import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from nearvec import (build_nearfield, build_seed, count_subgroups, lc_index, matrix_format, matrix_parse,
                      unpack_vector)
@@ -152,8 +152,8 @@ class TestEge:
     @pytest.mark.parametrize("text,message", [
         ("DN 3 2\n1 2\n1 ²\n", "error: malformed element term '²'\n"),
         ("DN 3 2\n1 2\n1 ١+x\n", "error: malformed element term '١'\n"),
-        ("DN 3 2\n1_0 2\n1 2\n", "error: bad dimension line '1_0 2'\n"),
-        ("DN ３ 2\n1 2\n1 2\n", "error: bad header 'DN ３ 2'\n"),
+        ("DN 3 2\n1_0 2\n1 2\n", "error: bad dimension line '1_0 2': dimension must be an integer >= 0, got '1_0'\n"),
+        ("DN ３ 2\n1 2\n1 2\n", "error: bad header 'DN ３ 2': q must be an integer >= 0, got '３'\n"),
     ])
     def test_non_ascii_digits_are_refused(self, capsys, tmp_path, text, message):
         f = tmp_path / "bad.mat"
@@ -186,6 +186,30 @@ class TestEge:
         t.write_text(line + "\n", encoding="utf-8")
         code, out, err = run(capsys, "replay", str(f), str(t))
         assert (code, out, err) == (1, "", f"error: malformed trace line {line!r}: {message}\n")
+
+    @pytest.mark.parametrize("matrix,trace,message", [
+        ("DN 3\xa02\n1 2\n1 2\n", None, "matrix file line 1: whitespace '\\xa0' (U+00A0)"),
+        ("DN 3 2\n1 2\n1\u20032\n", None, "matrix file line 3: whitespace '\\u2003' (U+2003)"),
+        ("DN 3 2\n1 2\n1 \xa01+x\n", None, "matrix file line 3: whitespace '\\xa0' (U+00A0)"),
+        ("DN 3 2\n1 2\x1c1 2\n", None, "matrix file line 2: whitespace '\\x1c' (U+001C)"),
+        ("DN 3 2\n1 2\u20281 2\n", None, "matrix file line 2: whitespace '\\u2028' (U+2028)"),
+        ("DN 3 2\n1\v2\n1 2\n", None, "matrix file line 2: whitespace '\\x0b' (U+000B)"),
+        (V3, "SWAP 1\u20032\n", "trace line 1: whitespace '\\u2003' (U+2003)"),
+        (V3, "SWAP 1 2\n\x85SWAP 1 2\n", "trace line 2: whitespace '\\x85' (U+0085)"),
+        (V3, "SWAP 1 2\x1cSWAP 1 2\n", "trace line 1: whitespace '\\x1c' (U+001C)"),
+    ], ids=["header-nbsp", "row-em-space", "token-nbsp", "file-separator", "line-separator",
+            "vertical-tab", "trace-em-space", "trace-next-line", "trace-file-separator"])
+    def test_only_ascii_blanks_separate_fields(self, capsys, tmp_path, matrix, trace, message):
+        # str.split() and str.splitlines() took each of these for a break:
+        # DN 3\xa02 read as DN(3,2), and SWAP 1\u20032 as SWAP 1 2
+        f, t = tmp_path / "in.mat", tmp_path / "in.trace"
+        f.write_text(matrix, encoding="utf-8")
+        argv = ["ege", str(f)]
+        if trace is not None:
+            t.write_text(trace, encoding="utf-8")
+            argv = ["replay", str(f), str(t)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message} is not a field separator\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "ege", "/nonexistent/file.mat")
@@ -575,8 +599,9 @@ class TestIntegerArguments:
 
 # -- the CLI contract on malformed files --------------------------------------
 
-# characters that int() reads, or that look like digits, but that no integer field admits
-_NOT_DIGITS = ["٢", "２", "²", "_", "+", "\xa0"]
+# characters that int() reads, or that look like digits, but that no integer field admits;
+# the whitespace among them is no separator either (only ASCII space and tab are)
+_NOT_DIGITS = ["٢", "２", "²", "_", "+", "\xa0", "\x1c", "\x85", "\v", "\u2028"]
 
 
 @st.composite
@@ -657,49 +682,73 @@ def _spelled_matrices(draw):
     spelled in a way the grammar admits (a code, with or without leading
     zeros, or a polynomial with or without coefficients and powers of 1 and
     leading zeros), and half the time the character spoil, one of
-    _NOT_DIGITS, put in one of its fields (else spoil is None)."""
+    _NOT_DIGITS, put in one of its fields (else spoil is None).
+
+    rows are the codes that the text spells, or None when no file spells
+    them.  Of the characters put in, only a '+' between the coefficient c
+    and the x of a token's first term c x^i, with no constant term before
+    it, leaves a spelling: of c + x^i, worked out here from the digits.
+    Anything else put in a field is refused."""
     q, n = draw(st.sampled_from([(3, 2), (5, 2), (2, 1), (7, 1), (7, 3), (4, 3), (9, 2), (5, 4)]))
     nf = build_nearfield(q, n)
     k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     rows = [[draw(st.integers(0, nf.order - 1)) for _ in range(m)] for _ in range(k)]
+    splits = {}     # (line, j): (where a '+' spells another code, that code)
 
-    def spell(code):
+    def spell(code, at):
         digits = [code // nf.p ** i % nf.p for i in range(nf.d)]
-        terms = [f"{'0' * draw(st.integers(0, 1))}{c}x^{'0' * draw(st.integers(0, 1))}{i}"
-                 for i, c in enumerate(digits) if c and i]
+        zeros = [("0" * draw(st.integers(0, 1)), "0" * draw(st.integers(0, 1))) for _ in digits]
+        terms = [f"{z1}{c}x^{z2}{i}" for i, (c, (z1, z2)) in enumerate(zip(digits, zeros)) if c and i]
         poly = "+".join([str(digits[0])] * bool(digits[0]) + terms) or "0"
-        return draw(st.sampled_from([str(code), "00" + str(code), nf.format_element(code), poly]))
+        text = draw(st.sampled_from([str(code), "00" + str(code), nf.format_element(code), poly]))
+        i = next((i for i, c in enumerate(digits) if c), 0)
+        c = digits[i]
+        other = code - c * nf.p ** i + c + nf.p ** i
+        if i and text == poly:                      # z1 c x^z2 i
+            splits[at] = (len(zeros[i][0]) + 1, other)
+        elif i and c > 1 and text == nf.format_element(code):     # c x or c x^i
+            splits[at] = (1, other)
+        return text
 
-    fields = [["DN", str(q), str(n)], [str(k), str(m)]] + [list(map(spell, row)) for row in rows]
+    fields = [["DN", str(q), str(n)], [str(k), str(m)]]
+    fields += [[spell(code, (line, j)) for j, code in enumerate(row)] for line, row in enumerate(rows, 2)]
     spoil = draw(st.one_of(st.none(), st.sampled_from(_NOT_DIGITS)))
     if spoil is not None:
-        line = draw(st.integers(0, len(fields) - 1))
-        j = draw(st.integers(line == 0, len(fields[line]) - 1))
-        i = draw(st.integers(0, len(fields[line][j])))
+        if spoil == "+" and splits and draw(st.booleans()):     # a '+' put in at a split
+            (line, j), (i, _) = draw(st.sampled_from(sorted(splits.items())))
+        else:
+            line = draw(st.integers(0, len(fields) - 1))
+            j = draw(st.integers(line == 0, len(fields[line]) - 1))
+            i = draw(st.integers(0, len(fields[line][j])))
         fields[line][j] = fields[line][j][:i] + spoil + fields[line][j][i:]
+        if spoil == "+" and splits.get((line, j), (None,))[0] == i:
+            rows[line - 2][j] = splits[line, j][1]
+        else:
+            rows = None
     return "\n".join(map(" ".join, fields)) + "\n", nf, rows, spoil
 
 
 @settings(max_examples=300, deadline=None)
+@example(case=("DN 3 2\n2 3\n0 3 2+x\n0 3 3\n", build_nearfield(3, 2), [[0, 3, 5], [0, 3, 3]], "+"))
+@example(case=("DN 3 2\n1 2\n1 \xa0x\n", build_nearfield(3, 2), None, "\xa0"))
 @given(case=_spelled_matrices())
 def test_accepted_matrix_files_round_trip(case):
     """A file that parses is printed by matrix_format, in either style, as one
     that parses to the same field and codes.  Every spelling the grammar
     admits parses to the code it spells, and a spoiled file parses only
-    when the character put in is whitespace, which separates fields."""
+    when the '+' put in spells another code (see _spelled_matrices): 2x
+    with a '+' put in is 2+x, the code 5 over DN(3,2).  Whitespace but
+    ASCII space and tab separates no fields, so it is refused."""
     text, nf, rows, spoil = case
     try:
         M = matrix_parse(text)
     except ValueError:
-        assert spoil is not None
+        assert rows is None
         return
     for style in ("poly", "code"):
         again = matrix_parse(matrix_format(M, style))
         assert (again.nf, again.width, again.rows) == (M.nf, M.width, M.rows)
-    if spoil is None:
-        assert (M.nf, M.rows) == (nf, tuple(map(tuple, rows)))
-    else:
-        assert spoil.isspace()
+    assert rows is not None and (M.nf, M.rows) == (nf, tuple(map(tuple, rows)))
 
 
 @st.composite
@@ -709,23 +758,31 @@ def _bad_integer_fields(draw):
     matrix file, a trace, the environment or the command line.  In a file
     or a trace the character goes strictly inside a field padded with a
     leading 0, where whitespace cannot pass for a separator; the texts
-    after the command are then file contents."""
+    after the command are then file contents.  Whitespace but ASCII space,
+    tab, CR and LF is refused there before any field is read, with an
+    error that names its line."""
     ch = draw(st.characters(blacklist_categories=("Cs",)).filter(lambda c: c not in "0123456789"))
     channel = draw(st.sampled_from(["header", "dimensions", "trace", "budget", "argv"]))
+    no_separator = ch.isspace() and ch not in " \t\r\n"
 
     def spoil(field, inside):
         i = draw(st.integers(1, len(field) - 1) if inside else st.integers(0, len(field)))
         return field[:i] + ch + field[i:]
 
+    def start(text, line):
+        return f"error: {line}: whitespace {ch!r} " if no_separator else f"error: {text} "
+
     if channel == "header":
-        return ["ege", f"DN {spoil('03', True)} 02\n1 2\n1 x\n"], None, 1, "error: bad header "
+        return (["ege", f"DN {spoil('03', True)} 02\n1 2\n1 x\n"], None, 1,
+                start("bad header", "matrix file line 1"))
     if channel == "dimensions":
-        return ["ege", f"DN 3 2\n{spoil('01', True)} 02\n1 x\n"], None, 1, "error: bad dimension line "
+        return (["ege", f"DN 3 2\n{spoil('01', True)} 02\n1 x\n"], None, 1,
+                start("bad dimension line", "matrix file line 2"))
     if channel == "trace":
         line = draw(st.sampled_from(["SWAP {} 02", "SWAP 01 {}", "ELIM {} 02 1", "ELIM 01 {} 1",
                                      "SCALE {} 1", "TRICK {} 1 x x"]))
         return (["replay", V3, line.format(spoil("01", True)) + "\n"], None, 1,
-                "error: malformed trace line ")
+                start("malformed trace line", "trace line 1"))
     if channel == "budget":
         assume(ch != "\x00")   # no environment variable holds a NUL
         return ["gen", V3], spoil("1000", False), 1, "error: NEARVEC_BUDGET must be an integer >= 1, got "

@@ -912,3 +912,68 @@ class TestRunErrorParity:
         # within a trick step, a bad witness code comes before the column, as in replay
         with pytest.raises(ValueError, match="^trace step 1: witness code 9 out of range for order 9$"):
             trace_to_text(dn32, [Step("trick", col=True, witness=(1, 9, X))])
+
+
+# -- replay's trick verdicts: a replayed trick's conflict scan starts at the
+# clean prefix that _Rows keeps; the reference scans from column 0
+
+def _ref_verdict(M, steps):
+    """(step number, text) of the first trick refused when each is checked on
+    the replay_states snapshot before it by _ref_first_conflict, which scans
+    from column 0; None when every trick applies."""
+    rows, states = M.rows, replay_states(M, steps)
+    for n, st in enumerate(steps, 1):
+        if st.kind == "trick":
+            first = _ref_first_conflict(rows, M.width)
+            if first is None or first > st.col:
+                return n, "the trick column is not a conflict column"
+            if first < st.col:
+                return n, "an earlier column already has two nonzero entries before the trick column"
+        rows = next(states).rows
+    return None
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (7, 3)])
+def test_replay_trick_verdicts_match_a_scan_from_column_0(q, n):
+    # seeded EGE traces with tricks, mutated by inserting, dropping or
+    # retargeting eliminate steps: an eliminate whose pivot row starts left
+    # of an earlier trick column must lower the clean prefix, or replay
+    # would miss the conflict that it makes there.  A detour inserts
+    # ELIM r s c and ELIM r s -c, which leave the rows as they were but
+    # lower the prefix, so the tricks after it still apply
+    nf = build_nearfield(q, n)
+    rng = random.Random(f"verdicts:{q},{n}")
+    cases = [build_seed(m, nf).matrix for m in (6, 9, 12, 16)]
+    cases += [_random_matrix(rng, nf, max_rows=5, max_cols=8) for _ in range(8)]
+    verdicts = {"accepted": 0, "refused": 0}
+    for M in cases:
+        D = ege(M)
+        if not any(st.kind == "trick" for st in D.trace):
+            continue
+        k = M.n_rows
+        for _ in range(16):
+            trace = list(D.trace)
+            for _ in range(rng.randint(1, 3)):
+                elims = [i for i, st in enumerate(trace) if st.kind == "eliminate"]
+                action = rng.choice(["insert", "drop", "retarget", "detour"] if elims else ["insert", "detour"])
+                if action == "detour" and k > 1:
+                    r, s = rng.sample(range(k), 2)
+                    c, i = rng.randrange(1, nf.order), rng.randint(0, len(trace))
+                    trace[i:i] = [_elim(r, s, c), _elim(r, s, nf.neg(c))]
+                elif action in ("insert", "detour"):
+                    trace.insert(rng.randint(0, len(trace)), _elim(rng.randrange(k), rng.randrange(k),
+                                                                   rng.randrange(1, nf.order)))
+                elif action == "drop":
+                    del trace[rng.choice(elims)]
+                else:
+                    i = rng.choice(elims)
+                    trace[i] = _elim(trace[i].r, rng.randrange(k), trace[i].c)
+            want = _ref_verdict(M, trace)
+            if want is None:
+                rows = _ref_states(M, trace)[-1]
+                assert replay(M, trace).rows == tuple(row for row in rows if any(row))
+            else:
+                with pytest.raises(ValueError, match=f"^trace step {want[0]}: {re.escape(want[1])}$"):
+                    replay(M, trace)
+            verdicts["refused" if want else "accepted"] += 1
+    assert min(verdicts.values()) >= 20, verdicts

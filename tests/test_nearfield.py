@@ -552,6 +552,13 @@ class TestElementCodec:
         with pytest.raises(ValueError):
             dn32.format_element(3, style="hex")
 
+    def test_only_ascii_blanks_are_stripped(self, dn32):
+        # str.strip() trimmed any whitespace, so "\xa01+x " read as 1 + x
+        assert dn32.parse_element(" \t1 + x\t ") == 4
+        for text, term in [("\xa01+x ", "\xa01"), ("1+x\u2028", "x\u2028"), ("1\x85+x", "1\x85")]:
+            with pytest.raises(ValueError, match=f"^malformed element term {re.escape(repr(term))}$"):
+                dn32.parse_element(text)
+
     @pytest.mark.parametrize("text,message", [
         ("1" * 5000, "element code has 5000 digits, more than 4300"),
         ("x^" + "1" * 5000, "power has 5000 digits, more than 4300"),

@@ -134,12 +134,25 @@ class TestMatrixCodec:
             matrix_parse("DN 3 2\n# no dimensions\n")
         with pytest.raises(ValueError, match="header"):
             matrix_parse("GF 3 2\n1 1\n1\n")
-        # int() alone reads '_' separators, signs and other Unicode digits
-        for header in ("DN ３ 2", "DN 3_0 2", "DN +3 2", "DN 3 -2"):
-            with pytest.raises(ValueError, match=f"^bad header {re.escape(repr(header))}$"):
+        # int() alone reads '_' separators, signs and other Unicode digits;
+        # the error keeps the line and adds the integer reader's reason
+        for header, reason in [("DN ３ 2", "q must be an integer >= 0, got '３'"),
+                               ("DN 3_0 2", "q must be an integer >= 0, got '3_0'"),
+                               ("DN +3 2", "q must be an integer >= 0, got '+3'"),
+                               ("DN 3 -2", "n must be an integer >= 0, got '-2'"),
+                               ("DN " + "3" * 5000 + " 2", "q has 5000 digits, more than 4300")]:
+            with pytest.raises(ValueError, match=f"^bad header {re.escape(repr(header))}: {re.escape(reason)}$"):
                 matrix_parse(f"{header}\n1 1\n1\n")
-        for dims in ("2", "2 3 4", "x 2", "1 2.5", "1_0 2", "+1 2", "١ 2", "1 ２", "-1 2"):
-            with pytest.raises(ValueError, match=f"^bad dimension line {re.escape(repr(dims))}$"):
+        for dims, reason in [("2", "expected '<k> <m>'"),
+                             ("2 3 4", "expected '<k> <m>'"),
+                             ("x 2", "dimension must be an integer >= 0, got 'x'"),
+                             ("1 2.5", "dimension must be an integer >= 0, got '2.5'"),
+                             ("1_0 2", "dimension must be an integer >= 0, got '1_0'"),
+                             ("+1 2", "dimension must be an integer >= 0, got '+1'"),
+                             ("١ 2", "dimension must be an integer >= 0, got '١'"),
+                             ("1 ２", "dimension must be an integer >= 0, got '２'"),
+                             ("-1 2", "dimension must be an integer >= 0, got '-1'")]:
+            with pytest.raises(ValueError, match=f"^bad dimension line {re.escape(repr(dims))}: {re.escape(reason)}$"):
                 matrix_parse(f"DN 3 2\n{dims}\n1 2\n")
         with pytest.raises(ValueError, match="no rows"):
             matrix_parse("DN 3 2\n0 3\n")
