@@ -7,14 +7,15 @@ end to end.  Two helpers serve every caller that works on packed codes:
 
 - scale_rows(nf, m, scalars)[c][i] is the code of c o scalars[i], for
   a tuple of scalar codes (every scalar by default).  The right action
-  works on each coordinate alone, so while space * order is under a cap
-  the table is built one column per scalar r, col[c] = c o r, with no
-  unpacking: the column for R^(j+1) adds the row kernel's row
-  [a o r for a] (row_axpy) to the column for R^j scaled by the order,
-  one add per code.  zip turns the columns into rows once, one cached
-  table per tuple of scalars; above the cap each row is computed when
-  looked up, one row_axpy per scalar.  A row is a tuple, so no caller
-  can change the shared table.
+  works on each coordinate alone, so one scalar r gives a column,
+  col[c] = c o r, built with no unpacking: the column for R^(j+1) adds
+  the row kernel's row [a o r for a] (row_axpy) to the column for R^j
+  scaled by the order, one add per code.  scale_column(nf, m, r) is that
+  column, which linmaps' semantic checks read for the scalars x^i.
+  While space * order is under a cap, zip turns the columns into rows
+  once, one cached table per tuple of scalars; above the cap each row
+  is computed when looked up, one row_axpy per scalar.  A row is a
+  tuple, so no caller can change the shared table.
 - translate(nf, codes, c) is [x + c for x in codes].  Componentwise
   addition of vectors is digitwise base-p addition of packed codes, done
   one chunk of h base-p digits of c at a time, p^h <= 256, through one
@@ -184,25 +185,54 @@ def translate(nf: Nearfield, codes: list[int], c: int) -> list[int]:
 
 
 class _ScaleRowsOnDemand:
-    """scale_rows above the cap: each lookup computes one row."""
+    """scale_rows above the cap: each lookup computes one row, for codes in
+    range(space) only, so that iteration stops."""
 
     def __init__(self, nf: Nearfield, m: int, scalars: tuple[int, ...]):
-        self.nf, self.m, self.scalars = nf, m, scalars
+        self.nf, self.m, self.scalars, self.space = nf, m, scalars, nf.order ** m
+
+    def __len__(self) -> int:
+        return self.space
 
     def __getitem__(self, c: int) -> tuple[int, ...]:
+        if not 0 <= c < self.space:
+            raise IndexError(f"vector code {c} out of range for a space of {self.space}")
         nf = self.nf
         v = unpack_vector(nf, self.m, c)
         return tuple(pack_vector(nf, nf.row_axpy(v, r)) for r in self.scalars)
 
 
+def _column(nf: Nearfield, m: int, r: int) -> list[int]:
+    """col[c] = packed (c o r) for every c in R^m, from the kernel's row
+    [a o r for a], a coordinate at a time with one add per code."""
+    order = nf.order
+    low, col = nf.row_axpy(range(order), r), [0]
+    for _ in range(m):
+        # code a + order * b: the new coordinate a lowest, the old ones b above it
+        col = [a + hi for hi in [order * b for b in col] for a in low]
+    return col
+
+
+def scale_column(nf: Nearfield, m: int, r: int) -> list[int]:
+    """col[c] = packed (c o r) for every c in R^m, built whole; cached on the
+    field, keyed (m, r), while space * order is under the cap, as
+    scale_rows' tables are."""
+    col = nf._scale_rows.get((m, r))
+    if col is None:
+        col = _column(nf, m, r)
+        if nf.order ** (m + 1) <= _VSCALE_TABLE_CAP:
+            nf._scale_rows[m, r] = col
+    return col
+
+
 def scale_rows(nf: Nearfield, m: int, scalars: tuple[int, ...] | None = None):
     """rows[c][i] = packed (c o scalars[i]), for a nonempty tuple of scalar
     codes, every scalar by default: a table while space * order is under
-    the cap.  Cached on the field, so the tables die with it.  The table is
-    built whole at first use, one column per scalar, a coordinate at a
-    time with one add per code, and zip makes each row's tuple once.  Each
-    row is a tuple: the table is shared by every caller, and a row compares
-    equal to a tuple gathered from it."""
+    the cap.  Cached on the field, keyed (m, scalars), so the tables die
+    with it.  The table is built whole at first use, one _column per
+    scalar, and zip makes each row's tuple once.  Each row is a tuple: the
+    table is shared by every caller, and a row compares equal to a tuple
+    gathered from it."""
     key = (m, scalars)
     rows = nf._scale_rows.get(key)
     if rows is not None:
@@ -213,15 +243,7 @@ def scale_rows(nf: Nearfield, m: int, scalars: tuple[int, ...] | None = None):
     if order ** (m + 1) > _VSCALE_TABLE_CAP:
         rows = _ScaleRowsOnDemand(nf, m, scalars)
     else:
-        # one column per scalar r, col[c] = packed (c o r), from the kernel's row [a o r for a]
-        cols = []
-        for r in scalars:
-            low, col = nf.row_axpy(range(order), r), [0]
-            for _ in range(m):
-                # code a + order * b: the new coordinate a lowest, the old ones b above it
-                col = [a + hi for hi in [order * b for b in col] for a in low]
-            cols.append(col)
-        rows = list(zip(*cols))
+        rows = list(zip(*[_column(nf, m, r) for r in scalars]))
     nf._scale_rows[key] = rows
     return rows
 

@@ -10,18 +10,27 @@ force semantics in the tests.
 
 The semantic checks are those brute-force oracles: they consult no
 criterion and run over all of R^n, on packed codes through closure's
-scale_rows and translate.  They test every pair (x, r) against the full
-scalar table, without the reduction to the scalars x^i that lc_step
-uses, comparing a whole scaling row of x at a time: the images of that
-row's codes are gathered by one operator.itemgetter call, whose loop
-runs in C.
-The images are built one coordinate at a time, T(low + order^j r) =
-T(low) + column_j o r, once per map: linear_violation, the semantic
-is_normal and is_bijective share them, and the budget is checked again
-on every call before they are read.
+scale_column and translate.  They test the scalars x^i (codes p^i), as
+lc_step and find_witness do.  Fix c in R^n.  T is additive and the
+nearfield is left distributive, c o (r + s) = c o r + c o s, so
+D(r) = T(c o r) - T(c) o r is additive in r, and so is
+f_r(m, a) = (m + a) o r - m o r.  Hence the r with D(r) = 0, or with
+f_r(m, a) in a subgroup H, form a GF(p)-subspace of R, which is all of R
+exactly when it holds every x^i; x^0 = 1 always passes.  So the checks
+test the d - 1 scalars x, ..., x^(d-1), (d - 1) |R|^n pairs, each
+scalar in passes over its column c -> c o x^i whose loops run in C.
+The tests' per-entry oracles are the full reference: they test every
+pair (x, r) through vec_scale_right, vec_add and vec_neg.
+The images are built one base-p digit of x at a time: by left
+distributivity column_j o x_j is the sum of a (column_j o x^i) over
+the digits a of x_j, so T(low + p^k a) = T(low) + a (column_j o x^i),
+k = j d + i, n d (p - 1) translates per map.  They are built once per
+map: linear_violation, the semantic is_normal and is_bijective share
+them, and the budget is checked again on every call before they are
+read.
 Normality is checked by coset labels: each x is labelled with the least
 element of x + H, H the image, so two vectors lie in one coset exactly
-when their labels agree.  That costs O(space * order), where the
+when their labels agree.  That costs O(space * d), where the
 definition read literally costs O(space * |H| * order); is_normal gives
 the argument.
 """
@@ -33,10 +42,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-from operator import itemgetter
+from operator import ne
 
 from .nearfield import Nearfield
-from .closure import pack_vector, require_budget, scale_rows, translate, unpack_vector
+from .closure import pack_vector, require_budget, scale_column, translate, unpack_vector
 
 
 class MapClass(enum.Enum):
@@ -82,10 +91,15 @@ class MapRep:
     def _images(self) -> list[int]:
         """T(x) for every packed x in R^n, in code order; read through _images_packed."""
         nf = self.nf
-        rows = scale_rows(nf, self.n)
         img = [0]
-        for j in range(self.n):
-            img = [y for s in rows[pack_vector(nf, self.column(j))] for y in translate(nf, img, s)]
+        for col in self.columns:
+            for i in range(nf.d):
+                # the codes with digit a at the next place: T(low) + a (column_j o x^i)
+                step = pack_vector(nf, nf.row_axpy(col, nf.p ** i))
+                blocks = [img]
+                for _ in range(nf.p - 1):
+                    blocks.append(translate(nf, blocks[-1], step))
+                img = list(itertools.chain.from_iterable(blocks))
         return img
 
 
@@ -108,22 +122,33 @@ def _images_packed(T: MapRep) -> list[int]:
     return T._images
 
 
+def _basis_columns(T: MapRep) -> list[list[int]]:
+    """The columns c -> packed (c o x^i) over R^n for 0 < i < d, one per
+    scalar that the semantic checks test."""
+    nf = T.nf
+    return [scale_column(nf, T.n, nf.p ** i) for i in range(1, nf.d)]
+
+
 def linear_violation(T: MapRep):
     """First (v, r) with T(v o r) != T(v) o r in lexicographic packed order, or None.
 
-    Guarded by |R|^n only, as classify-map's hom-only maps stop early (code
-    962 of random DN(31,2)^2 maps).  A linear map scans all |R|^(n+1) pairs,
-    which the semantic is_linear and is_normal bound before they start."""
+    For each v the r with T(v o r) = T(v) o r form a GF(p)-subspace (see
+    the module docstring), so v fails for some r exactly when it fails for
+    some x^i, and the least failing r is x^i for the least failing i:
+    every code below p^i lies in the span of x^0, ..., x^(i-1).  Each
+    column is scanned lazily, and only below the least failing v found so
+    far, so a hom-only map stops at its first violation over x, and the
+    scan reads at most (d - 1) |R|^n pairs.  Guarded by |R|^n only, as
+    classify-map's hom-only maps stop early (code 962 of random
+    DN(31,2)^2 maps)."""
     img = _images_packed(T)
-    rows = scale_rows(T.nf, T.n)
-    for c, ic in enumerate(img):
-        # T(c o r) for every r at once, against T(c) o r; a row has |R| >= 2
-        # entries, so itemgetter returns a tuple, never a bare element
-        lhs, rhs = itemgetter(*rows[c])(img), rows[ic]
-        if lhs != rhs:
-            r = next(r for r, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-            return unpack_vector(T.nf, T.n, c), r
-    return None
+    c, r = len(img), None
+    for i, col in enumerate(_basis_columns(T), 1):
+        fails = map(ne, map(img.__getitem__, col), map(col.__getitem__, img))
+        first = next(itertools.compress(itertools.count(), itertools.islice(fails, c)), c)
+        if first < c:
+            c, r = first, T.nf.p ** i
+    return None if r is None else (unpack_vector(T.nf, T.n, c), r)
 
 
 def is_linear(T: MapRep, mode: str = "criterion") -> bool:
@@ -144,7 +169,9 @@ def is_normal(T: MapRep, mode: str = "criterion") -> bool:
     with m taken as the least element of its coset.  For any other m in
     that coset, label[(m + a) o r] and label[m o r] both equal
     label[rep o r], and equality of labels is transitive, so every pair
-    is covered.  The criterion is never consulted.
+    is covered.  The r that pass form a GF(p)-subspace (see the module
+    docstring), so only r = x, ..., x^(d-1) are checked, each in one pass
+    over its column.  The criterion is never consulted.
     """
     if not is_linear(T, "criterion"):
         raise ValueError("normality is defined for linear maps only")
@@ -154,19 +181,16 @@ def is_normal(T: MapRep, mode: str = "criterion") -> bool:
         raise ValueError("mode must be 'criterion' or 'semantic'")
     require_budget("|R|^(n+1)", T.nf.order, T.n + 1)
     img = _images_packed(T)
-    rows = scale_rows(T.nf, T.n)
     image = list(set(img))
     label = [-1] * len(img)
     for x in range(len(label)):
         if label[x] < 0:  # x is the least element of its coset x + H
             for y in translate(T.nf, image, x):
                 label[y] = x
-    # the labels of x o r for every r at once, against those of rep o r,
-    # which are listed once per coset; a row has |R| >= 2 entries, so
-    # itemgetter returns a tuple
-    labels_of = lambda x: itemgetter(*rows[x])(label)
-    rep_labels = {rep: labels_of(rep) for rep in set(label)}
-    return all(labels_of(x) == rep_labels[rep] for x, rep in enumerate(label))
+    # per scalar r = x^i, the labels of x o r for every x against those of label[x] o r
+    at = label.__getitem__
+    return all(list(map(at, col)) == list(map(at, map(col.__getitem__, label)))
+               for col in _basis_columns(T))
 
 
 def _is_scaled_permutation(T: MapRep) -> bool:

@@ -109,10 +109,14 @@ def _ascii_int(text: str, field: str, low: int | None = 0) -> int:
 def _check_separators(text: str, what: str) -> None:
     """ValueError naming the first whitespace but ASCII space, tab, CR and LF
     in a matrix file or trace, where split() and splitlines() would break; an
-    ASCII text free of \\v, \\f and \\x1c-\\x1f skips this tenth of a trace read."""
+    ASCII text free of \\v, \\f and \\x1c-\\x1f skips this tenth of a trace read.
+    Its line is numbered as splitlines() numbers them: CRLF, a lone CR and a
+    lone LF each end one."""
     if not text.isascii() or any(map(text.__contains__, "\v\f\x1c\x1d\x1e\x1f")):
         if bad := _NOT_SEPARATOR.search(text):
-            where, ch = f"{what} line {text.count(chr(10), 0, bad.start()) + 1}", bad.group()
+            head = text[:bad.start()]
+            line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+            where, ch = f"{what} line {line}", bad.group()
             raise ValueError(f"{where}: whitespace {ch!r} (U+{ord(ch):04X}) is not a field separator")
 
 
@@ -419,7 +423,7 @@ class Nearfield:
         self._qpow = tuple(q ** j for j in range(n))
         self._check_inverse_formula()
         # filled on demand: the element text memo, code -> canonical text and
-        # back (see format_elements), and closure.scale_rows' tables
+        # back (see format_elements), and closure's scaling tables and columns
         self._texts, self._codes = {}, {}
         self._scale_rows = {}
         self._witness = _UNSET

@@ -977,3 +977,13 @@ def test_replay_trick_verdicts_match_a_scan_from_column_0(q, n):
                     replay(M, trace)
             verdicts["refused" if want else "accepted"] += 1
     assert min(verdicts.values()) >= 20, verdicts
+
+
+@pytest.mark.parametrize("text", [
+    "SWAP 1 2\nSWAP 1 2\nSWAP 1\u20032\n", "SWAP 1 2\r\nSWAP 1 2\r\nSWAP 1\u20032\r\n",
+    "SWAP 1 2\rSWAP 1 2\rSWAP 1\u20032\r", "SWAP 1 2\r\rSWAP 1\u20032\n",
+], ids=["lf", "crlf", "cr", "cr-blank-line"])
+def test_trace_separator_error_numbers_lines_as_splitlines_does(dn32, text):
+    # LF alone was counted, so the CR-only traces named line 1
+    with pytest.raises(ValueError, match=r"^trace line 3: whitespace '\\u2003' \(U\+2003\)"):
+        trace_from_text(dn32, text)

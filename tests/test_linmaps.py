@@ -120,7 +120,7 @@ class TestLinearity:
             raise AssertionError("the guard ran after the scan started")
         monkeypatch.setattr(linmaps_module, "_images_packed", no_work)
         monkeypatch.setattr(MapRep, "_images", property(no_work))
-        monkeypatch.setattr(linmaps_module, "scale_rows", no_work)
+        monkeypatch.setattr(linmaps_module, "scale_column", no_work)
         I = MapRep.identity(build_nearfield(31, 2), 2)
         with pytest.raises(BudgetExceededError, match=r"^\|R\|\^\(n\+1\) = 961\^3 exceeds"):
             check(I, "semantic")
@@ -135,7 +135,7 @@ class TestLinearity:
 class TestImagesOnce:
     def test_one_build_shared_by_the_semantic_checks(self, dn32, monkeypatch):
         # a linear map that is not normal, so is_bijective counts its images;
-        # a build translates once per (column, scalar): 2 x 9 calls
+        # a build translates p - 1 times per (column, basis scalar x^i): 2 x 2 x 2 calls
         calls, real = [], linmaps_module.translate
         def counted(nf, codes, c):
             calls.append(c)
@@ -143,12 +143,12 @@ class TestImagesOnce:
         monkeypatch.setattr(linmaps_module, "translate", counted)
         T = MapRep.from_columns(dn32, [(1, X), (0, 0)])
         assert classify(T) is MapClass.LINEAR and not calls
-        assert linear_violation(T) is None and len(calls) == 18
+        assert linear_violation(T) is None and len(calls) == 8
         # the labels translate the 9-element image once per coset, 81 / 9
-        assert not is_normal(T, "semantic") and len(calls) == 18 + 9
-        assert not is_bijective(T) and linear_violation(T) is None and len(calls) == 27
+        assert not is_normal(T, "semantic") and len(calls) == 8 + 9
+        assert not is_bijective(T) and linear_violation(T) is None and len(calls) == 17
         # another map, even an equal one, builds its own images
-        assert not is_bijective(MapRep.from_columns(dn32, [(1, X), (0, 0)])) and len(calls) == 45
+        assert not is_bijective(MapRep.from_columns(dn32, [(1, X), (0, 0)])) and len(calls) == 25
 
     def test_budget_checked_before_the_images_are_read(self, dn32, monkeypatch):
         T = MapRep.from_columns(dn32, [(1, X), (0, 0)])
@@ -447,8 +447,21 @@ def test_first_violation_matches_per_entry_oracle(q, k, n):
         assert violation == _entry_linear_violation(T)
 
 
-# DN(3,2)^1..3, DN(5,2)^2 and GF(7)^2
-ORACLE_SPACES = [(3, 2, 1), (3, 2, 2), (3, 2, 3), (5, 2, 2), (7, 1, 2)]
+def test_semantic_checks_match_per_entry_oracle_on_every_map_of_dn32_squared(dn32):
+    # all 9^4 maps; (1 + 2 x 8)^2 of them are linear
+    linear = 0
+    for T in enumerate_maps(dn32, 2):
+        violation = linear_violation(T)
+        assert violation == _entry_linear_violation(T)
+        if violation is None:
+            linear += 1
+            assert is_normal(T, "semantic") == _entry_is_normal(T)
+    assert linear == 289
+
+
+# DN(3,2)^1..3, DN(5,2)^2, GF(7)^2, DN(4,3)^1 (p = 2, d = 6), GF(8)^2 (p = 2)
+# and GF(9)^2 (a field with d = 2)
+ORACLE_SPACES = [(3, 2, 1), (3, 2, 2), (3, 2, 3), (5, 2, 2), (7, 1, 2), (4, 3, 1), (8, 1, 2), (9, 1, 2)]
 
 
 @st.composite
@@ -517,6 +530,30 @@ def test_scale_rows_match_vec_scale_right(scale_cap, q, k, m, scalars):
         assert type(rows[c]) is tuple and type(sub[c]) is tuple
         assert rows[c] == tuple(pack_vector(nf, vec_scale_right(nf, v, r)) for r in range(nf.order))
         assert sub[c] == tuple(rows[c][r] for r in picked)
+
+
+def test_scale_rows_on_demand_hold_the_codes_of_the_space_only(dn32, scale_cap):
+    # a row computed on lookup once took any int: code 9^7 of R^7 gave a zero
+    # row and -1 a row of codes, so iteration, list() and zip(*rows) never ended
+    rows = closure.scale_rows(dn32, 2)
+    assert len(rows) == 81 and list(rows) == [rows[c] for c in range(81)]
+    with pytest.raises(IndexError):
+        rows[81]
+    if scale_cap == "no_table":
+        with pytest.raises(IndexError, match="^vector code -1 out of range for a space of 81$"):
+            rows[-1]
+    above = closure.scale_rows(dn32, 7)  # 9^8 entries, over the cap
+    assert len(above) == 9 ** 7
+    for c in (9 ** 7, -1):
+        with pytest.raises(IndexError, match=f"^vector code {c} out of range for a space of {9 ** 7}$"):
+            above[c]
+
+
+def test_scale_column_matches_the_rows_and_is_cached_under_the_cap(dn32, scale_cap):
+    for r in (3, 5):
+        col = closure.scale_column(dn32, 2, r)
+        assert col == [row[r] for row in closure.scale_rows(dn32, 2)]
+        assert (closure.scale_column(dn32, 2, r) is col) == (scale_cap == "cap")
 
 
 @pytest.mark.parametrize("v,message", [

@@ -209,3 +209,12 @@ class TestMatrixCodec:
         assert len(nf._texts) <= 4 and len(nf._codes) <= 4
         assert matrix_format(M) == text
         assert len(nf._texts) <= 4 and len(nf._codes) <= 4
+
+
+@pytest.mark.parametrize("text", [
+    "DN 3 2\n1 2\n1\xa02\n", "DN 3 2\r\n1 2\r\n1\xa02\r\n", "DN 3 2\r1 2\r1\xa02\r", "DN 3 2\r1 2\n1\xa02\r\n",
+], ids=["lf", "crlf", "cr", "mixed"])
+def test_separator_error_numbers_lines_as_splitlines_does(text):
+    # LF alone was counted, so the CR-only text named line 1
+    with pytest.raises(ValueError, match=r"^matrix file line 3: whitespace '\\xa0' \(U\+00A0\)"):
+        matrix_parse(text)
