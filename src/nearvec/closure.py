@@ -5,25 +5,26 @@ is mixed-radix with radix q^n = p^d, first coordinate lowest, so a packed
 vector code is simply the base-p digit string of all its coordinates laid
 end to end.  Two helpers serve every caller that works on packed codes:
 
-- scale_rows(nf, m, scalars)[c][i] is the code of c o scalars[i], for
-  a tuple of scalar codes (every scalar by default).  The right action
-  works on each coordinate alone, so one scalar r gives a column,
-  col[c] = c o r, built with no unpacking: the column for R^(j+1) adds
-  the row kernel's row [a o r for a] (row_axpy) to the column for R^j
-  scaled by the order, one add per code.  scale_column(nf, m, r) is that
-  column, which linmaps' semantic checks read for the scalars x^i.
-  While space * order is under a cap, zip turns the columns into rows
-  once, one cached table per tuple of scalars; above the cap each row
-  is computed when looked up, one row_axpy per scalar.  A row is a
-  tuple, so no caller can change the shared table.
-- translate(nf, codes, c) is [x + c for x in codes].  Componentwise
-  addition of vectors is digitwise base-p addition of packed codes, done
-  one chunk of h base-p digits of c at a time, p^h <= 256, through one
-  cached table per prime p of chunk sums (at most 2^16 entries), looked
-  up once per call; the lowest chunk needs no scaling, x + delta[x % p^h].
-  The table is built a digit at a time in whole rows, one add per entry.
-  Above p = 256 a chunk is one digit, added inline less p where it
-  carries, so a translate costs O(len(codes)) for every p.
+- scale_column(nf, m, r)[c] is the code of c o r.  The right action
+  works on each coordinate alone, so the column is built with no
+  unpacking: the column for R^(j+1) adds the row kernel's row
+  [a o r for a] (row_axpy) to the column for R^j scaled by the order,
+  one add per code.  It is cached on the field while space * order is
+  under a cap and built per call above it.  _grow and linmaps' semantic
+  checks read the columns of the scalars x^i; above the cap _grow
+  computes each product it looks up, one row_axpy per (code, scalar),
+  and builds no column.
+- translate(nf, m, codes, c) is [x + c for x in codes] over R^m.
+  Componentwise addition of vectors is digitwise base-p addition of
+  packed codes, done one chunk of h base-p digits of c at a time through
+  a table of chunk sums, looked up once per call; the lowest chunk needs
+  no scaling, x + delta[x % p^h].  The chunks fit the code width: codes
+  of m d digits take as many chunks as the largest p^h <= 256 needs, each
+  ceil(m d / chunks) digits wide, so DN(3,2)^3 reads a 27 x 27 table.
+  One table per (p, h) is cached, p^(2h) <= 2^16 entries, built a digit
+  at a time in whole rows, one add per entry.  Above p = 256 a chunk is
+  one digit, added inline less p where it carries, so a translate costs
+  O(len(codes)) for every p.
 
 No structure grows with the square of the space.
 
@@ -34,22 +35,24 @@ GF(p)-span.  The nearfield is left distributive, w o (lam + mu) =
 w o lam + w o mu, so w o lam is GF(p)-linear in lam, and the span of
 {w o lam : lam in R} is the span of the d products w o x^i, i < d (the
 scalar code p^i is x^i): the step seeds d products per vector, not |R|,
-through scale_rows(nf, m, (1, p, ..., p^(d-1))).  One helper, _grow,
-grows the span as a subgroup H, held as a list and as a set of its codes.
-A product already in H is skipped; any other product c extends H to
-H + <c>, the disjoint union of the cosets H + k c for k = 0..p-1, each
-translated from the one before and added to the set one coset at a time.
+one scalar's column at a time.  One helper, _grow, grows the span as a
+subgroup H, held as a list and as a set of its codes.  A product already
+in H is skipped; any other product c extends H to H + <c>, the disjoint
+union of the cosets H + k c for k = 0..p-1, each translated from the one
+before and added to the set one coset at a time.
 
 The strata are grown semi-naively, each from the last.  LC_p is inside
 LC_(p+1), since x^0 = 1 is seeded and w o 1 = w, and the products of
 LC_(p-1) already lie in LC_p.  So LC_(p+1) starts from LC_p's list and
-set and seeds only the codes that LC_p added; LC_1 starts from {0} and
-seeds V.  One loop, _gen_codes, grows every stratum, up to a limit for
-lc_step (1) and is_gamma_dependent (gamma).  No element is listed twice
-across the strata, and the fixpoint is a stratum that adds nothing, seen
-by its size, with no sort or compare.  Only lc_step and gen_closure
-sort, once, for their VectorSet.  A stratum costs its new codes' d
-products each, mostly set lookups, plus the elements it adds.
+set and seeds only the codes w that LC_p added, and of those only the
+d - 1 products w o x^i, 0 < i < d, as w o 1 = w is listed; LC_1 starts
+from {0} and seeds all d products of each vector of V.  One loop,
+_gen_codes, grows every stratum, up to a limit for lc_step (1) and
+is_gamma_dependent (gamma).  No element is listed twice across the
+strata, and the fixpoint is a stratum that adds nothing, seen by its
+size, with no sort or compare.  Only lc_step and gen_closure sort, once,
+for their VectorSet.  A stratum after LC_1 costs d - 1 products per new
+code, mostly set lookups, plus the elements it adds.
 
 A stratum that fills R^m stops at its last independent product: once
 p |H| = |R^m|, H + <c> is the whole space, known by its size.  One rank
@@ -87,7 +90,7 @@ from .nearfield import Nearfield, _ascii_int
 DEFAULT_BUDGET = 10 ** 6
 BUDGET_ENV = "NEARVEC_BUDGET"
 
-_VSCALE_TABLE_CAP = 10 ** 6  # space * order cap for the scaling table
+_VSCALE_TABLE_CAP = 10 ** 6  # space * order cap for a cached scaling column
 
 
 class BudgetExceededError(RuntimeError):
@@ -132,39 +135,41 @@ def unpack_vector(nf: Nearfield, m: int, code: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _chunk_base(p: int) -> int:
-    """p^h for the largest h >= 1 with p^h <= 256 (p itself above 256)."""
-    base = p
-    while base * p <= 256:
-        base *= p
-    return base
-
-
-_CHUNK_TABLES: dict[int, list[list[int]]] = {}  # per prime p, built on first use
-
-
-def _chunk_table(nf: Nearfield) -> list[list[int]]:
-    """delta[b][a] = (a + b) - a, with + digitwise base p on chunks a, b < _chunk_base(p) <= 256.
+def _chunk_table(p: int, h: int) -> list[list[int]]:
+    """delta[b][a] = (a + b) - a, with + digitwise base p on chunks a, b < p^h.
 
     Built one base-p digit at a time, whole rows at once: the p rows
     low[b0][a0] = (a0 + b0) mod p - a0 of one digit are made once, and each
     row of the table so far is scaled by p once, so an entry costs one add."""
-    p, table = nf.p, _CHUNK_TABLES.get(nf.p)
-    if table is None:
-        low = [[(a0 + b0) % p - a0 for a0 in range(p)] for b0 in range(p)]
-        table = [[0]]
-        while len(table) < _chunk_base(p):
-            # one more base-p digit, the lowest: a = a0 + p a1 and b = b0 + p b1
-            table = [[lo + hi for hi in scaled for lo in row]
-                     for scaled in [[p * d for d in prev] for prev in table] for row in low]
-        _CHUNK_TABLES[p] = table
+    low = [[(a0 + b0) % p - a0 for a0 in range(p)] for b0 in range(p)]
+    table = [[0]]
+    for _ in range(h):
+        # one more base-p digit, the lowest: a = a0 + p a1 and b = b0 + p b1
+        table = [[lo + hi for hi in scaled for lo in row]
+                 for scaled in [[p * d for d in prev] for prev in table] for row in low]
     return table
 
 
-def translate(nf: Nearfield, codes: list[int], c: int) -> list[int]:
-    """[x + c for x in codes] with + componentwise, one chunk of c at a time (codes itself for c = 0)."""
-    base = _chunk_base(nf.p)
-    table = _chunk_table(nf) if base <= 256 else None
+@functools.lru_cache(maxsize=None)
+def _chunk_layout(p: int, digits: int) -> tuple[int, list[list[int]] | None]:
+    """(p^h, delta) for codes of the given number of base-p digits.
+
+    The codes take as many chunks as chunks of h_max digits need, p^h_max
+    the largest power of p <= 256, and each chunk is h = ceil(digits /
+    chunks) digits wide, so delta = _chunk_table(p, h) has p^(2h) <= 2^16
+    entries.  Above p = 256 a chunk is one digit and delta is None."""
+    h_max = 1
+    while p ** (h_max + 1) <= 256:
+        h_max += 1
+    chunks = max(1, -(-digits // h_max))
+    h = max(1, -(-digits // chunks))
+    return p ** h, _chunk_table(p, h) if p <= 256 else None
+
+
+def translate(nf: Nearfield, m: int, codes: list[int], c: int) -> list[int]:
+    """[x + c for x in codes] over R^m, with + componentwise, one chunk of c
+    at a time (codes itself for c = 0)."""
+    base, table = _chunk_layout(nf.p, m * nf.d)
     scale = 1
     while c:
         c, b = divmod(c, base)
@@ -184,24 +189,6 @@ def translate(nf: Nearfield, codes: list[int], c: int) -> list[int]:
     return codes
 
 
-class _ScaleRowsOnDemand:
-    """scale_rows above the cap: each lookup computes one row, for codes in
-    range(space) only, so that iteration stops."""
-
-    def __init__(self, nf: Nearfield, m: int, scalars: tuple[int, ...]):
-        self.nf, self.m, self.scalars, self.space = nf, m, scalars, nf.order ** m
-
-    def __len__(self) -> int:
-        return self.space
-
-    def __getitem__(self, c: int) -> tuple[int, ...]:
-        if not 0 <= c < self.space:
-            raise IndexError(f"vector code {c} out of range for a space of {self.space}")
-        nf = self.nf
-        v = unpack_vector(nf, self.m, c)
-        return tuple(pack_vector(nf, nf.row_axpy(v, r)) for r in self.scalars)
-
-
 def _column(nf: Nearfield, m: int, r: int) -> list[int]:
     """col[c] = packed (c o r) for every c in R^m, from the kernel's row
     [a o r for a], a coordinate at a time with one add per code."""
@@ -215,37 +202,22 @@ def _column(nf: Nearfield, m: int, r: int) -> list[int]:
 
 def scale_column(nf: Nearfield, m: int, r: int) -> list[int]:
     """col[c] = packed (c o r) for every c in R^m, built whole; cached on the
-    field, keyed (m, r), while space * order is under the cap, as
-    scale_rows' tables are."""
-    col = nf._scale_rows.get((m, r))
+    field, keyed (m, r), while space * order is under the cap, so the
+    columns die with the field."""
+    col = nf._scale_columns.get((m, r))
     if col is None:
         col = _column(nf, m, r)
         if nf.order ** (m + 1) <= _VSCALE_TABLE_CAP:
-            nf._scale_rows[m, r] = col
+            nf._scale_columns[m, r] = col
     return col
 
 
-def scale_rows(nf: Nearfield, m: int, scalars: tuple[int, ...] | None = None):
-    """rows[c][i] = packed (c o scalars[i]), for a nonempty tuple of scalar
-    codes, every scalar by default: a table while space * order is under
-    the cap.  Cached on the field, keyed (m, scalars), so the tables die
-    with it.  The table is built whole at first use, one _column per
-    scalar, and zip makes each row's tuple once.  Each row is a tuple: the
-    table is shared by every caller, and a row compares equal to a tuple
-    gathered from it."""
-    key = (m, scalars)
-    rows = nf._scale_rows.get(key)
-    if rows is not None:
-        return rows
-    order = nf.order
-    if scalars is None:
-        scalars = tuple(range(order))
-    if order ** (m + 1) > _VSCALE_TABLE_CAP:
-        rows = _ScaleRowsOnDemand(nf, m, scalars)
-    else:
-        rows = list(zip(*[_column(nf, m, r) for r in scalars]))
-    nf._scale_rows[key] = rows
-    return rows
+def _scaled(nf: Nearfield, m: int, r: int):
+    """c -> packed (c o r) for c in R^m: a lookup in scale_column's cached
+    column while space * order is under the cap, else one row_axpy per call."""
+    if nf.order ** (m + 1) <= _VSCALE_TABLE_CAP:
+        return scale_column(nf, m, r).__getitem__
+    return lambda c: pack_vector(nf, nf.row_axpy(unpack_vector(nf, m, c), r))
 
 
 @dataclass(frozen=True)
@@ -279,27 +251,27 @@ class VectorSet:
         return i < len(self.codes) and self.codes[i] == code
 
 
-def _extend(nf: Nearfield, out: list[int], seen: set[int], c: int) -> None:
+def _extend(nf: Nearfield, m: int, out: list[int], seen: set[int], c: int) -> None:
     """out + <c>: append the cosets out + k c, 0 < k < p, to out and seen."""
     coset = out
     for _ in range(nf.p - 1):
-        coset = translate(nf, coset, c)
+        coset = translate(nf, m, coset, c)
         seen.update(coset)
         out += coset
 
 
-def _grow(S: VectorSet, out: list[int], seen: set[int], new, space: int) -> bool:
-    """Extend the subgroup out, its members in seen, by the products w o x^i
-    of the codes w in new; False once it fills R^m."""
-    nf, p = S.nf, S.nf.p
-    rows = scale_rows(nf, S.m, tuple(p ** i for i in range(nf.d)))
+def _grow(nf: Nearfield, m: int, out: list[int], seen: set[int], new, space: int, scaled) -> bool:
+    """Extend the subgroup out, its members in seen, by the products f(w) of
+    the codes w in new, for each f in scaled (from _scaled) in turn; False
+    once it fills R^m."""
+    p = nf.p
     held = None   # c, 2c, ..., (p-1)c for a product c not yet listed
     # the filter is lazy, so it skips products that out has grown to cover
-    products = itertools.chain.from_iterable(map(rows.__getitem__, new))
+    products = itertools.chain.from_iterable(map(f, new) for f in scaled)
     for c in itertools.filterfalse(seen.__contains__, products):
         if held is not None:
             # c lies in out + <held> iff c + j held lies in out for some 0 < j < p
-            if seen.isdisjoint(translate(nf, held, c)):
+            if seen.isdisjoint(translate(nf, m, held, c)):
                 return False  # out + <held> + <c> has p^2 |out| elements: all of R^m
             continue
         if len(out) * p == space:
@@ -307,22 +279,25 @@ def _grow(S: VectorSet, out: list[int], seen: set[int], new, space: int) -> bool
         if len(out) * p * p == space:
             held = [c]
             while len(held) < p - 1:
-                held += translate(nf, held[-1:], c)
+                held += translate(nf, m, held[-1:], c)
         else:
-            _extend(nf, out, seen, c)
+            _extend(nf, m, out, seen, c)
     if held is not None:
-        _extend(nf, out, seen, held[0])
+        _extend(nf, m, out, seen, held[0])
     return True
 
 
 def _gen_codes(S: VectorSet, space: int, limit: int | None = None) -> tuple[set[int] | None, int]:
     """The set of gen(S), or of LC_limit(S) for a stratum limit, or None when
     it is R^m, and the strata grown, each from the codes the last one added."""
+    nf, m = S.nf, S.m
+    # w o x^i for i < d; only LC_1 seeds w o x^0 = w, which every later stratum holds
+    scaled = [_scaled(nf, m, nf.p ** i) for i in range(nf.d)]
     out, seen, new, strata = [0], {0}, S.codes, 0
     while new and strata != limit:
         start = len(out)
         strata += 1
-        if not _grow(S, out, seen, new, space):
+        if not _grow(nf, m, out, seen, new, space, scaled if strata == 1 else scaled[1:]):
             return None, strata
         new = out[start:]
     return seen, strata

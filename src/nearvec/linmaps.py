@@ -98,7 +98,7 @@ class MapRep:
                 step = pack_vector(nf, nf.row_axpy(col, nf.p ** i))
                 blocks = [img]
                 for _ in range(nf.p - 1):
-                    blocks.append(translate(nf, blocks[-1], step))
+                    blocks.append(translate(nf, self.n, blocks[-1], step))
                 img = list(itertools.chain.from_iterable(blocks))
         return img
 
@@ -182,11 +182,11 @@ def is_normal(T: MapRep, mode: str = "criterion") -> bool:
     require_budget("|R|^(n+1)", T.nf.order, T.n + 1)
     img = _images_packed(T)
     image = list(set(img))
-    label = [-1] * len(img)
-    for x in range(len(label)):
-        if label[x] < 0:  # x is the least element of its coset x + H
-            for y in translate(T.nf, image, x):
-                label[y] = x
+    label, x = [-1] * len(img), 0
+    for _ in range(len(img) // len(image)):
+        x = label.index(-1, x)  # the least element of the next coset x + H
+        for y in translate(T.nf, T.n, image, x):
+            label[y] = x
     # per scalar r = x^i, the labels of x o r for every x against those of label[x] o r
     at = label.__getitem__
     return all(list(map(at, col)) == list(map(at, map(col.__getitem__, label)))

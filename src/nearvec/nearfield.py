@@ -398,7 +398,7 @@ class Nearfield:
 
     All operations are pure table lookups after construction; instances
     are safe to share between threads, as the text memo and the closure's
-    scaling rows only ever gain entries that do not depend on the order
+    scaling columns only ever gain entries that do not depend on the order
     of the calls.  Obtain instances through build_nearfield(), which
     caches them.
     """
@@ -423,9 +423,9 @@ class Nearfield:
         self._qpow = tuple(q ** j for j in range(n))
         self._check_inverse_formula()
         # filled on demand: the element text memo, code -> canonical text and
-        # back (see format_elements), and closure's scaling tables and columns
+        # back (see format_elements), and closure's scaling columns
         self._texts, self._codes = {}, {}
-        self._scale_rows = {}
+        self._scale_columns = {}
         self._witness = _UNSET
 
     # -- construction ------------------------------------------------------
@@ -662,7 +662,7 @@ class Nearfield:
     def row_axpy(self, row, c: int, acc=None) -> tuple[int, ...]:
         """acc + row o c componentwise, or row o c when acc is None.
 
-        The row kernel of closure's scaling rows, of apply_map, of the
+        The row kernel of closure's scaling columns, of apply_map, of the
         operation tables and of EGE's scale steps.  Each entry stays in the
         log domain: with off[j] = log c * q^j, a o c = exp[log a + off[j(a)]],
         and adding x is the Zech step exp[log x + Z[log(a o c) - log x]]

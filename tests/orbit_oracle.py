@@ -21,14 +21,15 @@ import sys
 import time
 
 from nearvec import build_nearfield, count_subgroup_orbits
-from nearvec.closure import pack_vector, scale_rows, translate, unpack_vector
+from nearvec.closure import pack_vector, scale_column, translate, unpack_vector
 
 
 def reference_subgroup_orbits(m: int, k: int, nf) -> int:
     order = nf.order
     columns = range(m)
     perms = list(itertools.permutations(columns))
-    scale = scale_rows(nf, m)
+    # scale[c][r] = packed (c o r) for every scalar r
+    scale = list(zip(*[scale_column(nf, m, r) for r in range(order)]))
 
     # every dimension-k subgroup is generated by k rows with pairwise
     # disjoint supports and unit leading entries; enumerate all of them
@@ -52,7 +53,7 @@ def reference_subgroup_orbits(m: int, k: int, nf) -> int:
                 rows.append(tuple(row))
             elems = [0]
             for row in rows:
-                elems = [y for s in scale[pack_vector(nf, row)] for y in translate(nf, elems, s)]
+                elems = [y for s in scale[pack_vector(nf, row)] for y in translate(nf, m, elems, s)]
             subgroups.add(frozenset(elems))
 
     orbits = set()

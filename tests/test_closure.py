@@ -1,3 +1,4 @@
+import collections
 import gc
 import importlib
 import itertools
@@ -132,7 +133,7 @@ class TestGenClosure:
             assert lc_step(G).codes == G.codes
 
     def test_scaling_rows_die_with_their_field(self):
-        # the closure's scaling rows are cached on the field, so a field above
+        # the closure's scaling columns are cached on the field, so a field above
         # 2^16 that reached closure still leaves build_nearfield's one-slot cache
         first = build_nearfield(65537, 1)
         assert len(gen_closure(VectorSet.from_vectors(first, 1, [(3,)]))) == 65537
@@ -144,10 +145,13 @@ class TestGenClosure:
         assert len(gen_closure(VectorSet.from_vectors(second, 1, [(5,)]))) == 131071
 
     def test_scaling_rows_built_once_per_field(self, dn32):
-        scale_rows = closure_module.scale_rows
-        for scalars in (None, (1, 3)):
-            assert scale_rows(dn32, 2, scalars) is scale_rows(dn32, 2, scalars)
-        assert scale_rows(dn32, 2) is scale_rows(dn32, 2, None)
+        # one column per (m, r), which lc_step reads as linmaps does
+        scale_column = closure_module.scale_column
+        for r in (1, 3, 5):
+            assert scale_column(dn32, 2, r) is scale_column(dn32, 2, r)
+        lc_step(VectorSet.from_vectors(dn32, 2, [(1, X)]))
+        for r in (1, 3):
+            assert dn32._scale_columns[2, r] is scale_column(dn32, 2, r)
 
     def test_closed_under_operations(self, dn32):
         G = gen_closure(VectorSet.from_vectors(dn32, 2, [(1, 5)]))
@@ -384,18 +388,58 @@ def test_lc_step_prime_above_chunk_table(q, m, vectors):
     assert lc_step(S) == _elimination_lc_step(S)
 
 
+def _h_max(p):
+    # the most base-p digits a chunk of at most 256 values holds, 1 above p = 256
+    return next(h for h in itertools.count(1) if p ** (h + 1) > 256)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_chunk_table_is_digitwise_addition(monkeypatch, p):
-    # built afresh, not read from the per-prime cache: base x base lists of
-    # ints with delta[b][a] = (a + b) - a, + digitwise base p
-    monkeypatch.setattr(closure_module, "_CHUNK_TABLES", {})
-    table = closure_module._chunk_table(build_nearfield(p, 1))
-    base = closure_module._chunk_base(p)
-    assert type(table) is list and len(table) == base
-    for b, row in enumerate(table):
-        assert type(row) is list and len(row) == base
-        assert all(type(x) is int for x in row)
-        assert row == [_padd(p, a, b) - a for a in range(base)]
+def test_chunk_table_is_digitwise_addition(p):
+    # the layout of codes of every width from 1 to 4 h_max digits: at most
+    # ceil(digits / h_max) chunks, each of h digits, and a chunk-sum table of
+    # p^(2h) <= 2^16 lists of ints, delta[b][a] = (a + b) - a with + digitwise
+    # base p, built afresh, not read from the cache
+    closure_module._chunk_layout.cache_clear()
+    closure_module._chunk_table.cache_clear()
+    h_max = _h_max(p)
+    tables = {}
+    for digits in range(1, 4 * h_max + 1):
+        base, table = closure_module._chunk_layout(p, digits)
+        h = next(h for h in itertools.count(1) if p ** h == base)
+        assert -(-digits // h) <= -(-digits // h_max)
+        assert base * base <= 2 ** 16
+        assert tables.setdefault(h, table) is table
+    for h, table in tables.items():
+        base = p ** h
+        assert type(table) is list and len(table) == base
+        for b, row in enumerate(table):
+            assert type(row) is list and len(row) == base
+            assert all(type(x) is int for x in row)
+            assert row == [_padd(p, a, b) - a for a in range(base)]
+
+
+@pytest.mark.parametrize("q,n,m,entries", [
+    (3, 2, 2, 6561), (3, 2, 3, 729), (3, 2, 4, 6561), (5, 2, 2, 625), (4, 3, 2, 4096), (7, 2, 2, 2401),
+])
+def test_chunk_tables_fit_the_code_width(q, n, m, entries):
+    # DN(3,2)^2 and DN(3,2)^4 once read a 243 x 243 table, DN(5,2)^2 a 125 x 125
+    # one and DN(4,3)^2 a 256 x 256 one, whatever the width of their codes
+    nf = build_nearfield(q, n)
+    base, table = closure_module._chunk_layout(nf.p, m * nf.d)
+    assert base * base == len(table) * len(table[0]) == entries
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 257, 1009])
+def test_translate_matches_digitwise_addition_at_every_layout(p):
+    # GF(p)^digits at every width to 4 h_max digits; each c is drawn once
+    # below p (shorter than one chunk) and once at full width
+    nf = build_nearfield(p, 1)
+    rng = random.Random(p)
+    for digits in range(1, 4 * _h_max(p) + 1):
+        codes = [rng.randrange(p ** digits) for _ in range(20)]
+        for c in (rng.randrange(1, p), rng.randrange(p ** digits), p ** digits - 1):
+            assert closure_module.translate(nf, digits, codes, c) == [_padd(p, x, c) for x in codes]
+    assert closure_module.translate(nf, 1, codes, 0) is codes
 
 
 @pytest.mark.parametrize("vectors", [
@@ -409,9 +453,9 @@ def test_lc_step_stops_when_the_span_fills_the_space(dn32, monkeypatch, vectors)
     translated = []
     real = closure_module.translate
 
-    def counting(nf, codes, c):
+    def counting(nf, m, codes, c):
         translated.append(len(codes))
-        return real(nf, codes, c)
+        return real(nf, m, codes, c)
 
     monkeypatch.setattr(closure_module, "translate", counting)
     S = VectorSet.from_vectors(dn32, 4, vectors)
@@ -471,9 +515,9 @@ def test_lc_index_lists_each_element_once_and_never_the_held_cosets(dn32, monkey
     translated = []
     real = closure_module.translate
 
-    def counting(nf, codes, c):
+    def counting(nf, m, codes, c):
         translated.append(len(codes))
-        return real(nf, codes, c)
+        return real(nf, m, codes, c)
 
     lc_step(S)  # warm
     monkeypatch.setattr(closure_module, "translate", counting)
@@ -531,3 +575,52 @@ def test_lc_step_memory_follows_the_span_not_the_space():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("cap", ["cap", "no_table"])
+@pytest.mark.parametrize("vectors", [[(1, X, 0)], [(1, 0, 1), (1, 1, 0)]])
+def test_strata_after_lc1_read_no_x0_product(monkeypatch, cap, vectors):
+    # LC_1 seeds w o x^i for i < d, and each later stratum only w o x^i for
+    # 0 < i < d of the codes the last one added, as w o 1 = w is listed: one
+    # read of a cached column per (code, scalar) under the cap, one row_axpy
+    # above it, where no column is built.  The first set's gen is LC_1, so
+    # LC_2 reads x o w for its 8 nonzero codes; the second set's LC_2 fills
+    # R^3 and stops before it has read them all
+    nf = build_nearfield(3, 2)
+    S = VectorSet.from_vectors(nf, 3, vectors)
+    lc1, size = len(lc_step(S)), gen_size(S)
+    reads, columns = collections.Counter(), []
+    if cap == "cap":
+        real_column = closure_module.scale_column
+
+        class Counted(list):
+            def __getitem__(self, c):
+                reads[self.r] += 1
+                return super().__getitem__(c)
+
+        def counted_column(nf, m, r):
+            col = Counted(real_column(nf, m, r))
+            col.r = r
+            return col
+
+        monkeypatch.setattr(closure_module, "scale_column", counted_column)
+    else:
+        monkeypatch.setattr(closure_module, "_VSCALE_TABLE_CAP", 0)
+        real_column, real_axpy = closure_module._column, nf.row_axpy
+
+        def counted_column(*args):
+            columns.append(args)
+            return real_column(*args)
+
+        def counted_axpy(row, r, acc=None):
+            reads[r] += 1
+            return real_axpy(row, r, acc)
+
+        monkeypatch.setattr(closure_module, "_column", counted_column)
+        monkeypatch.setattr(nf, "row_axpy", counted_axpy)
+    assert gen_size(S) == size and not columns
+    assert set(reads) == {1, X} and reads[1] == len(S)
+    if size < nf.order ** 3:
+        assert reads[X] == len(S) + size - 1
+    else:
+        assert len(S) < reads[X] < len(S) + lc1 - 1

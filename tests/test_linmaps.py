@@ -137,9 +137,9 @@ class TestImagesOnce:
         # a linear map that is not normal, so is_bijective counts its images;
         # a build translates p - 1 times per (column, basis scalar x^i): 2 x 2 x 2 calls
         calls, real = [], linmaps_module.translate
-        def counted(nf, codes, c):
+        def counted(nf, m, codes, c):
             calls.append(c)
-            return real(nf, codes, c)
+            return real(nf, m, codes, c)
         monkeypatch.setattr(linmaps_module, "translate", counted)
         T = MapRep.from_columns(dn32, [(1, X), (0, 0)])
         assert classify(T) is MapClass.LINEAR and not calls
@@ -485,16 +485,17 @@ def _maps(draw):
 
 @pytest.fixture(params=["cap", "no_table"])
 def scale_cap(request, monkeypatch):
-    """The real scaling-table cap, or 0 so that every row is computed on lookup;
-    the oracle fields' cached scaling rows are dropped before and after."""
+    """The real scaling-table cap, or 0 so that no column is cached and every
+    product is computed on lookup; the oracle fields' cached scaling columns
+    are dropped before and after."""
     if request.param == "no_table":
         monkeypatch.setattr(closure, "_VSCALE_TABLE_CAP", 0)
     fields = {build_nearfield(q, k) for q, k, _ in ORACLE_SPACES + [(3, 2, 4)]}
     for nf in fields:
-        nf._scale_rows.clear()
+        nf._scale_columns.clear()
     yield request.param
     for nf in fields:
-        nf._scale_rows.clear()
+        nf._scale_columns.clear()
 
 
 @settings(max_examples=40, deadline=None,
@@ -516,43 +517,36 @@ def test_semantic_checks_match_per_entry_oracle(scale_cap, T):
     pytest.param(q, k, m, None, id=f"{q}-{k}-{m}") for q, k, m in ORACLE_SPACES + [(3, 2, 4), (3, 2, 0)]
 ] + [pytest.param(3, 2, 2, (5,), id="3-2-2-one-scalar")])
 def test_scale_rows_match_vec_scale_right(scale_cap, q, k, m, scalars):
-    # R^0 is one row and one scalar gives rows of one entry: still tuples
+    # every scalar's column by default; R^0 is a column of one code
     nf = build_nearfield(q, k)
-    rows = closure.scale_rows(nf, m)
-    assert isinstance(rows, list) == (scale_cap == "cap")
-    # by default the scalar basis x^i (codes p^i), which lc_step asks for, under the same cap
-    picked = scalars or tuple(nf.p ** i for i in range(nf.d))
-    sub = closure.scale_rows(nf, m, picked)
-    assert isinstance(sub, list) == (scale_cap == "cap")
-    for c in range(nf.order ** m):
-        v = unpack_vector(nf, m, c)
-        # rows are tuples, so no caller can change a row of the shared table
-        assert type(rows[c]) is tuple and type(sub[c]) is tuple
-        assert rows[c] == tuple(pack_vector(nf, vec_scale_right(nf, v, r)) for r in range(nf.order))
-        assert sub[c] == tuple(rows[c][r] for r in picked)
+    space = nf.order ** m
+    for r in scalars or range(nf.order):
+        col = closure.scale_column(nf, m, r)
+        assert type(col) is list and len(col) == space
+        assert all(type(x) is int for x in col)
+        assert col == [pack_vector(nf, vec_scale_right(nf, unpack_vector(nf, m, c), r))
+                       for c in range(space)]
+        assert (closure.scale_column(nf, m, r) is col) == (scale_cap == "cap")
 
 
 def test_scale_rows_on_demand_hold_the_codes_of_the_space_only(dn32, scale_cap):
     # a row computed on lookup once took any int: code 9^7 of R^7 gave a zero
-    # row and -1 a row of codes, so iteration, list() and zip(*rows) never ended
-    rows = closure.scale_rows(dn32, 2)
-    assert len(rows) == 81 and list(rows) == [rows[c] for c in range(81)]
-    with pytest.raises(IndexError):
-        rows[81]
-    if scale_cap == "no_table":
-        with pytest.raises(IndexError, match="^vector code -1 out of range for a space of 81$"):
-            rows[-1]
-    above = closure.scale_rows(dn32, 7)  # 9^8 entries, over the cap
-    assert len(above) == 9 ** 7
-    for c in (9 ** 7, -1):
-        with pytest.raises(IndexError, match=f"^vector code {c} out of range for a space of {9 ** 7}$"):
-            above[c]
+    # row and -1 a row of codes, so iteration, list() and zip(*rows) never
+    # ended; a column holds the codes of range(space) and no more, cached or not
+    for m in (0, 1, 2):
+        col = closure.scale_column(dn32, m, X)
+        assert len(col) == 9 ** m and list(col) == [col[c] for c in range(9 ** m)]
+        with pytest.raises(IndexError):
+            col[9 ** m]
+        with pytest.raises(IndexError):
+            col[-9 ** m - 1]
 
 
 def test_scale_column_matches_the_rows_and_is_cached_under_the_cap(dn32, scale_cap):
     for r in (3, 5):
         col = closure.scale_column(dn32, 2, r)
-        assert col == [row[r] for row in closure.scale_rows(dn32, 2)]
+        assert col == [pack_vector(dn32, vec_scale_right(dn32, unpack_vector(dn32, 2, c), r))
+                       for c in range(81)]
         assert (closure.scale_column(dn32, 2, r) is col) == (scale_cap == "cap")
 
 
