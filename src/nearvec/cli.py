@@ -222,9 +222,8 @@ def _cmd_search_index(args):
     require_budget("k-subsets to scan, min(--limit, C(|R|^m - 1, k), budget + 1)", subsets)
     searched = spanning = max_index = 0
     first_max, exceeding = None, []
-    combos = itertools.combinations(range(1, space), args.k)
-    if args.limit is not None:
-        combos = itertools.islice(combos, args.limit)
+    # the admitted count: no iterator for 0, and no --limit past sys.maxsize
+    combos = itertools.islice(itertools.combinations(range(1, space), args.k), subsets) if subsets else ()
     # a combination is sorted and distinct, a VectorSet as it stands; its
     # closure lists gen only short of R^m, and else counts lc_index's strata
     fmt = lambda codes: [nf.format_elements(unpack_vector(nf, args.m, c)) for c in codes]

@@ -11,9 +11,9 @@ end to end.  Two helpers serve every caller that works on packed codes:
   [a o r for a] (row_axpy) to the column for R^j scaled by the order,
   one add per code.  It is cached on the field while space * order is
   under a cap and built per call above it.  _grow and linmaps' semantic
-  checks read the columns of the scalars x^i; above the cap _grow
-  computes each product it looks up, one row_axpy per (code, scalar),
-  and builds no column.
+  checks read the columns of the scalars x^i, 0 < i < d, none of x^0;
+  above the cap _grow computes each product it looks up, one row_axpy
+  per (code, scalar), and builds no column.
 - translate(nf, m, codes, c) is [x + c for x in codes] over R^m.
   Componentwise addition of vectors is digitwise base-p addition of
   packed codes, done one chunk of h base-p digits of c at a time through
@@ -34,19 +34,19 @@ elementary abelian, the additive closure of the products equals their
 GF(p)-span.  The nearfield is left distributive, w o (lam + mu) =
 w o lam + w o mu, so w o lam is GF(p)-linear in lam, and the span of
 {w o lam : lam in R} is the span of the d products w o x^i, i < d (the
-scalar code p^i is x^i): the step seeds d products per vector, not |R|,
-one scalar's column at a time.  One helper, _grow, grows the span as a
-subgroup H, held as a list and as a set of its codes.  A product already
-in H is skipped; any other product c extends H to H + <c>, the disjoint
-union of the cosets H + k c for k = 0..p-1, each translated from the one
-before and added to the set one coset at a time.
+scalar code p^i is x^i): the step seeds d products per vector, not |R|:
+w itself, then one scalar's column at a time.  One helper, _grow, grows
+the span as a subgroup H, held as a list and as a set of its codes.  A
+product already in H is skipped; any other product c extends H to
+H + <c>, the disjoint union of the cosets H + k c for k = 0..p-1, each
+translated from the one before and added to the set one coset at a time.
 
 The strata are grown semi-naively, each from the last.  LC_p is inside
-LC_(p+1), since x^0 = 1 is seeded and w o 1 = w, and the products of
+LC_(p+1), since w o x^0 = w o 1 = w is seeded, and the products of
 LC_(p-1) already lie in LC_p.  So LC_(p+1) starts from LC_p's list and
 set and seeds only the codes w that LC_p added, and of those only the
 d - 1 products w o x^i, 0 < i < d, as w o 1 = w is listed; LC_1 starts
-from {0} and seeds all d products of each vector of V.  One loop,
+from {0} and seeds V itself (w o 1 = w), then V's products.  One loop,
 _gen_codes, grows every stratum, up to a limit for lc_step (1) and
 is_gamma_dependent (gamma).  No element is listed twice across the
 strata, and the fixpoint is a stratum that adds nothing, seen by its
@@ -260,14 +260,12 @@ def _extend(nf: Nearfield, m: int, out: list[int], seen: set[int], c: int) -> No
         out += coset
 
 
-def _grow(nf: Nearfield, m: int, out: list[int], seen: set[int], new, space: int, scaled) -> bool:
-    """Extend the subgroup out, its members in seen, by the products f(w) of
-    the codes w in new, for each f in scaled (from _scaled) in turn; False
-    once it fills R^m."""
+def _grow(nf: Nearfield, m: int, out: list[int], seen: set[int], products, space: int) -> bool:
+    """Extend the subgroup out, its members in seen, by the codes of the lazy
+    stream products in turn; False once it fills R^m."""
     p = nf.p
     held = None   # c, 2c, ..., (p-1)c for a product c not yet listed
     # the filter is lazy, so it skips products that out has grown to cover
-    products = itertools.chain.from_iterable(map(f, new) for f in scaled)
     for c in itertools.filterfalse(seen.__contains__, products):
         if held is not None:
             # c lies in out + <held> iff c + j held lies in out for some 0 < j < p
@@ -291,13 +289,14 @@ def _gen_codes(S: VectorSet, space: int, limit: int | None = None) -> tuple[set[
     """The set of gen(S), or of LC_limit(S) for a stratum limit, or None when
     it is R^m, and the strata grown, each from the codes the last one added."""
     nf, m = S.nf, S.m
-    # w o x^i for i < d; only LC_1 seeds w o x^0 = w, which every later stratum holds
-    scaled = [_scaled(nf, m, nf.p ** i) for i in range(nf.d)]
+    scaled = [_scaled(nf, m, nf.p ** i) for i in range(1, nf.d)]
     out, seen, new, strata = [0], {0}, S.codes, 0
     while new and strata != limit:
         start = len(out)
         strata += 1
-        if not _grow(nf, m, out, seen, new, space, scaled if strata == 1 else scaled[1:]):
+        # w o x^i for 0 < i < d; LC_1 seeds S itself, w o x^0 = w, ahead of them
+        products = itertools.chain(new if strata == 1 else (), *[map(f, new) for f in scaled])
+        if not _grow(nf, m, out, seen, products, space):
             return None, strata
         new = out[start:]
     return seen, strata

@@ -61,11 +61,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, islice
+from itertools import chain, compress, groupby, islice, repeat
 from operator import attrgetter, itemgetter
 
 from .nearfield import _INT_ONLY, Nearfield, Witness, _ascii_int, _check_separators
-from .vectors import NfMatrix, vec_scale_left
+from .vectors import NfMatrix
 
 
 class Step(tuple):
@@ -500,8 +500,8 @@ def _column_keys(M: NfMatrix) -> list:
 
     Two nonzero columns are left multiples of each other exactly when
     their keys are equal: key(b o c) = (b o c_t)^-1 o b o c = key(c) by
-    associativity.  One pass over the k x m entries, with no pairwise
-    comparison.
+    associativity.  One pass over the k x m entries, codes NfMatrix has
+    checked, with no pairwise comparison.
     """
     nf = M.nf
     keys = []
@@ -510,7 +510,7 @@ def _column_keys(M: NfMatrix) -> list:
         if not lead:
             keys.append(None)
         else:
-            keys.append(col if lead == 1 else vec_scale_left(nf, nf.inv(lead), col))
+            keys.append(col if lead == 1 else tuple(map(nf.mul, repeat(nf.inv(lead)), col)))
     return keys
 
 

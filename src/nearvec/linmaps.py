@@ -26,8 +26,8 @@ distributivity column_j o x_j is the sum of a (column_j o x^i) over
 the digits a of x_j, so T(low + p^k a) = T(low) + a (column_j o x^i),
 k = j d + i, n d (p - 1) translates per map.  They are built once per
 map: linear_violation, the semantic is_normal and is_bijective share
-them, and the budget is checked again on every call before they are
-read.
+them, and |R|^n, the semantic checks' one guard, is checked on every
+call before an image, column or label is built or read.
 Normality is checked by coset labels: each x is labelled with the least
 element of x + H, H the image, so two vectors lie in one coset exactly
 when their labels agree.  That costs O(space * d), where the
@@ -41,6 +41,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass
+from decimal import Decimal
 from math import comb, factorial
 from operator import ne
 
@@ -116,8 +117,8 @@ def apply_map(T: MapRep, v) -> tuple[int, ...]:
 
 
 def _images_packed(T: MapRep) -> list[int]:
-    """T(x) for every packed x in R^n, in code order, built once per map; the
-    budget is checked on every call, before they are built or read."""
+    """T(x) for every packed x in R^n, in code order, built once per map; |R|^n,
+    the semantic checks' one guard, is checked first on every call."""
     require_budget("|R|^n", T.nf.order, T.n)
     return T._images
 
@@ -138,9 +139,7 @@ def linear_violation(T: MapRep):
     every code below p^i lies in the span of x^0, ..., x^(i-1).  Each
     column is scanned lazily, and only below the least failing v found so
     far, so a hom-only map stops at its first violation over x, and the
-    scan reads at most (d - 1) |R|^n pairs.  Guarded by |R|^n only, as
-    classify-map's hom-only maps stop early (code 962 of random
-    DN(31,2)^2 maps)."""
+    scan reads at most (d - 1) |R|^n pairs, guarded by |R|^n."""
     img = _images_packed(T)
     c, r = len(img), None
     for i, col in enumerate(_basis_columns(T), 1):
@@ -152,10 +151,11 @@ def linear_violation(T: MapRep):
 
 
 def is_linear(T: MapRep, mode: str = "criterion") -> bool:
+    """Criterion: no row has two nonzero entries.  Semantic: linear_violation
+    finds no pair, at most (d - 1) |R|^n of them, under its |R|^n guard."""
     if mode == "criterion":
         return all(sum(1 for a in row if a) <= 1 for row in T.matrix)
     if mode == "semantic":
-        require_budget("|R|^(n+1)", T.nf.order, T.n + 1)
         return linear_violation(T) is None
     raise ValueError("mode must be 'criterion' or 'semantic'")
 
@@ -170,8 +170,8 @@ def is_normal(T: MapRep, mode: str = "criterion") -> bool:
     that coset, label[(m + a) o r] and label[m o r] both equal
     label[rep o r], and equality of labels is transitive, so every pair
     is covered.  The r that pass form a GF(p)-subspace (see the module
-    docstring), so only r = x, ..., x^(d-1) are checked, each in one pass
-    over its column.  The criterion is never consulted.
+    docstring), so only r = x, ..., x^(d-1) are checked, one pass per
+    column under the |R|^n guard; the criterion is never consulted.
     """
     if not is_linear(T, "criterion"):
         raise ValueError("normality is defined for linear maps only")
@@ -179,7 +179,6 @@ def is_normal(T: MapRep, mode: str = "criterion") -> bool:
         return all(sum(1 for i in range(T.n) if T.matrix[i][j]) <= 1 for j in range(T.n))
     if mode != "semantic":
         raise ValueError("mode must be 'criterion' or 'semantic'")
-    require_budget("|R|^(n+1)", T.nf.order, T.n + 1)
     img = _images_packed(T)
     image = list(set(img))
     label, x = [-1] * len(img), 0
@@ -269,8 +268,9 @@ def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form") ->
     if method == "closed_form":
         # a count of matrices whose rows take x values is x^n, at most n len(str(x))
         # digits; a row of a linear map is all-zero or one of |R|-1 values in one
-        # of n positions, and normal maps are linear, so that bounds both
-        row_digits = n * len(str(order)) if kind == "all" else len(str(1 + n * (order - 1)))
+        # of n positions, and normal maps are linear, so that bounds both; Decimal
+        # counts the digits exactly where str() refuses, past 4300 of them
+        row_digits = n * len(str(order)) if kind == "all" else Decimal(1 + n * (order - 1)).adjusted() + 1
         require_budget("digits of the count, bounded", n * row_digits)
         if kind == "all":
             return order ** (n * n)

@@ -3,15 +3,10 @@
 Vectors are plain tuples of element codes; scalars act componentwise on
 the right (v o r)_i = v_i o r, and u + v, u - v and -u are the row kernel
 row_axpy (acc + row o c) with c = 1 or -1, as a o (-1) = -a.  The left
-action r o v, per entry, appears only in the left-multiple test and the
-column keys of 1-column independence.
-
-The vec_* kernels do not check their codes.  vec_scale_left runs once
-per column in the column keys of 1-column independence, on entries that
-NfMatrix has checked, and a check there would slow every seed
-verification.  A code that is not an int in 0..order-1 gives a wrong
-answer or an IndexError; callers with unchecked input check it with
-Nearfield.check_codes, as apply_map and scale_family do.
+action r o v, per entry, appears only in vec_scale_left, the
+left-multiple test and the column keys of 1-column independence.  The
+vec_* kernels and left_multiple_of check their codes, vector entries and
+scalars alike, with Nearfield.check_codes, as apply_map does.
 """
 
 from __future__ import annotations
@@ -24,26 +19,33 @@ from .nearfield import Nearfield, _ascii_int, _check_separators, build_nearfield
 def vec_add(nf: Nearfield, u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
+    nf.check_codes((*u, *v))
     return nf.row_axpy(v, 1, u)
 
 
 def vec_neg(nf: Nearfield, u):
+    nf.check_codes(u)
     return nf.row_axpy(u, nf.neg(1))
 
 
 def vec_sub(nf: Nearfield, u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
+    nf.check_codes((*u, *v))
     return nf.row_axpy(v, nf.neg(1), u)
 
 
 def vec_scale_right(nf: Nearfield, v, r: int):
     """Componentwise right action (v o r)_i = v_i o r, through the row kernel."""
+    nf.check_codes(v)
+    nf.check_codes((r,), "scalar code")
     return nf.row_axpy(v, r)
 
 
 def vec_scale_left(nf: Nearfield, r: int, v):
-    """Componentwise left product (r o v_i)_i; used by the left-multiple test."""
+    """Componentwise left product (r o v_i)_i."""
+    nf.check_codes((r,), "scalar code")
+    nf.check_codes(v)
     mul = nf.mul
     return tuple(mul(r, a) for a in v)
 
@@ -56,6 +58,7 @@ def left_multiple_of(nf: Nearfield, u, v) -> int | None:
     """
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
+    nf.check_codes((*u, *v))
     t = next((i for i, a in enumerate(v) if a), None)
     if t is None:
         return 0 if not any(u) else None

@@ -426,6 +426,24 @@ class TestSubgroupAndSeedCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "NEARVEC_BUDGET" in err
 
+    @pytest.mark.parametrize("kind", ["all", "linear", "normal"])
+    def test_count_maps_digit_bound_of_a_4300_digit_dim(self, capsys, kind):
+        # linear and normal once printed Python's own 4300-digit str() error
+        code, out, err = run(capsys, "count-maps", "3", "2", "9" * 4300, kind)
+        assert code == 1 and out == ""
+        assert re.fullmatch(r"error: digits of the count, bounded = a \d+-bit number exceeds "
+                            r"the element budget 1000000 \(NEARVEC_BUDGET\)\n", err)
+
+    @pytest.mark.parametrize("kind", ["linear", "normal"])
+    def test_count_maps_digit_bound_is_n_times_the_row_digits(self, capsys, monkeypatch, kind):
+        # 1 + 1000 (9 - 1) = 8001 has 4 digits, so the bound is 4000
+        monkeypatch.setenv("NEARVEC_BUDGET", "3999")
+        code, out, err = run(capsys, "count-maps", "3", "2", "1000", kind)
+        assert (code, out) == (1, "") and "bounded = 4000 exceeds the element budget 3999" in err
+        monkeypatch.setenv("NEARVEC_BUDGET", "4000")
+        code, out, err = run(capsys, "count-maps", "3", "2", "1000", kind)
+        assert (code, err) == (0, "") and out.endswith("\n") and out[:-1].isdigit()
+
     @pytest.mark.parametrize("argv,size", [
         (["count-maps", "3", "2", "10000", "all", "--method", "enum"], "9^100000000"),
         (["count-maps", "3", "2", "1000", "linear", "--method", "enum"], "9^1000000"),
@@ -523,6 +541,27 @@ class TestSearchIndex:
         assert result["exceeding"] == spanning
         _, out, _ = run(capsys, "search-index", "3", "2", "2", "2", "0", "--limit", "50")
         assert out.splitlines()[-1] == "exceeding_bound 10"
+
+
+    @pytest.mark.parametrize("argv,counts", [
+        # a --limit past sys.maxsize reached islice, which refused it with its own error
+        (["--limit", "99999999999999999999"], "8 8 1 8"),
+        (["--limit", "100"], "8 8 1 8"),
+    ])
+    def test_limit_past_sys_maxsize(self, capsys, argv, counts):
+        code, out, err = run(capsys, "search-index", "3", "2", "1", "1", "0", *argv)
+        searched, spanning, max_index, exceeding = counts.split()
+        assert (code, err) == (0, "")
+        assert out == (f"searched {searched}\nspanning {spanning}\nmax_index {max_index}\n"
+                       f"exceeding_bound {exceeding}\n")
+
+    @pytest.mark.parametrize("k", ["9223372036854775808", "100"])
+    def test_k_past_the_space_scans_nothing(self, capsys, k):
+        # no k-subset of the 8 nonzero vectors: k past sys.maxsize once ended
+        # in an OverflowError traceback from combinations
+        code, out, err = run(capsys, "search-index", "3", "2", "1", k, "0")
+        assert (code, err) == (0, "")
+        assert out == "searched 0\nspanning 0\nmax_index 0\nexceeding_bound 0\n"
 
 
 class TestUsageErrors:

@@ -145,13 +145,13 @@ class TestGenClosure:
         assert len(gen_closure(VectorSet.from_vectors(second, 1, [(5,)]))) == 131071
 
     def test_scaling_rows_built_once_per_field(self, dn32):
-        # one column per (m, r), which lc_step reads as linmaps does
+        # one column per (m, r), which lc_step reads as linmaps does; over
+        # DN(3,2) it reads x's column alone, as w o 1 = w needs none
         scale_column = closure_module.scale_column
         for r in (1, 3, 5):
             assert scale_column(dn32, 2, r) is scale_column(dn32, 2, r)
         lc_step(VectorSet.from_vectors(dn32, 2, [(1, X)]))
-        for r in (1, 3):
-            assert dn32._scale_columns[2, r] is scale_column(dn32, 2, r)
+        assert dn32._scale_columns[2, X] is scale_column(dn32, 2, X)
 
     def test_closed_under_operations(self, dn32):
         G = gen_closure(VectorSet.from_vectors(dn32, 2, [(1, 5)]))
@@ -545,7 +545,8 @@ def test_lc_step_large_prime_is_linear_in_the_space():
 
 def test_lc_step_seeds_d_products_per_vector(monkeypatch):
     # DN(5,4)^2 is above the scaling-table cap, so each product is one
-    # row_axpy: d = 4 per vector, where seeding every scalar took |R| = 625
+    # row_axpy: d = 4 per vector, where seeding every scalar took |R| = 625,
+    # of which w o x^0 = w is the vector itself and needs no call
     nf = build_nearfield(5, 4)
     S = VectorSet.from_vectors(nf, 2, [(1, 0), (0, 1)])
     lc_step(S)  # warm
@@ -558,7 +559,7 @@ def test_lc_step_seeds_d_products_per_vector(monkeypatch):
 
     monkeypatch.setattr(nf, "row_axpy", counting)
     assert len(lc_step(S)) == nf.order ** 2
-    assert len(calls) == len(S) * nf.d
+    assert len(calls) == len(S) * (nf.d - 1)
 
 
 def test_lc_step_memory_follows_the_span_not_the_space():
@@ -580,12 +581,13 @@ def test_lc_step_memory_follows_the_span_not_the_space():
 @pytest.mark.parametrize("cap", ["cap", "no_table"])
 @pytest.mark.parametrize("vectors", [[(1, X, 0)], [(1, 0, 1), (1, 1, 0)]])
 def test_strata_after_lc1_read_no_x0_product(monkeypatch, cap, vectors):
-    # LC_1 seeds w o x^i for i < d, and each later stratum only w o x^i for
-    # 0 < i < d of the codes the last one added, as w o 1 = w is listed: one
-    # read of a cached column per (code, scalar) under the cap, one row_axpy
-    # above it, where no column is built.  The first set's gen is LC_1, so
-    # LC_2 reads x o w for its 8 nonzero codes; the second set's LC_2 fills
-    # R^3 and stops before it has read them all
+    # LC_1 seeds S itself, w o x^0 = w, then w o x^i for 0 < i < d, and each
+    # later stratum only w o x^i for 0 < i < d of the codes the last one
+    # added, as w o 1 = w is listed: no stratum reads r = 1, one read of a
+    # cached column per (code, scalar) under the cap, one row_axpy above
+    # it, where no column is built.  The first set's gen is LC_1, so LC_2
+    # reads w o x for its 8 nonzero codes; the second set's LC_2 fills R^3
+    # and stops before it has read them all
     nf = build_nearfield(3, 2)
     S = VectorSet.from_vectors(nf, 3, vectors)
     lc1, size = len(lc_step(S)), gen_size(S)
@@ -619,7 +621,7 @@ def test_strata_after_lc1_read_no_x0_product(monkeypatch, cap, vectors):
         monkeypatch.setattr(closure_module, "_column", counted_column)
         monkeypatch.setattr(nf, "row_axpy", counted_axpy)
     assert gen_size(S) == size and not columns
-    assert set(reads) == {1, X} and reads[1] == len(S)
+    assert set(reads) == {X}
     if size < nf.order ** 3:
         assert reads[X] == len(S) + size - 1
     else:

@@ -12,6 +12,7 @@ from nearvec import (
     BudgetExceededError,
     MapClass,
     MapRep,
+    VectorSet,
     apply_map,
     classify,
     compose,
@@ -20,6 +21,8 @@ from nearvec import (
     is_bijective,
     is_linear,
     is_normal,
+    lc_index,
+    lc_step,
     linear_violation,
     map_sum,
     build_nearfield,
@@ -114,22 +117,24 @@ class TestLinearity:
 
     @pytest.mark.parametrize("check", [is_linear, is_normal])
     def test_semantic_scan_bounded_before_any_work(self, dn32, monkeypatch, check):
-        # the scan of a linear map visits |R|^n x |R| pairs: DN(31,2)^2 has
-        # 923521 vectors, under the budget, but 961^3 pairs, about 24 min
+        # the one guard is |R|^n, checked by _images_packed before any image,
+        # column or label is built; a check reads (d - 1) |R|^n pairs
         def no_work(*args):
             raise AssertionError("the guard ran after the scan started")
-        monkeypatch.setattr(linmaps_module, "_images_packed", no_work)
         monkeypatch.setattr(MapRep, "_images", property(no_work))
         monkeypatch.setattr(linmaps_module, "scale_column", no_work)
-        I = MapRep.identity(build_nearfield(31, 2), 2)
-        with pytest.raises(BudgetExceededError, match=r"^\|R\|\^\(n\+1\) = 961\^3 exceeds"):
-            check(I, "semantic")
-        monkeypatch.setenv("NEARVEC_BUDGET", "728")
-        with pytest.raises(BudgetExceededError, match=r"= 9\^3 exceeds the element budget 728"):
+        with pytest.raises(BudgetExceededError, match=r"^\|R\|\^n = 9\^7 exceeds"):
+            check(MapRep.identity(dn32, 7), "semantic")
+        monkeypatch.setenv("NEARVEC_BUDGET", "80")
+        with pytest.raises(BudgetExceededError, match=r"^\|R\|\^n = 9\^2 exceeds the element budget 80"):
             check(MapRep.identity(dn32, 2), "semantic")
         monkeypatch.undo()
-        monkeypatch.setenv("NEARVEC_BUDGET", "729")
+        monkeypatch.setenv("NEARVEC_BUDGET", "81")
         assert check(MapRep.identity(dn32, 2), "semantic")
+        monkeypatch.undo()
+        # DN(31,2)^2 has 923521 vectors, under the budget: refused while the
+        # guard named |R|^(n+1) = 961^3, the pairs of a scan over every scalar
+        assert check(MapRep.identity(build_nearfield(31, 2), 2), "semantic")
 
 
 class TestImagesOnce:
@@ -548,6 +553,29 @@ def test_scale_column_matches_the_rows_and_is_cached_under_the_cap(dn32, scale_c
         assert col == [pack_vector(dn32, vec_scale_right(dn32, unpack_vector(dn32, 2, c), r))
                        for c in range(81)]
         assert (closure.scale_column(dn32, 2, r) is col) == (scale_cap == "cap")
+
+
+def test_no_column_of_x0_is_built(monkeypatch):
+    # w o x^0 = w: LC_1 seeds S itself and the semantic checks test x^i for
+    # 0 < i < d only, so no call builds or caches the column of the scalar 1,
+    # and over a field, d = 1, none is built at all
+    built, real = [], closure._column
+    monkeypatch.setattr(closure, "_column", lambda nf, m, r: built.append(r) or real(nf, m, r))
+    for q, k in ((3, 2), (5, 1)):
+        nf = build_nearfield(q, k)
+        nf._scale_columns.clear()
+        S = VectorSet.from_vectors(nf, 2, [(1, nf.p ** (nf.d - 1))])
+        lc_step(S)
+        closure.gen_size(S)
+        lc_index(nf, [(1, 0), (0, 1)])
+        for T in (MapRep.from_columns(nf, [(1, 2), (0, 0)]), MapRep.from_columns(nf, [(1, 1), (1, 0)])):
+            linear_violation(T)
+            is_linear(T, "semantic")
+            if is_linear(T):
+                is_normal(T, "semantic")
+        assert all(r != 1 for _, r in nf._scale_columns)
+        assert bool(nf._scale_columns) == (nf.d > 1)
+    assert built and 1 not in built
 
 
 @pytest.mark.parametrize("v,message", [

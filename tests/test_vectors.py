@@ -66,6 +66,49 @@ class TestVectorOps:
                 assert len(orbit) == 9
 
 
+class TestCheckedCodes:
+    # each of these once answered silently through negative table indices
+    def test_scale_right_refuses_a_negative_scalar(self, dn32):
+        # gave (8, 4)
+        with pytest.raises(ValueError, match="^scalar code -1 out of range for order 9$"):
+            vec_scale_right(dn32, (1, 2), -1)
+
+    def test_add_refuses_a_negative_entry(self, dn32):
+        # gave (6, 2)
+        with pytest.raises(ValueError, match="^element code -1 out of range for order 9$"):
+            vec_add(dn32, (1, 2), (-1, 0))
+
+    def test_left_multiple_refuses_a_negative_entry(self, dn32):
+        # gave None
+        with pytest.raises(ValueError, match="^element code -1 out of range for order 9$"):
+            left_multiple_of(dn32, (1, 2), (-1, 0))
+
+    @pytest.mark.parametrize("call", [
+        lambda nf, bad: vec_add(nf, bad, (0, 0)),
+        lambda nf, bad: vec_sub(nf, (0, 0), bad),
+        lambda nf, bad: vec_neg(nf, bad),
+        lambda nf, bad: vec_scale_right(nf, bad, 1),
+        lambda nf, bad: vec_scale_left(nf, 1, bad),
+        lambda nf, bad: left_multiple_of(nf, bad, (1, 0)),
+    ])
+    @pytest.mark.parametrize("bad,message", [
+        ((9, 0), "element code 9 out of range for order 9"),
+        ((True, 0), "element code True is not an integer"),
+        ((1.0, 0), "element code 1.0 is not an integer"),
+    ])
+    def test_every_kernel_checks_its_vectors(self, dn32, call, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(dn32, bad)
+
+    @pytest.mark.parametrize("call", [
+        lambda nf, r: vec_scale_right(nf, (1, 0), r),
+        lambda nf, r: vec_scale_left(nf, r, (1, 0)),
+    ])
+    def test_scalars_are_checked(self, dn32, call):
+        with pytest.raises(ValueError, match="^scalar code 9 out of range for order 9$"):
+            call(dn32, 9)
+
+
 class TestLeftMultiple:
     def test_examples(self, dn32):
         assert left_multiple_of(dn32, (2, 6), (1, X)) == 2
