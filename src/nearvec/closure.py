@@ -69,10 +69,12 @@ There is no elimination over GF(p).
 
 Every size the package enumerates, lists or prints goes through
 require_budget, the one guard, against the element budget; the full
-operation tables too, at order^2 cells.  The budget is set only by the
-environment variable NEARVEC_BUDGET (ASCII digits [0-9]+ worth >= 1,
-default 10^6; no sign, '_', space or other digit); no function takes it
-as an argument.  The other limits are fixed: order 2^20
+operation tables too, at order^2 cells.  Not yet so are ege, replay and
+verify-seed over a field (n = 1): they read a matrix file of any size
+and start work with no guard (ROADMAP item 13).  The budget is set only
+by the environment variable NEARVEC_BUDGET (ASCII digits [0-9]+ worth
+>= 1, default 10^6; no sign, '_', space or other digit); no function
+takes it as an argument.  The other limits are fixed: order 2^20
 (nearfield.ORDER_LIMIT), seed width 2^12 (seeds.MAX_SEED_WIDTH) and q, n
 up to 2^32 in the Dickson pair test (PAIR_LIMIT).
 """

@@ -45,9 +45,10 @@ the two row updates of a trick are one call with phi as the pivot row.
 The working rows are lists, so no update copies a row; every function
 here returns tuple rows, built once at its return.  They carry a column
 index, the nonzero rows of each column and the support of each row,
-kept current from the columns that the kernel reports each target
-gained or lost; so the pivot search, the rows to eliminate, the conflict
-scan and the two trick rows are set lookups, not scans over every row.
+which the kernel keeps in the same pass over a target's entries, adding
+a column where an entry fills in and dropping it where one cancels; so
+the pivot search, the rows to eliminate, the conflict scan and the two
+trick rows are set lookups, not scans over every row.
 
 The end result is a basis whose columns have pairwise disjoint supports,
 exhibiting the generated subgroup as a direct sum of cyclic modules u_i R.
@@ -62,9 +63,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, islice, repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
-from .nearfield import _INT_ONLY, Nearfield, Witness, _ascii_int, _check_separators
+from .nearfield import _INT_ONLY, _MAX_DIGITS, Nearfield, Witness, _ascii_int, _check_separators
 from .vectors import NfMatrix
 
 
@@ -162,10 +163,10 @@ class _Rows:
 
     rows[i] is a dense list, sup[i] the set of its nonzero columns and
     at[j] the set of rows nonzero in column j.  The row ops update the
-    lists in place on the operand row's support and update both sets from
-    the columns that the kernel reports gained or lost, so a row op costs
-    that support, and the column scans of reduction, the conflict search
-    and the trick are set lookups.  The lists never leave: every caller
+    lists in place on the operand row's support, and the eliminate kernel
+    updates both sets as it updates the entries, so a row op costs that
+    support, and the column scans of reduction, the conflict search and
+    the trick are set lookups.  The lists never leave: every caller
     returns tuple rows (see tuples).
 
     No column left of clean has two nonzero entries, so a trick's
@@ -227,25 +228,12 @@ class _Rows:
 
     def eliminate(self, row, cols, targets) -> None:
         """rows[s] = rows[s] - row o c for each (s, c) of targets in turn, in
-        place, in one kernel call (Nearfield.row_eliminate), where cols is
-        the ascending support of row, which may be one of the rows; both
-        sets follow the columns that each target gained or lost, in target
-        order; lowers clean to the first column of cols."""
+        place, in one kernel call (Nearfield.row_eliminate), which keeps sup
+        and at, where cols is the ascending support of row, which may be one
+        of the rows; lowers clean to the first column of cols."""
         if cols and cols[0] < self.clean:
             self.clean = cols[0]
-        sup, at = self.sup, self.at
-        for (s, _), (gained, lost) in zip(targets, self.nf.row_eliminate(row, cols, self.rows, targets)):
-            ss = sup[s]
-            for j in gained:
-                ss.add(j)
-                at[j].add(s)
-            if lost:
-                size = len(ss)
-                for j in lost:
-                    ss.discard(j)
-                    at[j].discard(s)
-                if 2 * len(ss) < size:     # a set keeps its table when it shrinks
-                    sup[s] = set(ss)
+        self.nf.row_eliminate(row, cols, self.rows, targets, self.sup, self.at)
 
     def first_conflict(self, start: int, stop: int) -> int | None:
         """First column in start..stop - 1 with two nonzero entries."""
@@ -381,8 +369,10 @@ def ege(M: NfMatrix) -> GenDecomposition:
     return GenDecomposition(basis, basis.n_rows, tuple(steps), canonical)
 
 
-# a run's grouping key, and the fields of its steps that _apply checks at once
-_KIND_ROW, _FIELDS = attrgetter("kind", "r"), attrgetter("r", "s", "c")
+# a run's grouping key and the fields of its steps that _apply checks at once,
+# read by position, not through Step's properties; _apply's check of a run
+# tests that its steps are Steps
+_KIND_ROW, _FIELDS, _STEP_ONLY = itemgetter(0, 1), itemgetter(1, 2, 3), frozenset((Step,))
 
 
 def replay(M: NfMatrix, steps) -> NfMatrix:
@@ -476,8 +466,8 @@ def _apply(nf: Nearfield, work: _Rows, kind, r, run, i: int) -> None:
     if kind == "eliminate":
         k = len(work.rows)
         rs, ss, cs = zip(*map(_FIELDS, run))
-        if not (_INT_ONLY.issuperset(map(type, rs + ss + cs)) and 0 <= r < k and 0 <= min(ss) and max(ss) < k
-                and 0 <= min(cs) and max(cs) < nf.order):
+        if not (_STEP_ONLY.issuperset(map(type, run)) and _INT_ONLY.issuperset(map(type, rs + ss + cs))
+                and 0 <= r < k and 0 <= min(ss) and max(ss) < k and 0 <= min(cs) and max(cs) < nf.order):
             _check_steps(nf, run, i, work)
         targets = tuple(zip(ss, cs))
         for part in zip(targets) if r in ss else (targets,):    # zip(targets): one target per part
@@ -540,17 +530,20 @@ def trace_to_text(nf: Nearfield, steps) -> str:
 
     The codes of the whole trace are formatted in one format_elements call:
     the text is the pieces between the codes interleaved with the codes'
-    texts.  Any failure, an index that is not an int or a negative row
-    index or trick column among them, sends the steps through _check_step,
-    which refuses the first malformed one with replay's text,
-    `trace step N: ...`; with no row count, `row 0 out of range` has no
-    `for K rows`.
+    texts.  The fields of a step are read by position, so only Steps are
+    read so.  Any failure, a step that is not a Step, an index that is not
+    an int or a negative row index or trick column among them, sends the
+    steps through _check_step, which refuses the first malformed one with
+    replay's text, `trace step N: ...`; with no row count, `row 0 out of
+    range` has no `for K rows`.
     """
     steps = tuple(steps)
     pieces, codes, gap = [], [], ""     # gap: the text since the last code
     try:
+        if not _STEP_ONLY.issuperset(map(type, steps)):
+            raise ValueError
         for st in steps:
-            kind, r, s = st.kind, st.r, st.s
+            kind, r, s = st[:3]
             if kind == "eliminate" or kind == "swap":
                 if type(r) is not int or type(s) is not int or r < 0 or s < 0:
                     raise ValueError
@@ -558,19 +551,19 @@ def trace_to_text(nf: Nearfield, steps) -> str:
                     gap += f"SWAP {r + 1} {s + 1}\n"
                     continue
                 pieces.append(f"{gap}ELIM {r + 1} {s + 1} ")
-                codes.append(st.c)
+                codes.append(st[3])
             elif kind == "scale" and type(r) is int and r >= 0:
                 pieces.append(f"{gap}SCALE {r + 1} ")
-                codes.append(st.c)
-            elif (kind == "trick" and type(st.col) is int and st.col >= 0
-                  and isinstance(w := st.witness, (tuple, list)) and len(w) == 3):
+                codes.append(st[3])
+            elif (kind == "trick" and type(col := st[4]) is int and col >= 0
+                  and isinstance(w := st[5], (tuple, list)) and len(w) == 3):
                 codes += w
-                pieces += (f"{gap}TRICK {st.col + 1} ", " ", " ")
+                pieces += (f"{gap}TRICK {col + 1} ", " ", " ")
             else:
                 raise ValueError
             gap = "\n"
         texts = nf.format_elements(codes)
-    except (AttributeError, TypeError, ValueError):
+    except ValueError:
         _check_steps(nf, steps)     # names the step at fault with replay's text
         raise
     return "".join(chain.from_iterable(zip(pieces, texts))) + gap
@@ -582,9 +575,10 @@ def trace_from_text(nf: Nearfield, text: str) -> tuple[Step, ...]:
     accepts, makes its line malformed.  Fields split at ASCII spaces and
     tabs only, lines at CR and LF (_check_separators).
 
-    The element tokens of the whole trace are parsed in one parse_elements
-    call.  When any line is malformed, the lines are parsed again one at a
-    time, and the first bad one is named with the error it raises.
+    The indices of the whole trace are tested in one batch and its element
+    tokens parsed in one parse_elements call.  When any line is malformed,
+    the lines are parsed again one at a time, and the first bad one is
+    named with the error it raises.
     """
     _check_separators(text, "trace")
     lines = text.splitlines()
@@ -601,43 +595,59 @@ def trace_from_text(nf: Nearfield, text: str) -> tuple[Step, ...]:
 
 def _parse_trace(nf: Nearfield, lines) -> tuple[Step, ...]:
     """trace_from_text without the line in the error: each line's fields,
-    then every element token at once, then the Steps.  An index is read
-    by _ascii_int after one '-', so a negative one meets the range test."""
-    heads, tokens = [], []
+    then every index, then every element token at once, then the Steps.
+
+    The indices are tested in one batch, joined: ASCII digits, none longer
+    than _MAX_DIGITS, none below 1.  Only when that fails are they read one
+    by one (_read_indices), which raises the error of the first bad one."""
+    kinds, idx, tokens = [], [], []
     for ln in lines:
         parts = ln.split()
         if not parts or parts[0][0] == "#":
             continue
         op, n = parts[0].upper(), len(parts)
         if (op == "ELIM" and n == 4) or (op == "SWAP" and n == 3):
-            r, s = _ascii_int(parts[1], "row", None) - 1, _ascii_int(parts[2], "row", None) - 1
-            heads.append(("eliminate" if n == 4 else "swap", r, s))
-            if n == 4:
-                tokens.append(parts[3])
-        elif op == "SCALE" and n == 3:
-            r = s = _ascii_int(parts[1], "row", None) - 1
-            heads.append(("scale", r, -1))
-            tokens.append(parts[2])
-        elif op == "TRICK" and n == 5:
-            col = _ascii_int(parts[1], "column", None) - 1
-            if col < 0:
-                raise ValueError("column index out of range")
-            heads.append(("trick", col))
+            kinds.append("eliminate" if n == 4 else "swap")
+            idx += parts[1:3]
+            tokens += parts[3:]
+        elif (op == "SCALE" and n == 3) or (op == "TRICK" and n == 5):
+            kinds.append(op.lower())
+            idx.append(parts[1])
             tokens += parts[2:]
-            continue
         else:
             raise ValueError("unknown step or wrong number of fields")
-        if r < 0 or s < 0:      # replay's text, less the row count a trace does not give
-            raise ValueError(f"row {(r if r < 0 else s) + 1} out of range")
-    codes = iter(nf.parse_elements(tokens))
+    digits = "".join(idx)
+    if not (digits.isascii() and digits.isdigit() and len(max(idx, key=len)) <= _MAX_DIGITS
+            and min(values := list(map(int, idx))) > 0):
+        values = _read_indices(kinds, idx)
+    codes, values = iter(nf.parse_elements(tokens)), iter(values)
     new, steps = tuple.__new__, []
     # each Step as Step.__new__ would build it: no theta or phi to pack
-    for head in heads:
-        kind = head[0]
-        if kind == "eliminate" or kind == "scale":
-            steps.append(new(Step, (*head, next(codes), -1, None, None, None)))
+    for kind in kinds:
+        if kind == "eliminate":
+            steps.append(new(Step, (kind, next(values) - 1, next(values) - 1, next(codes), -1, None, None, None)))
         elif kind == "swap":
-            steps.append(new(Step, (*head, -1, -1, None, None, None)))
+            steps.append(new(Step, (kind, next(values) - 1, next(values) - 1, -1, -1, None, None, None)))
+        elif kind == "scale":
+            steps.append(new(Step, (kind, next(values) - 1, -1, next(codes), -1, None, None, None)))
         else:
-            steps.append(new(Step, ("trick", -1, -1, -1, head[1], tuple(islice(codes, 3)), None, None)))
+            steps.append(new(Step, (kind, -1, -1, -1, next(values) - 1, tuple(islice(codes, 3)), None, None)))
     return tuple(steps)
+
+
+# the indices of a trace line of each step kind, by the names _ascii_int gives them
+_INDEX_FIELDS = {"eliminate": ("row", "row"), "swap": ("row", "row"), "scale": ("row",), "trick": ("column",)}
+
+
+def _read_indices(kinds, idx) -> list[int]:
+    """The 1-based index texts idx of steps of the given kinds, read one at
+    a time by _ascii_int, which takes one '-' so that a negative index meets
+    the range test, then tested against 1 with replay's text, less the row
+    count a trace does not give.  ValueError names the first bad one; on a
+    single line these are the checks between its fields and its tokens."""
+    fields = [field for kind in kinds for field in _INDEX_FIELDS[kind]]
+    values = list(map(_ascii_int, idx, fields, repeat(None)))
+    for field, v in zip(fields, values):
+        if v < 1:
+            raise ValueError("column index out of range" if field == "column" else f"row {v} out of range")
+    return values

@@ -58,9 +58,10 @@ row_axpy (acc + row o c, for closure, maps and scale steps) and
 row_eliminate, which applies every eliminate step of one pivot row in
 one call to list rows in place, reading the pivot's logs once, grouped
 by coset j(a), so that each target computes its offset log(-c) * q^j
-once per group, and reporting the columns each target row gained or
-lost.  The field builds no table of order^2 entries: add_table and
-mul_table are rows of row_axpy, made when asked for.
+once per group, and keeping the rows' column index (the support of each
+row and the rows of each column) in the same pass over the entries.
+The field builds no table of order^2 entries: add_table and mul_table
+are rows of row_axpy, made when asked for.
 
 Element text goes through one memo per field: format_elements and
 parse_elements look codes and tokens up in two dicts, code -> canonical
@@ -681,10 +682,10 @@ class Nearfield:
             for x, a in zip(acc, row)
         ])
 
-    def row_eliminate(self, row, cols, rows, targets) -> list[tuple[list[int], list[int]]]:
+    def row_eliminate(self, row, cols, rows, targets, sup, at) -> None:
         """rows[s] = rows[s] - row o c for each (s, c) of targets in turn, with
         each rows[s] a list updated in place: the eliminate steps of one
-        pivot row in one call.
+        pivot row in one call, which keep the rows' column index.
 
         cols is the ascending support of row, on which alone the targets
         change, so an update costs that support rather than the width.  The
@@ -695,25 +696,24 @@ class Nearfield:
         both updates in order, and a target that is row itself is updated
         from row as passed.  A multiplier c = 0 changes nothing.
 
-        Returns, per target, the ascending columns of cols where its row
-        became nonzero and those where it became zero: a zero entry always
-        fills in, as a o c != 0 for nonzero a and c, and only a nonzero one
-        can cancel.
+        sup[s] is the set of the nonzero columns of rows[s] and at[j] the
+        set of the rows nonzero in column j, and both stay so: where an
+        entry fills in (a zero entry always does, as a o c != 0 for nonzero
+        a and c), j joins sup[s] and s joins at[j]; where one cancels, both
+        leave.  A target that loses more columns than it keeps gets a new
+        sup[s], as a set keeps its table when it shrinks.
         """
         ex, lg, z, cosets = self._exp, self._log, self._zech, self._cosets
-        o, neg1, changes = self.order - 1, lg[self.p - 1], []
+        o, neg1 = self.order - 1, lg[self.p - 1]
         by_coset = [[] for _ in self._qpow]
         for j in cols:
             a = row[j]
             by_coset[cosets[a]].append((j, lg[a]))
         pivot = [(qj, group) for qj, group in zip(self._qpow, by_coset) if group]
-        mixed = len(pivot) > 1      # then the columns come out of order
         for s, c in targets:
-            gained, lost = [], []
-            changes.append((gained, lost))
             if not c:
                 continue
-            out, lc = rows[s], lg[c] + neg1
+            out, ss, lc, lost = rows[s], sup[s], lg[c] + neg1, 0
             # x + a o -c = exp[log x + Z[log(a o -c) - log x]], log(a o -c) = log a + t
             for qj, group in pivot:
                 t = lc * qj % o
@@ -723,14 +723,15 @@ class Nearfield:
                         lx = lg[x]
                         v = out[j] = ex[lx + z[la + t - lx]]
                         if not v:
-                            lost.append(j)
+                            ss.discard(j)
+                            at[j].discard(s)
+                            lost += 1
                     else:
                         out[j] = ex[la + t]
-                        gained.append(j)
-            if mixed:
-                gained.sort()
-                lost.sort()
-        return changes
+                        ss.add(j)
+                        at[j].add(s)
+            if lost and len(ss) < lost:
+                sup[s] = set(ss)
 
     # -- text codec -------------------------------------------------------------
 

@@ -5,9 +5,9 @@ Stdlib only, so it runs under any interpreter without pytest:
 
     PYTHONPATH=src python tests/kernel_oracle.py
 
-checks Nearfield.row_axpy, row_eliminate, add and sub against the
-per-entry reference below on seeded random rows, and recomputes the
-golden digests.  The reference uses none of the nearfield's tables:
+checks Nearfield.row_axpy, row_eliminate with the column index it keeps,
+add and sub against the per-entry reference below on seeded random rows,
+and recomputes the golden digests.  The reference uses none of the nearfield's tables:
 products come from polynomial arithmetic modulo the field's modulus,
 sums digit by digit.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from itertools import compress
 
 from nearvec import NfMatrix, build_nearfield, ege, left_multiple_of, matrix_format, trace_to_text
 from nearvec.nearfield import _digits_of, _pgcd, _pmod, _prime_factors, _psub, _ptrim
@@ -174,14 +175,32 @@ def golden_digest(q, n):
 
 def ref_row_eliminate(nf, row, rows, targets):
     """row_eliminate one target at a time with the reference arithmetic:
-    rows[s] - row o c, and the columns each target gained and lost."""
-    rows, changes = list(rows), []
+    the rows after rows[s] - row o c for each (s, c) of targets, as tuples."""
+    rows = [tuple(r) for r in rows]
     for s, c in targets:
-        old, new = rows[s], ref_row_axpy(nf, row, ref_neg(nf, c), rows[s])
-        changes.append(([j for j, (x, y) in enumerate(zip(old, new)) if y and not x],
-                         [j for j, (x, y) in enumerate(zip(old, new)) if x and not y]))
-        rows[s] = new
-    return rows, changes
+        rows[s] = ref_row_axpy(nf, row, ref_neg(nf, c), rows[s])
+    return rows
+
+
+def column_index(rows, width):
+    """The column index that row_eliminate keeps, recomputed from the rows:
+    the set of nonzero columns of each row and of nonzero rows of each column."""
+    columns = zip(*rows) if rows else [()] * width
+    return ([set(compress(range(width), row)) for row in rows],
+            [set(compress(range(len(rows)), col)) for col in columns])
+
+
+def run_row_eliminate(nf, row, rows, targets, pivot=None):
+    """row_eliminate, with the ascending support of row, on list copies of
+    rows and their column index; pivot, when given, is the index of the
+    list to pass as the pivot row in place of row.  Returns the rows as
+    tuples and the index that the kernel kept."""
+    work = [list(r) for r in rows]
+    width = len(row)
+    sup, at = column_index(work, width)
+    cols = [j for j, a in enumerate(row) if a]
+    nf.row_eliminate(row if pivot is None else work[pivot], cols, work, targets, sup, at)
+    return [tuple(r) for r in work], (sup, at)
 
 
 def eliminate_case(nf, rng, m, k):
@@ -200,8 +219,9 @@ def eliminate_case(nf, rng, m, k):
 
 
 def check_kernel(nf, rng, trials):
-    """Compare row_axpy (with and without acc), row_eliminate, add and sub
-    with the reference on random rows that hold zeros; c = 0 is drawn too."""
+    """Compare row_axpy (with and without acc), row_eliminate and its column
+    index, add and sub with the reference on random rows that hold zeros;
+    c = 0 is drawn too."""
     def entry():
         return rng.choice((0, 0, 1)) if rng.random() < 0.3 else rng.randrange(nf.order)
 
@@ -217,16 +237,14 @@ def check_kernel(nf, rng, trials):
             assert nf.sub(a, b) == ref_add(nf, a, ref_neg(nf, b)), (nf, a, b)
         row, rows, targets = eliminate_case(nf, rng, m, 3)
         want = ref_row_eliminate(nf, row, rows, targets)
-        work = [list(r) for r in rows]     # the kernel updates list rows in place
-        changes = nf.row_eliminate(row, [j for j, a in enumerate(row) if a], work, targets)
-        assert ([tuple(r) for r in work], changes) == want, (nf, row, targets)
+        got, index = run_row_eliminate(nf, row, rows, targets)
+        assert got == want and index == column_index(want, m), (nf, row, targets)
         # the pivot is the list of row 0, which the first target changes: all
         # targets are updated from the pivot as passed
         targets = [(0, c or 1)] + targets
         want = ref_row_eliminate(nf, rows[0], rows, targets)
-        work = [list(r) for r in rows]
-        changes = nf.row_eliminate(work[0], [j for j, a in enumerate(rows[0]) if a], work, targets)
-        assert ([tuple(r) for r in work], changes) == want, (nf, rows[0], targets)
+        got, index = run_row_eliminate(nf, rows[0], rows, targets, pivot=0)
+        assert got == want and index == column_index(want, m), (nf, rows[0], targets)
 
 
 def main():

@@ -3,11 +3,13 @@ import importlib
 import pickle
 import random
 import re
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernel_oracle import GOLDEN_DENSE, column_pair_dependent, golden_digest, ref_neg, ref_row_axpy
+from kernel_oracle import GOLDEN_DENSE, column_index, column_pair_dependent, golden_digest, ref_neg, ref_row_axpy
 from nearvec import (
     NfMatrix,
     Step,
@@ -686,9 +688,7 @@ class _RecordedRows(ege_module._Rows):
 
 def _index_is_rebuilt(work):
     """sup and at equal what a rebuild from rows gives."""
-    sup = [{j for j, a in enumerate(row) if a} for row in work.rows]
-    at = [{i for i, row in enumerate(work.rows) if row[j]} for j in range(work.width)]
-    return work.sup == sup and work.at == at
+    return (work.sup, work.at) == column_index(work.rows, work.width)
 
 
 class TestReplayRuns:
@@ -730,7 +730,7 @@ class TestReplayRuns:
     @pytest.mark.parametrize("q,n", [(3, 2), (7, 3), (5, 4)])
     def test_support_index_matches_the_rows(self, q, n, monkeypatch):
         # after ege, replay of its trace and replay of random runs, the sets
-        # that follow the kernel's gained and lost columns equal a rebuild
+        # that the kernel keeps equal a rebuild
         monkeypatch.setattr(ege_module, "_Rows", _RecordedRows)
         monkeypatch.setattr(_RecordedRows, "made", [])
         nf = build_nearfield(q, n)
@@ -744,6 +744,86 @@ class TestReplayRuns:
             replay(M, sorted(steps, key=lambda st: st.r))
         assert len(_RecordedRows.made) == 60
         assert all(map(_index_is_rebuilt, _RecordedRows.made))
+
+
+# -- the column index that the eliminate kernel keeps, checked after every
+# replayed step
+
+def _index_holds(work):
+    """sup[i] is {j : rows[i][j] != 0}, at[j] is {i : rows[i][j] != 0}, and
+    no column left of clean has two nonzero entries."""
+    left = zip(*(row[:work.clean] for row in work.rows))
+    return _index_is_rebuilt(work) and all(len(col) - col.count(0) < 2 for col in left)
+
+
+def _replay_checking_the_index(M, steps, runs):
+    """Replay steps through _Rows and _apply, in runs as replay groups them
+    or one step at a time, asserting _index_holds at the start and after
+    every apply.  Returns the working rows and the number of eliminate
+    targets whose support set the kernel replaced as it shrank."""
+    nf, work, shrunk = M.nf, ege_module._Rows(M.nf, M.rows, M.width), 0
+    assert _index_holds(work)
+    runs = groupby(steps, itemgetter(0, 1)) if runs else ((st[:2], (st,)) for st in steps)
+    i = 0
+    for (kind, r), run in runs:
+        run = tuple(run)
+        before = {st.s: work.sup[st.s] for st in run} if kind == "eliminate" else {}
+        ege_module._apply(nf, work, kind, r, run, i)
+        i += len(run)
+        assert _index_holds(work), f"after trace step {i}"
+        shrunk += sum(work.sup[s] is not sup for s, sup in before.items())
+    return work, shrunk
+
+
+class TestColumnIndex:
+    @pytest.mark.parametrize("q,n", [(7, 3), (5, 4)])
+    def test_dense_traces(self, q, n):
+        nf = build_nearfield(q, n)
+        rng = random.Random(f"column index:{q},{n}")
+        for k, m in ((3, 5), (5, 5), (4, 9), (9, 6)):
+            M = NfMatrix(nf, tuple(tuple(rng.randrange(1, nf.order) for _ in range(m)) for _ in range(k)), m)
+            D = ege(M)
+            assert any(st.kind == "trick" for st in D.trace) or k >= m
+            for runs in (True, False):
+                work, _ = _replay_checking_the_index(M, D.trace, runs)
+                assert work.tuples(nonzero=True) == D.basis.rows
+
+    def test_wide_seed_whose_rows_shrink(self, dn32):
+        V = build_seed(200, dn32).matrix
+        D = ege(V)
+        # after each of the first five tricks, ELIM 1 2 1 and ELIM 1 2 -1:
+        # row 1 starts left of the trick column, so the first step puts a
+        # second nonzero entry there and must lower the clean prefix, and
+        # the second restores the rows
+        trace = list(D.trace)
+        for i in reversed([i for i, st in enumerate(trace) if st.kind == "trick"][:5]):
+            trace[i + 1:i + 1] = [_elim(0, 1, 1), _elim(0, 1, dn32.neg(1))]
+        for steps in (D.trace, trace):
+            for runs in (True, False):
+                work, shrunk = _replay_checking_the_index(V, steps, runs)
+                assert work.tuples(nonzero=True) == D.basis.rows
+                assert shrunk > 0
+
+    @pytest.mark.parametrize("q,n", [(3, 2), (7, 3)])
+    def test_run_that_names_its_pivot_as_a_target(self, q, n):
+        nf = build_nearfield(q, n)
+        rng = random.Random(f"pivot target:{q},{n}")
+        for _ in range(10):
+            M = _random_matrix(rng, nf, max_rows=4, max_cols=6)
+            k = M.n_rows
+            steps = [_elim(0, rng.randrange(k), rng.randrange(nf.order)) for _ in range(4)]
+            steps.insert(1, _elim(0, 0, rng.randrange(1, nf.order)))
+            for runs in (True, False):
+                work, _ = _replay_checking_the_index(M, steps, runs)
+                assert work.tuples() == _stepwise(M, steps)
+
+    def test_scale_by_0(self, dn32):
+        # the scaled row is cleared, then filled in again from another row
+        M = NfMatrix.from_rows(dn32, [(1, 2, 0, 4), (0, 5, 6, 7), (3, 0, 0, 1)])
+        steps = [Step("scale", r=1, c=0), _elim(0, 1, 2), _elim(2, 1, 1), Step("scale", r=0, c=0)]
+        for runs in (True, False):
+            work, _ = _replay_checking_the_index(M, steps, runs)
+            assert work.sup[0] == set() and work.tuples() == _ref_states(M, steps)[-1]
 
 
 def _ref_states(M, steps):
@@ -912,6 +992,60 @@ class TestRunErrorParity:
         # within a trick step, a bad witness code comes before the column, as in replay
         with pytest.raises(ValueError, match="^trace step 1: witness code 9 out of range for order 9$"):
             trace_to_text(dn32, [Step("trick", col=True, witness=(1, 9, X))])
+
+
+# -- the trace reader tests every index of a trace in one batch; when that
+# fails, each is read one by one, and the text names the first bad line
+
+_INDEX_LINES = [    # line with {} for the index, the index's field, the text of an index below 1
+    ("ELIM {} 1 1", "row", "row 0 out of range"),
+    ("ELIM 1 {} zz", "row", "row 0 out of range"),
+    ("SWAP 2 {}", "row", "row 0 out of range"),
+    ("SCALE {} x", "row", "row 0 out of range"),
+    ("TRICK {} 1 x x", "column", "column index out of range"),
+]
+
+
+@pytest.mark.parametrize("line,field,below_1", _INDEX_LINES, ids=["elim-r", "elim-s", "swap", "scale", "trick"])
+@pytest.mark.parametrize("index,message", [
+    ("\u0662", "{field} must be an integer, got '\u0662'"),
+    ("1_0", "{field} must be an integer, got '1_0'"),
+    ("+2", "{field} must be an integer, got '+2'"),
+    ("-0", "{below_1}"),
+    ("0", "{below_1}"),
+    ("9" * 4301, "{field} has 4301 digits, more than 4300"),
+], ids=["arabic-indic-2", "underscore", "plus", "minus-0", "0", "4301-digits"])
+def test_trace_index_error_texts(dn32, line, field, below_1, index, message):
+    # the texts that each index was refused with when it was read on its own
+    line = line.format(index)
+    want = f"malformed trace line {line!r}: {message.format(field=field, below_1=below_1)}"
+    # alone, and on line 2 after a good line and before another bad one
+    for text in (line, f"SWAP 1 2\n{line}\nELIM zz 1 1\n"):
+        with pytest.raises(ValueError) as e:
+            trace_from_text(dn32, text)
+        assert str(e.value) == want
+
+
+@pytest.mark.parametrize("line,message", [
+    ("ELIM 0 1 zz", "row 0 out of range"),
+    ("ELIM 1 0 zz", "row 0 out of range"),
+    ("SCALE 0 1", "row 0 out of range"),
+    ("TRICK 0 1 1 1", "column index out of range"),
+    ("TRICK 0 zz 1 1", "column index out of range"),
+    ("ELIM 0 x 1", "row must be an integer, got 'x'"),
+    ("ELIM -3 1 zz", "row -3 out of range"),
+])
+def test_trace_line_checks_its_indices_before_its_tokens(dn32, line, message):
+    # a line's indices are read, then tested against 1, then its tokens parsed
+    for text in (line, f"SWAP 1 2\n{line}\nELIM zz 1 1\n"):
+        with pytest.raises(ValueError) as e:
+            trace_from_text(dn32, text)
+        assert str(e.value) == f"malformed trace line {line!r}: {message}"
+
+
+def test_trace_index_with_leading_zeros(dn32):
+    assert trace_from_text(dn32, "ELIM 01 1 1\nSWAP 2 001\nSCALE 01 x\nTRICK 01 1 x x\n") == (
+        _elim(0, 0, 1), Step("swap", r=1, s=0), Step("scale", r=0, c=X), Step("trick", col=0, witness=(1, X, X)))
 
 
 # -- replay's trick verdicts: a replayed trick's conflict scan starts at the

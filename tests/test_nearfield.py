@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernel_oracle import (ORACLE_FIELDS, eliminate_case, ref_add, ref_is_irreducible, ref_mul, ref_neg,
-                           ref_powers, ref_row_axpy, ref_row_eliminate)
+from kernel_oracle import (ORACLE_FIELDS, column_index, eliminate_case, ref_add, ref_is_irreducible, ref_mul,
+                           ref_neg, ref_powers, ref_row_axpy, ref_row_eliminate, run_row_eliminate)
 from nearvec import Witness, build_nearfield, validate_dickson_pair
 from nearvec.closure import BUDGET_ENV, BudgetExceededError
 from nearvec.nearfield import (ORDER_LIMIT, PAIR_LIMIT, Nearfield, _TimesG, _ascii_int, _digits_of,
@@ -665,18 +665,16 @@ def _eliminate_case(draw):
 @settings(max_examples=400, deadline=None)
 @given(_eliminate_case())
 def test_row_eliminate_matches_repeated_row_axpy(case):
+    """The rows, updated in place, against one row_axpy per target and the
+    reference, and the column index the kernel keeps against the one
+    recomputed from them."""
     nf, row, rows, targets = case
-    cols = [j for j, a in enumerate(row) if a]
-    start, want, changes = list(rows), list(rows), []
+    want = list(rows)
     for s, c in targets:
-        old = want[s]
-        want[s] = nf.row_axpy(row, nf.neg(c), old)
-        changes.append(([j for j in cols if want[s][j] and not old[j]],
-                        [j for j in cols if old[j] and not want[s][j]]))
-    work = [list(r) for r in rows]     # the kernel updates list rows in place
-    assert nf.row_eliminate(row, cols, work, targets) == changes
-    assert [tuple(r) for r in work] == want
-    assert ref_row_eliminate(nf, row, start, targets) == (want, changes)
+        want[s] = nf.row_axpy(row, nf.neg(c), want[s])
+    got, index = run_row_eliminate(nf, row, rows, targets)
+    assert got == want == ref_row_eliminate(nf, row, rows, targets)
+    assert index == column_index(want, len(row))
 
 
 @settings(max_examples=200, deadline=None)
@@ -687,11 +685,10 @@ def test_row_eliminate_pivot_that_is_a_target_row(case):
     passed, which the kernel reads before any target changes."""
     nf, _, rows, targets = case
     r = targets[0][0] if targets else 0
-    pivot = tuple(rows[r])
     targets = [(r, 1)] + targets
-    work = [list(row) for row in rows]
-    changes = nf.row_eliminate(work[r], [j for j, a in enumerate(pivot) if a], work, targets)
-    assert ([tuple(row) for row in work], changes) == ref_row_eliminate(nf, pivot, rows, targets)
+    want = ref_row_eliminate(nf, rows[r], rows, targets)
+    got, index = run_row_eliminate(nf, rows[r], rows, targets, pivot=r)
+    assert got == want and index == column_index(want, len(rows[r]))
 
 
 @settings(max_examples=400, deadline=None)
@@ -746,7 +743,8 @@ def test_add_table_matches_digitwise_on_every_small_pair():
 def test_row_kernel_add_table_matches_add(q, n):
     """The row kernels against per-entry add, sub and mul on every operand at
     orders 9, 49, 64 and 256: add_table (row_axpy with acc), row_axpy with
-    and without acc for every c, and row_eliminate with every multiplier."""
+    and without acc for every c, and row_eliminate with every multiplier,
+    with the column index it keeps."""
     nf = build_nearfield(q, n)
     elems = range(nf.order)
     add, sub, mul = nf.add, nf.sub, nf.mul
@@ -758,17 +756,15 @@ def test_row_kernel_add_table_matches_add(q, n):
         assert nf.row_axpy(elems, c, acc) == tuple(add(x, mul(a, c)) for x, a in zip(acc, elems))
     # the pivot row holds every element; each multiplier hits a random row, a
     # zero row (fill-in) and that row's own multiple (cancellation)
-    row, cols = tuple(elems), list(elems[1:])
+    row = tuple(elems)
     targets = [(s, c) for c in elems for s in range(3)]
-    rows = [list(acc), [0] * nf.order, list(nf.row_axpy(row, 1))]
-    want, changes = [tuple(r) for r in rows], []
+    rows = [acc, (0,) * nf.order, nf.row_axpy(row, 1)]
+    want = list(rows)
     for s, c in targets:
-        old = want[s]
-        want[s] = tuple(sub(x, mul(a, c)) for x, a in zip(old, row))
-        changes.append(([j for j in cols if want[s][j] and not old[j]],
-                        [j for j in cols if old[j] and not want[s][j]]))
-    assert nf.row_eliminate(row, cols, rows, targets) == changes
-    assert [tuple(r) for r in rows] == want
+        want[s] = tuple(sub(x, mul(a, c)) for x, a in zip(want[s], row))
+    got, index = run_row_eliminate(nf, row, rows, targets)
+    assert got == want == ref_row_eliminate(nf, row, rows, targets)
+    assert index == column_index(want, nf.order)
 
 
 def _entries(value) -> int:
@@ -787,7 +783,8 @@ def test_zech_tables_are_linear_in_the_order(q, n):
     zeros)."""
     nf = Nearfield(q, n)    # not cached: the attributes of this build only
     nf.row_axpy((1, 2, 0), 3, (0, 4, 5))
-    nf.row_eliminate((1, 2, 0), [0, 1], [[0, 4, 5]], [(0, 3)])
+    want = ref_row_eliminate(nf, (1, 2, 0), [(0, 4, 5)], [(0, 3)])
+    assert run_row_eliminate(nf, (1, 2, 0), [(0, 4, 5)], [(0, 3)]) == (want, column_index(want, 3))
     o = nf.order - 1
     assert len(nf._zech) == 2 * o and len(nf._exp) == 3 * o and len(nf._cosets) == nf.order
     sizes = {name: _entries(v) for name, v in vars(nf).items()}
