@@ -370,8 +370,7 @@ def ege(M: NfMatrix) -> GenDecomposition:
 
 
 # a run's grouping key and the fields of its steps that _apply checks at once,
-# read by position, not through Step's properties; _apply's check of a run
-# tests that its steps are Steps
+# read by position, not through Step's properties, so only Steps are read so
 _KIND_ROW, _FIELDS, _STEP_ONLY = itemgetter(0, 1), itemgetter(1, 2, 3), frozenset((Step,))
 
 
@@ -380,14 +379,20 @@ def replay(M: NfMatrix, steps) -> NfMatrix:
 
     Consecutive eliminate steps on one pivot row are applied as a run in
     one kernel call (_apply).  Raises ValueError naming the first step
-    that does not apply.
+    that does not apply: the steps before the first one that is not a
+    Step are replayed before _check_step refuses it.
     """
     nf, i = M.nf, 0
     work = _Rows(nf, M.rows, M.width)
-    for (kind, r), run in groupby(steps, _KIND_ROW):
+    steps = tuple(steps)
+    end = len(steps)
+    if not _STEP_ONLY.issuperset(map(type, steps)):
+        end = next(j for j, st in enumerate(steps) if type(st) is not Step)
+    for (kind, r), run in groupby(steps[:end], _KIND_ROW):
         run = tuple(run)
         _apply(nf, work, kind, r, run, i)
         i += len(run)
+    _check_steps(nf, steps[end:end + 1], end)    # the first non-Step, if any
     return NfMatrix._unchecked(nf, work.tuples(nonzero=True), M.width)
 
 
@@ -397,19 +402,24 @@ def replay_states(M: NfMatrix, steps):
     one."""
     nf, work = M.nf, _Rows(M.nf, M.rows, M.width)
     for i, st in enumerate(steps):
+        if type(st) is not Step:
+            _check_steps(nf, (st,), i)
         _apply(nf, work, st.kind, st.r, (st,), i)
         yield NfMatrix._unchecked(nf, work.tuples(), M.width)
 
 
 def _check_step(nf: Nearfield, st: Step, work: _Rows | None = None) -> None:
     """The one check of a step, which may come from an untrusted file:
-    ValueError with replay's text unless its kind is known, its row
-    indices are ints, not bools, at least 0 and below len(work.rows) when
-    work is given, and its scalar code passes the field's check.  A
+    ValueError with replay's text unless it is a Step, its kind is known,
+    its row indices are ints, not bools, at least 0 and below
+    len(work.rows) when work is given, and its scalar code passes the
+    field's check.  A
     trick's witness must be three witness codes and its column an int, at
     least 0; given work, also _trick_inplace's preconditions: the column
     is the first conflict column, scanned from work.clean, and the witness
     violates right distributivity."""
+    if type(st) is not Step:
+        raise ValueError(f"{st!r} is not a Step")
     kind = st.kind
     if kind == "trick":
         w, col = st.witness, st.col
@@ -454,8 +464,8 @@ def _check_steps(nf: Nearfield, steps, i: int = 0, work: _Rows | None = None) ->
 
 def _apply(nf: Nearfield, work: _Rows, kind, r, run, i: int) -> None:
     """Apply run, steps i + 1.. of a trace that share the kind and pivot
-    row r, each passed by _check_step first, so the rows stay in range
-    and replay builds its result without the NfMatrix entry scan.
+    row r, Steps each passed by _check_step first, so the rows stay in
+    range and replay builds its result without the NfMatrix entry scan.
 
     An eliminate run is checked in one pass over its fields by the tests
     of _check_step, and _check_steps names the first bad step.  The
@@ -466,7 +476,7 @@ def _apply(nf: Nearfield, work: _Rows, kind, r, run, i: int) -> None:
     if kind == "eliminate":
         k = len(work.rows)
         rs, ss, cs = zip(*map(_FIELDS, run))
-        if not (_STEP_ONLY.issuperset(map(type, run)) and _INT_ONLY.issuperset(map(type, rs + ss + cs))
+        if not (_INT_ONLY.issuperset(map(type, rs + ss + cs))
                 and 0 <= r < k and 0 <= min(ss) and max(ss) < k and 0 <= min(cs) and max(cs) < nf.order):
             _check_steps(nf, run, i, work)
         targets = tuple(zip(ss, cs))

@@ -26,14 +26,16 @@ modulus is the lexicographically smallest irreducible candidate with
 coefficients compared low-degree-first, and the generator is the
 smallest primitive code, so every table is reproducible.
 
-The set-up works on integers, not on polynomial lists, except for the
-gcd in the irreducibility test of the modulus candidates.  That test and
-the generator test power as integers by Kronecker substitution (a
-polynomial is its value at a power of two, _Kronecker).  exp steps g^k -> g^(k+1) on lane codes,
-one spare bit per base-p digit: g*a is the sum of two table images of the
-halves of a's digits, reduced mod p in every lane at once (_TimesG).  A
-prime field steps g^k * g % p.  The other tables follow from exp by
-indexing.  At order 2^20 the build takes about a second.
+The set-up works on integers, not on polynomial lists.  The irreducibility
+test of the modulus candidates and the generator test power as integers by
+Kronecker substitution (a polynomial is its value at a power of two,
+_Kronecker), and Rabin's gcd step is a power too: once x^(p^d) = x, the
+candidate is prime to h = x^(p^(d/r)) - x exactly when h^(p^d - 1) = 1
+(_is_irreducible).  exp steps g^k -> g^(k+1) on lane codes, one spare bit
+per base-p digit: g*a is the sum of two table images of the halves of a's
+digits, g*x^i from _Kronecker, reduced mod p in every lane at once
+(_TimesG).  A prime field steps g^k * g % p.  The other tables follow
+from exp by indexing.  At order 2^20 the build takes about a second.
 
 Arithmetic is table lookup, and every table is derived from the log
 tables.  Every field carries these O(order) tables:
@@ -153,48 +155,13 @@ def _prime_power(q: int) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over GF(p): little-endian coefficient lists, trimmed
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod(a, m, p):
-    """Remainder of a modulo the monic polynomial m."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        c = a[-1]
-        if c:
-            k = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[k + i] = (a[k + i] - c * mi) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _psub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % p
-    return _ptrim(out)
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _pmod(a, bm, p)
-    return a
-
+# polynomial arithmetic over GF(p), on integers
 
 class _Kronecker:
-    """Powers in GF(p)[x]/(f) on integers, by Kronecker substitution.
+    """Products and powers in GF(p)[x]/(f) on integers, by Kronecker
+    substitution: the one polynomial arithmetic of the set-up, for the
+    irreducibility test of the modulus candidates, the generator test and
+    _TimesG's images g*x^i.
 
     A polynomial with coefficients below 2^w is held as its value at
     x = 2^w.  F = x^d - sum((-f_i % p) x^i) is f mod p with no negative
@@ -216,7 +183,8 @@ class _Kronecker:
         return sum(c << s for c, s in zip(a, self.shifts))
 
     def decode(self, u: int) -> list[int]:
-        return _ptrim([(u >> s) & self.mask for s in self.shifts])
+        """The d coefficients of a reduced value, untrimmed."""
+        return [(u >> s) & self.mask for s in self.shifts]
 
     def mul(self, u: int, v: int) -> int:
         r = u * v % self.fw
@@ -224,26 +192,42 @@ class _Kronecker:
         return sum(((r >> s) & mask) % p << s for s in self.shifts)
 
     def pow(self, u: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
+        """u^e for e >= 1, by the bits of e from the top."""
+        r = u
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
                 r = self.mul(r, u)
-            u = self.mul(u, u)
-            e >>= 1
         return r
 
 
 def _is_irreducible(f, p):
-    """Rabin irreducibility test for a monic polynomial f over GF(p)."""
+    """Rabin's irreducibility test for a monic polynomial f of degree d over
+    GF(p), with its gcd step as a power.
+
+    f is irreducible when x^(p^d) = x (mod f) and, for each prime r | d,
+    h = x^(p^(d/r)) - x is a unit mod f (Rabin's gcd(h, f) = 1).  Once the
+    first test holds, f divides x^(p^d) - x, so f is squarefree and each
+    of its factors has a degree e | d: GF(p)[x]/(f) is a product of fields
+    GF(p^e), each of whose units has an order dividing p^e - 1, hence
+    p^d - 1.  So h is a unit exactly when h^(p^d - 1) = 1, and a zero
+    component keeps the power off 1.  The powers x^(p^k) come from one
+    chain of p-th powers.  Every polynomial of degree 1 is irreducible,
+    and its ring has no x lane.
+    """
     d = len(f) - 1
+    if d == 1:
+        return True
     ring = _Kronecker(p, f)
-    x = _pmod([0, 1], f, p)
-    u = ring.encode(x)
-    if ring.pow(u, p ** d) != u:
+    frobenius = [ring.encode([0, 1])]     # x^(p^k) for k = 0..d
+    for _ in range(d):
+        frobenius.append(ring.pow(frobenius[-1], p))
+    if frobenius[d] != frobenius[0]:
         return False
     for r in _prime_factors(d):
-        h = ring.decode(ring.pow(u, p ** (d // r)))
-        if len(_pgcd(_psub(h, x, p), f, p)) > 1:
+        h = ring.decode(frobenius[d // r])
+        h[1] = (h[1] - 1) % p     # minus x
+        if ring.pow(ring.encode(h), p ** d - 1) != 1:
             return False
     return True
 
@@ -280,10 +264,11 @@ class _TimesG:
         self.top, self.lanes, self.split = b - 1, b * d, b * ((d + 1) // 2)
         self.fold = sum(((1 << (b - 1)) - p) << (b * i) for i in range(d))
         self.tops = sum(1 << (b * i + b - 1) for i in range(d))
-        images, gx, f = [], _digits_of(g, p, d), list(modulus)
+        ring = _Kronecker(p, modulus)
+        images, gx, x = [], ring.encode(_digits_of(g, p, d)), ring.encode([0, 1])
         for i in range(d):
-            images.append(sum(c << (b * j) for j, c in enumerate(gx)) + (p ** i << self.lanes))
-            gx = _pmod([0] + gx, f, p)  # times x: a shift, then the overflowing digit reduced
+            images.append(sum(c << (b * j) for j, c in enumerate(ring.decode(gx))) + (p ** i << self.lanes))
+            gx = ring.mul(gx, x)
         half = (d + 1) // 2
         self.tables = (self._table(images[:half], b), self._table(images[half:], b))
 

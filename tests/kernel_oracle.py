@@ -9,7 +9,9 @@ checks Nearfield.row_axpy, row_eliminate with the column index it keeps,
 add and sub against the per-entry reference below on seeded random rows,
 and recomputes the golden digests.  The reference uses none of the nearfield's tables:
 products come from polynomial arithmetic modulo the field's modulus,
-sums digit by digit.
+sums digit by digit.  It imports no helper of the field set-up either: its
+coefficient lists, with Rabin's gcd step in ref_is_irreducible, check the
+set-up's Kronecker integers, whose gcd step is a power, independently.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import sys
 from itertools import compress
 
 from nearvec import NfMatrix, build_nearfield, ege, left_multiple_of, matrix_format, trace_to_text
-from nearvec.nearfield import _digits_of, _pgcd, _pmod, _prime_factors, _psub, _ptrim
 
 # fields of the kernel oracle, whose row kernels run the one Zech path at
 # every order: four up to order 256, among them p = 2 fields, and four
@@ -45,8 +46,55 @@ GOLDEN_DENSE = {
 GOLDEN_WIDTHS = (1, 2, 3, 4, 6, 9, 13, 18, 24)
 
 
-# list-polynomial arithmetic that the field set-up used before it moved to
-# integers: the reference for the modulus, generator and exp tables
+# list-polynomial arithmetic over GF(p), little-endian coefficient lists,
+# trimmed, which the field set-up used before it moved to integers: the
+# reference for the modulus, generator and exp tables
+
+def _digits_of(code, p, d):
+    return [code // p ** i % p for i in range(d)]
+
+
+def _prime_factors(n):
+    return [r for r in range(2, n + 1) if n % r == 0 and all(r % k for k in range(2, r))]
+
+
+def _ptrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmod(a, m, p):
+    """Remainder of a modulo the monic polynomial m."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) - 1 >= dm:
+        c = a[-1]
+        if c:
+            k = len(a) - 1 - dm
+            for i, mi in enumerate(m):
+                a[k + i] = (a[k + i] - c * mi) % p
+        a.pop()
+    return _ptrim(a)
+
+
+def _psub(a, b, p):
+    out = [0] * max(len(a), len(b))
+    for i, ai in enumerate(a):
+        out[i] = ai
+    for i, bi in enumerate(b):
+        out[i] = (out[i] - bi) % p
+    return _ptrim(out)
+
+
+def _pgcd(a, b, p):
+    a, b = _ptrim(list(a)), _ptrim(list(b))
+    while b:
+        inv = pow(b[-1], -1, p)
+        bm = [(c * inv) % p for c in b]
+        a, b = b, _pmod(a, bm, p)
+    return a
+
 
 def _pmul(a, b, p):
     if not a or not b:

@@ -993,6 +993,33 @@ class TestRunErrorParity:
         with pytest.raises(ValueError, match="^trace step 1: witness code 9 out of range for order 9$"):
             trace_to_text(dn32, [Step("trick", col=True, witness=(1, 9, X))])
 
+    @pytest.mark.parametrize("steps,i,item", [
+        ([None], 1, "None"),
+        ([("eliminate", 0)], 1, "('eliminate', 0)"),
+        ([("swap", 0, 1)], 1, "('swap', 0, 1)"),
+        ([Step("swap", r=0, s=1), 5], 2, "5"),
+    ], ids=["none", "short-tuple", "tuple", "int-after-a-step"])
+    @pytest.mark.parametrize("run", ["replay", "replay_states", "trace_to_text"])
+    def test_an_item_that_is_not_a_step_is_refused(self, dn32, steps, i, item, run):
+        # TypeError, IndexError and AttributeError got out before
+        M = NfMatrix.from_rows(dn32, [(1, 0, 1), (1, 1, 0)])
+        call = {"replay": lambda: replay(M, steps), "replay_states": lambda: list(replay_states(M, steps)),
+                "trace_to_text": lambda: trace_to_text(dn32, steps)}[run]
+        with pytest.raises(ValueError, match=f"^trace step {i}: {re.escape(item)} is not a Step$"):
+            call()
+
+    def test_a_bad_step_before_an_item_that_is_not_a_step_is_named_first(self, dn32):
+        M = NfMatrix.from_rows(dn32, [(1, 0, 1), (1, 1, 0)])
+        steps = [_elim(0, 1, 1), _elim(0, 5, 1), None]
+        with pytest.raises(ValueError, match="^trace step 2: row 6 out of range for 2 rows$"):
+            replay(M, steps)
+        with pytest.raises(ValueError, match="^trace step 2: row 6 out of range for 2 rows$"):
+            list(replay_states(M, steps))
+        with pytest.raises(ValueError, match="^trace step 3: None is not a Step$"):
+            trace_to_text(dn32, steps)    # with no row count, row 6 is in range
+        with pytest.raises(ValueError, match="^trace step 2: scalar code -1 out of range for order 9$"):
+            trace_to_text(dn32, [_elim(0, 1, 1), _elim(0, 1, -1), None])
+
 
 # -- the trace reader tests every index of a trace in one batch; when that
 # fails, each is read one by one, and the text names the first bad line

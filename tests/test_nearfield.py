@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernel_oracle import (ORACLE_FIELDS, column_index, eliminate_case, ref_add, ref_is_irreducible, ref_mul,
-                           ref_neg, ref_powers, ref_row_axpy, ref_row_eliminate, run_row_eliminate)
+from kernel_oracle import (ORACLE_FIELDS, _pmul, _ppowmod, column_index, eliminate_case, ref_add, ref_is_irreducible,
+                           ref_mul, ref_neg, ref_powers, ref_row_axpy, ref_row_eliminate, run_row_eliminate)
 from nearvec import Witness, build_nearfield, validate_dickson_pair
 from nearvec.closure import BUDGET_ENV, BudgetExceededError
 from nearvec.nearfield import (ORDER_LIMIT, PAIR_LIMIT, Nearfield, _TimesG, _ascii_int, _digits_of,
@@ -74,6 +74,13 @@ class TestPairValidation:
         assert validate_dickson_pair(PAIR_LIMIT, 1).valid
         assert validate_dickson_pair(PAIR_LIMIT - 5, 2).valid
         assert validate_dickson_pair(3, PAIR_LIMIT).reason == "q = 3 (mod 4) and 4 divides n"
+
+
+def _product(polys, p):
+    out = [1]
+    for g in polys:
+        out = _pmul(out, g, p)
+    return out
 
 
 class TestConstruction:
@@ -145,12 +152,67 @@ class TestConstruction:
         assert nf.d > 1 or nf.modulus == (0, 1)
 
     @pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (2, 6), (2, 10), (3, 1), (3, 4), (3, 6),
-                                     (5, 3), (5, 4), (7, 3), (31, 2)])
+                                     (5, 3), (5, 4), (7, 3), (31, 2), (1021, 1)])
     def test_rabin_test_matches_the_list_polynomial_one(self, p, d):
         # every monic polynomial of degree d over GF(p)
         for tail in itertools.product(range(p), repeat=d):
             f = list(tail) + [1]
             assert _is_irreducible(f, p) == ref_is_irreducible(f, p), f
+
+    @pytest.mark.parametrize("p,factors,f", [
+        (2, ([1, 1], [1, 1, 1], [1, 1, 0, 1]), [1, 1, 0, 0, 1, 0, 1]),     # 1 + x + x^4 + x^6
+        (3, ([1, 1], [1, 0, 1], [1, 2, 0, 1]), [1, 0, 0, 1, 0, 1, 1]),     # 1 + x^3 + x^5 + x^6
+    ])
+    def test_rabin_gcd_step_alone_rejects_a_product_of_degrees_1_2_3(self, p, factors, f):
+        assert _product(factors, p) == f
+        # x^(p^6) = x, as each factor's degree divides 6, while x^(p^3) - x
+        # and x^(p^2) - x are not 0: only the gcd steps, on nonzero h, reject f
+        x = [0, 1]
+        assert _ppowmod(x, p ** 6, f, p) == x
+        assert _ppowmod(x, p ** 3, f, p) != x and _ppowmod(x, p ** 2, f, p) != x
+        assert not ref_is_irreducible(f, p)
+        assert not _is_irreducible(f, p)
+
+    @pytest.mark.parametrize("p,d", [(2, 15), (2, 20), (3, 12), (5, 8)])
+    def test_rabin_test_matches_the_list_polynomial_one_above_the_exhaustive_range(self, p, d):
+        rng = random.Random(f"rabin:{p},{d}")
+
+        def monic(k):
+            return [rng.randrange(p) for _ in range(k)] + [1]
+
+        def irreducible(k):
+            while not ref_is_irreducible(f := monic(k), p):
+                pass
+            return f
+
+        cases = [monic(d) for _ in range(200)]
+        for _ in range(20):
+            a = rng.randint(1, d - 1)
+            cases.append(_pmul(irreducible(a), irreducible(d - a), p))
+        # distinct irreducibles of the largest proper divisor e of d: their
+        # product passes x^(p^d) = x and only the gcd step for r = d/e rejects it
+        e = d // _prime_factors(d)[0]
+        for _ in range(10):
+            parts = []
+            while len(parts) < d // e:
+                if (g := irreducible(e)) not in parts:
+                    parts.append(g)
+            f = _product(parts, p)
+            assert _ppowmod([0, 1], p ** d, f, p) == [0, 1]
+            cases.append(f)
+        verdicts = [ref_is_irreducible(f, p) for f in cases]
+        assert [_is_irreducible(f, p) for f in cases] == verdicts
+        assert any(verdicts)
+
+    @pytest.mark.parametrize("q,n", [(1021, 2), (29, 4), (5, 8), (7, 6), (16, 5)])
+    def test_large_modulus_is_the_first_candidate_the_reference_accepts(self, q, n):
+        # above the golden digests' orders; _find_modulus's order: constant
+        # term first, from 1, as for d >= 2 a zero one means x divides f
+        nf = Nearfield(q, n)    # not cached: its tables go with the test
+        p, d = nf.p, nf.d
+        first = next(tail + (1,) for tail in itertools.product(range(1, p), *[range(p)] * (d - 1))
+                     if ref_is_irreducible(list(tail) + [1], p))
+        assert nf.modulus == first
 
     def test_coset_residues_complete(self):
         for q, n in [(3, 2), (5, 2), (7, 2), (9, 2), (4, 3), (7, 3), (5, 4)]:
