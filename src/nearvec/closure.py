@@ -348,7 +348,8 @@ def is_gamma_dependent(nf: Nearfield, vectors, gamma: int) -> tuple[bool, int | 
 
     Returns (True, i) for the first such i (0-based), else (False, None).
     """
-    if gamma < 1:
+    # no stratum count equals a gamma that is not an int: the strata would run to the fixpoint
+    if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 1:
         raise ValueError("gamma must be a positive integer")
     vectors = [tuple(v) for v in vectors]
     if not vectors:

@@ -263,6 +263,8 @@ def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form") ->
     order = nf.order
     if kind not in ("all", "linear", "normal"):
         raise ValueError("kind must be 'all', 'linear' or 'normal'")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"dimension must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"dimension must be >= 0, got {n}")
     if method == "closed_form":

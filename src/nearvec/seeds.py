@@ -9,9 +9,8 @@ contributes (j-1)(|R|-2) columns, so k rows last exactly up to
 
     u_k = k + (|R|-2) k (k-1) / 2
 
-columns, and the row count for a given m is the integer ceiling of the
-positive root of that quadratic.  All of it is exact integer arithmetic;
-no floating point enters the ceiling.
+columns, and the row count for a given m is the least k with u_k >= m.
+All of it is exact integer arithmetic; no floating point enters it.
 
 Checking a seed needs no elimination over a proper nearfield (n >= 2).
 Normalise each nonzero column c to its key c_t^-1 o c, the left product
@@ -43,6 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .closure import VectorSet, gen_size
+from .ege import _columns_apart, ege
 from .nearfield import Nearfield
 from .vectors import NfMatrix
 
@@ -61,24 +62,22 @@ def u_max(k: int, nf_order: int) -> int:
 
 
 def seed_number(m: int, nf_order: int) -> int:
-    """Row count of V_m: the exact ceiling of
-    (|R| + sqrt(|R|^2 + 8(|R|-2)m - 8|R| + 16) - 4) / (2(|R|-2))."""
+    """Row count of V_m: the least k with u_k >= m.
+
+    With t = |R| - 2, t (k^2 - k) / 2 <= u_k = k + t (k^2 - k) / 2 <= t (k^2 + k) / 2.
+    For e = isqrt(2m // t), t e^2 / 2 <= m < t (e+1)^2 / 2, so u_(e-1) < m
+    (when e >= 1) and m < u_(e+2): k is the one candidate among max(e, 1),
+    e + 1 and e + 2 with u_(k-1) < m <= u_k; a miss is a fault in u_max.
+    """
     if nf_order < 3:
         raise ValueError("seed number is defined for |R| >= 3")
     if m < 1:
         raise ValueError("m must be positive")
-    a = nf_order - 4
-    b = 2 * (nf_order - 2)
-    disc = nf_order ** 2 + 8 * (nf_order - 2) * m - 8 * nf_order + 16
-    # least k with k*b - a >= sqrt(disc), decided in exact integer arithmetic
-    k = max((a + math.isqrt(disc)) // b, 0)
-    while k * b - a < 0 or (k * b - a) ** 2 < disc:
-        k += 1
-    while k > 1 and (k - 1) * b - a >= 0 and ((k - 1) * b - a) ** 2 >= disc:
-        k -= 1
-    if not u_max(k - 1, nf_order) < m <= u_max(k, nf_order):
-        raise RuntimeError(f"seed number {k} for m = {m}, |R| = {nf_order} misses its u_k bracket")
-    return k
+    e = math.isqrt(2 * m // (nf_order - 2))
+    for k in range(max(e, 1), e + 3):
+        if u_max(k - 1, nf_order) < m <= u_max(k, nf_order):
+            return k
+    raise RuntimeError(f"seed number for m = {m}, |R| = {nf_order} misses its u_k bracket")
 
 
 @dataclass(frozen=True)
@@ -126,14 +125,10 @@ def verify_seed(V: NfMatrix) -> bool:
     criterion fails, so EGE decides there.  For small spaces
     (|R|^m <= 10^4) the closure oracle independently confirms the verdict.
     """
-    from .ege import _columns_apart, ege
-
     nf, m = V.nf, V.width
     ok = _columns_apart(V) if not nf.is_field else ege(V).dimension == m
     # |R| >= 2, so a width of 14 or more is past 10^4 without the power
     if m < 14 and (space := nf.order ** m) <= 10 ** 4:
-        from .closure import VectorSet, gen_size
-
         if (gen_size(VectorSet.from_vectors(nf, m, V.rows)) == space) != ok:
             raise RuntimeError("the seed verdict and the closure oracle disagree on the seed property")
     return ok

@@ -16,6 +16,7 @@ set-up's Kronecker integers, whose gcd step is a power, independently.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import sys
@@ -150,22 +151,27 @@ def ref_neg(nf, a):
     return _code_of([-x % p for x in _digits_of(a, p, nf.d)], p)
 
 
+@functools.lru_cache(maxsize=None)
+def _coset_residue(p, d, n, modulus, generator, a):
+    """r = k mod n for a = g^k: a^e = zeta^r for zeta = g^e, e = (p^d - 1)/n.
+    Keyed by the field's values, not the Nearfield, so no field stays alive."""
+    f, e = list(modulus), (p ** d - 1) // n
+    ae = _ppowmod(_digits_of(a, p, d), e, f, p)
+    zeta = _ppowmod(_digits_of(generator, p, d), e, f, p)
+    power = [1]
+    for r in range(n):
+        if power == ae:
+            return r
+        power = _pmod(_pmul(power, zeta, p), f, p)
+    raise AssertionError(f"{a} is not a power of the generator")
+
+
 def ref_mul(nf, a, c):
     """a o c = a * c^(q^j(a)), with j(a) read off a^((order-1)/n)."""
     if a == 0 or c == 0:
         return 0
-    p, d, n, f = nf.p, nf.d, nf.n, list(nf.modulus)
-    e = (nf.order - 1) // n
-    # a = g^k gives a^e = zeta^(k mod n) for the primitive n-th root zeta = g^e
-    ae = _ppowmod(_digits_of(a, p, d), e, f, p)
-    zeta = _ppowmod(_digits_of(nf.generator, p, d), e, f, p)
-    power = [1]
-    for r in range(n):
-        if power == ae:
-            break
-        power = _pmod(_pmul(power, zeta, p), f, p)
-    else:
-        raise AssertionError(f"{a} is not a power of the generator")
+    p, d, f = nf.p, nf.d, list(nf.modulus)
+    r = _coset_residue(p, d, nf.n, nf.modulus, nf.generator, a)
     cq = _ppowmod(_digits_of(c, p, d), nf.q ** nf.coset_table[r], f, p)
     prod = _pmod(_pmul(_digits_of(a, p, d), cq, p), f, p)
     return _code_of(prod + [0] * (d - len(prod)), p)

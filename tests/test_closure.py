@@ -210,6 +210,16 @@ class TestGammaDependence:
         with pytest.raises(ValueError):
             is_gamma_dependent(dn32, [(1, 0)], 0)
 
+    def test_gamma_must_be_an_int(self, dn32):
+        # 1.5 once grew the strata to the fixpoint and answered as gamma = 2,
+        # and True passed as 1
+        vectors = [(8, 7, 4), (8, 2, 5), (6, 4, 0)]
+        assert is_gamma_dependent(dn32, vectors, 1) == (True, 1)
+        assert is_gamma_dependent(dn32, vectors, 2) == (True, 0)
+        for gamma in (1.5, True, 2.0):
+            with pytest.raises(ValueError, match="^gamma must be a positive integer$"):
+                is_gamma_dependent(dn32, vectors, gamma)
+
 
 class TestElementCodes:
     """Every closure entry that takes vectors refuses a code that is not an

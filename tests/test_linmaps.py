@@ -296,6 +296,16 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_maps(dn32, 2, "all", "guess")
 
+    def test_dimension_must_be_an_int(self, dn32):
+        # 1.5 once returned the float 140.296... and 2.0 the float 289.0
+        for n in (1.5, 2.0, True):
+            for kind in ("all", "linear", "normal"):
+                for method in ("closed_form", "enumeration"):
+                    with pytest.raises(ValueError, match=r"^dimension must be an integer, got "):
+                        count_maps(dn32, n, kind, method)
+        with pytest.raises(ValueError, match="^dimension must be >= 0, got -1$"):
+            count_maps(dn32, -1, "all")
+
     def test_closed_form_digit_bound(self, dn32, monkeypatch):
         # |R|^(n^2) has at most n^2 len(str(|R|)) digits: 9 for n = 3 over DN(3,2)
         monkeypatch.setenv("NEARVEC_BUDGET", "8")

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 
 import pytest
 
@@ -39,9 +40,10 @@ class TestUMax:
 
 class TestSeedNumber:
     def test_boundaries(self):
-        assert seed_number(9, 9) == 2    # discriminant 529 = 23^2
+        assert seed_number(9, 9) == 2    # u_2 = 9
         assert seed_number(10, 9) == 3
-        assert seed_number(24, 9) == 3   # discriminant 1369 = 37^2
+        assert seed_number(24, 9) == 3   # u_3 = 24
+        assert seed_number(25, 9) == 4
         assert seed_number(1, 9) == 1
 
     def test_interval_consistency(self):
@@ -49,6 +51,45 @@ class TestSeedNumber:
             for m in range(1, u_max(6, order) + 1):
                 k = seed_number(m, order)
                 assert u_max(k - 1, order) < m <= u_max(k, order)
+
+    @staticmethod
+    def scanned(ms, order):
+        """The least k with u_k >= m for each m of the ascending ms, by a
+        plain scan that resumes at the k of the previous m."""
+        k = 1
+        for m in ms:
+            while u_max(k, order) < m:
+                k += 1
+            yield k
+
+    def test_matches_a_plain_scan_for_every_m(self):
+        # every m <= u_30 + 1 for the orders up to 60, 746 083 m in all
+        for order in range(3, 61):
+            ms = range(1, u_max(30, order) + 2)
+            assert list(map(seed_number, ms, itertools.repeat(order))) == list(self.scanned(ms, order)), order
+
+    def test_matches_a_plain_scan_where_the_candidates_change(self):
+        # seed_number is constant wherever neither its candidates,
+        # set by isqrt(2m // (|R| - 2)), nor a u_k bracket change, so for
+        # every order 3..399 and m <= u_30 + 1 each such point and its
+        # neighbours stand for all m
+        for order in range(3, 400):
+            t, top = order - 2, u_max(30, order) + 1
+            points = {u_max(k, order) + d for k in range(31) for d in (-1, 0, 1)}
+            points |= {(j * j * t + 1) // 2 + d for j in range(math.isqrt(2 * top // t) + 2) for d in (-1, 0)}
+            ms = sorted(m for m in points if 1 <= m <= top)
+            assert [seed_number(m, order) for m in ms] == list(self.scanned(ms, order)), order
+
+    def test_far_past_the_width_limit(self):
+        # u_k - 1, u_k and u_k + 1 for k up to 10^30, in exact integers
+        ks = [10 ** j for j in range(31)] + [10 ** 30 - 1, 2 ** 99 + 7, 3 ** 60]
+        for order in (3, 4, 9, 25, 1048576, 10 ** 40):
+            for k in ks:
+                u = u_max(k, order)
+                assert seed_number(u, order) == k
+                assert seed_number(u + 1, order) == k + 1
+                if k > 1:
+                    assert seed_number(u - 1, order) == k
 
     def test_bracket_check_survives_optimization(self, monkeypatch):
         # an explicit check, not an assert: a wrong u_max is reported
