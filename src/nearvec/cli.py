@@ -18,12 +18,12 @@ import math
 import sys
 from pathlib import Path
 
-from .closure import (BudgetExceededError, VectorSet, _gen_codes, current_budget, gen_size,
-                      lc_index, require_budget, unpack_vector)
+from .closure import VectorSet, _gen_codes, gen_size, lc_index, unpack_vector
 from .counting import count_subgroups
 from .ege import ege, replay, trace_from_text, trace_to_text
 from .linmaps import MapRep, classify, is_bijective, linear_violation, count_maps
-from .nearfield import _ascii_int, build_nearfield
+from .nearfield import (BudgetExceededError, _ascii_int, _int_arg, build_nearfield, current_budget,
+                        require_budget)
 from .seeds import build_seed, verify_seed
 from .vectors import NfMatrix, matrix_format, matrix_parse
 
@@ -206,10 +206,10 @@ def _cmd_verify_seed(args):
 
 
 def _cmd_search_index(args):
-    if args.m < 1 or args.k < 1:
-        raise ValueError("need m >= 1 and k >= 1")
-    if args.limit is not None and args.limit < 0:
-        raise ValueError(f"--limit must be >= 0, got {args.limit}")
+    _int_arg(args.m, "m", 1)
+    _int_arg(args.k, "k", 1)
+    if args.limit is not None:
+        _int_arg(args.limit, "--limit")
     nf = build_nearfield(args.q, args.n)
     # every subset's closure grows inside R^m
     space = require_budget("vectors of R^m, |R|^m", nf.order, args.m)

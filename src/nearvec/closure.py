@@ -67,16 +67,8 @@ end there, and only lc_step and gen_closure list the space, as
 range(space), when they return it.
 There is no elimination over GF(p).
 
-Every size the package enumerates, lists or prints goes through
-require_budget, the one guard, against the element budget; the full
-operation tables too, at order^2 cells.  Not yet so are ege, replay and
-verify-seed over a field (n = 1): they read a matrix file of any size
-and start work with no guard (ROADMAP item 13).  The budget is set only
-by the environment variable NEARVEC_BUDGET (ASCII digits [0-9]+ worth
->= 1, default 10^6; no sign, '_', space or other digit); no function
-takes it as an argument.  The other limits are fixed: order 2^20
-(nearfield.ORDER_LIMIT), seed width 2^12 (seeds.MAX_SEED_WIDTH) and q, n
-up to 2^32 in the Dickson pair test (PAIR_LIMIT).
+Every walk of R^m is sized first by nearfield.require_budget, the one
+size guard, under the element budget.
 """
 
 from __future__ import annotations
@@ -84,41 +76,11 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import os
 from dataclasses import dataclass
 
-from .nearfield import Nearfield, _ascii_int
-
-DEFAULT_BUDGET = 10 ** 6
-BUDGET_ENV = "NEARVEC_BUDGET"
+from .nearfield import Nearfield, _int_arg, require_budget
 
 _VSCALE_TABLE_CAP = 10 ** 6  # space * order cap for a cached scaling column
-
-
-class BudgetExceededError(RuntimeError):
-    pass
-
-
-def current_budget() -> int:
-    """The element budget: NEARVEC_BUDGET, ASCII digits [0-9]+ worth >= 1
-    read by nearfield._ascii_int, else the default."""
-    raw = os.environ.get(BUDGET_ENV)
-    return DEFAULT_BUDGET if raw is None else _ascii_int(raw, BUDGET_ENV, 1)
-
-
-def require_budget(what: str, base: int, exp: int = 1) -> int:
-    """base ** exp, or BudgetExceededError when it exceeds current_budget(): the
-    one size guard.  A power of base >= 2 is at least 2^exp, so from exp >= the
-    budget's bit length on it is refused uncomputed and named as a power; a
-    refused size over 64 bits is named by its bit length, never by its digits."""
-    limit = current_budget()
-    if base < 2 or exp < limit.bit_length():
-        size = base ** exp
-        if size <= limit:
-            return size
-    bits = base.bit_length()
-    shown = f"{base}^{exp}" if exp != 1 else str(base) if bits <= 64 else f"a {bits}-bit number"
-    raise BudgetExceededError(f"{what} = {shown} exceeds the element budget {limit} ({BUDGET_ENV})")
 
 
 def pack_vector(nf: Nearfield, v) -> int:
@@ -233,6 +195,7 @@ class VectorSet:
     @classmethod
     def from_vectors(cls, nf: Nearfield, m: int, vectors) -> "VectorSet":
         """The set of vectors of m element codes each, checked by the field."""
+        _int_arg(m, "m")
         seen = set()
         for v in vectors:
             if len(v) != m:
@@ -349,8 +312,7 @@ def is_gamma_dependent(nf: Nearfield, vectors, gamma: int) -> tuple[bool, int | 
     Returns (True, i) for the first such i (0-based), else (False, None).
     """
     # no stratum count equals a gamma that is not an int: the strata would run to the fixpoint
-    if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 1:
-        raise ValueError("gamma must be a positive integer")
+    _int_arg(gamma, "gamma", 1)
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         return False, None

@@ -27,8 +27,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .closure import require_budget
-from .nearfield import Nearfield
+from .nearfield import Nearfield, _int_arg, require_budget
 from .vectors import NfMatrix
 
 
@@ -50,17 +49,16 @@ def _partition_counts(m: int, k: int) -> list[int]:
 
 def partitions_into_parts(t: int, k: int) -> int:
     """Number of partitions of t into exactly k positive parts."""
-    if t < 0 or k < 0:
-        raise ValueError("t and k must be nonnegative")
+    _int_arg(t, "t")
+    _int_arg(k, "k")
     return _partition_counts(t, k)[t] if k <= t else 0
 
 
 def count_subgroups(m: int, k: int, nf_order: int) -> int:
     """Number of R-subgroups of R-dimension k of R^m, up to reordering of coordinates."""
-    if nf_order < 2:
-        raise ValueError("nearfield order must be at least 2")
-    if not 1 <= k <= m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    _int_arg(nf_order, "|R|", 2)
+    _int_arg(k, "k", 1)
+    _int_arg(m, "m", k)
     # the count is below m 2^m (|R|-1)^(m-k), and x < 2^b has at most b // 3 + 1 digits
     bits = m.bit_length() + m + (m - k) * (nf_order - 1).bit_length()
     require_budget("digits of the count, bounded", bits // 3 + 1)
@@ -175,8 +173,8 @@ def count_subgroup_orbits(m: int, k: int, nf: Nearfield) -> int:
     with i of bit length l are each at most 2^(1-l).  The bound costs no
     loop, so a huge m or k is refused at once.
     """
-    if m < 0 or k < 0:
-        raise ValueError(f"need m >= 0 and k >= 0, got k={k}, m={m}")
+    _int_arg(m, "m")
+    _int_arg(k, "k")
     if k > m:
         return 0
     u = nf.order - 1

@@ -45,8 +45,8 @@ from decimal import Decimal
 from math import comb, factorial
 from operator import ne
 
-from .nearfield import Nearfield
-from .closure import pack_vector, require_budget, scale_column, translate, unpack_vector
+from .nearfield import Nearfield, _int_arg, require_budget
+from .closure import pack_vector, scale_column, translate, unpack_vector
 
 
 class MapClass(enum.Enum):
@@ -79,6 +79,7 @@ class MapRep:
 
     @classmethod
     def identity(cls, nf: Nearfield, n: int) -> "MapRep":
+        _int_arg(n, "dimension")
         return cls(nf, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def column(self, j: int) -> tuple[int, ...]:
@@ -251,11 +252,11 @@ def scale_family(T: MapRep, scalars) -> MapRep:
 
 
 def enumerate_maps(nf: Nearfield, n: int):
-    """All |R|^(n^2) maps, row-major lexicographic on entry codes."""
+    """All |R|^(n^2) maps, row-major lexicographic on entry codes, checked on the call."""
+    _int_arg(n, "dimension")
     require_budget("|R|^(n^2)", nf.order, n * n)
     rows = list(itertools.product(range(nf.order), repeat=n))
-    for mat in itertools.product(rows, repeat=n):
-        yield MapRep(nf, n, mat)
+    return (MapRep(nf, n, mat) for mat in itertools.product(rows, repeat=n))
 
 
 def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form") -> int:
@@ -263,10 +264,7 @@ def count_maps(nf: Nearfield, n: int, kind: str, method: str = "closed_form") ->
     order = nf.order
     if kind not in ("all", "linear", "normal"):
         raise ValueError("kind must be 'all', 'linear' or 'normal'")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n}")
+    _int_arg(n, "dimension")
     if method == "closed_form":
         # a count of matrices whose rows take x values is x^n, at most n len(str(x))
         # digits; a row of a linear map is all-zero or one of |R|-1 values in one

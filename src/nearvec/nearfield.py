@@ -73,16 +73,32 @@ or token that misses is spelled or parsed once by the general rules,
 which raise every error, and only its code's canonical text is stored,
 so each dict holds at most order entries.  Nothing is stored at
 construction: a field pays for the texts it prints or reads.
+
+Input checks live here, below every module that uses them: _ascii_int
+reads integer text, check_codes checks element codes, and _int_arg checks
+an integer argument passed in code (a size, count, index or order): a
+value whose type is not int, or that is below its bound, is refused
+before any work with one ValueError, "m must be an integer >= 1, got 0".
+require_budget, the one size guard, checks every size the package
+enumerates, lists or prints, the operation tables too, against the
+element budget, set only by NEARVEC_BUDGET (ASCII digits [0-9]+ worth
+>= 1, default 10^6); no function takes it as an argument.  Not yet
+guarded are ege, replay and verify-seed over a field (n = 1), which read
+a matrix file of any size (ROADMAP item 13).  The other limits are
+fixed: ORDER_LIMIT, PAIR_LIMIT and seeds.MAX_SEED_WIDTH.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import re
 from dataclasses import dataclass
 
 ORDER_LIMIT = 1 << 20   # largest order for which log/exp tables are built at all
 PAIR_LIMIT = 1 << 32    # largest q and n that the Dickson pair test factors
+DEFAULT_BUDGET = 10 ** 6
+BUDGET_ENV = "NEARVEC_BUDGET"
 
 _CACHE_ALL_LIMIT = 1 << 16  # fields up to this order stay cached; of larger ones, the last only
 
@@ -107,6 +123,39 @@ def _ascii_int(text: str, field: str, low: int | None = 0) -> int:
             return value
     bound = "" if low is None else f" >= {low}"
     raise ValueError(f"{field} must be an integer{bound}, got {text!r}")
+
+
+def _int_arg(value, field: str, low: int = 0) -> None:
+    """ValueError in _ascii_int's words unless value's type is int (not a
+    bool, float or int subclass, as in check_codes) and value >= low."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{field} must be an integer >= {low}, got {value!r}")
+
+
+class BudgetExceededError(RuntimeError):
+    pass
+
+
+def current_budget() -> int:
+    """The element budget: NEARVEC_BUDGET, ASCII digits [0-9]+ worth >= 1
+    read by _ascii_int, else the default."""
+    raw = os.environ.get(BUDGET_ENV)
+    return DEFAULT_BUDGET if raw is None else _ascii_int(raw, BUDGET_ENV, 1)
+
+
+def require_budget(what: str, base: int, exp: int = 1) -> int:
+    """base ** exp, or BudgetExceededError when it exceeds current_budget(): the
+    one size guard.  A power of base >= 2 is at least 2^exp, so from exp >= the
+    budget's bit length on it is refused uncomputed and named as a power; a
+    refused size over 64 bits is named by its bit length, never by its digits."""
+    limit = current_budget()
+    if base < 2 or exp < limit.bit_length():
+        size = base ** exp
+        if size <= limit:
+            return size
+    bits = base.bit_length()
+    shown = f"{base}^{exp}" if exp != 1 else str(base) if bits <= 64 else f"a {bits}-bit number"
+    raise BudgetExceededError(f"{what} = {shown} exceeds the element budget {limit} ({BUDGET_ENV})")
 
 
 def _check_separators(text: str, what: str) -> None:
@@ -334,19 +383,13 @@ class Witness:
     lam: int
 
 
-def _check_pair_args(q, n):
-    if isinstance(q, bool) or isinstance(n, bool) or not isinstance(q, int) or not isinstance(n, int):
-        raise TypeError("q and n must be integers")
-    if q < 2 or n < 1:
-        raise ValueError("need q >= 2 and n >= 1")
-
-
 def _bounded_order(q, n, limit: int, what: str) -> int:
     """q**n, or ValueError naming `what` above limit, before any factoring.
 
     As q >= 2, q > limit or n >= limit.bit_length() puts q**n above limit
     without computing it."""
-    _check_pair_args(q, n)
+    _int_arg(q, "q", 2)
+    _int_arg(n, "n", 1)
     if q > limit or n >= limit.bit_length():
         raise ValueError(f"order {q}^{n} exceeds {what}")
     order = q ** n
@@ -362,7 +405,8 @@ def validate_dickson_pair(q: int, n: int) -> PairVerdict:
     non-integer or out-of-range inputs.  q and n are factored by trial
     division, so either above PAIR_LIMIT is refused before any factoring.
     """
-    _check_pair_args(q, n)
+    _int_arg(q, "q", 2)
+    _int_arg(n, "n", 1)
     for name, v in (("q", q), ("n", n)):
         if v > PAIR_LIMIT:
             raise ValueError(f"{name} = {v} exceeds the pair test's limit {PAIR_LIMIT}")
@@ -641,7 +685,6 @@ class Nearfield:
         return [list(self.row_axpy(elems, 1, (a,) * self.order)) for a in elems]
 
     def _table_elements(self) -> range:
-        from .closure import require_budget  # closure imports this module
         require_budget("operation table cells, |R|^2", self.order, 2)
         return self.elements
 
@@ -844,15 +887,16 @@ def _cached_large_nearfield(q: int, n: int) -> Nearfield:
 def build_nearfield(q: int, n: int) -> Nearfield:
     """Construct (or fetch the cached) DN(q, n).
 
-    Raises TypeError for non-integers, and ValueError for invalid pairs
-    or when q^n exceeds ORDER_LIMIT (2^20).  The type, range and order
-    checks run ahead of the cache, which would return DN(3,2) for (3.0, 2)
-    as 3.0 hashes like 3, and a huge q or n costs no factoring.  Every
-    field of order up to 2^16 stays cached; of the larger ones, whose
-    tables take tens to hundreds of MB, only the last one built does.
-    The limits are fixed: besides ORDER_LIMIT, the pair test stops at
-    PAIR_LIMIT (2^32).  The one settable size limit is the element budget
-    (closure, NEARVEC_BUDGET), which also bounds the full operation tables.
+    Raises ValueError for a q or n that is not an int, bools included, or
+    is below its bound (_int_arg), for invalid pairs, and when q^n exceeds
+    ORDER_LIMIT (2^20).  The type, range and order checks run ahead of the
+    cache, which would return DN(3,2) for (3.0, 2) as 3.0 hashes like 3,
+    and a huge q or n costs no factoring.  Every field of order up to 2^16
+    stays cached; of the larger ones, whose tables take tens to hundreds of
+    MB, only the last one built does.  The limits are fixed: besides
+    ORDER_LIMIT, the pair test stops at PAIR_LIMIT (2^32).  The one settable
+    size limit is the element budget (require_budget, NEARVEC_BUDGET), which
+    also bounds the full operation tables.
     """
     order = _bounded_order(q, n, ORDER_LIMIT, f"the hard limit {ORDER_LIMIT}")
     cache = _cached_nearfield if order <= _CACHE_ALL_LIMIT else _cached_large_nearfield

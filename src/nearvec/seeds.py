@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from .closure import VectorSet, gen_size
 from .ege import _columns_apart, ege
-from .nearfield import Nearfield
+from .nearfield import Nearfield, _int_arg
 from .vectors import NfMatrix
 
 MAX_SEED_WIDTH = 1 << 12
@@ -52,10 +52,8 @@ MAX_SEED_WIDTH = 1 << 12
 
 def u_max(k: int, nf_order: int) -> int:
     """Largest m whose seed matrix has k rows (u_0 = 0)."""
-    if nf_order < 3:
-        raise ValueError("u_k is defined for |R| >= 3")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _int_arg(nf_order, "|R|", 3)
+    _int_arg(k, "k")
     # the sum of the stage widths (|R|-2)(i-1) + 1 over i = 1..k; the tests
     # check it against that recurrence
     return ((nf_order - 2) * (k - 1) + 2) * k // 2
@@ -69,10 +67,8 @@ def seed_number(m: int, nf_order: int) -> int:
     (when e >= 1) and m < u_(e+2): k is the one candidate among max(e, 1),
     e + 1 and e + 2 with u_(k-1) < m <= u_k; a miss is a fault in u_max.
     """
-    if nf_order < 3:
-        raise ValueError("seed number is defined for |R| >= 3")
-    if m < 1:
-        raise ValueError("m must be positive")
+    _int_arg(nf_order, "|R|", 3)
+    _int_arg(m, "m", 1)
     e = math.isqrt(2 * m // (nf_order - 2))
     for k in range(max(e, 1), e + 3):
         if u_max(k - 1, nf_order) < m <= u_max(k, nf_order):
@@ -93,8 +89,7 @@ def build_seed(m: int, nf: Nearfield) -> SeedMatrix:
     """The k x m seed matrix V_m whose rows generate R^m."""
     if nf.is_field:
         raise ValueError("seed construction requires a proper nearfield (n >= 2)")
-    if m < 1:
-        raise ValueError("m must be positive")
+    _int_arg(m, "m", 1)
     if m > MAX_SEED_WIDTH:
         raise ValueError(f"m exceeds the width limit {MAX_SEED_WIDTH}")
     k = seed_number(m, nf.order)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nearfield import Nearfield, _ascii_int, _check_separators, build_nearfield
+from .nearfield import Nearfield, _ascii_int, _check_separators, _int_arg, build_nearfield
 
 
 def vec_add(nf: Nearfield, u, v):
@@ -80,6 +80,7 @@ class NfMatrix:
     width: int
 
     def __post_init__(self):
+        _int_arg(self.width, "width")
         for row in self.rows:
             if len(row) != self.width:
                 raise ValueError("ragged rows")

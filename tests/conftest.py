@@ -20,3 +20,15 @@ def bad_code(request):
     message, raised by Nearfield.check_codes, that refuses it."""
     a = request.param
     return a, f"{a!r} is not an integer" if type(a) is not int else f"{a} out of range for order 9"
+
+
+@pytest.fixture(params=["float", "bool", "below"])
+def refuse_int(request):
+    """check(call, field, low): call(v) for v = 1.5, True and low - 1 each
+    raises nearfield._int_arg's one ValueError, with its exact text."""
+    def check(call, field, low):
+        v = {"float": 1.5, "bool": True, "below": low - 1}[request.param]
+        with pytest.raises(ValueError) as refused:
+            call(v)
+        assert str(refused.value) == f"{field} must be an integer >= {low}, got {v!r}"
+    return check

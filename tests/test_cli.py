@@ -319,12 +319,12 @@ class TestMapCommands:
         assert out == "161\n"
 
     @pytest.mark.parametrize("argv,message", [
-        (["count-maps", "3", "2", "-1", "all"], "dimension must be >= 0, got -1"),
-        (["count-maps", "3", "2", "-1", "linear"], "dimension must be >= 0, got -1"),
-        (["count-maps", "3", "2", "-2", "normal"], "dimension must be >= 0, got -2"),
-        (["count-maps", "3", "2", "-1", "all", "--method", "enum"], "dimension must be >= 0, got -1"),
-        (["search-index", "3", "2", "-1", "1", "1"], "need m >= 1 and k >= 1"),
-        (["search-index", "3", "2", "2", "0", "1"], "need m >= 1 and k >= 1"),
+        (["count-maps", "3", "2", "-1", "all"], "dimension must be an integer >= 0, got -1"),
+        (["count-maps", "3", "2", "-1", "linear"], "dimension must be an integer >= 0, got -1"),
+        (["count-maps", "3", "2", "-2", "normal"], "dimension must be an integer >= 0, got -2"),
+        (["count-maps", "3", "2", "-1", "all", "--method", "enum"], "dimension must be an integer >= 0, got -1"),
+        (["search-index", "3", "2", "-1", "1", "1"], "m must be an integer >= 1, got -1"),
+        (["search-index", "3", "2", "2", "0", "1"], "k must be an integer >= 1, got 0"),
         # C(6560, 3), about 4.7e10 subsets, is refused before the scan starts
         (["search-index", "3", "2", "4", "3", "2"], "min(--limit, C(|R|^m - 1, k), budget + 1) = 1000001"),
         (["search-index", "3", "2", "6", "300000", "1"], "budget + 1) = 1000001 exceeds"),
@@ -333,7 +333,7 @@ class TestMapCommands:
          "vectors of R^m, |R|^m = 9^100000000 exceeds the element budget 1000000 (NEARVEC_BUDGET)"),
         (["search-index", "3", "2", "7", "1", "1"],
          "vectors of R^m, |R|^m = 9^7 exceeds the element budget 1000000 (NEARVEC_BUDGET)"),
-        (["search-index", "3", "2", "2", "2", "1", "--limit", "-1"], "--limit must be >= 0, got -1"),
+        (["search-index", "3", "2", "2", "2", "1", "--limit", "-1"], "--limit must be an integer >= 0, got -1"),
     ])
     def test_out_of_range_arguments_refused(self, capsys, argv, message):
         # these once printed 9, -0.142..., 0, or ended in a TypeError traceback
@@ -863,3 +863,19 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "161"
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["seed", "3", "2", "0"], "m must be an integer >= 1, got 0"),
+    (["count-maps", "3", "2", "-1", "all"], "dimension must be an integer >= 0, got -1"),
+    (["count-subgroups", "3", "2", "3", "4"], "m must be an integer >= 4, got 3"),
+    (["count-subgroups", "3", "2", "3", "0"], "k must be an integer >= 1, got 0"),
+    (["witness", "1", "2"], "q must be an integer >= 2, got 1"),
+    (["table", "3", "0"], "n must be an integer >= 1, got 0"),
+    (["search-index", "3", "2", "0", "1", "1"], "m must be an integer >= 1, got 0"),
+    (["search-index", "3", "2", "1", "0", "1"], "k must be an integer >= 1, got 0"),
+    (["search-index", "3", "2", "1", "1", "1", "--limit", "-2"], "--limit must be an integer >= 0, got -2"),
+])
+def test_integer_arguments_refused(capsys, argv, line):
+    # one ValueError text for every integer below its bound, exit 1
+    assert run(capsys, *argv) == (1, "", f"error: {line}\n")

@@ -26,7 +26,8 @@ from nearvec import (
     vec_neg,
     vec_scale_right,
 )
-from nearvec.closure import BUDGET_ENV, gen_size, require_budget
+from nearvec.closure import gen_size
+from nearvec.nearfield import BUDGET_ENV, require_budget
 
 closure_module = importlib.import_module("nearvec.closure")
 
@@ -217,7 +218,7 @@ class TestGammaDependence:
         assert is_gamma_dependent(dn32, vectors, 1) == (True, 1)
         assert is_gamma_dependent(dn32, vectors, 2) == (True, 0)
         for gamma in (1.5, True, 2.0):
-            with pytest.raises(ValueError, match="^gamma must be a positive integer$"):
+            with pytest.raises(ValueError, match=f"^gamma must be an integer >= 1, got {gamma!r}$"):
                 is_gamma_dependent(dn32, vectors, gamma)
 
 
@@ -636,3 +637,13 @@ def test_strata_after_lc1_read_no_x0_product(monkeypatch, cap, vectors):
         assert reads[X] == len(S) + size - 1
     else:
         assert len(S) < reads[X] < len(S) + lc1 - 1
+
+
+@pytest.mark.parametrize("call,field,low", [
+    pytest.param(lambda nf, v: is_gamma_dependent(nf, [(1, 0), (0, 1)], v), "gamma", 1, id="gamma"),
+    pytest.param(lambda nf, v: VectorSet.from_vectors(nf, v, []), "m", 0, id="from_vectors-empty"),
+    pytest.param(lambda nf, v: VectorSet.from_vectors(nf, v, [(1,)]), "m", 0, id="from_vectors"),
+])
+def test_integer_arguments_refused(dn32, refuse_int, call, field, low):
+    # m = -1 once passed, and gen_closure over that set answered one element
+    refuse_int(lambda v: call(dn32, v), field, low)

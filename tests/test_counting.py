@@ -20,6 +20,7 @@ from nearvec import counting
 from nearvec.counting import _block_type_counts, _partition_counts, _partitions_desc, _poly_at
 from orbit_oracle import reference_subgroup_orbits
 
+
 X = 3
 
 
@@ -224,9 +225,9 @@ class TestOrbitReport:
         assert "\n" not in message
 
     def test_rejects_negative_arguments(self, dn32):
-        with pytest.raises(ValueError, match="need m >= 0 and k >= 0, got k=1, m=-1"):
+        with pytest.raises(ValueError, match="m must be an integer >= 0, got -1"):
             count_subgroup_orbits(-1, 1, dn32)
-        with pytest.raises(ValueError, match="need m >= 0 and k >= 0, got k=-1, m=3"):
+        with pytest.raises(ValueError, match="k must be an integer >= 0, got -1"):
             count_subgroup_orbits(3, -1, dn32)
 
     def test_edge_shapes(self, dn32):
@@ -336,3 +337,18 @@ class TestOrbitReport:
         right = set(
             gen_closure(VectorSet.from_vectors(dn32, 2, [(1, inv_a)])).vectors())
         assert left == right
+
+
+@pytest.mark.parametrize("call,field,low", [
+    pytest.param(lambda v: partitions_into_parts(v, 2), "t", 0, id="partitions-t"),
+    pytest.param(lambda v: partitions_into_parts(4, v), "k", 0, id="partitions-k"),
+    pytest.param(lambda v: count_subgroups(3, 2, v), "|R|", 2, id="subgroups-order"),
+    pytest.param(lambda v: count_subgroups(3, v, 9), "k", 1, id="subgroups-k"),
+    pytest.param(lambda v: count_subgroups(v, 2, 9), "m", 2, id="subgroups-m"),
+    pytest.param(lambda v: enumerate_canonical(v, 1, build_nearfield(3, 2)), "m", 1, id="canonical-m"),
+    pytest.param(lambda v: count_subgroup_orbits(v, 1, build_nearfield(3, 2)), "m", 0, id="orbits-m"),
+    pytest.param(lambda v: count_subgroup_orbits(3, v, build_nearfield(3, 2)), "k", 0, id="orbits-k"),
+])
+def test_integer_arguments_refused(refuse_int, call, field, low):
+    # count_subgroups(2, 1, 9.0) once ended in an AttributeError
+    refuse_int(call, field, low)

@@ -301,9 +301,9 @@ class TestCounts:
         for n in (1.5, 2.0, True):
             for kind in ("all", "linear", "normal"):
                 for method in ("closed_form", "enumeration"):
-                    with pytest.raises(ValueError, match=r"^dimension must be an integer, got "):
+                    with pytest.raises(ValueError, match=r"^dimension must be an integer >= 0, got "):
                         count_maps(dn32, n, kind, method)
-        with pytest.raises(ValueError, match="^dimension must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match="^dimension must be an integer >= 0, got -1$"):
             count_maps(dn32, -1, "all")
 
     def test_closed_form_digit_bound(self, dn32, monkeypatch):
@@ -610,3 +610,14 @@ def test_scale_family_checks_the_scalar_codes(dn32, scalars, message):
     # (-1, 1) once gave the matrix ((8, 0), (0, 1))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         scale_family(MapRep.identity(dn32, 2), scalars)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda nf, v: count_maps(nf, v, "all"), id="count_maps"),
+    pytest.param(lambda nf, v: count_maps(nf, v, "normal", "enumeration"), id="count_maps-enum"),
+    pytest.param(enumerate_maps, id="enumerate_maps"),
+    pytest.param(MapRep.identity, id="identity"),
+])
+def test_integer_arguments_refused(dn32, refuse_int, call):
+    # enumerate_maps and MapRep.identity once raised TypeError for 1.5
+    refuse_int(lambda v: call(dn32, v), "dimension", 0)

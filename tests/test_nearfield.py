@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 from kernel_oracle import (ORACLE_FIELDS, _pmul, _ppowmod, column_index, eliminate_case, ref_add, ref_is_irreducible,
                            ref_mul, ref_neg, ref_powers, ref_row_axpy, ref_row_eliminate, run_row_eliminate)
 from nearvec import Witness, build_nearfield, validate_dickson_pair
-from nearvec.closure import BUDGET_ENV, BudgetExceededError
-from nearvec.nearfield import (ORDER_LIMIT, PAIR_LIMIT, Nearfield, _TimesG, _ascii_int, _digits_of,
-                               _is_irreducible, _prime_factors)
+from nearvec.nearfield import (BUDGET_ENV, ORDER_LIMIT, PAIR_LIMIT, BudgetExceededError, Nearfield, _TimesG,
+                               _ascii_int, _digits_of, _is_irreducible, _prime_factors)
 
 # The classical 9x9 table of the twisted product on the order-9 nearfield,
 # as usually printed: entry [a][b] there is b o a under the rule implemented
@@ -60,9 +59,9 @@ class TestPairValidation:
             validate_dickson_pair(1, 1)
         with pytest.raises(ValueError):
             validate_dickson_pair(3, 0)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^q must be an integer >= 2, got 3.0$"):
             validate_dickson_pair(3.0, 2)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^q must be an integer >= 2, got True$"):
             validate_dickson_pair(True, 1)
 
     def test_bounded_before_factoring(self):
@@ -120,7 +119,7 @@ class TestConstruction:
             build_nearfield(ORDER_LIMIT + 1, 1)
         # checked ahead of the cache, where 3.0 would find DN(3,2)
         build_nearfield(3, 2)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^q must be an integer >= 2, got 3.0$"):
             build_nearfield(3.0, 2)
         with pytest.raises(ValueError):
             build_nearfield(9, 8)  # 9^8 > 2^20, rejected before construction
@@ -912,3 +911,16 @@ def test_lane_step_tables_are_bounded_at_every_order():
             d += 1
     assert max(max(s) for s in sizes.values()) == 101 ** 2 <= 1 << 16
     assert sizes[2, 20] == [2 ** 10, 2 ** 10] and sizes[1021, 2] == [1021, 1021]
+
+
+@pytest.mark.parametrize("call,field,low", [
+    pytest.param(lambda v: validate_dickson_pair(v, 2), "q", 2, id="pair-q"),
+    pytest.param(lambda v: validate_dickson_pair(3, v), "n", 1, id="pair-n"),
+    pytest.param(lambda v: build_nearfield(v, 2), "q", 2, id="build-q"),
+    pytest.param(lambda v: build_nearfield(3, v), "n", 1, id="build-n"),
+    pytest.param(lambda v: Nearfield(v, 2), "q", 2, id="nearfield-q"),
+    pytest.param(lambda v: Nearfield(3, v), "n", 1, id="nearfield-n"),
+])
+def test_integer_arguments_refused(refuse_int, call, field, low):
+    # 3.0 and True raised the package's only TypeError for an argument
+    refuse_int(call, field, low)

@@ -34,8 +34,20 @@ class TestUMax:
     def test_rejects_small_order(self):
         with pytest.raises(ValueError):
             u_max(3, 2)
-        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+        with pytest.raises(ValueError, match="^k must be an integer >= 0, got -1$"):
             u_max(-1, 9)
+
+
+@pytest.mark.parametrize("call,field,low", [
+    pytest.param(lambda v: u_max(v, 9), "k", 0, id="u_max-k"),
+    pytest.param(lambda v: u_max(2, v), "|R|", 3, id="u_max-order"),
+    pytest.param(lambda v: seed_number(v, 9), "m", 1, id="seed_number-m"),
+    pytest.param(lambda v: seed_number(10, v), "|R|", 3, id="seed_number-order"),
+    pytest.param(lambda v: build_seed(v, build_nearfield(3, 2)), "m", 1, id="build_seed-m"),
+])
+def test_integer_arguments_refused(refuse_int, call, field, low):
+    # u_max(1.5, 9) once returned 4.0 and build_seed(True, DN(3,2)) a matrix of width True
+    refuse_int(call, field, low)
 
 
 class TestSeedNumber:

@@ -261,3 +261,11 @@ def test_separator_error_numbers_lines_as_splitlines_does(text):
     # LF alone was counted, so the CR-only text named line 1
     with pytest.raises(ValueError, match=r"^matrix file line 3: whitespace '\\xa0' \(U\+00A0\)"):
         matrix_parse(text)
+
+
+@pytest.mark.parametrize("rows", [(), ((1,),)], ids=["empty", "one-column"])
+@pytest.mark.parametrize("make", [NfMatrix, NfMatrix.from_rows], ids=["init", "from_rows"])
+def test_integer_arguments_refused(refuse_int, make, rows):
+    # -1 and True were taken as widths
+    nf = build_nearfield(3, 2)
+    refuse_int(lambda v: make(nf, rows, v), "width", 0)
