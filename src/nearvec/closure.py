@@ -77,20 +77,34 @@ import bisect
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import lt
 
-from .nearfield import Nearfield, _int_arg, require_budget
+from .nearfield import _INT_ONLY, Nearfield, _int_arg, require_budget
 
 _VSCALE_TABLE_CAP = 10 ** 6  # space * order cap for a cached scaling column
 
 
 def pack_vector(nf: Nearfield, v) -> int:
+    """The code of a vector, a sequence of element codes that the field checks."""
+    nf.check_codes(v)
     code = 0
     for a in reversed(v):
         code = code * nf.order + a
     return code
 
 
+def _in_space(nf: Nearfield, m: int, code: int) -> bool:
+    """code < |R|^m for a code >= 0; as |R|^m >= 2^m, past the code's bit
+    length the power is not computed."""
+    return code < nf.order ** min(m, code.bit_length())
+
+
 def unpack_vector(nf: Nearfield, m: int, code: int) -> tuple[int, ...]:
+    """The m element codes of a vector code in 0..|R|^m - 1."""
+    _int_arg(m, "m")
+    _int_arg(code, "vector code")
+    if not _in_space(nf, m, code):
+        raise ValueError(f"vector code {code} out of range for |R|^m = {nf.order}^{m}")
     out = []
     for _ in range(m):
         code, a = divmod(code, nf.order)
@@ -192,6 +206,18 @@ class VectorSet:
     m: int
     codes: tuple[int, ...]
 
+    def __post_init__(self):
+        """ValueError unless m passes _int_arg and codes is a tuple of ints,
+        strictly ascending, in 0..|R|^m - 1, tested in C loops as check_codes
+        tests element codes."""
+        _int_arg(self.m, "m")
+        codes = self.codes
+        if type(codes) is not tuple or codes and not (
+                _INT_ONLY.issuperset(map(type, codes)) and codes[0] >= 0
+                and all(map(lt, codes, codes[1:])) and _in_space(self.nf, self.m, codes[-1])):
+            raise ValueError(f"codes must be a strictly ascending tuple of vector codes "
+                             f"in 0..|R|^m - 1 = {self.nf.order}^{self.m} - 1")
+
     @classmethod
     def from_vectors(cls, nf: Nearfield, m: int, vectors) -> "VectorSet":
         """The set of vectors of m element codes each, checked by the field."""
@@ -200,7 +226,6 @@ class VectorSet:
         for v in vectors:
             if len(v) != m:
                 raise ValueError("dimension mismatch")
-            nf.check_codes(v)
             seen.add(pack_vector(nf, v))
         return cls(nf, m, tuple(sorted(seen)))
 

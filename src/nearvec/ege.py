@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, groupby, islice, repeat
 from operator import itemgetter
 
-from .nearfield import _INT_ONLY, _MAX_DIGITS, Nearfield, Witness, _ascii_int, _check_separators
+from .nearfield import _INT_ONLY, _MAX_DIGITS, Nearfield, Witness, _ascii_int, _check_separators, _int_arg
 from .vectors import NfMatrix
 
 
@@ -411,13 +411,13 @@ def replay_states(M: NfMatrix, steps):
 def _check_step(nf: Nearfield, st: Step, work: _Rows | None = None) -> None:
     """The one check of a step, which may come from an untrusted file:
     ValueError with replay's text unless it is a Step, its kind is known,
-    its row indices are ints, not bools, at least 0 and below
+    its row indices pass _int_arg (ints, not bools, at least 0), below
     len(work.rows) when work is given, and its scalar code passes the
-    field's check.  A
-    trick's witness must be three witness codes and its column an int, at
-    least 0; given work, also _trick_inplace's preconditions: the column
-    is the first conflict column, scanned from work.clean, and the witness
-    violates right distributivity."""
+    field's check.  A trick's witness must be three witness codes and its
+    column pass _int_arg; given work, the column must lie below the width,
+    and _trick_inplace's preconditions hold: the column is the first
+    conflict column, scanned from work.clean, and the witness violates
+    right distributivity."""
     if type(st) is not Step:
         raise ValueError(f"{st!r} is not a Step")
     kind = st.kind
@@ -426,12 +426,11 @@ def _check_step(nf: Nearfield, st: Step, work: _Rows | None = None) -> None:
         if not isinstance(w, (tuple, list)) or len(w) != 3:
             raise ValueError(f"witness {w!r} is not three codes")
         nf.check_codes(w, "witness code")
-        if type(col) is not int:
-            raise ValueError(f"column index {col!r} is not an integer")
-        if col < 0 or work is not None and col >= work.width:
-            raise ValueError("column index out of range")
+        _int_arg(col, "column index")
         if work is None:
             return
+        if col >= work.width:
+            raise ValueError("column index out of range")
         first = work.first_conflict(min(work.clean, col), col + 1)    # None or at most col
         if first != col:
             raise ValueError("the trick column is not a conflict column" if first is None
@@ -444,10 +443,9 @@ def _check_step(nf: Nearfield, st: Step, work: _Rows | None = None) -> None:
         raise ValueError(f"unknown step kind {kind!r}")
     rows = None if work is None else len(work.rows)
     for idx in (st.r,) if kind == "scale" else (st.r, st.s):
-        if type(idx) is not int:
-            raise ValueError(f"row index {idx!r} is not an integer")
-        if idx < 0 or rows is not None and idx >= rows:
-            raise ValueError(f"row {idx + 1} out of range" + ("" if rows is None else f" for {rows} rows"))
+        _int_arg(idx, "row index")
+        if rows is not None and idx >= rows:
+            raise ValueError(f"row {idx + 1} out of range for {rows} rows")
     if kind != "swap":
         nf.check_codes((st.c,), "scalar code")
 
@@ -541,11 +539,10 @@ def trace_to_text(nf: Nearfield, steps) -> str:
     The codes of the whole trace are formatted in one format_elements call:
     the text is the pieces between the codes interleaved with the codes'
     texts.  The fields of a step are read by position, so only Steps are
-    read so.  Any failure, a step that is not a Step, an index that is not
-    an int or a negative row index or trick column among them, sends the
-    steps through _check_step, which refuses the first malformed one with
-    replay's text, `trace step N: ...`; with no row count, `row 0 out of
-    range` has no `for K rows`.
+    read so.  Any failure, a step that is not a Step or an index that is
+    not an int at least 0 among them, sends the steps through _check_step,
+    which refuses the first malformed one with replay's text, `trace step
+    N: ...`; with no row count, it tests no index against an upper bound.
     """
     steps = tuple(steps)
     pieces, codes, gap = [], [], ""     # gap: the text since the last code
@@ -609,7 +606,8 @@ def _parse_trace(nf: Nearfield, lines) -> tuple[Step, ...]:
 
     The indices are tested in one batch, joined: ASCII digits, none longer
     than _MAX_DIGITS, none below 1.  Only when that fails are they read one
-    by one (_read_indices), which raises the error of the first bad one."""
+    by one by _ascii_int, as a row or a column at least 1, which raises the
+    error of the first bad one."""
     kinds, idx, tokens = [], [], []
     for ln in lines:
         parts = ln.split()
@@ -629,7 +627,8 @@ def _parse_trace(nf: Nearfield, lines) -> tuple[Step, ...]:
     digits = "".join(idx)
     if not (digits.isascii() and digits.isdigit() and len(max(idx, key=len)) <= _MAX_DIGITS
             and min(values := list(map(int, idx))) > 0):
-        values = _read_indices(kinds, idx)
+        fields = [field for kind in kinds for field in _INDEX_FIELDS[kind]]
+        values = list(map(_ascii_int, idx, fields, repeat(1)))
     codes, values = iter(nf.parse_elements(tokens)), iter(values)
     new, steps = tuple.__new__, []
     # each Step as Step.__new__ would build it: no theta or phi to pack
@@ -647,17 +646,3 @@ def _parse_trace(nf: Nearfield, lines) -> tuple[Step, ...]:
 
 # the indices of a trace line of each step kind, by the names _ascii_int gives them
 _INDEX_FIELDS = {"eliminate": ("row", "row"), "swap": ("row", "row"), "scale": ("row",), "trick": ("column",)}
-
-
-def _read_indices(kinds, idx) -> list[int]:
-    """The 1-based index texts idx of steps of the given kinds, read one at
-    a time by _ascii_int, which takes one '-' so that a negative index meets
-    the range test, then tested against 1 with replay's text, less the row
-    count a trace does not give.  ValueError names the first bad one; on a
-    single line these are the checks between its fields and its tokens."""
-    fields = [field for kind in kinds for field in _INDEX_FIELDS[kind]]
-    values = list(map(_ascii_int, idx, fields, repeat(None)))
-    for field, v in zip(fields, values):
-        if v < 1:
-            raise ValueError("column index out of range" if field == "column" else f"row {v} out of range")
-    return values

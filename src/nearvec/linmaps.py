@@ -66,6 +66,7 @@ class MapRep:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _int_arg(self.n, "dimension")
         if len(self.matrix) != self.n or any(len(r) != self.n for r in self.matrix):
             raise ValueError("matrix must be n x n")
         for row in self.matrix:

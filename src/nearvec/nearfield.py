@@ -75,10 +75,13 @@ so each dict holds at most order entries.  Nothing is stored at
 construction: a field pays for the texts it prints or reads.
 
 Input checks live here, below every module that uses them: _ascii_int
-reads integer text, check_codes checks element codes, and _int_arg checks
-an integer argument passed in code (a size, count, index or order): a
+reads integer text, a trace's row and column indices too, check_codes
+checks element codes, and _int_arg checks an integer passed in code (a
+size, count, exponent or order, a trace step's row or column index): a
 value whose type is not int, or that is below its bound, is refused
 before any work with one ValueError, "m must be an integer >= 1, got 0".
+An index's upper bound, such as a trace step's row count, is tested by
+its caller, which knows it.
 require_budget, the one size guard, checks every size the package
 enumerates, lists or prints, the operation tables too, against the
 element budget, set only by NEARVEC_BUDGET (ASCII digits [0-9]+ worth
@@ -584,8 +587,7 @@ class Nearfield:
         return self._exp[(lg[a] + lg[b]) % (self.order - 1)]
 
     def field_pow(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("negative exponent")
+        _int_arg(e, "exponent")
         if a == 0:
             return 0 if e else 1
         return self._exp[(self._log[a] * e) % (self.order - 1)]
@@ -607,12 +609,14 @@ class Nearfield:
 
     def coset_index(self, a: int) -> int:
         """The automorphism exponent j(a); for n = 2 it is 0 iff a is a square."""
+        self.check_codes((a,))
         if a == 0:
             raise ValueError("coset index undefined for 0")
         return self.coset_table[self._log[a] % self.n]
 
     def log(self, a: int) -> int:
         """Discrete logarithm to base generator."""
+        self.check_codes((a,))
         if a == 0:
             raise ValueError("log of 0 undefined")
         return self._log[a]
@@ -853,8 +857,7 @@ class Nearfield:
             if const is not None:
                 if len(terms) == 1:
                     code = _ascii_int(const, "element code")
-                    if code >= self.order:
-                        raise ValueError(f"code {code} out of range for order {self.order}")
+                    self.check_codes((code,), "code")
                     return code
                 c, i = _ascii_int(const, "coefficient"), 0
             else:

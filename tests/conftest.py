@@ -24,11 +24,12 @@ def bad_code(request):
 
 @pytest.fixture(params=["float", "bool", "below"])
 def refuse_int(request):
-    """check(call, field, low): call(v) for v = 1.5, True and low - 1 each
-    raises nearfield._int_arg's one ValueError, with its exact text."""
-    def check(call, field, low):
+    """check(call, field, low, prefix=""): call(v) for v = 1.5, True and
+    low - 1 each raises nearfield._int_arg's one ValueError, with its exact
+    text after prefix, such as replay's "trace step N: "."""
+    def check(call, field, low, prefix=""):
         v = {"float": 1.5, "bool": True, "below": low - 1}[request.param]
         with pytest.raises(ValueError) as refused:
             call(v)
-        assert str(refused.value) == f"{field} must be an integer >= {low}, got {v!r}"
+        assert str(refused.value) == f"{prefix}{field} must be an integer >= {low}, got {v!r}"
     return check

@@ -130,10 +130,10 @@ class TestEge:
 
     @pytest.mark.parametrize("trace,message", [
         ("SWAP a 1\n", "malformed trace line 'SWAP a 1'"),
-        ("SWAP 0 1\n", "'SWAP 0 1': row 0 out of range"),
+        ("SWAP 0 1\n", "'SWAP 0 1': row must be an integer >= 1, got '0'"),
         ("SWAP 1 5\n", "trace step 1: row 5 out of range"),
         ("ELIM 1 9 1\n", "trace step 1: row 9 out of range"),
-        ("TRICK 0 1 x x\n", "'TRICK 0 1 x x': column index out of range"),
+        ("TRICK 0 1 x x\n", "'TRICK 0 1 x x': column must be an integer >= 1, got '0'"),
         ("TRICK 3 0 0 0\n", "two nonzero entries before the trick column"),
         ("ELIM 1 2 1\nTRICK 2 1 x x\n", "trace step 2: the trick column is not a conflict column"),
         ("TRICK 1 1 1 1\n", "witness does not violate right distributivity"),
@@ -174,10 +174,10 @@ class TestEge:
 
     @pytest.mark.parametrize("line,message", [
         ("ELIM 1 " + "1" * 5000 + " 1", "row has 5000 digits, more than 4300"),
-        ("SWAP 1_0 1", "row must be an integer, got '1_0'"),
-        ("ELIM 1 ٢ 1", "row must be an integer, got '٢'"),
-        ("ELIM 1 +2 1", "row must be an integer, got '+2'"),
-        ("TRICK ３ 1 x x", "column must be an integer, got '３'"),
+        ("SWAP 1_0 1", "row must be an integer >= 1, got '1_0'"),
+        ("ELIM 1 ٢ 1", "row must be an integer >= 1, got '٢'"),
+        ("ELIM 1 +2 1", "row must be an integer >= 1, got '+2'"),
+        ("TRICK ３ 1 x x", "column must be an integer >= 1, got '３'"),
     ], ids=["5000-digits", "underscore", "arabic-indic", "plus", "fullwidth-column"])
     def test_trace_indices_take_ascii_digits_only(self, capsys, tmp_path, line, message):
         # int() read all but the first: row 10, 2, 2 and column 3

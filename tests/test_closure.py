@@ -643,7 +643,36 @@ def test_strata_after_lc1_read_no_x0_product(monkeypatch, cap, vectors):
     pytest.param(lambda nf, v: is_gamma_dependent(nf, [(1, 0), (0, 1)], v), "gamma", 1, id="gamma"),
     pytest.param(lambda nf, v: VectorSet.from_vectors(nf, v, []), "m", 0, id="from_vectors-empty"),
     pytest.param(lambda nf, v: VectorSet.from_vectors(nf, v, [(1,)]), "m", 0, id="from_vectors"),
+    pytest.param(lambda nf, v: VectorSet(nf, v, ()), "m", 0, id="vector-set"),
+    pytest.param(lambda nf, v: unpack_vector(nf, v, 0), "m", 0, id="unpack-m"),
+    pytest.param(lambda nf, v: unpack_vector(nf, 2, v), "vector code", 0, id="unpack-code"),
 ])
 def test_integer_arguments_refused(dn32, refuse_int, call, field, low):
     # m = -1 once passed, and gen_closure over that set answered one element
     refuse_int(lambda v: call(dn32, v), field, low)
+
+
+@pytest.mark.parametrize("codes", [(5, 1), (1, 1), (81,), (-1, 5), (1.0,), (True,), [1, 2]],
+                         ids=["descending", "repeated", "past-the-space", "minus-1", "float", "bool", "list"])
+def test_vector_set_codes_refused(dn32, codes):
+    # (1,) in VectorSet(nf, 1, (5, 1)) was False, len(VectorSet(nf, 1, (1, 1)))
+    # was 2, and gen_closure(VectorSet(nf, 2, (100,))) raised IndexError
+    want = r"^codes must be a strictly ascending tuple of vector codes in 0\.\.\|R\|\^m - 1 = 9\^2 - 1$"
+    with pytest.raises(ValueError, match=want):
+        VectorSet(dn32, 2, codes)
+    # a code below 2^m is below |R|^m, which is not computed
+    assert len(VectorSet(dn32, 10 ** 12, (0, 5))) == 2
+
+
+def test_pack_vector_checks_its_codes(dn32, bad_code):
+    # (10, 0) packed as 10, the code of (1, 1)
+    a, message = bad_code
+    with pytest.raises(ValueError, match=f"^element code {re.escape(message)}$"):
+        pack_vector(dn32, (1, a))
+
+
+@pytest.mark.parametrize("code", [81, 100, 10 ** 40])
+def test_unpack_vector_refuses_a_code_past_the_space(dn32, code):
+    # unpack_vector(nf, 2, 100) returned (1, 2), the vector of code 19
+    with pytest.raises(ValueError, match=rf"^vector code {code} out of range for \|R\|\^m = 9\^2$"):
+        unpack_vector(dn32, 2, code)

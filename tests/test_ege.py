@@ -269,25 +269,27 @@ class TestTraceCodec:
     def test_from_text_refuses_a_row_below_1(self, dn32, line, row):
         # no replay accepts the line, so the codec names it as malformed
         text = "ELIM 1 2 1\n" + line + "\nTRICK 3 1 x x\n"
-        with pytest.raises(ValueError, match=f"^malformed trace line '{line}': row {row} out of range$"):
+        want = f"^malformed trace line '{line}': row must be an integer >= 1, got '{row}'$"
+        with pytest.raises(ValueError, match=want):
             trace_from_text(dn32, text)
 
     @pytest.mark.parametrize("step,row", [
-        (Step("eliminate", r=-5, s=1, c=1), -4), (Step("eliminate", r=0, s=-1, c=1), 0),
-        (Step("swap", r=1, s=-2), -1), (Step("scale", r=-1, c=1), 0),
+        (Step("eliminate", r=-5, s=1, c=1), -5), (Step("eliminate", r=0, s=-1, c=1), -1),
+        (Step("swap", r=1, s=-2), -2), (Step("scale", r=-1, c=1), -1),
     ], ids=["elim-r", "elim-s", "swap-s", "scale-r"])
     def test_to_text_refuses_a_negative_row(self, dn32, step, row):
-        # replay's text, less the row count that trace_to_text does not know
+        # replay and trace_to_text raise _int_arg's text, which needs no row count
         M = NfMatrix.from_rows(dn32, [(1, 0, 1), (1, 1, 0)])
-        with pytest.raises(ValueError, match=f"^trace step 2: row {row} out of range for 2 rows$"):
-            replay(M, [Step("eliminate", r=0, s=1, c=1), step])
-        with pytest.raises(ValueError, match=f"^trace step 2: row {row} out of range$"):
-            trace_to_text(dn32, [Step("eliminate", r=0, s=1, c=1), step])
+        for call in (replay, lambda M, steps: trace_to_text(dn32, steps)):
+            with pytest.raises(ValueError, match=f"^trace step 2: row index must be an integer >= 0, got {row}$"):
+                call(M, [Step("eliminate", r=0, s=1, c=1), step])
 
     @pytest.mark.parametrize("line", ["TRICK 0 1 x x", "TRICK -2 1 x x"])
     def test_from_text_refuses_a_trick_column_below_1(self, dn32, line):
         text = "ELIM 1 2 1\n" + line + "\n"
-        with pytest.raises(ValueError, match=f"^malformed trace line '{line}': column index out of range$"):
+        col = line.split()[1]
+        want = f"^malformed trace line '{line}': column must be an integer >= 1, got '{col}'$"
+        with pytest.raises(ValueError, match=want):
             trace_from_text(dn32, text)
 
     @pytest.mark.parametrize("col", [-1, -5])
@@ -296,7 +298,7 @@ class TestTraceCodec:
         M = NfMatrix.from_rows(dn32, [(1, 0, 1), (1, 1, 0)])
         steps = [Step("eliminate", r=0, s=1, c=1), Step("trick", col=col, witness=(1, 3, 3))]
         for call in (lambda: replay(M, steps), lambda: trace_to_text(dn32, steps)):
-            with pytest.raises(ValueError, match="^trace step 2: column index out of range$"):
+            with pytest.raises(ValueError, match=f"^trace step 2: column index must be an integer >= 0, got {col}$"):
                 call()
 
     def test_blank_and_comment_lines_are_skipped(self, dn32):
@@ -368,15 +370,15 @@ class TestTraceCodec:
         (Step("trick", col=2, witness=(1, X)), r"witness \(1, 3\) is not three codes"),
         (Step("trick", col=2, witness=(1, X, X, X)), r"witness \(1, 3, 3, 3\) is not three codes"),
         (Step("trick", col=2, witness={1, X, 5}), r"witness \{1, 3, 5\} is not three codes"),
-        (Step("trick", col=1.5, witness=(1, X, X)), "column index 1.5 is not an integer"),
+        (Step("trick", col=1.5, witness=(1, X, X)), "column index must be an integer >= 0, got 1.5"),
         (Step("trick", col=2, witness=(1, X, 3.0)), "witness code 3.0 is not an integer"),
         (Step("scale", r=0, c=1.5), "scalar code 1.5 is not an integer"),
-        (Step("swap", r=0.0, s=1), "row index 0.0 is not an integer"),
+        (Step("swap", r=0.0, s=1), "row index must be an integer >= 0, got 0.0"),
         (Step("eliminate", r=0, s=1, c=None), "scalar code None is not an integer"),
         # a bool is an int to isinstance: True once swapped rows 2 and 1
-        (Step("swap", r=True, s=0), "row index True is not an integer"),
-        (Step("scale", r=False, c=1), "row index False is not an integer"),
-        (Step("trick", col=True, witness=(1, X, X)), "column index True is not an integer"),
+        (Step("swap", r=True, s=0), "row index must be an integer >= 0, got True"),
+        (Step("scale", r=False, c=1), "row index must be an integer >= 0, got False"),
+        (Step("trick", col=True, witness=(1, X, X)), "column index must be an integer >= 0, got True"),
         (Step("nudge"), "unknown step kind 'nudge'"),
     ], ids=["trick-no-witness", "trick-two-codes", "trick-four-codes", "trick-set-witness",
             "trick-float-col", "trick-float-code", "scale-float", "swap-float-row", "eliminate-none",
@@ -900,8 +902,8 @@ class TestRunErrorParity:
         return M, trace, i
 
     def _refused(self, M, trace, i, message, to_text=True):
-        # trace_to_text knows no row count, so it refuses a row by range only
-        # below 0, without "for K rows" (test_to_text_refuses_a_negative_row)
+        # trace_to_text knows no row count, so it refuses only what _int_arg
+        # refuses (test_to_text_refuses_a_negative_row)
         want = f"^trace step {i + 1}: {re.escape(message)}$"
         with pytest.raises(ValueError, match=want):
             replay(M, trace)
@@ -914,9 +916,9 @@ class TestRunErrorParity:
     @pytest.mark.parametrize("field", ["r", "s"])
     @pytest.mark.parametrize("bad,message", [
         (6, "row 7 out of range for 6 rows"),
-        (-1, "row 0 out of range for 6 rows"),
-        ("float", "row index {bad!r} is not an integer"),
-        ("bool", "row index {bad!r} is not an integer"),
+        (-1, "row index must be an integer >= 0, got -1"),
+        ("float", "row index must be an integer >= 0, got {bad!r}"),
+        ("bool", "row index must be an integer >= 0, got {bad!r}"),
     ], ids=["past-end", "minus-1", "float", "bool"])
     def test_bad_index_mid_run(self, field, bad, message):
         M, trace, i = self._trace_with_a_run()
@@ -926,7 +928,7 @@ class TestRunErrorParity:
         elif bad == "bool":     # False for the pivot row 0, so it stays in the run
             bad = bool(getattr(st, field))
         trace[i] = _elim(**{"r": st.r, "s": st.s, "c": st.c, field: bad})
-        self._refused(M, trace, i, message.format(bad=bad), to_text=type(bad) is not int)
+        self._refused(M, trace, i, message.format(bad=bad), to_text=type(bad) is not int or bad < 0)
 
     @pytest.mark.parametrize("bad,message", [
         (True, "scalar code True is not an integer"),
@@ -942,7 +944,7 @@ class TestRunErrorParity:
     @pytest.mark.parametrize("line,message", [
         ("ELIM 1 2 zz", "malformed element term 'zz'"),
         ("ELIM 1 2 343", "code 343 out of range for order 343"),
-        ("ELIM 1 x 1", "row must be an integer, got 'x'"),
+        ("ELIM 1 x 1", "row must be an integer >= 1, got 'x'"),
         ("ELIM 1 2", "unknown step or wrong number of fields"),
         ("TRICK 3 1 x", "unknown step or wrong number of fields"),
         ("NUDGE 1 2", "unknown step or wrong number of fields"),
@@ -963,12 +965,12 @@ class TestRunErrorParity:
             trace_to_text(dn32, [_elim(0, 1, True), Step("swap", r=None, s=0)])
 
     @pytest.mark.parametrize("step,message", [
-        (_elim(False, True, 1), "row index False is not an integer"),
-        (_elim(0, 1.0, 1), "row index 1.0 is not an integer"),
-        (Step("swap", r=True, s=0), "row index True is not an integer"),
-        (Step("swap", r=0, s=None), "row index None is not an integer"),
-        (Step("scale", r=True, c=1), "row index True is not an integer"),
-        (Step("trick", col=True, witness=(1, X, X)), "column index True is not an integer"),
+        (_elim(False, True, 1), "row index must be an integer >= 0, got False"),
+        (_elim(0, 1.0, 1), "row index must be an integer >= 0, got 1.0"),
+        (Step("swap", r=True, s=0), "row index must be an integer >= 0, got True"),
+        (Step("swap", r=0, s=None), "row index must be an integer >= 0, got None"),
+        (Step("scale", r=True, c=1), "row index must be an integer >= 0, got True"),
+        (Step("trick", col=True, witness=(1, X, X)), "column index must be an integer >= 0, got True"),
     ], ids=["elim-bool", "elim-float", "swap-bool", "swap-none", "scale-bool", "trick-bool"])
     def test_to_text_refuses_an_index_that_is_not_an_int(self, dn32, step, message):
         # the text replay raises for the same step
@@ -983,11 +985,11 @@ class TestRunErrorParity:
     def test_to_text_raises_a_bad_index_and_a_bad_code_in_step_order(self, dn32):
         with pytest.raises(ValueError, match="^trace step 1: scalar code -1 out of range for order 9$"):
             trace_to_text(dn32, [_elim(0, 1, -1), Step("swap", r=True, s=0)])
-        with pytest.raises(ValueError, match="^trace step 1: row index True is not an integer$"):
+        with pytest.raises(ValueError, match="^trace step 1: row index must be an integer >= 0, got True$"):
             trace_to_text(dn32, [Step("swap", r=True, s=0), _elim(0, 1, -1)])
         with pytest.raises(ValueError, match="^trace step 1: scalar code True is not an integer$"):
             trace_to_text(dn32, [Step("scale", r=0, c=True), _elim(False, 1, 1)])
-        with pytest.raises(ValueError, match="^trace step 1: row index False is not an integer$"):
+        with pytest.raises(ValueError, match="^trace step 1: row index must be an integer >= 0, got False$"):
             trace_to_text(dn32, [_elim(False, 1, 1), Step("scale", r=0, c=True)])
         # within a trick step, a bad witness code comes before the column, as in replay
         with pytest.raises(ValueError, match="^trace step 1: witness code 9 out of range for order 9$"):
@@ -1022,30 +1024,31 @@ class TestRunErrorParity:
 
 
 # -- the trace reader tests every index of a trace in one batch; when that
-# fails, each is read one by one, and the text names the first bad line
+# fails, each is read one by one by _ascii_int, as at least 1, and the text
+# names the first bad line
 
-_INDEX_LINES = [    # line with {} for the index, the index's field, the text of an index below 1
-    ("ELIM {} 1 1", "row", "row 0 out of range"),
-    ("ELIM 1 {} zz", "row", "row 0 out of range"),
-    ("SWAP 2 {}", "row", "row 0 out of range"),
-    ("SCALE {} x", "row", "row 0 out of range"),
-    ("TRICK {} 1 x x", "column", "column index out of range"),
+_INDEX_LINES = [    # line with {} for the index, the index's field
+    ("ELIM {} 1 1", "row"),
+    ("ELIM 1 {} zz", "row"),
+    ("SWAP 2 {}", "row"),
+    ("SCALE {} x", "row"),
+    ("TRICK {} 1 x x", "column"),
 ]
 
 
-@pytest.mark.parametrize("line,field,below_1", _INDEX_LINES, ids=["elim-r", "elim-s", "swap", "scale", "trick"])
+@pytest.mark.parametrize("line,field", _INDEX_LINES, ids=["elim-r", "elim-s", "swap", "scale", "trick"])
 @pytest.mark.parametrize("index,message", [
-    ("\u0662", "{field} must be an integer, got '\u0662'"),
-    ("1_0", "{field} must be an integer, got '1_0'"),
-    ("+2", "{field} must be an integer, got '+2'"),
-    ("-0", "{below_1}"),
-    ("0", "{below_1}"),
+    ("\u0662", "{field} must be an integer >= 1, got '\u0662'"),
+    ("1_0", "{field} must be an integer >= 1, got '1_0'"),
+    ("+2", "{field} must be an integer >= 1, got '+2'"),
+    ("-0", "{field} must be an integer >= 1, got '-0'"),
+    ("0", "{field} must be an integer >= 1, got '0'"),
     ("9" * 4301, "{field} has 4301 digits, more than 4300"),
 ], ids=["arabic-indic-2", "underscore", "plus", "minus-0", "0", "4301-digits"])
-def test_trace_index_error_texts(dn32, line, field, below_1, index, message):
-    # the texts that each index was refused with when it was read on its own
+def test_trace_index_error_texts(dn32, line, field, index, message):
+    # the texts that each index is refused with when it is read on its own
     line = line.format(index)
-    want = f"malformed trace line {line!r}: {message.format(field=field, below_1=below_1)}"
+    want = f"malformed trace line {line!r}: {message.format(field=field)}"
     # alone, and on line 2 after a good line and before another bad one
     for text in (line, f"SWAP 1 2\n{line}\nELIM zz 1 1\n"):
         with pytest.raises(ValueError) as e:
@@ -1053,17 +1056,21 @@ def test_trace_index_error_texts(dn32, line, field, below_1, index, message):
         assert str(e.value) == want
 
 
-@pytest.mark.parametrize("line,message", [
-    ("ELIM 0 1 zz", "row 0 out of range"),
-    ("ELIM 1 0 zz", "row 0 out of range"),
-    ("SCALE 0 1", "row 0 out of range"),
-    ("TRICK 0 1 1 1", "column index out of range"),
-    ("TRICK 0 zz 1 1", "column index out of range"),
-    ("ELIM 0 x 1", "row must be an integer, got 'x'"),
-    ("ELIM -3 1 zz", "row -3 out of range"),
-])
-def test_trace_line_checks_its_indices_before_its_tokens(dn32, line, message):
-    # a line's indices are read, then tested against 1, then its tokens parsed
+_INDICES_FIRST = [    # line, its first fault, the text that names it
+    ("ELIM 0 1 zz", "row 0 out of range", "row must be an integer >= 1, got '0'"),
+    ("ELIM 1 0 zz", "row 0 out of range", "row must be an integer >= 1, got '0'"),
+    ("SCALE 0 1", "row 0 out of range", "row must be an integer >= 1, got '0'"),
+    ("TRICK 0 1 1 1", "column index out of range", "column must be an integer >= 1, got '0'"),
+    ("TRICK 0 zz 1 1", "column index out of range", "column must be an integer >= 1, got '0'"),
+    ("ELIM 0 x 1", "row 0 before row x", "row must be an integer >= 1, got '0'"),
+    ("ELIM -3 1 zz", "row -3 out of range", "row must be an integer >= 1, got '-3'"),
+]
+
+
+@pytest.mark.parametrize("line,fault,message", _INDICES_FIRST,
+                         ids=[f"{line}-{fault}" for line, fault, _ in _INDICES_FIRST])
+def test_trace_line_checks_its_indices_before_its_tokens(dn32, line, fault, message):
+    # a line's indices are read in turn, each tested against 1, and then its tokens parsed
     for text in (line, f"SWAP 1 2\n{line}\nELIM zz 1 1\n"):
         with pytest.raises(ValueError) as e:
             trace_from_text(dn32, text)
@@ -1148,3 +1155,17 @@ def test_trace_separator_error_numbers_lines_as_splitlines_does(dn32, text):
     # LF alone was counted, so the CR-only traces named line 1
     with pytest.raises(ValueError, match=r"^trace line 3: whitespace '\\u2003' \(U\+2003\)"):
         trace_from_text(dn32, text)
+
+
+@pytest.mark.parametrize("call,field,prefix", [
+    pytest.param(lambda M, v: replay(M, [Step("swap", r=v, s=0)]), "row index", "trace step 1: ", id="replay-r"),
+    pytest.param(lambda M, v: replay(M, [_elim(0, v, 1)]), "row index", "trace step 1: ", id="replay-s"),
+    pytest.param(lambda M, v: replay(M, [Step("trick", col=v, witness=(1, X, X))]), "column index",
+                 "trace step 1: ", id="replay-col"),
+    pytest.param(lambda M, v: distributivity_trick(M, v, W32), "column index", "", id="trick-col"),
+])
+def test_integer_arguments_refused(dn32, refuse_int, call, field, prefix):
+    # a row index of -1 was `row 0 out of range for 2 rows`, a column of -1
+    # `column index out of range`, and 1.5 `row index 1.5 is not an integer`
+    M = NfMatrix.from_rows(dn32, [(1, 0, 1), (1, 1, 0)])
+    refuse_int(lambda v: call(M, v), field, 0, prefix)

@@ -617,7 +617,9 @@ def test_scale_family_checks_the_scalar_codes(dn32, scalars, message):
     pytest.param(lambda nf, v: count_maps(nf, v, "normal", "enumeration"), id="count_maps-enum"),
     pytest.param(enumerate_maps, id="enumerate_maps"),
     pytest.param(MapRep.identity, id="identity"),
+    pytest.param(lambda nf, v: MapRep(nf, v, ((1,),)), id="maprep-n"),
 ])
 def test_integer_arguments_refused(dn32, refuse_int, call):
-    # enumerate_maps and MapRep.identity once raised TypeError for 1.5
+    # enumerate_maps and MapRep.identity once raised TypeError for 1.5, and
+    # MapRep(nf, True, ((1,),)) built a map whose n was True
     refuse_int(lambda v: call(dn32, v), "dimension", 0)

@@ -235,7 +235,7 @@ class TestTableFidelity:
                 else:
                     expected = dn32.field_mul(a, dn32.field_pow(b, 3))
                 assert dn32.mul(a, b) == expected
-        with pytest.raises(ValueError, match="^negative exponent$"):
+        with pytest.raises(ValueError, match="^exponent must be an integer >= 0, got -1$"):
             dn32.field_pow(2, -1)
 
     def test_zero_and_identity_rows(self, dn32):
@@ -920,7 +920,20 @@ def test_lane_step_tables_are_bounded_at_every_order():
     pytest.param(lambda v: build_nearfield(3, v), "n", 1, id="build-n"),
     pytest.param(lambda v: Nearfield(v, 2), "q", 2, id="nearfield-q"),
     pytest.param(lambda v: Nearfield(3, v), "n", 1, id="nearfield-n"),
+    pytest.param(lambda v: build_nearfield(3, 2).field_pow(3, v), "exponent", 0, id="field-pow"),
 ])
 def test_integer_arguments_refused(refuse_int, call, field, low):
-    # 3.0 and True raised the package's only TypeError for an argument
+    # 3.0 and True raised the package's only TypeError for an argument;
+    # field_pow(3, True) returned 3 and field_pow(3, 1.5) raised TypeError
     refuse_int(call, field, low)
+
+
+@pytest.mark.parametrize("method", ["log", "coset_index"])
+def test_log_and_coset_index_check_the_code(dn32, bad_code, method):
+    # log(-1) was 5 and coset_index(-1) 1, read from the end of the log
+    # table, and log(9) raised IndexError
+    a, message = bad_code
+    with pytest.raises(ValueError, match=f"^element code {re.escape(message)}$"):
+        getattr(dn32, method)(a)
+    with pytest.raises(ValueError, match="^(log of 0 undefined|coset index undefined for 0)$"):
+        getattr(dn32, method)(0)
